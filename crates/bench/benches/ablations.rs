@@ -1,12 +1,10 @@
 //! Ablation benchmarks for the design choices DESIGN.md calls out:
-//! best-response damping, the localization grid size, solver tolerance,
-//! and the extension substrates (duopoly inner equilibrium, continuum
-//! quadrature).
+//! best-response damping, solver tolerance, and the extension substrates
+//! (duopoly inner equilibrium, continuum quadrature).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 use subcomp_bench::market_spread;
-use subcomp_core::best_response::BrConfig;
 use subcomp_core::duopoly::Duopoly;
 use subcomp_core::game::SubsidyGame;
 use subcomp_core::nash::NashSolver;
@@ -19,20 +17,6 @@ fn bench_damping(c: &mut Criterion) {
     for omega in [1.0f64, 0.7, 0.4] {
         g.bench_with_input(BenchmarkId::from_parameter(omega), &omega, |b, &omega| {
             let solver = NashSolver::default().with_damping(omega).with_tol(1e-7);
-            b.iter(|| solver.solve(std::hint::black_box(&game)).unwrap())
-        });
-    }
-    g.finish();
-}
-
-fn bench_br_grid(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation/br_grid");
-    g.sample_size(10);
-    let game = SubsidyGame::new(market_spread(8), 0.6, 0.8).unwrap();
-    for grid in [8usize, 24, 64] {
-        g.bench_with_input(BenchmarkId::from_parameter(grid), &grid, |b, &grid| {
-            let mut solver = NashSolver::default().with_tol(1e-7);
-            solver.br = BrConfig { grid, ..BrConfig::default() };
             b.iter(|| solver.solve(std::hint::black_box(&game)).unwrap())
         });
     }
@@ -77,6 +61,6 @@ fn bench_extensions(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().warm_up_time(Duration::from_millis(400)).measurement_time(Duration::from_secs(2));
-    targets = bench_damping, bench_br_grid, bench_tolerance, bench_extensions
+    targets = bench_damping, bench_tolerance, bench_extensions
 }
 criterion_main!(benches);

@@ -8,7 +8,7 @@
 //! from the zero profile to full convergence, so their numbers are
 //! directly comparable with the pre-workspace `solve(&game)` baselines.
 
-use criterion::{criterion_group, criterion_main, record_metric, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 use subcomp_bench::{market_of, market_spread};
 use subcomp_core::game::SubsidyGame;
@@ -100,89 +100,37 @@ fn bench_warm_start(c: &mut Criterion) {
     g.finish();
 }
 
-/// The farm engines at ensemble scale: the scalar warm-chain
-/// `BatchSolver` against the SoA lane engine, on the exact `solve_farm`
-/// ensemble definition ([`subcomp_exp::scenarios::farm_game`], seed 7,
-/// n ∈ 2..12). 100k games per iteration — each iteration IS one farm
-/// run, so `sample_size(2)` keeps the suite tractable; under
-/// `SUBCOMP_BENCH_QUICK=1` the ensemble shrinks to 200 games so the CI
-/// smoke still exercises both engines and emits both ids.
+/// The farm at ensemble scale: one `BatchSolver::default()` pass over
+/// the exact `solve_farm` ensemble definition
+/// ([`subcomp_exp::scenarios::farm_game`], seed 7, n ∈ 2..12) at 2000
+/// games — each iteration IS one farm run, so `sample_size(2)` keeps the
+/// suite tractable. Under `SUBCOMP_BENCH_QUICK=1` the ensemble shrinks to
+/// 200 games so the CI smoke still exercises the engine and emits the id.
+/// The million-game regime is a documented `solve_farm --games 1000000`
+/// invocation, not a trajectory id.
 fn bench_farm(c: &mut Criterion) {
     let mut g = c.benchmark_group("nash/farm");
     g.sample_size(2);
     let quick =
         std::env::var("SUBCOMP_BENCH_QUICK").map(|v| v != "0" && !v.is_empty()).unwrap_or(false);
-    let games: u64 = if quick { 200 } else { 100_000 };
+    let games: u64 = if quick { 200 } else { 2_000 };
     let indices: Vec<u64> = (0..games).collect();
-    let run = |batch: &BatchSolver| -> usize {
-        batch
-            .run(&indices, |&k| farm_game(7, k, 2, 12), |_, _, stats| stats.iterations)
-            .into_iter()
-            .map(|r| r.expect("farm ensemble solves"))
-            .sum()
-    };
-    g.bench_function("scalar", |b| {
+    g.bench_function("threshold", |b| {
         let batch = BatchSolver::default();
-        b.iter(|| run(std::hint::black_box(&batch)))
-    });
-    g.bench_function("lanes", |b| {
-        let batch = BatchSolver::default().with_lanes(16);
-        b.iter(|| run(std::hint::black_box(&batch)))
+        b.iter(|| {
+            std::hint::black_box(&batch)
+                .run(&indices, |&k| farm_game(7, k, 2, 12), |_, _, stats| stats.iterations)
+                .into_iter()
+                .map(|r| r.expect("farm ensemble solves"))
+                .sum::<usize>()
+        })
     });
     g.finish();
-}
-
-/// The million-game regime: the lane engine over the full `solve_farm`
-/// ensemble at 1,000,000 games. One manually-timed run published
-/// through [`record_metric`] — at the measured ~110 s per 100k games a
-/// `Bencher::iter` sampling loop would take the better part of an
-/// hour, and the scalar engine (~5.5 µs/game, ≈ 1.5 h per pass) is out
-/// of the question entirely; `solve_farm --games 1000000` documents
-/// the same regime interactively. Under `SUBCOMP_BENCH_QUICK=1` the
-/// ensemble subsamples to 2000 games so the CI smoke still emits the
-/// id for the drift gate. The published number is ns per 1M-game farm
-/// run (headline: games/s = 1e9·1e6 / median).
-///
-/// Manual metrics bypass the harness's positional filter, so this
-/// replicates the filter/`--list` scan — `cargo bench --bench nash --
-/// gauss` must not silently pay the 18-minute run.
-fn bench_farm_1m(_c: &mut Criterion) {
-    let mut skip = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--list" => skip = true,
-            "--profile-time" | "--save-baseline" | "--baseline" | "--load-baseline" => {
-                let _ = args.next();
-            }
-            s if s.starts_with("--") => {}
-            s => skip |= !"nash/farm/lanes_1m".contains(s),
-        }
-    }
-    if skip {
-        return;
-    }
-    let quick =
-        std::env::var("SUBCOMP_BENCH_QUICK").map(|v| v != "0" && !v.is_empty()).unwrap_or(false);
-    let games: u64 = if quick { 2_000 } else { 1_000_000 };
-    let indices: Vec<u64> = (0..games).collect();
-    let batch = BatchSolver::default().with_lanes(16);
-    let t0 = std::time::Instant::now();
-    let iterations: usize = batch
-        .run(&indices, |&k| farm_game(7, k, 2, 12), |_, _, stats| stats.iterations)
-        .into_iter()
-        .map(|r| r.expect("farm ensemble solves"))
-        .sum();
-    let elapsed = t0.elapsed().as_nanos() as f64;
-    assert!(iterations > 0, "the farm must do some work");
-    // Scale the quick subsample to the full-ensemble denominator so the
-    // id's units never depend on the mode.
-    record_metric("nash/farm/lanes_1m", elapsed * (1_000_000.0 / games as f64));
 }
 
 criterion_group! {
     name = benches;
     config = Criterion::default().warm_up_time(Duration::from_millis(400)).measurement_time(Duration::from_secs(2));
-    targets = bench_solvers, bench_scaling, bench_warm_start, bench_farm, bench_farm_1m
+    targets = bench_solvers, bench_scaling, bench_warm_start, bench_farm
 }
 criterion_main!(benches);

@@ -5,16 +5,25 @@
 //! `s_i > v_i` (a subsidy above the per-unit profit burns money on every
 //! byte), the search interval shrinks to `[0, min(q, v_i)]` without loss.
 //!
-//! Each utility evaluation requires re-solving the congestion fixed point;
-//! a coarse grid scan localizes the maximum (corner solutions at both ends
-//! are *expected* equilibria per Theorem 3), then Brent polishing refines
-//! interior candidates.
+//! Theorem 3 says the maximizer is a threshold, `s_i* = min{τ_i, min(q,
+//! v_i)}`: the marginal utility `u_i(s_i)` changes sign once, from `+` to
+//! `−`, at `τ_i`. [`best_response`] exploits that directly — three
+//! marginal probes classify the corners, and an interior threshold is a
+//! Brent root of the *analytic* `u_i`, seeded at the current iterate
+//! `s[i]`. Each probe solves the congestion fixed point.
+//!
+//! When the probe signs break single crossing (non-finite probes, a
+//! family violating Assumptions 1–2 numerically) the search declines and
+//! the provider falls back to [`grid_best_response`]: a coarse grid scan
+//! that localizes the maximum without assuming its shape, Brent polish of
+//! the cell, then a marginal-root refinement. The grid scan is also the
+//! independent oracle behind [`deviation_gap`] and the test suites.
 
 use crate::game::SubsidyGame;
 use std::cell::RefCell;
 use subcomp_model::system::StateScratch;
 use subcomp_num::optimize::maximize_scalar_reusing_ends;
-use subcomp_num::roots::Bracket;
+use subcomp_num::roots::{brent_seeded, Bracket};
 use subcomp_num::{NumError, NumResult, Tolerance};
 
 /// Outcome of a best-response computation.
@@ -28,7 +37,8 @@ pub struct BestResponse {
     pub evaluations: usize,
 }
 
-/// Configuration for best-response searches.
+/// Configuration of the grid-scan search ([`grid_best_response`], and the
+/// fallback of [`best_response`]).
 #[derive(Debug, Clone, Copy)]
 pub struct BrConfig {
     /// Grid points for the localization scan.
@@ -43,9 +53,11 @@ impl Default for BrConfig {
     }
 }
 
-/// Computes provider `i`'s best response to the profile `s` (the value of
-/// `s[i]` itself is ignored) — a thin shim allocating throwaway buffers
-/// for [`best_response_into`], the engine the Nash solvers iterate.
+/// Computes provider `i`'s best response to the profile `s`: the Theorem 3
+/// threshold search seeded at `s[i]`, falling back to the grid scan under
+/// `cfg` when the search declines (module docs). A thin shim allocating
+/// throwaway buffers for [`best_response_into`], the engine the Nash
+/// solvers iterate.
 pub fn best_response(
     game: &SubsidyGame,
     i: usize,
@@ -57,53 +69,11 @@ pub fn best_response(
     best_response_into(game, i, s, cfg, &mut m, &mut scratch)
 }
 
-/// A single-provider objective the two best-response engines below
-/// maximize: the utility `U_i(s_i; s_{-i})` and its analytic marginal
-/// `u_i(s_i)`, with every other coordinate frozen. The scalar solvers
-/// implement it over a [`SubsidyGame`] plus cached populations; the lane
-/// engine implements it over one lane of a structure-of-arrays batch.
-/// Both run the *identical* engine bodies, so the lane path cannot drift
-/// from the scalar reference by construction.
-pub(crate) trait BrObjective {
-    /// Search upper bound `min(q, v_i)`.
-    fn cap(&self) -> f64;
-    /// `U_i` at `s_i` (solves the congestion fixed point).
-    fn utility(&mut self, si: f64) -> NumResult<f64>;
-    /// `u_i = ∂U_i/∂s_i` at `s_i` (solves the fixed point).
-    fn marginal(&mut self, si: f64) -> NumResult<f64>;
-}
-
-/// [`BrObjective`] over a scalar game: probes overwrite `m[i]` only (the
-/// frozen components' populations are precomputed by the caller).
-struct GameBrObjective<'a> {
-    game: &'a SubsidyGame,
-    i: usize,
-    m: &'a mut Vec<f64>,
-    scratch: &'a mut StateScratch,
-}
-
-impl BrObjective for GameBrObjective<'_> {
-    fn cap(&self) -> f64 {
-        self.game.effective_cap(self.i)
-    }
-    fn utility(&mut self, si: f64) -> NumResult<f64> {
-        self.game.utility_probe(self.i, si, self.m, self.scratch)
-    }
-    fn marginal(&mut self, si: f64) -> NumResult<f64> {
-        self.game.marginal_probe(self.i, si, self.m, self.scratch)
-    }
-}
-
-/// The allocation-free best-response engine: grid localization, Brent
-/// polish of the cell, then (for interior maximizers, which
-/// value-comparison locates only to ~sqrt(eps)) a root-finding refinement
-/// of the *analytic* marginal utility `u_i(s_i) = 0` — the ~1e-12
-/// accuracy the sensitivity analysis (Theorem 6) needs. Every transient
-/// lives in the caller's buffers: `m` caches the populations of the
-/// frozen components `s_{-i}` (they do not depend on `s_i`), so each
-/// objective evaluation recomputes only `m[i]` and the congestion fixed
-/// point. `evaluations` counts actual fixed-point solves (duplicate
-/// endpoint evaluations are reused, not recomputed).
+/// The allocation-free best-response engine behind [`best_response`].
+/// Every transient lives in the caller's buffers: `m` caches the
+/// populations of the frozen components `s_{-i}` (they do not depend on
+/// `s_i`), so each probe recomputes only `m[i]` and the congestion fixed
+/// point.
 pub(crate) fn best_response_into(
     game: &SubsidyGame,
     i: usize,
@@ -112,122 +82,52 @@ pub(crate) fn best_response_into(
     m: &mut Vec<f64>,
     scratch: &mut StateScratch,
 ) -> NumResult<BestResponse> {
-    // The allocating path validates the probed profile on every objective
-    // evaluation; the components other than `i` never change, so validate
-    // once. A failure maps to the same error the allocating path surfaces
-    // when every objective evaluation comes back non-finite.
+    // The components other than `i` never change during the search, so
+    // the profile is validated once rather than per probe.
     if game.validate(s).is_err() {
-        return Err(NumError::NonFinite { what: "grid_scan objective", at: 0.0 });
+        return Err(NumError::NonFinite { what: "best_response profile", at: 0.0 });
     }
     game.populations_for(s, m);
-    grid_br_core(GameBrObjective { game, i, m, scratch }, cfg)
-}
-
-/// The grid-scan engine body, generic over the objective (see
-/// [`BrObjective`]). Probe sequence, constants and acceptance rules are
-/// the literal former `best_response_into` body — goldens pin the bits.
-pub(crate) fn grid_br_core<O: BrObjective>(obj: O, cfg: &BrConfig) -> NumResult<BestResponse> {
-    let hi = obj.cap();
-    let buffers = RefCell::new(obj);
-    let f = |si: f64| buffers.borrow_mut().utility(si).unwrap_or(f64::NEG_INFINITY);
-    let m = maximize_scalar_reusing_ends(&f, 0.0, hi, cfg.grid, cfg.tol)?;
-    let mut best = BestResponse { s: m.x, utility: m.value, evaluations: m.evaluations };
-    let interior_margin = 1e-5 * (1.0 + hi);
-    if m.x > interior_margin && m.x < hi - interior_margin {
-        let u_of = |si: f64| buffers.borrow_mut().marginal(si).unwrap_or(f64::NAN);
-        let mut delta = 16.0 * interior_margin;
-        let mut bracket = None;
-        for _ in 0..8 {
-            let a = (m.x - delta).max(0.0);
-            let b = (m.x + delta).min(hi);
-            let (ua, ub) = (u_of(a), u_of(b));
-            if ua.is_finite() && ub.is_finite() && ua >= 0.0 && ub <= 0.0 {
-                bracket = Some((subcomp_num::roots::Bracket::new(a, b), ua, ub));
-                break;
-            }
-            delta *= 2.0;
-        }
-        if let Some((br, ua, ub)) = bracket {
-            if let Ok(root) = subcomp_num::roots::brent_seeded(
-                &mut |si| u_of(si),
-                br,
-                ua,
-                ub,
-                subcomp_num::Tolerance::new(1e-13, 1e-13).with_max_iter(120),
-            ) {
-                let refined = root.x.clamp(0.0, hi);
-                let val = f(refined);
-                if val.is_finite() && val >= best.utility - 1e-12 {
-                    best = BestResponse {
-                        s: refined,
-                        utility: val,
-                        evaluations: best.evaluations + root.evaluations,
-                    };
-                }
-            }
-        }
+    match threshold_search(game, i, s[i], m, scratch)? {
+        Some(br) => Ok(br),
+        None => grid_scan(game, i, cfg, m, scratch),
     }
-    Ok(best)
 }
 
-/// Theorem 3 threshold best response: instead of a grid scan, exploit the
-/// paper's own characterization `s_i* = min{τ_i, min(q, v_i)}`, where the
-/// marginal utility `u_i(s_i)` has a single `+ → −` sign change at the
-/// threshold `τ_i` (Assumptions 1–2 guarantee this structure). Three
-/// marginal probes classify the corners; an interior threshold is a Brent
-/// root of the *analytic* `u_i`, seeded near `hint` (the continuation
-/// iterate) so nearby grid points converge in a handful of probes.
+/// Theorem 3 threshold search over the populations `m` of the profile.
+/// Three marginal probes classify the corners (Theorem 3's KKT cases); an
+/// interior threshold is a Brent root of `u_i` bracketed around `hint`.
+/// Under continuation the root moved little from the previous iterate, so
+/// a tight bracket usually survives and Brent finishes in a few probes.
 ///
 /// Returns `Ok(None)` when the observed signs do not match the single-
-/// crossing structure (non-finite probes, a non-exponential family
-/// violating the assumptions numerically) — the caller falls back to the
-/// robust grid-scan engine, so enabling this path can never *wrongly*
-/// answer, only decline. Agrees with [`best_response_into`] to the shared
-/// root tolerance (~1e-12) at interior optima and exactly at corners;
-/// it is not bit-identical (different probe sequence), which is why the
-/// solvers only use it behind an explicit opt-in.
-pub(crate) fn best_response_threshold_into(
+/// crossing structure, so the caller's grid-scan fallback runs instead:
+/// the search can decline, never wrongly answer.
+fn threshold_search(
     game: &SubsidyGame,
     i: usize,
-    s: &[f64],
     hint: f64,
-    m: &mut Vec<f64>,
+    m: &mut [f64],
     scratch: &mut StateScratch,
 ) -> NumResult<Option<BestResponse>> {
-    if game.validate(s).is_err() {
-        return Err(NumError::NonFinite { what: "threshold_br profile", at: 0.0 });
-    }
-    game.populations_for(s, m);
-    threshold_br_core(GameBrObjective { game, i, m, scratch }, hint)
-}
-
-/// The threshold engine body, generic over the objective (see
-/// [`BrObjective`]). Probe sequence, constants and corner logic are the
-/// literal former `best_response_threshold_into` body.
-pub(crate) fn threshold_br_core<O: BrObjective>(
-    obj: O,
-    hint: f64,
-) -> NumResult<Option<BestResponse>> {
-    let hi = obj.cap();
-    let buffers = RefCell::new(obj);
+    let hi = game.effective_cap(i);
     if hi <= 0.0 {
-        let utility = buffers.borrow_mut().utility(0.0)?;
+        let utility = game.utility_probe(i, 0.0, m, scratch)?;
         return Ok(Some(BestResponse { s: 0.0, utility, evaluations: 1 }));
     }
-    let evals = std::cell::Cell::new(0usize);
+    let mut evals = 0usize;
     let mut u_of = |si: f64| {
-        evals.set(evals.get() + 1);
-        buffers.borrow_mut().marginal(si).unwrap_or(f64::NAN)
+        evals += 1;
+        game.marginal_probe(i, si, m, scratch).unwrap_or(f64::NAN)
     };
-    // Corner classification (Theorem 3's KKT cases).
     let u0 = u_of(0.0);
     if !u0.is_finite() {
         return Ok(None);
     }
     if u0 <= 0.0 {
         // τ_i ≤ 0: the margin loss dominates from the start.
-        let utility = buffers.borrow_mut().utility(0.0)?;
-        return Ok(Some(BestResponse { s: 0.0, utility, evaluations: evals.get() + 1 }));
+        let utility = game.utility_probe(i, 0.0, m, scratch)?;
+        return Ok(Some(BestResponse { s: 0.0, utility, evaluations: evals + 1 }));
     }
     let u_hi = u_of(hi);
     if !u_hi.is_finite() {
@@ -235,21 +135,19 @@ pub(crate) fn threshold_br_core<O: BrObjective>(
     }
     if u_hi >= 0.0 {
         // τ_i ≥ min(q, v_i): pinned at the effective cap.
-        let utility = buffers.borrow_mut().utility(hi)?;
-        return Ok(Some(BestResponse { s: hi, utility, evaluations: evals.get() + 1 }));
+        let utility = game.utility_probe(i, hi, m, scratch)?;
+        return Ok(Some(BestResponse { s: hi, utility, evaluations: evals + 1 }));
     }
     // Interior threshold: u(0) > 0 > u(hi). Shrink the bracket around the
-    // continuation hint first — under continuation the root moved O(Δp)
-    // from `hint`, so a tight bracket usually survives and Brent finishes
-    // in a few probes. Fall back to the full interval otherwise.
+    // hint first; fall back to the full interval when it does not hold.
     let hint = hint.clamp(0.0, hi);
     let u_hint = u_of(hint);
     if !u_hint.is_finite() {
         return Ok(None);
     }
     if u_hint == 0.0 {
-        let utility = buffers.borrow_mut().utility(hint)?;
-        return Ok(Some(BestResponse { s: hint, utility, evaluations: evals.get() + 1 }));
+        let utility = game.utility_probe(i, hint, m, scratch)?;
+        return Ok(Some(BestResponse { s: hint, utility, evaluations: evals + 1 }));
     }
     let delta = 1e-2 * (1.0 + hi);
     let (br, ua, ub) = if u_hint > 0.0 {
@@ -269,29 +167,111 @@ pub(crate) fn threshold_br_core<O: BrObjective>(
             (Bracket::new(0.0, hint), u0, u_hint)
         }
     };
-    let Ok(root) = subcomp_num::roots::brent_seeded(
-        &mut u_of,
-        br,
-        ua,
-        ub,
-        Tolerance::new(1e-13, 1e-13).with_max_iter(120),
-    ) else {
+    let Ok(root) =
+        brent_seeded(&mut u_of, br, ua, ub, Tolerance::new(1e-13, 1e-13).with_max_iter(120))
+    else {
         return Ok(None);
     };
     let s_star = root.x.clamp(0.0, hi);
-    let utility = buffers.borrow_mut().utility(s_star)?;
-    Ok(Some(BestResponse { s: s_star, utility, evaluations: evals.get() + 1 }))
+    let utility = game.utility_probe(i, s_star, m, scratch)?;
+    Ok(Some(BestResponse { s: s_star, utility, evaluations: evals + 1 }))
+}
+
+/// Computes provider `i`'s best response to `s` (the value of `s[i]`
+/// itself is ignored) by the grid scan alone: grid localization, Brent
+/// polish of the cell, then — for interior maximizers, which value
+/// comparison locates only to ~sqrt(eps) — a root-finding refinement of
+/// the analytic marginal utility `u_i(s_i) = 0`, the ~1e-12 accuracy the
+/// sensitivity analysis (Theorem 6) needs. It assumes nothing about the
+/// shape of `U_i`, which makes it the oracle the threshold search is
+/// checked against.
+pub fn grid_best_response(
+    game: &SubsidyGame,
+    i: usize,
+    s: &[f64],
+    cfg: &BrConfig,
+) -> NumResult<BestResponse> {
+    // A failure maps to the same error the scan surfaces when every
+    // objective evaluation comes back non-finite.
+    if game.validate(s).is_err() {
+        return Err(NumError::NonFinite { what: "grid_scan objective", at: 0.0 });
+    }
+    let mut m = Vec::new();
+    let mut scratch = game.system().make_scratch();
+    game.populations_for(s, &mut m);
+    grid_scan(game, i, cfg, &mut m, &mut scratch)
+}
+
+/// The grid scan over the populations `m` of the profile. `evaluations`
+/// counts actual fixed-point solves (duplicate endpoint evaluations are
+/// reused, not recomputed).
+fn grid_scan(
+    game: &SubsidyGame,
+    i: usize,
+    cfg: &BrConfig,
+    m: &mut [f64],
+    scratch: &mut StateScratch,
+) -> NumResult<BestResponse> {
+    let hi = game.effective_cap(i);
+    let buffers = RefCell::new((m, scratch));
+    let f = |si: f64| {
+        let (m, scratch) = &mut *buffers.borrow_mut();
+        game.utility_probe(i, si, m, scratch).unwrap_or(f64::NEG_INFINITY)
+    };
+    let u_of = |si: f64| {
+        let (m, scratch) = &mut *buffers.borrow_mut();
+        game.marginal_probe(i, si, m, scratch).unwrap_or(f64::NAN)
+    };
+    let m = maximize_scalar_reusing_ends(&f, 0.0, hi, cfg.grid, cfg.tol)?;
+    let mut best = BestResponse { s: m.x, utility: m.value, evaluations: m.evaluations };
+    let interior_margin = 1e-5 * (1.0 + hi);
+    if m.x > interior_margin && m.x < hi - interior_margin {
+        let mut delta = 16.0 * interior_margin;
+        let mut bracket = None;
+        for _ in 0..8 {
+            let a = (m.x - delta).max(0.0);
+            let b = (m.x + delta).min(hi);
+            let (ua, ub) = (u_of(a), u_of(b));
+            if ua.is_finite() && ub.is_finite() && ua >= 0.0 && ub <= 0.0 {
+                bracket = Some((Bracket::new(a, b), ua, ub));
+                break;
+            }
+            delta *= 2.0;
+        }
+        if let Some((br, ua, ub)) = bracket {
+            if let Ok(root) = brent_seeded(
+                &mut |si| u_of(si),
+                br,
+                ua,
+                ub,
+                Tolerance::new(1e-13, 1e-13).with_max_iter(120),
+            ) {
+                let refined = root.x.clamp(0.0, hi);
+                let val = f(refined);
+                if val.is_finite() && val >= best.utility - 1e-12 {
+                    best = BestResponse {
+                        s: refined,
+                        utility: val,
+                        evaluations: best.evaluations + root.evaluations,
+                    };
+                }
+            }
+        }
+    }
+    Ok(best)
 }
 
 /// The maximum utility any provider can gain by unilaterally deviating
 /// from `s` — the *deviation gap*, zero exactly at a Nash equilibrium.
-/// Returns `(gap, argmax_provider)`.
+/// Returns `(gap, argmax_provider)`. Deviations come from
+/// [`grid_best_response`], so the gap stays independent of the threshold
+/// engine the solvers run.
 pub fn deviation_gap(game: &SubsidyGame, s: &[f64], cfg: &BrConfig) -> NumResult<(f64, usize)> {
     game.validate(s)?;
     let us = game.utilities(s)?;
     let mut worst = (0.0f64, 0usize);
     for i in 0..game.n() {
-        let br = best_response(game, i, s, cfg)?;
+        let br = grid_best_response(game, i, s, cfg)?;
         let gain = br.utility - us[i];
         if gain > worst.0 {
             worst = (gain, i);
@@ -377,11 +357,12 @@ mod tests {
     }
 
     #[test]
-    fn threshold_br_agrees_with_grid_scan() {
+    fn threshold_search_agrees_with_grid_scan() {
         // Theorem 3's threshold characterization must land on the same
-        // answer as the robust grid-scan engine — exactly at corners,
-        // to root tolerance at interior optima — across corner, interior
-        // and cap-pinned regimes, with and without a useful hint.
+        // answer as the grid-scan oracle — exactly at corners, to root
+        // tolerance at interior optima — across corner, interior and
+        // cap-pinned regimes, with and without a useful hint in `s[0]`.
+        let cfg = BrConfig::default();
         let cases = [
             (0.5, 0.3, 0.5, 1.0),  // corner at 0
             (8.0, 1.0, 1.0, 2.0),  // interior
@@ -391,33 +372,37 @@ mod tests {
         ];
         for (alpha, v, p, q) in cases {
             let g = single_cp_game(alpha, v, p, q);
-            let grid = best_response(&g, 0, &[0.0], &BrConfig::default()).unwrap();
+            let grid = grid_best_response(&g, 0, &[0.0], &cfg).unwrap();
             for hint in [0.0, 0.5 * grid.s, grid.s, g.effective_cap(0)] {
+                let br = best_response(&g, 0, &[hint], &cfg).unwrap();
+                // The search itself answers; the grid fallback never runs.
                 let mut m = Vec::new();
                 let mut scratch = g.system().make_scratch();
-                let thr = best_response_threshold_into(&g, 0, &[0.0], hint, &mut m, &mut scratch)
+                g.populations_for(&[hint], &mut m);
+                let thr = threshold_search(&g, 0, hint, &mut m, &mut scratch)
                     .unwrap()
                     .expect("exponential family satisfies the Theorem 3 structure");
+                assert_eq!(br, thr);
                 assert!(
-                    (thr.s - grid.s).abs() < 1e-9,
+                    (br.s - grid.s).abs() < 1e-9,
                     "(α={alpha}, v={v}, p={p}, q={q}, hint={hint}): threshold {} vs grid {}",
-                    thr.s,
+                    br.s,
                     grid.s
                 );
-                assert!((thr.utility - grid.utility).abs() < 1e-9);
+                assert!((br.utility - grid.utility).abs() < 1e-9);
             }
         }
     }
 
     #[test]
-    fn threshold_br_zero_width_box() {
+    fn zero_width_box_pins_both_engines_at_zero() {
         let g = single_cp_game(5.0, 1.0, 0.8, 0.0);
-        let mut m = Vec::new();
-        let mut scratch = g.system().make_scratch();
-        let thr = best_response_threshold_into(&g, 0, &[0.0], 0.3, &mut m, &mut scratch)
-            .unwrap()
-            .unwrap();
-        assert_eq!(thr.s, 0.0);
+        let cfg = BrConfig::default();
+        let br = best_response(&g, 0, &[0.0], &cfg).unwrap();
+        let grid = grid_best_response(&g, 0, &[0.0], &cfg).unwrap();
+        assert_eq!(br.s, 0.0);
+        assert_eq!(grid.s, 0.0);
+        assert_eq!(br.utility.to_bits(), grid.utility.to_bits());
     }
 
     #[test]

@@ -229,8 +229,9 @@ impl SubsidyGame {
     }
 
     /// Whether the non-paper clamped-price convention is enabled
-    /// (see [`SubsidyGame::with_clamped_price`]). The lane engine only
-    /// accepts the paper's unclamped convention and checks this.
+    /// (see [`SubsidyGame::with_clamped_price`]). The server's game
+    /// fingerprint hashes it, so the two conventions never share a cache
+    /// line.
     pub fn clamps_effective_price(&self) -> bool {
         self.clamp_effective_price
     }

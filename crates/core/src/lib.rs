@@ -11,10 +11,10 @@
 //! * [`game`] — the strategic form: effective prices `t_i = p − s_i`,
 //!   utilities `U_i = (v_i − s_i) θ_i(s)` and analytic marginal utilities;
 //! * [`best_response`], [`nash`] — Gauss–Seidel/Jacobi best-response
-//!   solvers for the Nash equilibrium of Definition 3;
-//! * [`lane`] — the SoA lane engine: K same-shape games solved in
-//!   lockstep with per-lane convergence masking, bit-identical per lane
-//!   to the scalar threshold solver;
+//!   solvers for the Nash equilibrium of Definition 3. Each best response
+//!   is a Theorem 3 threshold search (three marginal probes and a Brent
+//!   root); the grid scan remains as its structural fallback and as the
+//!   independent test oracle;
 //! * [`workspace`] — caller-owned [`workspace::SolveWorkspace`] buffers
 //!   behind the allocation-free `solve_into` engines (batch/ensemble
 //!   solving without per-solve heap traffic);
@@ -71,7 +71,6 @@ pub mod duopoly;
 pub mod dynamics;
 pub mod equilibrium;
 pub mod game;
-pub mod lane;
 pub mod nash;
 pub mod policy;
 pub mod pricing;
@@ -87,7 +86,6 @@ pub mod workspace;
 pub mod prelude {
     pub use crate::equilibrium::{verify_equilibrium, EquilibriumReport};
     pub use crate::game::{Axis, SubsidyGame};
-    pub use crate::lane::{LaneGame, LaneSolver, LaneWorkspace};
     pub use crate::nash::{NashSolution, NashSolver, SolveStats, SweepMode, WarmStart};
     pub use crate::pricing::optimal_price;
     pub use crate::sensitivity::{ActiveSet, Sensitivity};

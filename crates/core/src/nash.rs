@@ -1,5 +1,7 @@
 //! Nash equilibrium solvers (Definition 3) by iterated best response.
 //!
+//! Each best response is the Theorem 3 threshold search of
+//! [`crate::best_response`], seeded at the provider's current iterate.
 //! The primary solver sweeps providers **Gauss–Seidel** style (each best
 //! response immediately visible to the next provider), optionally damped;
 //! a **Jacobi** sweep (simultaneous responses) is available as an
@@ -12,7 +14,7 @@
 //! and [`crate::equilibrium::verify_equilibrium`] can be used post-hoc for
 //! an independent KKT/deviation certificate.
 
-use crate::best_response::{best_response_into, best_response_threshold_into, BrConfig};
+use crate::best_response::{best_response_into, BrConfig};
 use crate::game::SubsidyGame;
 use crate::workspace::{SolveBudget, SolveWorkspace};
 use subcomp_model::system::SystemState;
@@ -117,29 +119,11 @@ pub struct NashSolver {
     pub tol: f64,
     /// Maximum sweeps.
     pub max_sweeps: usize,
-    /// Inner best-response configuration.
-    pub br: BrConfig,
-    /// Use the Theorem 3 threshold best response (marginal-utility root
-    /// finding seeded at the current iterate) instead of the grid-scan
-    /// search. Roughly 3x fewer fixed-point solves per sweep under
-    /// continuation; answers agree with the grid scan to root tolerance
-    /// (~1e-12) but are **not bit-identical**, so the default stays
-    /// `false` and the grid engines opt in explicitly. Any provider whose
-    /// marginal structure does not match the single-crossing assumption
-    /// silently falls back to the grid scan for that best response.
-    pub threshold_br: bool,
 }
 
 impl Default for NashSolver {
     fn default() -> Self {
-        NashSolver {
-            mode: SweepMode::GaussSeidel,
-            damping: 1.0,
-            tol: 1e-9,
-            max_sweeps: 600,
-            br: BrConfig::default(),
-            threshold_br: false,
-        }
+        NashSolver { mode: SweepMode::GaussSeidel, damping: 1.0, tol: 1e-9, max_sweeps: 600 }
     }
 }
 
@@ -165,13 +149,6 @@ impl NashSolver {
     /// Returns a copy with a different sweep budget.
     pub fn with_max_sweeps(mut self, n: usize) -> Self {
         self.max_sweeps = n.max(1);
-        self
-    }
-
-    /// Returns a copy using the Theorem 3 threshold best response (see
-    /// [`NashSolver::threshold_br`]).
-    pub fn with_threshold_br(mut self, enabled: bool) -> Self {
-        self.threshold_br = enabled;
         self
     }
 
@@ -272,6 +249,7 @@ impl NashSolver {
                 }
             }
         }
+        let br_cfg = BrConfig::default();
         let mut residual = f64::INFINITY;
         for sweep in 0..self.max_sweeps {
             ws.next.copy_from_slice(&ws.s);
@@ -283,28 +261,9 @@ impl NashSolver {
                     SweepMode::GaussSeidel => &ws.next,
                     SweepMode::Jacobi => &ws.reference,
                 };
-                let br = if self.threshold_br {
-                    match best_response_threshold_into(
-                        game,
-                        i,
-                        basis,
-                        ws.s[i],
-                        &mut ws.m,
-                        &mut ws.scratch,
-                    )? {
-                        Some(br) => br,
-                        None => best_response_into(
-                            game,
-                            i,
-                            basis,
-                            &self.br,
-                            &mut ws.m,
-                            &mut ws.scratch,
-                        )?,
-                    }
-                } else {
-                    best_response_into(game, i, basis, &self.br, &mut ws.m, &mut ws.scratch)?
-                };
+                // The search is seeded at `basis[i]`, which equals `ws.s[i]`
+                // in both modes: provider `i` has not been updated yet.
+                let br = best_response_into(game, i, basis, &br_cfg, &mut ws.m, &mut ws.scratch)?;
                 ws.next[i] = (1.0 - self.damping) * ws.s[i] + self.damping * br.s;
             }
             residual = sub_inf_norm(&ws.s, &ws.next);
@@ -532,22 +491,24 @@ mod tests {
     }
 
     #[test]
-    fn threshold_br_solver_matches_default() {
-        // The continuation engines run with threshold_br = true; the
-        // equilibria must agree with the grid-scan solver to well within
-        // the sweep tolerance across interior and corner-heavy regimes.
+    fn equilibrium_is_a_grid_oracle_fixed_point() {
+        // The solver runs the threshold search; at its equilibrium the
+        // independent grid-scan best response of every provider must land
+        // back on `s_i*`, well within the sweep tolerance, across interior
+        // and corner-heavy regimes.
+        use crate::best_response::grid_best_response;
         for (p, q) in [(0.5, 1.0), (0.2, 0.4), (1.2, 0.8), (0.6, 0.0)] {
             let game = paper_game(p, q);
-            let gs = NashSolver::default().with_tol(1e-9).solve(&game).unwrap();
-            let thr =
-                NashSolver::default().with_tol(1e-9).with_threshold_br(true).solve(&game).unwrap();
-            assert!(thr.converged);
+            let eq = NashSolver::default().with_tol(1e-9).solve(&game).unwrap();
+            assert!(eq.converged);
             for i in 0..8 {
+                let grid =
+                    grid_best_response(&game, i, &eq.subsidies, &BrConfig::default()).unwrap();
                 assert!(
-                    (gs.subsidies[i] - thr.subsidies[i]).abs() < 1e-7,
-                    "(p={p}, q={q}) CP {i}: grid {} vs threshold {}",
-                    gs.subsidies[i],
-                    thr.subsidies[i]
+                    (grid.s - eq.subsidies[i]).abs() < 1e-7,
+                    "(p={p}, q={q}) CP {i}: equilibrium {} vs grid best response {}",
+                    eq.subsidies[i],
+                    grid.s
                 );
             }
         }

@@ -17,7 +17,7 @@
 //!    higher served throughput raises every valuation).
 //! 2. **Simulate.** The population steps one tick —
 //!    [`step_population`] fans the owned blocks over
-//!    [`crate::sweep::parallel_map_mut`], bit-identical for any thread
+//!    [`crate::sweep::parallel_map`], bit-identical for any thread
 //!    count — and re-aggregates per-type adopted mass in one pass.
 //! 3. **Feed back.** Adoption load depresses effective capacity,
 //!    `µ = µ_base / (1 + η·load)`, written through the server as an
@@ -44,7 +44,7 @@
 
 use crate::server::sharded::{ShardedConfig, ShardedServer};
 use crate::server::{Reply, Request, ServeError, ServeResult, Source};
-use crate::sweep::parallel_map_mut;
+use crate::sweep::parallel_map;
 use subcomp_core::game::{Axis, SubsidyGame};
 use subcomp_model::aggregation::{build_system, ExpCpSpec};
 use subcomp_num::{NumError, NumResult};
@@ -62,7 +62,7 @@ const POP_STREAM: u64 = 0xC040_0001;
 /// runs serially with no spawn.
 pub fn step_population(pop: &mut Population, threads: usize, drive: &TickDrive) -> NumResult<()> {
     let ctx = pop.prepare_tick(drive)?;
-    parallel_map_mut(pop.blocks_mut(), threads, || (), |_, block| block.step(&ctx, drive));
+    parallel_map(pop.blocks_mut(), threads, || (), |_, block| block.step(&ctx, drive));
     pop.refresh_masses();
     Ok(())
 }
@@ -339,7 +339,7 @@ impl AdoptionLoop {
             drop(snap);
             // 2. Simulate one tick over the owned blocks.
             let ctx = cohort.pop.prepare_tick(&cohort.drive).map_err(ServeError::Num)?;
-            parallel_map_mut(
+            parallel_map(
                 cohort.pop.blocks_mut(),
                 cfg.threads,
                 || (),

@@ -17,7 +17,7 @@
 
 use crate::golden::Json;
 use crate::scenarios::{random_specs, section3_specs, section5_specs};
-use crate::sweep::parallel_map_with;
+use crate::sweep::parallel_map;
 use subcomp_core::game::SubsidyGame;
 use subcomp_core::nash::{NashSolver, SolveDiagnostics, WarmStart};
 use subcomp_core::workspace::SolveWorkspace;
@@ -738,7 +738,8 @@ pub fn run_scenario_with(
 /// reuse the worker's buffers instead of re-allocating solver state.
 pub fn run_corpus(threads: usize) -> Vec<(String, NumResult<ScenarioResult>)> {
     let specs = corpus();
-    let results = parallel_map_with(&specs, threads, SolveWorkspace::new, |ws, spec| {
+    let mut refs: Vec<&ScenarioSpec> = specs.iter().collect();
+    let results = parallel_map(&mut refs, threads, SolveWorkspace::new, |ws, spec| {
         run_scenario_with(spec, ws)
     });
     specs.iter().map(|s| s.name.to_string()).zip(results).collect()

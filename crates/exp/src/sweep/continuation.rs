@@ -18,9 +18,8 @@
 //!    *adjacent row's* solution at the same column, so only one point of
 //!    the whole grid ever solves cold (per block; see below). A seeded
 //!    solve that fails to converge automatically falls back to a cold
-//!    solve, and a cold threshold-BR solve that fails falls back to the
-//!    robust grid-scan engine — continuation can never *lose* a point,
-//!    only speed it up.
+//!    solve — continuation can never *lose* a point the cold solver
+//!    finds, only speed it up.
 //!
 //! Reparameterizing a grid point is two scalar writes through the axis
 //! setters ([`SubsidyGame::set_price`] / [`SubsidyGame::set_cap`] /
@@ -38,7 +37,8 @@
 //! Parallelism follows the [`BatchSolver`](super::BatchSolver) recipe: the
 //! grid is split into fixed-width *column blocks*, each block is one
 //! self-contained continuation (its first row starts cold), and blocks —
-//! not points — are fanned across workers. Because the block structure
+//! not points — are fanned across workers through
+//! [`parallel_map`](super::parallel_map). Because the block structure
 //! depends only on [`ContinuationSolver::block`], results are
 //! **bit-identical for any thread count**.
 //!
@@ -47,6 +47,7 @@
 //! untouched and bit-identical (the `(q, p)` goldens and grid benches did
 //! not move in the axis generalization).
 
+use super::parallel_map;
 use subcomp_core::game::SubsidyGame;
 use subcomp_core::nash::{NashSolver, SolveStats, WarmStart};
 use subcomp_core::sensitivity::Sensitivity;
@@ -304,10 +305,10 @@ impl GridContext {
 /// The axis-generic 2-D continuation solver (module docs).
 #[derive(Debug, Clone)]
 pub struct ContinuationSolver {
-    /// The continuation solver. The default runs the Theorem 3 threshold
-    /// best response at tolerance `1e-8` — the panel's historical
-    /// tolerance; every answer agrees with the grid-scan engine to root
-    /// tolerance (`tests/grid_continuation.rs` pins this on random grids).
+    /// The continuation solver. The default is [`NashSolver::default`] at
+    /// tolerance `1e-8` — the panel's historical tolerance; every point
+    /// agrees with an independent cold solve to solver tolerance
+    /// (`tests/grid_continuation.rs` pins this on random grids).
     pub solver: NashSolver,
     /// Worker threads for block fan-out (`<= 1` runs sequentially;
     /// results are bit-identical either way).
@@ -337,7 +338,7 @@ pub struct ContinuationSolver {
 impl Default for ContinuationSolver {
     fn default() -> Self {
         ContinuationSolver {
-            solver: NashSolver::default().with_tol(1e-8).with_threshold_br(true),
+            solver: NashSolver::default().with_tol(1e-8),
             threads: 1,
             block: 16,
             reverse_rows: false,
@@ -443,7 +444,8 @@ impl ContinuationSolver {
     /// [`ContinuationSolver::solve_game`] into a reusable [`EqGrid`],
     /// fanning column blocks across [`ContinuationSolver::threads`]
     /// workers (one [`GridContext`] each). Bit-identical to the sequential
-    /// engine for any thread count.
+    /// engine for any thread count; on failure the error is the first one
+    /// in block order.
     pub fn solve_game_into(
         &self,
         base: &SubsidyGame,
@@ -454,31 +456,14 @@ impl ContinuationSolver {
         self.validate_grid(base.n(), rows, cols)?;
         out.prepare(self.row_axis, self.col_axis, rows, cols, base.n());
         let mut tasks: Vec<BlockTask<'_>> = block_tasks(out, self.block.max(1), cols).collect();
-        if self.threads <= 1 || tasks.len() <= 1 {
-            let mut ctx = GridContext::for_game(base);
-            for task in &mut tasks {
-                self.solve_block(rows, &mut ctx, task)?;
-            }
-            return Ok(());
-        }
-        let workers = self.threads.min(tasks.len());
-        let chunk = tasks.len().div_ceil(workers);
-        let mut results: Vec<NumResult<()>> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for slab in tasks.chunks_mut(chunk) {
-                handles.push(scope.spawn(move || {
-                    let mut ctx = GridContext::for_game(base);
-                    for task in slab.iter_mut() {
-                        self.solve_block(rows, &mut ctx, task)?;
-                    }
-                    Ok(())
-                }));
-            }
-            results =
-                handles.into_iter().map(|h| h.join().expect("grid worker panicked")).collect();
-        });
-        results.into_iter().collect()
+        parallel_map(
+            &mut tasks,
+            self.threads,
+            || GridContext::for_game(base),
+            |ctx, task| self.solve_block(rows, ctx, task),
+        )
+        .into_iter()
+        .collect()
     }
 
     /// The sequential, allocation-free engine: solves the whole grid
@@ -641,22 +626,9 @@ impl ContinuationSolver {
         }
     }
 
-    /// A cold solve; if the continuation solver itself fails from zero,
-    /// retry once on the robust grid-scan best response.
+    /// A cold solve from the zero profile.
     fn solve_cold(&self, ctx: &mut GridContext) -> NumResult<SolveStats> {
-        match self.solver.solve_into(&ctx.game, WarmStart::Zero, &mut ctx.ws) {
-            Ok(stats) => Ok(stats),
-            Err(err) => {
-                if !self.solver.threshold_br {
-                    return Err(err);
-                }
-                self.solver.with_threshold_br(false).solve_into(
-                    &ctx.game,
-                    WarmStart::Zero,
-                    &mut ctx.ws,
-                )
-            }
-        }
+        self.solver.solve_into(&ctx.game, WarmStart::Zero, &mut ctx.ws)
     }
 
     /// Validates the axis pair and every grid value against its axis'

@@ -1,13 +1,11 @@
 //! Parameter-sweep and batch-solve engine.
 //!
-//! Four workhorses: [`parallel_map`] fans independent work items across OS
-//! threads (`std::thread::scope`, no dependency), [`parallel_map_with`]
-//! additionally gives each worker a persistent context (the hook the
-//! allocation-free [`BatchSolver`] hangs one [`SolveWorkspace`] per worker
-//! on), [`parallel_map_mut`] is the `&mut` sibling for owned, disjoint
-//! chunks that are mutated in place (the adoption engine's block fan-out),
-//! and [`equilibrium_price_sweep`] walks a price grid with warm-started
-//! Nash solves — consecutive equilibria are close (Theorem 6
+//! Two workhorses. [`parallel_map`] fans work items across OS threads
+//! (`std::thread::scope`, no dependency), each worker threading one
+//! persistent context through its contiguous chunk; the allocation-free
+//! [`BatchSolver`] hangs one [`SolveWorkspace`] per worker on it.
+//! [`equilibrium_price_sweep`] walks a price grid with warm-started Nash
+//! solves — consecutive equilibria are close (Theorem 6
 //! differentiability), so warm starts cut sweep time by roughly the
 //! iteration count ratio.
 //!
@@ -26,7 +24,6 @@ pub use continuation::{
 };
 
 use subcomp_core::game::SubsidyGame;
-use subcomp_core::lane::{LaneGame, LaneSolver, LaneWorkspace};
 use subcomp_core::nash::{NashSolution, NashSolver, SolveStats, WarmStart};
 use subcomp_core::workspace::SolveWorkspace;
 use subcomp_model::system::System;
@@ -34,103 +31,28 @@ use subcomp_num::NumResult;
 
 /// Maps `f` over `items` on up to `threads` OS threads, preserving order.
 ///
-/// Falls back to a sequential map when `threads <= 1` (including 0) or
-/// there is at most a single item. `f` must be `Sync` (it is shared across
-/// threads by reference).
+/// The items are split into at most `threads` contiguous chunks, one per
+/// worker. Each worker calls `init` exactly once and threads the resulting
+/// context mutably through every item of its chunk, in list order — how
+/// batch solvers amortize per-worker state (scratch buffers, workspaces)
+/// without sharing or locking. Items are disjoint `&mut` borrows, so
+/// engines that own per-item state (the adoption engine's blocks, the
+/// continuation grid's output slabs) are mutated in place; callers whose
+/// items are shared pass a local slice of references instead.
+///
+/// Falls back to a single context and a sequential map when `threads <= 1`
+/// (including 0) or there is at most one item. Because each item is
+/// handled by exactly one worker, results — and in-place mutations — are
+/// **independent of the thread count** whenever `f` is a pure function of
+/// the item and its worker's context.
 ///
 /// # Panics
 ///
-/// If `f` panics for any item, the panic propagates to the caller after
-/// all in-flight workers finish their chunks (`std::thread::scope` joins
-/// every spawned thread before unwinding) — no result is silently
-/// dropped, and no thread is leaked.
-pub fn parallel_map<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    let n = items.len();
-    if threads <= 1 || n <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let workers = threads.min(n);
-    let mut out: Vec<Option<U>> = (0..n).map(|_| None).collect();
-    let chunk = n.div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (slab, slot) in items.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            scope.spawn(|| {
-                for (item, cell) in slab.iter().zip(slot.iter_mut()) {
-                    *cell = Some(f(item));
-                }
-            });
-        }
-    });
-    out.into_iter().map(|c| c.expect("worker filled every slot")).collect()
-}
-
-/// [`parallel_map`] with a per-worker context: each worker thread calls
-/// `init` exactly once and threads the resulting context mutably through
-/// every item it processes. This is how batch solvers amortize expensive
-/// per-worker state (scratch buffers, workspaces) across a fan-out without
-/// sharing or locking.
-///
-/// Order is preserved. Falls back to a single context and a sequential map
-/// when `threads <= 1` (including 0) or there is at most one item.
-///
-/// # Panics
-///
-/// As with [`parallel_map`], a panic in `init` or `f` propagates to the
-/// caller after all in-flight workers finish (`std::thread::scope` joins
-/// every spawned thread before unwinding).
-pub fn parallel_map_with<T, U, C, I, F>(items: &[T], threads: usize, init: I, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    I: Fn() -> C + Sync,
-    F: Fn(&mut C, &T) -> U + Sync,
-{
-    let n = items.len();
-    if threads <= 1 || n <= 1 {
-        let mut ctx = init();
-        return items.iter().map(|item| f(&mut ctx, item)).collect();
-    }
-    let workers = threads.min(n);
-    let mut out: Vec<Option<U>> = (0..n).map(|_| None).collect();
-    let chunk = n.div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (slab, slot) in items.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            scope.spawn(|| {
-                let mut ctx = init();
-                for (item, cell) in slab.iter().zip(slot.iter_mut()) {
-                    *cell = Some(f(&mut ctx, item));
-                }
-            });
-        }
-    });
-    out.into_iter().map(|c| c.expect("worker filled every slot")).collect()
-}
-
-/// [`parallel_map_with`] over *mutable* items: each worker thread calls
-/// `init` once and applies `f` in place to every item of its contiguous
-/// chunk. Items are disjoint `&mut` borrows (via `chunks_mut`), so no
-/// sharing or locking is involved — the natural driver for engines that
-/// own their per-chunk state, like `sim::adoption`'s blocks.
-///
-/// Order is preserved (results align with `items`). Falls back to a
-/// single context and a sequential pass when `threads <= 1` (including 0)
-/// or there is at most one item. Because each item is mutated by exactly
-/// one worker and `f` receives items in list order within a chunk, the
-/// mutation outcome is **independent of the thread count** whenever `f`
-/// itself is a pure function of the item (plus its per-worker context) —
-/// the property the adoption determinism tier pins.
-///
-/// # Panics
-///
-/// As with [`parallel_map`], a panic in `init` or `f` propagates to the
-/// caller after all in-flight workers finish (`std::thread::scope` joins
-/// every spawned thread before unwinding).
-pub fn parallel_map_mut<T, U, C, I, F>(items: &mut [T], threads: usize, init: I, f: F) -> Vec<U>
+/// If `init` or `f` panics, the panic propagates to the caller after all
+/// in-flight workers finish their chunks (`std::thread::scope` joins every
+/// spawned thread before unwinding) — no result is silently dropped, and
+/// no thread is leaked.
+pub fn parallel_map<T, U, C, I, F>(items: &mut [T], threads: usize, init: I, f: F) -> Vec<U>
 where
     T: Send,
     U: Send,
@@ -163,8 +85,8 @@ where
 /// Splits the item list into fixed-size [`BatchSolver::block`]s; each block
 /// is one warm-start chain (first item solves cold from `s = 0`, later
 /// items start from the previous equilibrium re-clamped into their game's
-/// box). Blocks — not items — are what [`parallel_map_with`] distributes,
-/// and every worker reuses a single [`SolveWorkspace`] across all blocks it
+/// box). Blocks — not items — are what [`parallel_map`] distributes, and
+/// every worker reuses a single [`SolveWorkspace`] across all blocks it
 /// processes, so after warm-up the solver loop allocates nothing.
 ///
 /// Because the chain structure depends only on the block size, results are
@@ -183,28 +105,11 @@ pub struct BatchSolver {
     /// Warm-start consecutive items within a block (`false` solves every
     /// item cold — the reference the equivalence tests compare against).
     pub warm_start: bool,
-    /// Lane-block size `K` for the SoA lane engine (`0` = scalar mode,
-    /// the default). In lane mode, games of equal provider count are
-    /// grouped in encounter order and chunked into [`LaneGame`]s of up to
-    /// `K` lanes, each solved in lockstep by [`LaneSolver`] (threshold
-    /// best responses, cold start — `warm_start` is ignored). Lane
-    /// assignment depends only on the item list and `K`, and lanes never
-    /// read each other's state, so per-game results are bit-identical
-    /// across thread counts *and* lane-block sizes; games the lane engine
-    /// cannot pack (non-exponential families, clamped pricing) fall back
-    /// to cold scalar solves.
-    pub lanes: usize,
 }
 
 impl Default for BatchSolver {
     fn default() -> Self {
-        BatchSolver {
-            solver: NashSolver::default(),
-            threads: 1,
-            block: 32,
-            warm_start: true,
-            lanes: 0,
-        }
+        BatchSolver { solver: NashSolver::default(), threads: 1, block: 32, warm_start: true }
     }
 }
 
@@ -224,13 +129,6 @@ impl BatchSolver {
     /// Returns a copy with warm starting disabled (every solve cold).
     pub fn cold(mut self) -> Self {
         self.warm_start = false;
-        self
-    }
-
-    /// Returns a copy routing through the SoA lane engine with lane
-    /// blocks of up to `lanes` games (`0` restores scalar mode).
-    pub fn with_lanes(mut self, lanes: usize) -> Self {
-        self.lanes = lanes;
         self
     }
 
@@ -255,16 +153,13 @@ impl BatchSolver {
         G: Fn(&'a T) -> NumResult<B> + Sync,
         S: Fn(&SubsidyGame, &SolveWorkspace, SolveStats) -> R + Sync,
     {
-        if self.lanes > 0 {
-            return self.run_lanes(items, build, summarize);
-        }
         let block = self.block.max(1);
-        let blocks: Vec<&[T]> = items.chunks(block).collect();
-        let nested = parallel_map_with(
-            &blocks,
+        let mut blocks: Vec<&'a [T]> = items.chunks(block).collect();
+        let nested = parallel_map(
+            &mut blocks,
             self.threads,
             SolveWorkspace::new,
-            |ws: &mut SolveWorkspace, chunk: &&[T]| {
+            |ws: &mut SolveWorkspace, chunk: &mut &'a [T]| {
                 let mut results = Vec::with_capacity(chunk.len());
                 let mut have_warm = false;
                 for item in chunk.iter() {
@@ -291,119 +186,6 @@ impl BatchSolver {
     /// [`NashSolution`]s (games are borrowed, never cloned).
     pub fn solve_games(&self, games: &[SubsidyGame]) -> Vec<NumResult<NashSolution>> {
         self.run(games, Ok, |_, ws, stats| ws.solution(stats))
-    }
-
-    /// The lane-mode body of [`BatchSolver::run`].
-    ///
-    /// Unlike scalar mode, the whole batch is materialized up front —
-    /// lane grouping needs every game's shape before any solve starts
-    /// (a few floats per provider per game; ~10 MB per million games).
-    /// Work units are lane blocks plus the scalar stragglers, distributed
-    /// through [`parallel_map_with`] with one `(LaneWorkspace,
-    /// SolveWorkspace)` pair per worker; per-lane failures (probe errors,
-    /// sweep exhaustion) surface as that game's `Err` without poisoning
-    /// lane-mates. Lane solves mirror `self.solver`'s damping, tolerance,
-    /// sweep budget and grid-fallback config but always use threshold
-    /// best responses — the scalar engine they are bit-identical to is
-    /// `self.solver.with_threshold_br(true)` from a cold start.
-    fn run_lanes<'a, T, R, B, G, S>(
-        &self,
-        items: &'a [T],
-        build: G,
-        summarize: S,
-    ) -> Vec<NumResult<R>>
-    where
-        T: Sync,
-        R: Send,
-        B: std::borrow::Borrow<SubsidyGame> + Sync,
-        G: Fn(&'a T) -> NumResult<B> + Sync,
-        S: Fn(&SubsidyGame, &SolveWorkspace, SolveStats) -> R + Sync,
-    {
-        enum Work {
-            /// Indices of one lane block (equal provider counts).
-            Lanes(Vec<usize>),
-            /// Index of one game the lane engine cannot pack.
-            Scalar(usize),
-        }
-
-        let k = self.lanes.max(1);
-        let built: Vec<NumResult<B>> = items.iter().map(&build).collect();
-        let game_at = |idx: usize| -> &SubsidyGame {
-            built[idx].as_ref().expect("only Ok items are scheduled").borrow()
-        };
-
-        // Fixed work assignment: same-n games grouped in encounter order,
-        // chunked into K-lane blocks. Depends only on the item list and K.
-        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-        let mut work: Vec<Work> = Vec::new();
-        for (idx, b) in built.iter().enumerate() {
-            let Ok(game) = b else { continue };
-            let game = game.borrow();
-            if LaneGame::from_games(&[game]).is_some() {
-                match groups.iter_mut().find(|(n, _)| *n == game.n()) {
-                    Some((_, members)) => members.push(idx),
-                    None => groups.push((game.n(), vec![idx])),
-                }
-            } else {
-                work.push(Work::Scalar(idx));
-            }
-        }
-        for (_, members) in &groups {
-            for chunk in members.chunks(k) {
-                work.push(Work::Lanes(chunk.to_vec()));
-            }
-        }
-
-        let lane_solver = LaneSolver {
-            damping: self.solver.damping,
-            tol: self.solver.tol,
-            max_sweeps: self.solver.max_sweeps,
-            br: self.solver.br,
-        };
-        let scalar_solver = self.solver.with_threshold_br(true);
-        let solved = parallel_map_with(
-            &work,
-            self.threads,
-            || (LaneWorkspace::new(), SolveWorkspace::new()),
-            |(lw, ws): &mut (LaneWorkspace, SolveWorkspace), unit: &Work| match unit {
-                Work::Scalar(idx) => {
-                    let game = game_at(*idx);
-                    let result = scalar_solver
-                        .solve_into(game, WarmStart::Zero, ws)
-                        .map(|stats| summarize(game, ws, stats));
-                    vec![(*idx, result)]
-                }
-                Work::Lanes(idxs) => {
-                    let games: Vec<&SubsidyGame> = idxs.iter().map(|&i| game_at(i)).collect();
-                    let lane_game = LaneGame::from_games(&games)
-                        .expect("blocks are built from individually eligible same-n games");
-                    lane_solver.solve_into(&lane_game, lw);
-                    idxs.iter()
-                        .enumerate()
-                        .map(|(lane, &idx)| {
-                            let result = lw.result_of(lane).map(|stats| {
-                                lw.export_into(&lane_game, lane, ws);
-                                summarize(games[lane], ws, stats)
-                            });
-                            (idx, result)
-                        })
-                        .collect()
-                }
-            },
-        );
-
-        // Scatter back to item order; build failures keep their slots.
-        let mut out: Vec<Option<NumResult<R>>> = built
-            .iter()
-            .map(|b| match b {
-                Err(e) => Some(Err(e.clone())),
-                Ok(_) => None,
-            })
-            .collect();
-        for (idx, result) in solved.into_iter().flatten() {
-            out[idx] = Some(result);
-        }
-        out.into_iter().map(|slot| slot.expect("every item solved or errored")).collect()
     }
 }
 
@@ -449,37 +231,41 @@ mod tests {
 
     #[test]
     fn parallel_map_preserves_order() {
-        let items: Vec<i64> = (0..100).collect();
-        let seq = parallel_map(&items, 1, |x| x * x);
-        let par = parallel_map(&items, 8, |x| x * x);
-        assert_eq!(seq, par);
-        assert_eq!(par[7], 49);
+        let run = |threads: usize| {
+            let mut items: Vec<i64> = (0..100).collect();
+            parallel_map(&mut items, threads, || (), |_, x| *x * *x)
+        };
+        let seq = run(1);
+        assert_eq!(seq, run(8));
+        assert_eq!(seq[7], 49);
     }
 
     #[test]
     fn parallel_map_empty_and_single() {
-        let empty: Vec<i32> = vec![];
-        assert!(parallel_map(&empty, 4, |x| *x).is_empty());
-        assert_eq!(parallel_map(&[5], 4, |x| x + 1), vec![6]);
+        let mut empty: Vec<i32> = vec![];
+        assert!(parallel_map(&mut empty, 4, || (), |_, x| *x).is_empty());
+        let mut one = [5];
+        assert_eq!(parallel_map(&mut one, 4, || (), |_, x| *x + 1), vec![6]);
+        assert_eq!(one, [5]);
     }
 
     #[test]
     fn parallel_map_more_threads_than_items() {
-        let items = [1, 2, 3];
-        assert_eq!(parallel_map(&items, 64, |x| x * 10), vec![10, 20, 30]);
+        let mut items = [1, 2, 3];
+        assert_eq!(parallel_map(&mut items, 64, || (), |_, x| *x * 10), vec![10, 20, 30]);
     }
 
     #[test]
     fn parallel_map_zero_threads_is_sequential() {
-        let items: Vec<i32> = (0..10).collect();
-        assert_eq!(parallel_map(&items, 0, |x| x + 1), (1..11).collect::<Vec<_>>());
+        let mut items: Vec<i32> = (0..10).collect();
+        assert_eq!(parallel_map(&mut items, 0, || (), |_, x| *x + 1), (1..11).collect::<Vec<_>>());
     }
 
     #[test]
-    fn parallel_map_mut_mutates_in_place_and_preserves_order() {
+    fn parallel_map_updates_items_in_place_and_preserves_order() {
         let run = |threads: usize| {
             let mut items: Vec<i64> = (0..101).collect();
-            let out = parallel_map_mut(
+            let out = parallel_map(
                 &mut items,
                 threads,
                 || 10i64,
@@ -501,111 +287,107 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_mut_empty_and_single() {
-        let mut empty: Vec<i32> = vec![];
-        assert!(parallel_map_mut(&mut empty, 4, || (), |_, x| *x).is_empty());
-        let mut one = [5];
-        assert_eq!(parallel_map_mut(&mut one, 4, || (), |_, x| *x + 1), vec![6]);
-        assert_eq!(one, [5]);
+    fn parallel_map_over_shared_items_through_references() {
+        // Callers whose items are shared map over a local slice of
+        // references.
+        let items: Vec<String> = (0..9).map(|k| format!("item{k}")).collect();
+        let mut refs: Vec<&String> = items.iter().collect();
+        let out = parallel_map(&mut refs, 3, || (), |_, s| s.len());
+        assert_eq!(out, vec![5; 9]);
     }
 
     #[test]
-    fn parallel_map_mut_init_runs_once_per_worker() {
-        // With a unit context and a pure `f`, thread count cannot change
-        // results; with a counting context, each worker sees a fresh one.
+    fn parallel_map_init_runs_once_per_worker() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        // Each worker's context counts the items it has seen: the counter
+        // restarts at every chunk boundary and init runs once per worker,
+        // not once per item.
+        let inits = AtomicUsize::new(0);
         let mut items: Vec<u64> = (0..20).collect();
-        let out = parallel_map_mut(
+        let out = parallel_map(
             &mut items,
             4,
-            || 0u64,
+            || {
+                inits.fetch_add(1, Ordering::SeqCst);
+                0u64
+            },
             |seen, x| {
                 *seen += 1;
                 *x + *seen
             },
         );
-        // Sequential reference: each chunk restarts its counter at 1.
         let chunk = 20usize.div_ceil(4);
         let expect: Vec<u64> = (0..20u64).map(|i| i + (i as usize % chunk) as u64 + 1).collect();
         assert_eq!(out, expect);
+        assert_eq!(inits.load(Ordering::SeqCst), 4);
+    }
+
+    #[test]
+    fn parallel_map_sequential_fallback_single_context() {
+        let mut items: Vec<i32> = (0..5).collect();
+        // A single context threads through all items in order.
+        let out = parallel_map(
+            &mut items,
+            1,
+            || 0i32,
+            |acc, x| {
+                *acc += *x;
+                *acc
+            },
+        );
+        assert_eq!(out, vec![0, 1, 3, 6, 10]);
     }
 
     #[test]
     fn parallel_map_uneven_chunks_preserve_order() {
         // 7 items over 3 workers: chunk sizes 3/3/1 — the tail chunk must
         // land in the right slots.
-        let items: Vec<usize> = (0..7).collect();
-        assert_eq!(parallel_map(&items, 3, |x| x * 2), vec![0, 2, 4, 6, 8, 10, 12]);
+        let mut items: Vec<usize> = (0..7).collect();
+        assert_eq!(parallel_map(&mut items, 3, || (), |_, x| *x * 2), vec![0, 2, 4, 6, 8, 10, 12]);
         // And a larger stress mix with a prime count.
-        let big: Vec<i64> = (0..101).collect();
-        assert_eq!(parallel_map(&big, 16, |x| -x), (0..101).map(|x| -x).collect::<Vec<_>>());
+        let mut big: Vec<i64> = (0..101).collect();
+        assert_eq!(
+            parallel_map(&mut big, 16, || (), |_, x| -*x),
+            (0..101).map(|x| -x).collect::<Vec<_>>()
+        );
     }
 
     #[test]
     fn parallel_map_panic_in_worker_propagates() {
-        let items: Vec<i32> = (0..16).collect();
         let result = std::panic::catch_unwind(|| {
-            parallel_map(&items, 4, |x| {
-                if *x == 9 {
-                    panic!("worker exploded on {x}");
-                }
-                *x
-            })
+            let mut items: Vec<i32> = (0..16).collect();
+            parallel_map(
+                &mut items,
+                4,
+                || (),
+                |_, x| {
+                    if *x == 9 {
+                        panic!("worker exploded on {x}");
+                    }
+                    *x
+                },
+            )
         });
         assert!(result.is_err(), "panic inside a worker must reach the caller");
     }
 
     #[test]
     fn parallel_map_panic_in_sequential_path_propagates() {
-        let items = [1, 2];
         let result = std::panic::catch_unwind(|| {
-            parallel_map(&items, 1, |x| {
-                if *x == 2 {
-                    panic!("sequential path panic");
-                }
-                *x
-            })
+            let mut items = [1, 2];
+            parallel_map(
+                &mut items,
+                1,
+                || (),
+                |_, x| {
+                    if *x == 2 {
+                        panic!("sequential path panic");
+                    }
+                    *x
+                },
+            )
         });
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn parallel_map_with_context_persists_per_worker() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let items: Vec<i64> = (0..40).collect();
-        let inits = AtomicUsize::new(0);
-        // Each worker's context counts the items it has seen; the final
-        // values are unobservable here, but init must run once per worker,
-        // not once per item.
-        let out = parallel_map_with(
-            &items,
-            4,
-            || {
-                inits.fetch_add(1, Ordering::SeqCst);
-                0usize
-            },
-            |seen, x| {
-                *seen += 1;
-                x * 2
-            },
-        );
-        assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-        assert!(inits.load(Ordering::SeqCst) <= 4, "init ran per item, not per worker");
-    }
-
-    #[test]
-    fn parallel_map_with_sequential_fallback_single_context() {
-        let items: Vec<i32> = (0..5).collect();
-        // A single context threads through all items in order.
-        let out = parallel_map_with(
-            &items,
-            1,
-            || 0i32,
-            |acc, x| {
-                *acc += x;
-                *acc
-            },
-        );
-        assert_eq!(out, vec![0, 1, 3, 6, 10]);
     }
 
     fn farm_games(count: usize) -> Vec<SubsidyGame> {
@@ -704,44 +486,6 @@ mod tests {
             )
         }));
         assert!(result.is_err(), "worker panic must reach the caller");
-    }
-
-    #[test]
-    fn lane_mode_is_bit_identical_to_scalar_threshold_solves() {
-        let games = farm_games(13); // mixed n ∈ {2..5}, not a lane multiple
-        let lanes = BatchSolver::default().with_lanes(4).with_threads(3);
-        let results = lanes.solve_games(&games);
-        let reference = NashSolver::default().with_threshold_br(true);
-        for (game, result) in games.iter().zip(&results) {
-            let got = result.as_ref().expect("lane batch converged");
-            let want = reference.solve(game).unwrap();
-            assert_eq!(got.subsidies, want.subsidies, "lane result diverged");
-            assert_eq!(got.iterations, want.iterations);
-            assert_eq!(got.residual.to_bits(), want.residual.to_bits());
-        }
-    }
-
-    #[test]
-    fn lane_mode_build_failures_keep_their_slots() {
-        let games = farm_games(6);
-        let batch = BatchSolver::default().with_lanes(2).with_threads(2);
-        let results = batch.run(
-            &[0usize, 1, 2, 3, 4, 5],
-            |&k| {
-                if k == 3 {
-                    Err(subcomp_num::NumError::Empty { what: "synthetic build failure" })
-                } else {
-                    Ok(games[k].clone())
-                }
-            },
-            |_, ws, stats| (ws.subsidies().to_vec(), stats.converged),
-        );
-        assert!(results[3].is_err());
-        for (k, r) in results.iter().enumerate() {
-            if k != 3 {
-                assert!(r.as_ref().unwrap().1, "item {k} should converge");
-            }
-        }
     }
 
     #[test]

@@ -43,13 +43,6 @@ pub trait DemandFn: Send + Sync {
     /// Returns a copy whose population scale is multiplied by `κ`
     /// (Lemma 2's population scaling).
     fn scaled(&self, kappa: f64) -> Box<dyn DemandFn>;
-
-    /// For the exponential family `m(t) = m₀ e^{-αt}`, returns `(m₀, α)`;
-    /// `None` for every other family. The lane engine uses this to lay a
-    /// system's demand side out as plain coefficient arrays.
-    fn exp_coeffs(&self) -> Option<(f64, f64)> {
-        None
-    }
 }
 
 impl Clone for Box<dyn DemandFn> {
@@ -98,9 +91,6 @@ impl DemandFn for ExpDemand {
     }
     fn scaled(&self, kappa: f64) -> Box<dyn DemandFn> {
         Box::new(ExpDemand::new(self.m0 * kappa, self.alpha))
-    }
-    fn exp_coeffs(&self) -> Option<(f64, f64)> {
-        Some((self.m0, self.alpha))
     }
 }
 

@@ -59,7 +59,6 @@ pub mod cp;
 pub mod demand;
 pub mod effects;
 pub mod elasticity;
-pub mod lane;
 pub mod pricing;
 pub mod system;
 pub mod throughput;

@@ -286,12 +286,6 @@ impl System {
         System { tol, ..self.clone() }
     }
 
-    /// The fixed-point solver tolerance. The lane engine copies this so
-    /// batched φ-solves stop at exactly the same criterion as scalar ones.
-    pub fn tolerance(&self) -> Tolerance {
-        self.tol
-    }
-
     /// Populations induced by per-CP effective prices `t`.
     pub fn populations(&self, t: &[f64]) -> NumResult<Vec<f64>> {
         if t.len() != self.n() {

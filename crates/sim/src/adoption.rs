@@ -51,7 +51,7 @@
 //! allocations** (pinned in `tests/alloc_free.rs`). Blocks are owned,
 //! disjoint chunks, so the parallel driver in `subcomp-exp`
 //! (`exp::adoption::step_population`) fans them out over
-//! `sweep::parallel_map_mut` without sharing or locking.
+//! `sweep::parallel_map` without sharing or locking.
 
 use crate::rng::SimRng;
 use subcomp_num::{NumError, NumResult};

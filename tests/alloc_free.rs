@@ -219,49 +219,6 @@ fn mu_axis_sweep_is_allocation_free_after_warmup() {
 }
 
 #[test]
-fn lane_solve_into_is_allocation_free_after_warmup() {
-    // The SoA lane engine: after one warm-up solve per batch shape, a
-    // lockstep multi-lane solve — population refills, threshold best
-    // responses, per-lane masking, convergence epilogues — performs zero
-    // heap allocation, including when one workspace hops between lane
-    // games of different shapes (buffers only grow).
-    use subcomp::game::lane::{LaneGame, LaneSolver, LaneWorkspace};
-
-    let mk = |n: usize, p: f64, q: f64, mu: f64| {
-        let specs: Vec<ExpCpSpec> = (0..n)
-            .map(|i| {
-                ExpCpSpec::unit(
-                    2.0 + (i % 2) as f64 * 3.0,
-                    2.0 + (i % 3) as f64,
-                    0.5 + 0.1 * i as f64,
-                )
-            })
-            .collect();
-        SubsidyGame::new(build_system(&specs, mu).unwrap(), p, q).unwrap()
-    };
-    let trio = [mk(3, 0.6, 0.8, 1.0), mk(3, 0.5, 0.6, 1.4), mk(3, 0.8, 1.0, 0.7)];
-    let pair = [mk(5, 0.6, 0.9, 1.1), mk(5, 0.4, 0.5, 0.9)];
-    let wide = LaneGame::from_games(&trio.iter().collect::<Vec<_>>()).unwrap();
-    let tall = LaneGame::from_games(&pair.iter().collect::<Vec<_>>()).unwrap();
-
-    let solver = LaneSolver::default();
-    let mut lw = LaneWorkspace::new();
-    // Warm-up on both shapes sizes every buffer.
-    assert_eq!(solver.solve_into(&wide, &mut lw), 3);
-    assert_eq!(solver.solve_into(&tall, &mut lw), 2);
-    let (allocs, converged) = allocations_during(|| {
-        let mut converged = 0;
-        for _ in 0..3 {
-            converged += solver.solve_into(&wide, &mut lw);
-            converged += solver.solve_into(&tall, &mut lw);
-        }
-        converged
-    });
-    assert_eq!(converged, 15);
-    assert_eq!(allocs, 0, "warm lane solves must not touch the heap, saw {allocs} allocations");
-}
-
-#[test]
 fn warm_equilibrium_server_is_allocation_free_after_warmup() {
     // The resident service: after warm-up, both fast paths stay off the
     // heap — a cache hit (fingerprint pass + shared-snapshot clone) and

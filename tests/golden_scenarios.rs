@@ -127,7 +127,8 @@ fn corpus_matches_committed_goldens() {
     let mut failed = 0usize;
 
     let specs = diffable_specs();
-    let results = parallel_map(&specs, threads(), run_scenario);
+    let mut refs: Vec<&ScenarioSpec> = specs.iter().collect();
+    let results = parallel_map(&mut refs, threads(), || (), |_, spec| run_scenario(spec));
     let named = specs.iter().map(|s| s.name.to_string()).zip(results);
     for (name, result) in named {
         let path = dir.join(format!("{name}.json"));

@@ -49,8 +49,8 @@ proptest! {
     ) {
         let system = system_of(&specs);
         let grid = GridSolver::default().solve(&system, &qs, &prices).unwrap();
-        // Reference: fresh games solved cold by the default grid-scan
-        // engine — the construction the panel used before continuation.
+        // Reference: fresh games solved cold by the default solver — the
+        // construction the panel used before continuation.
         let reference = NashSolver::default().with_tol(1e-8);
         for (r, &q) in qs.iter().enumerate() {
             for (c, &p) in prices.iter().enumerate() {

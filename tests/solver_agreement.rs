@@ -1,10 +1,12 @@
 //! Independent solver families must agree: best-response iteration
 //! (Gauss–Seidel, Jacobi), variational-inequality methods (projection,
-//! extragradient), continuous dynamics, and the KKT/threshold
-//! certificates — across randomized markets.
+//! extragradient), continuous dynamics, the grid-scan best-response
+//! oracle, and the KKT/threshold certificates — across randomized markets.
 
 use proptest::prelude::*;
-use subcomp::game::best_response::{deviation_gap, BrConfig};
+use subcomp::exp::scenarios::farm_game;
+use subcomp::exp::sweep::BatchSolver;
+use subcomp::game::best_response::{deviation_gap, grid_best_response, BrConfig};
 use subcomp::game::dynamics::gradient_flow;
 use subcomp::game::equilibrium::verify_equilibrium;
 use subcomp::game::game::SubsidyGame;
@@ -60,6 +62,36 @@ proptest! {
                     other.subsidies[i]
                 );
             }
+        }
+    }
+
+    /// The grid-scan oracle on the `solve_farm` ensemble definition: every
+    /// equilibrium of the default batch engine (Theorem 3 threshold best
+    /// responses, warm-started chains) is a fixed point of the independent
+    /// grid-scan best response to 1e-7 per provider, and no provider can
+    /// gain more than 1e-8 by deviating.
+    #[test]
+    fn farm_equilibria_are_grid_oracle_fixed_points(
+        seed in 0u64..(1u64 << 48),
+        count in 8usize..=40,
+    ) {
+        let games: Vec<SubsidyGame> =
+            (0..count as u64).map(|k| farm_game(seed, k, 2, 12).unwrap()).collect();
+        let cfg = BrConfig::default();
+        let solved = BatchSolver::default().solve_games(&games);
+        for (k, (game, eq)) in games.iter().zip(solved).enumerate() {
+            let eq = eq.unwrap();
+            prop_assert!(eq.converged, "game {} did not converge", k);
+            for i in 0..game.n() {
+                let grid = grid_best_response(game, i, &eq.subsidies, &cfg).unwrap();
+                prop_assert!(
+                    (grid.s - eq.subsidies[i]).abs() < 1e-7,
+                    "game {} CP {}: equilibrium {} vs grid best response {}",
+                    k, i, eq.subsidies[i], grid.s
+                );
+            }
+            let (gap, who) = deviation_gap(game, &eq.subsidies, &cfg).unwrap();
+            prop_assert!(gap < 1e-8, "game {} CP {} gains {:e} by deviating", k, who, gap);
         }
     }
 
