@@ -1,6 +1,6 @@
 //! Benchmarks Nash equilibrium solvers: best-response (Gauss–Seidel,
-//! Jacobi) and variational-inequality methods, and scaling in the number
-//! of provider types.
+//! Jacobi) and variational-inequality methods, scaling in the number of
+//! provider types, and the φ fixed point every best-response probe solves.
 //!
 //! All solver benches measure the allocation-free engine entry points
 //! (`solve_into` / `*_solve_into`) on a reused [`SolveWorkspace`] — the
@@ -15,7 +15,7 @@ use subcomp_core::game::SubsidyGame;
 use subcomp_core::nash::{NashSolver, WarmStart};
 use subcomp_core::vi::{extragradient_solve_into, projection_solve_into, ViConfig};
 use subcomp_core::workspace::SolveWorkspace;
-use subcomp_exp::scenarios::farm_game;
+use subcomp_exp::scenarios::{farm_game, section5_system};
 use subcomp_exp::sweep::BatchSolver;
 
 fn bench_solvers(c: &mut Criterion) {
@@ -128,9 +128,37 @@ fn bench_farm(c: &mut Criterion) {
     g.finish();
 }
 
+/// The φ fixed point as a layer: one `System::solve_phi_with` on the §5
+/// market (p 0.6, q 0.8) at its equilibrium populations. `cold` starts
+/// from a NaN seed; `seeded` starts at the root one probe step away (the
+/// threshold search's bracket step on provider 0's subsidy), as the
+/// probes of a Nash solve do.
+fn bench_phi_solve(c: &mut Criterion) {
+    let mut g = c.benchmark_group("layers/phi_solve");
+    let game = SubsidyGame::new(section5_system(), 0.6, 0.8).unwrap();
+    let eq = NashSolver::default().solve(&game).unwrap();
+    let sys = game.system();
+    let m = eq.state.m.clone();
+    let mut scratch = sys.make_scratch();
+    let mut probe = m.clone();
+    let step = 1e-2 * (1.0 + game.effective_cap(0));
+    probe[0] = sys.cp(0).population(game.price() - (eq.subsidies[0] + step));
+    let seed = sys.solve_phi_with(&probe, f64::NAN, &mut scratch).unwrap();
+    g.bench_function("cold", |b| {
+        b.iter(|| sys.solve_phi_with(std::hint::black_box(&m), f64::NAN, &mut scratch).unwrap())
+    });
+    g.bench_function("seeded", |b| {
+        b.iter(|| {
+            sys.solve_phi_with(std::hint::black_box(&m), std::hint::black_box(seed), &mut scratch)
+                .unwrap()
+        })
+    });
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().warm_up_time(Duration::from_millis(400)).measurement_time(Duration::from_secs(2));
-    targets = bench_solvers, bench_scaling, bench_warm_start, bench_farm
+    targets = bench_solvers, bench_scaling, bench_warm_start, bench_farm, bench_phi_solve
 }
 criterion_main!(benches);

@@ -10,7 +10,9 @@
 //! `−`, at `τ_i`. [`best_response`] exploits that directly — three
 //! marginal probes classify the corners, and an interior threshold is a
 //! Brent root of the *analytic* `u_i`, seeded at the current iterate
-//! `s[i]`. Each probe solves the congestion fixed point.
+//! `s[i]`. Each probe solves the congestion fixed point by Newton's
+//! iteration seeded at the previous probe's root (`phi_seed`), which
+//! moves little between probes.
 //!
 //! When the probe signs break single crossing (non-finite probes, a
 //! family violating Assumptions 1–2 numerically) the search declines and
@@ -64,22 +66,24 @@ pub fn best_response(
     s: &[f64],
     cfg: &BrConfig,
 ) -> NumResult<BestResponse> {
-    let mut m = Vec::new();
+    let (mut m, mut phi_seed) = (Vec::new(), f64::NAN);
     let mut scratch = game.system().make_scratch();
-    best_response_into(game, i, s, cfg, &mut m, &mut scratch)
+    best_response_into(game, i, s, cfg, &mut m, &mut phi_seed, &mut scratch)
 }
 
 /// The allocation-free best-response engine behind [`best_response`].
 /// Every transient lives in the caller's buffers: `m` caches the
 /// populations of the frozen components `s_{-i}` (they do not depend on
 /// `s_i`), so each probe recomputes only `m[i]` and the congestion fixed
-/// point.
+/// point, seeded at `*phi_seed` (NaN starts cold) and left at the last
+/// probe's root for the caller's next best response.
 pub(crate) fn best_response_into(
     game: &SubsidyGame,
     i: usize,
     s: &[f64],
     cfg: &BrConfig,
     m: &mut Vec<f64>,
+    phi_seed: &mut f64,
     scratch: &mut StateScratch,
 ) -> NumResult<BestResponse> {
     // The components other than `i` never change during the search, so
@@ -88,9 +92,9 @@ pub(crate) fn best_response_into(
         return Err(NumError::NonFinite { what: "best_response profile", at: 0.0 });
     }
     game.populations_for(s, m);
-    match threshold_search(game, i, s[i], m, scratch)? {
+    match threshold_search(game, i, s[i], m, phi_seed, scratch)? {
         Some(br) => Ok(br),
-        None => grid_scan(game, i, cfg, m, scratch),
+        None => grid_scan(game, i, cfg, m, phi_seed, scratch),
     }
 }
 
@@ -108,17 +112,18 @@ fn threshold_search(
     i: usize,
     hint: f64,
     m: &mut [f64],
+    phi_seed: &mut f64,
     scratch: &mut StateScratch,
 ) -> NumResult<Option<BestResponse>> {
     let hi = game.effective_cap(i);
     if hi <= 0.0 {
-        let utility = game.utility_probe(i, 0.0, m, scratch)?;
+        let utility = game.utility_probe(i, 0.0, m, phi_seed, scratch)?;
         return Ok(Some(BestResponse { s: 0.0, utility, evaluations: 1 }));
     }
     let mut evals = 0usize;
     let mut u_of = |si: f64| {
         evals += 1;
-        game.marginal_probe(i, si, m, scratch).unwrap_or(f64::NAN)
+        game.marginal_probe(i, si, m, phi_seed, scratch).unwrap_or(f64::NAN)
     };
     let u0 = u_of(0.0);
     if !u0.is_finite() {
@@ -126,7 +131,7 @@ fn threshold_search(
     }
     if u0 <= 0.0 {
         // τ_i ≤ 0: the margin loss dominates from the start.
-        let utility = game.utility_probe(i, 0.0, m, scratch)?;
+        let utility = game.utility_probe(i, 0.0, m, phi_seed, scratch)?;
         return Ok(Some(BestResponse { s: 0.0, utility, evaluations: evals + 1 }));
     }
     let u_hi = u_of(hi);
@@ -135,7 +140,7 @@ fn threshold_search(
     }
     if u_hi >= 0.0 {
         // τ_i ≥ min(q, v_i): pinned at the effective cap.
-        let utility = game.utility_probe(i, hi, m, scratch)?;
+        let utility = game.utility_probe(i, hi, m, phi_seed, scratch)?;
         return Ok(Some(BestResponse { s: hi, utility, evaluations: evals + 1 }));
     }
     // Interior threshold: u(0) > 0 > u(hi). Shrink the bracket around the
@@ -146,7 +151,7 @@ fn threshold_search(
         return Ok(None);
     }
     if u_hint == 0.0 {
-        let utility = game.utility_probe(i, hint, m, scratch)?;
+        let utility = game.utility_probe(i, hint, m, phi_seed, scratch)?;
         return Ok(Some(BestResponse { s: hint, utility, evaluations: evals + 1 }));
     }
     let delta = 1e-2 * (1.0 + hi);
@@ -173,7 +178,7 @@ fn threshold_search(
         return Ok(None);
     };
     let s_star = root.x.clamp(0.0, hi);
-    let utility = game.utility_probe(i, s_star, m, scratch)?;
+    let utility = game.utility_probe(i, s_star, m, phi_seed, scratch)?;
     Ok(Some(BestResponse { s: s_star, utility, evaluations: evals + 1 }))
 }
 
@@ -196,10 +201,10 @@ pub fn grid_best_response(
     if game.validate(s).is_err() {
         return Err(NumError::NonFinite { what: "grid_scan objective", at: 0.0 });
     }
-    let mut m = Vec::new();
+    let (mut m, mut phi_seed) = (Vec::new(), f64::NAN);
     let mut scratch = game.system().make_scratch();
     game.populations_for(s, &mut m);
-    grid_scan(game, i, cfg, &mut m, &mut scratch)
+    grid_scan(game, i, cfg, &mut m, &mut phi_seed, &mut scratch)
 }
 
 /// The grid scan over the populations `m` of the profile. `evaluations`
@@ -210,17 +215,18 @@ fn grid_scan(
     i: usize,
     cfg: &BrConfig,
     m: &mut [f64],
+    phi_seed: &mut f64,
     scratch: &mut StateScratch,
 ) -> NumResult<BestResponse> {
     let hi = game.effective_cap(i);
-    let buffers = RefCell::new((m, scratch));
+    let buffers = RefCell::new((m, phi_seed, scratch));
     let f = |si: f64| {
-        let (m, scratch) = &mut *buffers.borrow_mut();
-        game.utility_probe(i, si, m, scratch).unwrap_or(f64::NEG_INFINITY)
+        let (m, phi_seed, scratch) = &mut *buffers.borrow_mut();
+        game.utility_probe(i, si, m, phi_seed, scratch).unwrap_or(f64::NEG_INFINITY)
     };
     let u_of = |si: f64| {
-        let (m, scratch) = &mut *buffers.borrow_mut();
-        game.marginal_probe(i, si, m, scratch).unwrap_or(f64::NAN)
+        let (m, phi_seed, scratch) = &mut *buffers.borrow_mut();
+        game.marginal_probe(i, si, m, phi_seed, scratch).unwrap_or(f64::NAN)
     };
     let m = maximize_scalar_reusing_ends(&f, 0.0, hi, cfg.grid, cfg.tol)?;
     let mut best = BestResponse { s: m.x, utility: m.value, evaluations: m.evaluations };
@@ -376,10 +382,10 @@ mod tests {
             for hint in [0.0, 0.5 * grid.s, grid.s, g.effective_cap(0)] {
                 let br = best_response(&g, 0, &[hint], &cfg).unwrap();
                 // The search itself answers; the grid fallback never runs.
-                let mut m = Vec::new();
+                let (mut m, mut phi_seed) = (Vec::new(), f64::NAN);
                 let mut scratch = g.system().make_scratch();
                 g.populations_for(&[hint], &mut m);
-                let thr = threshold_search(&g, 0, hint, &mut m, &mut scratch)
+                let thr = threshold_search(&g, 0, hint, &mut m, &mut phi_seed, &mut scratch)
                     .unwrap()
                     .expect("exponential family satisfies the Theorem 3 structure");
                 assert_eq!(br, thr);

@@ -368,37 +368,46 @@ impl SubsidyGame {
     /// Best-response utility probe: `U_i` at the profile whose `i`-th
     /// component is `si`, with every *other* population pre-computed in
     /// `m` (they do not depend on `s_i`). Overwrites `m[i]`, solves the
-    /// congestion fixed point through `scratch`, and touches no other
-    /// memory — the allocation-free core of the solver hot loop.
-    /// Bit-identical to `utility(i, profile)` on the matching profile.
+    /// congestion fixed point through `scratch` seeded at `*phi_seed` and
+    /// leaves the root there for the next probe, and touches no other
+    /// memory — the allocation-free core of the solver hot loop. Its φ
+    /// agrees with the cold solve behind `utility(i, profile)` on the
+    /// matching profile within the solve tolerance (1e-13 absolute plus
+    /// 1e-13 relative), not bit for bit: the last Newton step depends on
+    /// where the iteration started.
     pub(crate) fn utility_probe(
         &self,
         i: usize,
         si: f64,
         m: &mut [f64],
+        phi_seed: &mut f64,
         scratch: &mut StateScratch,
     ) -> NumResult<f64> {
         let cp = self.system.cp(i);
         m[i] = cp.population(self.effective_price_of(si));
-        let phi = self.system.solve_phi_with(m, scratch)?;
+        let phi = self.system.solve_phi_with(m, *phi_seed, scratch)?;
+        *phi_seed = phi;
         // λ_i and θ_i exactly as the full state assembly computes them.
         let lambda_i = self.system.lambda_of(i, phi);
         Ok((cp.profitability() - si) * (m[i] * lambda_i))
     }
 
     /// Best-response marginal-utility probe, the `u_i` counterpart of
-    /// [`SubsidyGame::utility_probe`]. Bit-identical to
-    /// `marginal_utility(i, profile)` on the matching profile.
+    /// [`SubsidyGame::utility_probe`], seeded the same way: its φ agrees
+    /// with the cold solve behind `marginal_utility(i, profile)` within
+    /// the same tolerance.
     pub(crate) fn marginal_probe(
         &self,
         i: usize,
         si: f64,
         m: &mut [f64],
+        phi_seed: &mut f64,
         scratch: &mut StateScratch,
     ) -> NumResult<f64> {
         let cp = self.system.cp(i);
         m[i] = cp.population(self.effective_price_of(si));
-        let phi = self.system.solve_phi_with(m, scratch)?;
+        let phi = self.system.solve_phi_with(m, *phi_seed, scratch)?;
+        *phi_seed = phi;
         let lambda_i = self.system.lambda_of(i, phi);
         let theta_ii = m[i] * lambda_i;
         let dg_dphi = self.system.dgap_dphi_with(phi, m, scratch);

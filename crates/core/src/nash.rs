@@ -250,6 +250,10 @@ impl NashSolver {
             }
         }
         let br_cfg = BrConfig::default();
+        // Each probe's φ solve starts at the previous probe's root. The
+        // chain is local and starts cold, so the answer stays a pure
+        // function of (game, start) whatever workspace runs it.
+        let mut phi_seed = f64::NAN;
         let mut residual = f64::INFINITY;
         for sweep in 0..self.max_sweeps {
             ws.next.copy_from_slice(&ws.s);
@@ -263,7 +267,15 @@ impl NashSolver {
                 };
                 // The search is seeded at `basis[i]`, which equals `ws.s[i]`
                 // in both modes: provider `i` has not been updated yet.
-                let br = best_response_into(game, i, basis, &br_cfg, &mut ws.m, &mut ws.scratch)?;
+                let br = best_response_into(
+                    game,
+                    i,
+                    basis,
+                    &br_cfg,
+                    &mut ws.m,
+                    &mut phi_seed,
+                    &mut ws.scratch,
+                )?;
                 ws.next[i] = (1.0 - self.damping) * ws.s[i] + self.damping * br.s;
             }
             residual = sub_inf_norm(&ws.s, &ws.next);

@@ -30,9 +30,9 @@
 //!
 //! ## The million-game regime
 //!
-//! `--games 1000000` is the supported ensemble ceiling. At about 650
+//! `--games 1000000` is the supported ensemble ceiling. At about 4,000
 //! games/s per thread (measured on a 2-vCPU Intel Xeon x86-64 host) it
-//! takes roughly 25 minutes single-threaded, scaling near-linearly with
+//! takes roughly 4 minutes single-threaded, scaling near-linearly with
 //! `--threads`. Memory stays flat in the game count — the farm streams
 //! blocks through per-worker workspaces and keeps one `Copy` stat per
 //! game — so 1M games is a time budget, not a memory one. The

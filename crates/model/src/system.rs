@@ -8,14 +8,19 @@
 //! ```
 //!
 //! Lemma 1 shows `g` is strictly increasing with a sign change, so the root
-//! is unique; [`System::solve_state`] brackets it by geometric expansion and
-//! polishes with Brent's method, returning a [`SystemState`] with every
-//! quantity downstream analysis needs (per-CP populations, throughputs, the
-//! gap slope `dg/dφ` of Equation (2)).
+//! is unique. It lies in `[0, Φ(peak, µ)]`: `g(0)` is minus the peak demand,
+//! and every `λ_k` is non-increasing, so `g ≥ 0` at the top. The solver
+//! runs Newton's iteration on `g`, which shares one `e^{−βφ}` table per
+//! iterate with its slope `dg/dφ` (Equation (2)), and bisects that bracket
+//! whenever a step would leave it. [`System::solve_phi_with`] starts from a
+//! caller's seed, the previous probe's root in the best-response loop;
+//! [`System::solve_state`] starts cold and returns a [`SystemState`] with
+//! every quantity downstream analysis needs (per-CP populations,
+//! throughputs, the gap slope).
 
 use crate::cp::ContentProvider;
 use crate::utilization::UtilizationFn;
-use subcomp_num::roots::solve_increasing_seeded;
+use subcomp_num::roots::{newton, Bracket};
 use subcomp_num::{NumError, NumResult, Tolerance};
 
 /// Precompiled hot-loop view of the provider list, built once per
@@ -36,8 +41,6 @@ struct SystemKernel {
     beta_idx: Vec<usize>,
     /// Distinct `β` values (bitwise comparison, first-appearance order).
     betas: Vec<f64>,
-    /// Whether every provider is exponential-family (fast loop, no branch).
-    all_exp: bool,
     /// Whether the utilization family is the paper's linear `Θ = φµ`.
     linear: bool,
 }
@@ -63,7 +66,6 @@ impl SystemKernel {
         let mut lambda0 = Vec::with_capacity(n);
         let mut beta_idx = Vec::with_capacity(n);
         let mut betas: Vec<f64> = Vec::new();
-        let mut all_exp = true;
         for cp in cps {
             peaks.push(cp.throughput().peak());
             match cp.throughput().exp_coeffs() {
@@ -81,11 +83,10 @@ impl SystemKernel {
                 None => {
                     lambda0.push(0.0);
                     beta_idx.push(GENERIC_CP);
-                    all_exp = false;
                 }
             }
         }
-        SystemKernel { peaks, lambda0, beta_idx, betas, all_exp, linear: utilization.is_linear() }
+        SystemKernel { peaks, lambda0, beta_idx, betas, linear: utilization.is_linear() }
     }
 
     /// Re-derives the kernel slot of provider `idx` after `cps[idx]` was
@@ -118,7 +119,6 @@ impl SystemKernel {
                 self.beta_idx[idx] = GENERIC_CP;
             }
         }
-        self.all_exp = self.beta_idx.iter().all(|&s| s != GENERIC_CP);
         old_slot != GENERIC_CP
             && old_slot != self.beta_idx[idx]
             && !self.beta_idx.contains(&old_slot)
@@ -355,56 +355,21 @@ impl System {
         scratch.exp.resize(self.kernel.betas.len(), 0.0);
     }
 
-    /// The inverse utilization `Θ(φ, µ)` with the linear family inlined.
-    #[inline]
-    fn theta_inv(&self, phi: f64) -> f64 {
-        if self.kernel.linear {
-            phi * self.mu
-        } else {
-            self.utilization.theta(phi, self.mu)
-        }
-    }
-
-    /// Aggregate demand `Σ_k m_k λ_k(φ)` through the kernel: one `exp` per
-    /// distinct `β`, accumulated in provider order (bit-identical to the
-    /// naive per-provider evaluation in [`System::gap`]).
-    #[inline]
-    fn demand_with(&self, phi: f64, m: &[f64], exp: &mut [f64]) -> f64 {
-        let k = &self.kernel;
-        k.fill_exp(phi, exp);
-        let mut demand = 0.0;
-        if k.all_exp {
-            for j in 0..m.len() {
-                demand += m[j] * (k.lambda0[j] * exp[k.beta_idx[j]]);
-            }
-        } else {
-            for j in 0..m.len() {
-                let lam = if k.beta_idx[j] != GENERIC_CP {
-                    k.lambda0[j] * exp[k.beta_idx[j]]
-                } else {
-                    self.cps[j].lambda(phi)
-                };
-                demand += m[j] * lam;
-            }
-        }
-        demand
-    }
-
-    /// [`System::gap`] evaluated through the kernel — bit-identical values,
-    /// no allocation, no per-provider virtual dispatch.
-    pub fn gap_with(&self, phi: f64, m: &[f64], scratch: &mut StateScratch) -> f64 {
-        self.prepare_scratch(scratch);
-        self.theta_inv(phi) - self.demand_with(phi, m, &mut scratch.exp)
-    }
-
     /// Solves Definition 1 for the utilization `φ` alone — the innermost
-    /// loop of every best-response evaluation. Bit-identical to the root
-    /// [`System::solve_state`] finds; allocation-free given a warm scratch.
-    pub fn solve_phi_with(&self, m: &[f64], scratch: &mut StateScratch) -> NumResult<f64> {
-        self.solve_phi_inner(m, scratch)
-    }
-
-    fn solve_phi_inner(&self, m: &[f64], scratch: &mut StateScratch) -> NumResult<f64> {
+    /// loop of every best-response probe — starting Newton's iteration at
+    /// `seed`. Callers that solve a chain of nearby systems (the probes of
+    /// one Nash solve) pass the previous root; a NaN (or any non-finite)
+    /// seed starts cold at `φ = 0`, and a seed outside the bracket
+    /// `[0, Φ(peak, µ)]` is clamped into it. The root agrees with the cold
+    /// [`System::solve_state`] to the solver tolerance (1e-13), not bit for
+    /// bit, and the same `seed` always returns the same bits.
+    /// Allocation-free given a warm scratch.
+    pub fn solve_phi_with(
+        &self,
+        m: &[f64],
+        seed: f64,
+        scratch: &mut StateScratch,
+    ) -> NumResult<f64> {
         if m.len() != self.n() {
             return Err(NumError::DimensionMismatch { expected: self.n(), actual: m.len() });
         }
@@ -412,8 +377,8 @@ impl System {
         let k = &self.kernel;
         // One pass merges the population domain checks with the peak-demand
         // accumulation (zero demand means phi = 0 exactly, the limit case
-        // of Assumption 1). Detection order matches the two-pass layout:
-        // the first offending population errors before any solving starts.
+        // of Assumption 1): the first offending population errors before
+        // any solving starts.
         let mut peak_demand = 0.0;
         for (&mi, pk) in m.iter().zip(&k.peaks) {
             if !(mi >= 0.0) || !mi.is_finite() {
@@ -427,37 +392,38 @@ impl System {
         if peak_demand == 0.0 {
             return Ok(0.0);
         }
-        // Initial bracket guess: utilization if nobody slowed down.
-        let guess = self.utilization.phi(peak_demand, self.mu);
-        let step = if guess.is_finite() && guess > 0.0 { guess } else { 1.0 };
-        // g(0) in closed form: λ_k(0) = λ₀ e^0 = λ₀ is exactly the peak,
-        // so the demand term at φ = 0 is exactly `peak_demand` — reusing it
-        // skips one full gap evaluation with identical bits.
-        let g0 = self.theta_inv(0.0) - peak_demand;
-        if k.all_exp && k.linear {
-            // Fully specialized hot loop (the paper's setting: exponential
-            // throughputs on the linear utilization): slices hoisted out of
-            // the kernel so the root finder's inner loop is straight-line
-            // array math. Bit-identical to the general closure below.
-            let mu = self.mu;
-            let (lambda0, beta_idx, betas) = (&k.lambda0[..], &k.beta_idx[..], &k.betas[..]);
-            let exp = &mut scratch.exp[..];
-            let mut g = |phi: f64| {
-                for (e, &b) in exp.iter_mut().zip(betas) {
-                    *e = (-b * phi).exp(); // = SystemKernel::fill_exp, slice-hoisted
-                }
-                let mut demand = 0.0;
-                for j in 0..m.len() {
-                    demand += m[j] * (lambda0[j] * exp[beta_idx[j]]);
-                }
-                phi * mu - demand
+        // Every λ_k is non-increasing, so demand at Φ(peak, µ) is at most
+        // the peak demand Θ carries there: g ≥ 0 at the bracket's top. A
+        // queue family loaded past capacity has Φ = ∞ and no finite top;
+        // a Φ that is not a number there leaves the top open the same way.
+        let top = self.utilization.phi(peak_demand, self.mu);
+        let top = if top >= 0.0 { top } else { f64::INFINITY };
+        let x0 = if seed.is_finite() { seed } else { 0.0 };
+        let (lambda0, beta_idx, betas) = (&k.lambda0[..], &k.beta_idx[..], &k.betas[..]);
+        let exp = &mut scratch.exp[..];
+        // g and g' = Θ' − Σ m_k λ_k' (Equation 2) from one exp table.
+        let mut g = |phi: f64| {
+            k.fill_exp(phi, exp);
+            let (mut demand, mut slope) = (0.0, 0.0);
+            for j in 0..m.len() {
+                let (lam, dlam) = if beta_idx[j] != GENERIC_CP {
+                    let lam = lambda0[j] * exp[beta_idx[j]];
+                    (lam, -betas[beta_idx[j]] * lam)
+                } else {
+                    let t = self.cps[j].throughput();
+                    (t.lambda(phi), t.dlambda_dphi(phi))
+                };
+                demand += m[j] * lam;
+                slope += m[j] * dlam;
+            }
+            let (theta, dtheta) = if k.linear {
+                (phi * self.mu, self.mu)
+            } else {
+                (self.utilization.theta(phi, self.mu), self.utilization.dtheta_dphi(phi, self.mu))
             };
-            Ok(solve_increasing_seeded(&mut g, 0.0, g0, step, self.tol)?.x)
-        } else {
-            let exp = &mut scratch.exp;
-            let mut g = |phi: f64| self.theta_inv(phi) - self.demand_with(phi, m, exp);
-            Ok(solve_increasing_seeded(&mut g, 0.0, g0, step, self.tol)?.x)
-        }
+            (theta - demand, dtheta - slope)
+        };
+        Ok(newton(&mut g, x0, Some(Bracket::new(0.0, top)), self.tol)?.x)
     }
 
     /// Provider `j`'s per-user throughput `λ_j(φ)` through the kernel —
@@ -555,7 +521,7 @@ impl System {
         scratch: &mut StateScratch,
         out: &mut SystemState,
     ) -> NumResult<()> {
-        let phi = self.solve_phi_inner(m, scratch)?;
+        let phi = self.solve_phi_with(m, f64::NAN, scratch)?;
         self.state_at_phi_into(phi, m, scratch, out)
     }
 

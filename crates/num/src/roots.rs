@@ -2,10 +2,13 @@
 //!
 //! The congestion equilibrium of the paper (Definition 1) is the unique zero
 //! of the strictly increasing *gap function*
-//! `g(φ) = Θ(φ, µ) − Σ_k m_k λ_k(φ)` (Lemma 1). The model layer brackets
-//! that zero with [`expand_upward`] and polishes it with [`brent`]; the other
-//! methods here ([`bisection`], [`newton`], [`secant`]) exist both as
-//! fallbacks and as cross-checks in tests.
+//! `g(φ) = Θ(φ, µ) − Σ_k m_k λ_k(φ)` (Lemma 1). The model layer solves it by
+//! [`newton`], safeguarded by the bracket `[0, Φ(peak, µ)]` and seeded at the
+//! previous probe's root, since the gap and its slope (Equation 2) come from
+//! one `e^{−βφ}` table. [`solve_increasing`] (bracket expansion by
+//! [`expand_upward`], then [`brent`]) needs no slope and no upper end; it is
+//! the oracle the Newton solve is tested against. [`bisection`] and
+//! [`secant`] serve as cross-checks in tests.
 //!
 //! All methods return a [`RootResult`] with the root, the residual actually
 //! achieved and the number of function evaluations, so callers can assert on
@@ -89,65 +92,24 @@ pub fn expand_upward<F: Fn(f64) -> f64 + ?Sized>(
         return Err(NumError::Domain { what: "expand_upward requires hi > lo", value: hi - lo });
     }
     let flo = check_finite("expand_upward f(lo)", lo, f(lo))?;
-    expand_upward_seeded(&mut |x| f(x), lo, flo, hi, max_doublings).map(|s| s.bracket)
-}
-
-/// A bracket located by [`expand_upward_seeded`], carrying the function
-/// values at its endpoints (so the follow-up [`brent_seeded`] polish can
-/// skip its own endpoint evaluations) and the evaluations spent.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SeededBracket {
-    /// The sign-change bracket.
-    pub bracket: Bracket,
-    /// `f` at the bracket's left endpoint.
-    pub fa: f64,
-    /// `f` at the bracket's right endpoint.
-    pub fb: f64,
-    /// Function evaluations spent by the expansion.
-    pub evaluations: usize,
-}
-
-/// [`expand_upward`] with `f(lo)` supplied by the caller — the hot-path
-/// variant that skips the duplicate left-endpoint evaluation. Produces
-/// bit-identical brackets to [`expand_upward`].
-pub fn expand_upward_seeded<F: FnMut(f64) -> f64 + ?Sized>(
-    f: &mut F,
-    lo: f64,
-    flo: f64,
-    hi: f64,
-    max_doublings: usize,
-) -> NumResult<SeededBracket> {
-    if !(hi > lo) {
-        return Err(NumError::Domain { what: "expand_upward requires hi > lo", value: hi - lo });
-    }
-    let flo = check_finite("expand_upward f(lo)", lo, flo)?;
     if flo == 0.0 {
-        return Ok(SeededBracket {
-            bracket: Bracket::new(lo, lo),
-            fa: 0.0,
-            fb: 0.0,
-            evaluations: 0,
-        });
+        return Ok(Bracket::new(lo, lo));
     }
     if flo > 0.0 {
         return Err(NumError::NoBracket { a: lo, b: hi, fa: flo, fb: flo });
     }
     let mut a = lo;
-    let mut fa = flo;
     let mut b = hi;
     let mut fb = check_finite("expand_upward f(hi)", b, f(b))?;
-    let mut evals = 1;
     let mut step = hi - lo;
     for _ in 0..max_doublings {
         if fb >= 0.0 {
-            return Ok(SeededBracket { bracket: Bracket::new(a, b), fa, fb, evaluations: evals });
+            return Ok(Bracket::new(a, b));
         }
         a = b;
-        fa = fb;
         step *= 2.0;
         b += step;
         fb = check_finite("expand_upward f", b, f(b))?;
-        evals += 1;
     }
     Err(NumError::NoBracket { a: lo, b, fa: flo, fb })
 }
@@ -215,10 +177,11 @@ pub fn brent<F: Fn(f64) -> f64 + ?Sized>(
 }
 
 /// [`brent`] with the endpoint values `f(a)`, `f(b)` supplied by the
-/// caller — the hot-path variant used after [`expand_upward_seeded`], which
-/// already knows both values. The iterate sequence (and hence the root) is
-/// bit-identical to [`brent`]; only the duplicate endpoint evaluations are
-/// skipped, so `evaluations` counts the polish evaluations alone.
+/// caller — the hot-path variant for a caller that has already evaluated
+/// both ends (the best-response threshold search). The iterate sequence
+/// (and hence the root) is bit-identical to [`brent`]; only the duplicate
+/// endpoint evaluations are skipped, so `evaluations` counts the polish
+/// evaluations alone.
 pub fn brent_seeded<F: FnMut(f64) -> f64 + ?Sized>(
     f: &mut F,
     bracket: Bracket,
@@ -302,14 +265,23 @@ pub fn brent_seeded<F: FnMut(f64) -> f64 + ?Sized>(
     Err(NumError::MaxIterations { max_iter: tol.max_iter, residual: fb })
 }
 
-/// Newton's method with derivative, safeguarded by an optional bracket.
+/// Newton's method, safeguarded by an optional bracket.
 ///
-/// When a bracket is supplied, any Newton step that would leave it is
-/// replaced by a bisection step, making the method globally convergent on
-/// monotone functions while keeping the quadratic local rate.
-pub fn newton<F: Fn(f64) -> f64 + ?Sized, D: Fn(f64) -> f64 + ?Sized>(
-    f: &F,
-    df: &D,
+/// `f` returns `(f(x), f'(x))` from one call, so a caller can share the
+/// work of both. Each iterate first tests the Newton step for convergence:
+/// when `|f/f'|` meets `tol` the stepped point is returned (clamped into the
+/// bracket), even from an iterate on the bracket's end whose step rounds to
+/// nothing. Otherwise a step inside the bracket is taken, and one that is
+/// non-finite or leaves the bracket is replaced by a safeguard step:
+/// bisection of the bracket, or, when one end is infinite, a step doubling
+/// away from the finite end. A slope that is zero or non-finite always
+/// takes the safeguard step, so an infinite slope cannot fake a zero step.
+/// A bracket whose width meets `tol` also ends the search. With a bracket,
+/// `f` is assumed increasing: the sign of `f` at each iterate moves one
+/// end. `residual` is `f` at the last evaluated iterate, one step behind
+/// the returned `x`: the accepted step costs no extra evaluation.
+pub fn newton<F: FnMut(f64) -> (f64, f64) + ?Sized>(
+    f: &mut F,
     x0: f64,
     bracket: Option<Bracket>,
     tol: Tolerance,
@@ -318,46 +290,50 @@ pub fn newton<F: Fn(f64) -> f64 + ?Sized, D: Fn(f64) -> f64 + ?Sized>(
         Some(br) => (br.a, br.b),
         None => (f64::NEG_INFINITY, f64::INFINITY),
     };
+    if x0.is_nan() || lo.is_nan() || hi.is_nan() {
+        return Err(NumError::Domain {
+            what: "newton start and bracket must not be NaN",
+            value: x0,
+        });
+    }
     let mut x = x0.clamp(lo, hi);
-    let mut evals = 0;
     for iter in 0..tol.max_iter {
-        let fx = check_finite("newton f", x, f(x))?;
-        let dfx = check_finite("newton df", x, df(x))?;
-        evals += 2;
+        let (fx, dfx) = f(x);
+        let fx = check_finite("newton f", x, fx)?;
+        let evals = iter + 1;
+        let done =
+            |x: f64| Ok(RootResult { x, residual: fx, evaluations: evals, iterations: evals });
         if fx == 0.0 {
-            return Ok(RootResult { x, residual: 0.0, evaluations: evals, iterations: iter });
+            return done(x);
         }
-        // Maintain the bracket using the sign of f (assumes f increasing on
-        // the bracketed case; harmless otherwise since it only guides the
-        // bisection fallback).
         if bracket.is_some() {
             if fx > 0.0 {
                 hi = x;
             } else {
                 lo = x;
             }
-        }
-        let step = if dfx != 0.0 { fx / dfx } else { f64::INFINITY };
-        let mut next = x - step;
-        if !next.is_finite() || next <= lo || next >= hi {
-            if bracket.is_some() && lo.is_finite() && hi.is_finite() {
-                next = 0.5 * (lo + hi);
-            } else if !next.is_finite() {
-                return Err(NumError::NonFinite { what: "newton step", at: x });
+            if tol.is_met(hi - lo, x) {
+                return done(x);
             }
         }
-        if tol.is_met(next - x, x) {
-            let r = f(next);
-            return Ok(RootResult {
-                x: next,
-                residual: r,
-                evaluations: evals + 1,
-                iterations: iter + 1,
-            });
+        let next = x - fx / dfx;
+        if dfx.is_finite() && dfx != 0.0 && next.is_finite() {
+            if tol.is_met(next - x, x) {
+                return done(next.clamp(lo, hi));
+            }
+            if next > lo && next < hi {
+                x = next;
+                continue;
+            }
         }
-        x = next;
+        x = match (lo.is_finite(), hi.is_finite()) {
+            (true, true) => 0.5 * (lo + hi),
+            (true, false) => lo + (1.0 + lo.abs()),
+            (false, true) => hi - (1.0 + hi.abs()),
+            (false, false) => return Err(NumError::NonFinite { what: "newton step", at: x }),
+        };
     }
-    Err(NumError::MaxIterations { max_iter: tol.max_iter, residual: f(x) })
+    Err(NumError::MaxIterations { max_iter: tol.max_iter, residual: f(x).0 })
 }
 
 /// Secant method (derivative-free, superlinear, not globally convergent).
@@ -408,8 +384,10 @@ pub fn secant<F: Fn(f64) -> f64 + ?Sized>(
 /// Solves `f(x) = 0` for a strictly increasing `f` with `f(lo) < 0` by
 /// expanding a bracket upward and applying Brent's method.
 ///
-/// This is the exact pattern needed for the utilization fixed point; exposed
-/// here so that model code and tests share one implementation.
+/// Needs nothing but `f` itself: no slope, no known upper end. That makes
+/// it the oracle the model's seeded Newton φ solve is tested against, and
+/// the solver for fixed points whose slope is not at hand (the continuum
+/// market).
 pub fn solve_increasing<F: Fn(f64) -> f64 + ?Sized>(
     f: &F,
     lo: f64,
@@ -428,32 +406,6 @@ pub fn solve_increasing<F: Fn(f64) -> f64 + ?Sized>(
     }
     let bracket = expand_upward(f, lo, lo + initial_step.max(f64::MIN_POSITIVE), 128)?;
     brent(f, bracket, tol)
-}
-
-/// [`solve_increasing`] with `f(lo)` supplied by the caller — the hot-path
-/// variant for callers that can compute `f(lo)` in closed form (e.g. the
-/// congestion gap at `φ = 0`, which is just the negated peak demand). The
-/// bracket expansion and every Brent iterate are bit-identical to
-/// [`solve_increasing`]; the duplicate `f(lo)` and bracket-endpoint
-/// evaluations are skipped, so `evaluations` counts actual calls only.
-pub fn solve_increasing_seeded<F: FnMut(f64) -> f64 + ?Sized>(
-    f: &mut F,
-    lo: f64,
-    flo: f64,
-    initial_step: f64,
-    tol: Tolerance,
-) -> NumResult<RootResult> {
-    let flo = check_finite("solve_increasing f(lo)", lo, flo)?;
-    if flo == 0.0 {
-        return Ok(RootResult { x: lo, residual: 0.0, evaluations: 0, iterations: 0 });
-    }
-    if flo > 0.0 {
-        return Err(NumError::NoBracket { a: lo, b: lo, fa: flo, fb: flo });
-    }
-    let seeded = expand_upward_seeded(f, lo, flo, lo + initial_step.max(f64::MIN_POSITIVE), 128)?;
-    let mut result = brent_seeded(f, seeded.bracket, seeded.fa, seeded.fb, tol)?;
-    result.evaluations += seeded.evaluations;
-    Ok(result)
 }
 
 #[cfg(test)]
@@ -530,9 +482,8 @@ mod tests {
 
     #[test]
     fn newton_quadratic_convergence() {
-        let f = |x: f64| x * x - 2.0;
-        let df = |x: f64| 2.0 * x;
-        let r = newton(&f, &df, 1.0, None, Tolerance::tight()).unwrap();
+        let mut f = |x: f64| (x * x - 2.0, 2.0 * x);
+        let r = newton(&mut f, 1.0, None, Tolerance::tight()).unwrap();
         assert!((r.x - 2f64.sqrt()).abs() < 1e-12);
         assert!(r.iterations <= 8);
     }
@@ -540,17 +491,50 @@ mod tests {
     #[test]
     fn newton_safeguarded_by_bracket() {
         // f has a nearly flat region that throws raw Newton far away.
-        let f = |x: f64| x.tanh() - 0.5;
-        let df = |x: f64| 1.0 - x.tanh().powi(2);
+        let mut f = |x: f64| (x.tanh() - 0.5, 1.0 - x.tanh().powi(2));
         let r = newton(
-            &f,
-            &df,
+            &mut f,
             50.0,
             Some(Bracket::new(-100.0, 100.0)),
             Tolerance::default().with_max_iter(500),
         )
         .unwrap();
         assert!((r.x - 0.5f64.atanh()).abs() < 1e-8, "x = {}", r.x);
+    }
+
+    #[test]
+    fn newton_accepts_a_converged_step_on_the_bracket_end() {
+        // The root lies 1e-17 below the bracket's upper end, closer than
+        // half an ulp of 1.0, so the Newton step from x0 = 1.0 rounds to
+        // nothing. Testing the step before the bracket safeguard accepts
+        // it; testing the bracket first bisects away and crawls back.
+        let mut f = |x: f64| (x - 1.0 + 1e-17, 1.0);
+        let r = newton(&mut f, 1.0, Some(Bracket::new(0.0, 1.0)), Tolerance::tight()).unwrap();
+        assert_eq!(r.x, 1.0);
+        assert!(r.iterations <= 2, "iterations = {}", r.iterations);
+    }
+
+    #[test]
+    fn newton_infinite_slope_is_not_convergence() {
+        // At x = 0 the slope of sqrt is infinite and the step f/f' is
+        // exactly 0: the iterate must bisect, not stop at 0.
+        let mut f = |x: f64| (x.sqrt() - 0.5, 0.5 / x.sqrt());
+        let r = newton(&mut f, 0.0, Some(Bracket::new(0.0, 1.0)), Tolerance::tight()).unwrap();
+        assert!((r.x - 0.25).abs() < 1e-13, "x = {}", r.x);
+    }
+
+    #[test]
+    fn newton_steps_out_of_a_flat_start_on_a_half_open_bracket() {
+        // A zero slope at the start and no finite upper end: the safeguard
+        // steps away from the lower end until Newton can take over.
+        let mut f = |x: f64| if x < 2.0 { (-1.0, 0.0) } else { (x - 5.0, 1.0) };
+        let r = newton(&mut f, 0.0, Some(Bracket::new(0.0, f64::INFINITY)), Tolerance::tight())
+            .unwrap();
+        assert_eq!(r.x, 5.0);
+        assert!(matches!(
+            newton(&mut f, f64::NAN, None, Tolerance::tight()),
+            Err(NumError::Domain { .. })
+        ));
     }
 
     #[test]

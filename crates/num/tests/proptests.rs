@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use subcomp_num::linalg::lu::{inverse, solve, LuDecomposition};
 use subcomp_num::linalg::Matrix;
 use subcomp_num::optimize::{golden_max, maximize_scalar};
-use subcomp_num::roots::{brent, expand_upward, solve_increasing, Bracket};
+use subcomp_num::roots::{brent, expand_upward, newton, solve_increasing, Bracket};
 use subcomp_num::stats::{quantile, Running};
 use subcomp_num::Tolerance;
 
@@ -68,6 +68,35 @@ proptest! {
             "root {} found {} (err {:.2e})", root, r.x, (r.x - root).abs()
         );
         prop_assert!(f(r.x).abs() < 1e-5, "residual {:.2e}", f(r.x));
+    }
+
+    #[test]
+    fn newton_random_increasing_functions(
+        root in -5.0f64..500.0,
+        lin in 0.05f64..20.0,
+        cub in 0.0f64..5.0,
+        atn in 0.0f64..10.0,
+        lo_off in 0.01f64..50.0,
+        hi_off in 0.01f64..50.0,
+        start in 0.0f64..1.0,
+        open_top in 0u32..2,
+    ) {
+        // The family above with its slope: safeguarded Newton converges to
+        // the bracketed root from any start inside the bracket, and with
+        // no finite upper end.
+        let mut f = move |x: f64| {
+            let d = x - root;
+            (lin * d + cub * d * d * d + atn * d.atan(), lin + 3.0 * cub * d * d + atn / (1.0 + d * d))
+        };
+        let (lo, hi) = (root - lo_off, root + hi_off);
+        let x0 = lo + start * (hi - lo);
+        let top = if open_top == 1 { f64::INFINITY } else { hi };
+        let r = newton(&mut f, x0, Some(Bracket::new(lo, top)), Tolerance::tight()).unwrap();
+        prop_assert!(
+            (r.x - root).abs() < 1e-9 * (1.0 + root.abs()),
+            "root {} found {} (err {:.2e})", root, r.x, (r.x - root).abs()
+        );
+        prop_assert!(r.iterations <= 60, "{} iterations", r.iterations);
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod prelude {
 /// | paper result | implementation | verified by |
 /// |---|---|---|
 /// | Definition 1 (utilization) | [`model::system::System::solve_state`] | `system` tests; `tests/properties.rs` |
-/// | Lemma 1 (uniqueness) | [`num::roots::solve_increasing`] over the gap function | `lemma1_unique_utilization_fixed_point` |
+/// | Lemma 1 (uniqueness) | [`model::system::System::solve_phi_with`]: seeded Newton on the gap function, bracketed by `[0, Φ(peak, µ)]` | `lemma1_unique_utilization_fixed_point`; `phi_solve.rs` against the [`num::roots::solve_increasing`] Brent oracle |
 /// | Lemma 2 (aggregation) | [`model::aggregation`] | `lemma2_rescaling_is_invisible` property test |
 /// | Theorem 1 (capacity/user effects) | [`model::effects::SystemEffects`] | finite-difference cross-checks |
 /// | Definition 2 (elasticity) | [`model::elasticity`] | closed-form vs numeric tests |
