@@ -29,12 +29,14 @@
 //!
 //! * `server/sharded/S{1,2,4}/{p50,p99,throughput}` — the multi-market
 //!   interleaved stream (8 resident §5 markets) through a
-//!   [`ShardedServer`] at 1, 2 and 4 worker shards; read-latency
-//!   quantiles plus sustained inverse throughput over all requests.
+//!   [`ShardedServer`] at 1, 2 and 4 shards; read-latency quantiles plus
+//!   sustained inverse throughput over all requests. The fleet serves in
+//!   the caller's thread, so the shard count only regroups the same work.
 //! * `server/sharded/read_path/{locked,lockfree}` — median ns for the
-//!   same already-cached equilibrium read answered through the owning
-//!   shard's channel round-trip (`serve_direct`, `Source::CacheHit`) vs
-//!   the router's lock-free snapshot-index path (`Source::LockFree`).
+//!   same already-cached equilibrium read answered by the market's
+//!   resident server (`serve_direct`: a fingerprint pass and a cache hit,
+//!   `Source::CacheHit`) vs the router's published slot
+//!   (`Source::LockFree`).
 
 use std::time::Instant;
 use subcomp_core::game::SubsidyGame;
@@ -150,9 +152,9 @@ fn section5_markets(n: usize) -> Vec<(u64, SubsidyGame)> {
 }
 
 /// The multi-market interleaved stream through the sharded router at
-/// S = 1, 2, 4 worker shards. Per-market traffic is bit-identical across
-/// the three runs (the loadgen contract), so the ids differ only by the
-/// serving topology.
+/// S = 1, 2, 4 shards. Per-market traffic is bit-identical across the
+/// three runs (the loadgen contract), so the ids differ only by the
+/// market → shard grouping.
 fn bench_sharded(_c: &mut Criterion) {
     let requests = if quick() { 120 } else { 2_500 }; // per market
     let markets = 8;
@@ -189,8 +191,8 @@ fn bench_sharded(_c: &mut Criterion) {
 }
 
 /// Reading the *same* already-cached equilibrium two ways: through the
-/// owning shard's channel round-trip vs the router's lock-free snapshot
-/// index. The source assertions keep both loops honest.
+/// market's resident server vs the router's published slot. The source
+/// assertions keep both loops honest.
 fn bench_read_path(_c: &mut Criterion) {
     let reads = if quick() { 1_000 } else { 30_000 };
     let mut server = ShardedServer::new(section5_markets(1), &ShardedConfig::default())
@@ -227,11 +229,11 @@ fn bench_read_path(_c: &mut Criterion) {
 
 /// The fault-recovery paths, timed end to end:
 ///
-/// * `server/recovery/restart/*` — one whole-shard kill through the
-///   router's channel-failure path: reap the dead thread, retract,
-///   respawn, rehydrate every resident market (4 markets, 2 shards).
-///   The timed call is the sabotaged serve itself, which returns the
-///   typed `ShardRestarted` only after recovery completed.
+/// * `server/recovery/restart/*` — one shard kill: drop the killed
+///   shard's resident servers and empty their slots, then rebuild every
+///   resident market from its mirror and published pair (4 markets, 2
+///   shards). The timed call is the sabotaged serve itself, which returns
+///   the typed `ShardRestarted` only after recovery completed.
 /// * `server/recovery/degraded/*` — one budget-starved solve: a
 ///   one-sweep [`SolveBudget`] forces the deterministic partial-answer
 ///   path (best iterate + residual, never cached), the latency floor a

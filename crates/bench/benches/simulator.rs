@@ -111,8 +111,8 @@ fn bench_adoption_loop(c: &mut Criterion) {
     let mut cold = build(users);
     g.bench_function("loop_cold", |b| {
         b.iter(|| {
-            // Cooling is part of driving the cold regime; its cost (one
-            // channel round-trip) is dwarfed by the cold solve it forces.
+            // Cooling is part of driving the cold regime; its cost (a
+            // cache wipe) is dwarfed by the cold solve it forces.
             cold.cool().unwrap();
             cold.tick().unwrap().adopted
         })

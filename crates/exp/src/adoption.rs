@@ -9,9 +9,9 @@
 //! adoption cohort**):
 //!
 //! 1. **Externality read.** Each tick reads the cohort's current
-//!    equilibrium — lock-free out of the router's published
-//!    [`SnapshotIndex`] entry when the parameterization is unchanged,
-//!    through the shard otherwise — and turns it into the tick's
+//!    equilibrium — lock-free out of the market's published slot when
+//!    the parameterization is unchanged, through its resident server
+//!    otherwise — and turns it into the tick's
 //!    [`TickDrive`]: effective price `t_eff_i = max(p − s_i, 0)` and
 //!    externality gain `gain_i = 1 + γ·θ_i` (adoption begets adoption:
 //!    higher served throughput raises every valuation).
@@ -38,9 +38,8 @@
 //! cohort's trajectory is bit-identical whatever other cohorts run
 //! beside it (and whatever the shard or thread counts are) — the
 //! cohort-isolation leg of the determinism tier in
-//! `tests/adoption_tier.rs`.
-//!
-//! [`SnapshotIndex`]: subcomp_core::snapshot::SnapshotIndex
+//! `tests/adoption_tier.rs`. The server runs in the ticking thread and
+//! serves the cohorts one after another.
 
 use crate::server::sharded::{ShardedConfig, ShardedServer};
 use crate::server::{Reply, Request, ServeError, ServeResult, Source};
@@ -133,7 +132,8 @@ pub struct LoopConfig {
     /// Arm the server's tangent seed (`Request::Sensitivity`) before
     /// each µ write so re-solves ride the predictor-corrector.
     pub seed_tangent: bool,
-    /// Worker shards of the sharded server.
+    /// Shards of the sharded server (fault domains and report groups;
+    /// they never change a reply).
     pub shards: usize,
 }
 
@@ -299,10 +299,11 @@ impl AdoptionLoop {
         })
     }
 
-    /// Advances every cohort by one closed-loop tick. Allocation-free
-    /// after warm-up when the tick stays on the resident paths (serial
-    /// block fan-out, no tangent seeding, no demand write-back tick) —
-    /// the contract pinned in `tests/alloc_free.rs`.
+    /// Advances every cohort by one closed-loop tick. Allocation-free,
+    /// market server included, once the fingerprint caches have started
+    /// evicting, when the tick stays on the resident paths (serial block
+    /// fan-out, no tangent seeding, no demand write-back tick) — the
+    /// contract pinned in `tests/alloc_free.rs`.
     pub fn tick(&mut self) -> ServeResult<TickSummary> {
         self.tick += 1;
         let tick = self.tick;
@@ -313,7 +314,7 @@ impl AdoptionLoop {
         let sources = &mut self.sources;
         for cohort in &mut self.cohorts {
             // 1. Externality read: lock-free when published, served
-            // through the shard otherwise.
+            // through the market's server otherwise.
             let snap = match server.read_cached(cohort.market) {
                 Some(snap) => {
                     sources.lockfree += 1;

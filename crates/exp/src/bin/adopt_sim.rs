@@ -32,7 +32,8 @@
 //!   `--cohorts C`       adoption cohorts = resident markets (default 1)
 //!   `--chunk K`         users per SoA block (default 16384)
 //!   `--threads W`       block fan-out threads, 1 = serial (default 1)
-//!   `--shards S`        worker shards of the server (default 1)
+//!   `--shards S`        shards of the server: fault domains and report
+//!                       groups (default 1)
 //!   `--seed S`          master seed (default 7)
 //!   `--gamma G`         externality strength in `gain = 1 + γ·θ` (default 0.5)
 //!   `--eta E`           load sensitivity in `µ = µ_base/(1+η·load)` (default 0.3)

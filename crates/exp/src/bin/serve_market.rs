@@ -4,14 +4,15 @@
 //! Stands up a [`ShardedServer`] over one or more resident copies of the
 //! paper's §5 market and drives it with the stream-split load generator:
 //! mixed read/update traffic over a hot-key table with Zipf-like skew,
-//! interleaved across markets, each market pinned to a worker shard by
-//! stable hash. The report shows how the request mix decomposed into
-//! answer sources (lock-free / cache hit / tangent / warm / cold /
-//! partial), the per-shard counters, a failure summary by typed error
-//! kind and by market, and a bit-level response checksum — everything
-//! above the `timing` line is deterministic for a given configuration,
-//! so the output diffs cleanly across machines *and across shard counts*
-//! (per-market streams and replies do not depend on `--shards`).
+//! interleaved across markets, each market pinned to a shard (a fault
+//! domain and report group) by stable hash. The report shows how the
+//! request mix decomposed into answer sources (lock-free / cache hit /
+//! tangent / warm / cold / partial), the per-shard counters, a failure
+//! summary by typed error kind and by market, and a bit-level response
+//! checksum — everything above the `timing` line is deterministic for a
+//! given configuration, so the output diffs cleanly across machines *and
+//! across shard counts* (per-market streams and replies do not depend on
+//! `--shards`; only the `config:` and per-shard lines do).
 //!
 //! With `--chaos SEED` the same workload runs under the deterministic
 //! fault harness instead: panics, shard kills, NaN-poisoned curves and
@@ -26,7 +27,7 @@
 //! Options (all with defaults):
 //!   `--requests N`      requests to serve per market (default 2000)
 //!   `--markets M`       resident markets (default 1)
-//!   `--shards S`        worker shards (default 1)
+//!   `--shards S`        shards: fault domains and report groups (default 1)
 //!   `--keys K`          hot operating points (default 8)
 //!   `--skew Z`          Zipf-like skew over the keys (default 1.0)
 //!   `--read-frac F`     probability a step is a plain read (default 0.8)

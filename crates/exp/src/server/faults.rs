@@ -8,10 +8,11 @@
 //! surface:
 //!
 //! * [`FaultKind::Panic`] — the request at the event's stream index
-//!   panics inside the shard's per-request guard (market-scoped
-//!   recovery: that one resident server is rebuilt).
-//! * [`FaultKind::Kill`] — the serving shard thread dies outright
-//!   (channel-failure recovery: restart plus fleet-wide rehydration).
+//!   panics inside the per-request guard (market-scoped recovery: that
+//!   one resident server is rebuilt).
+//! * [`FaultKind::Kill`] — the request's whole shard goes down, every
+//!   resident server on it lost (fleet-wide recovery: every market is
+//!   rebuilt).
 //! * [`FaultKind::NanCurve`] — a market's demand curve is swapped for a
 //!   wrapper that answers `NaN` above an effective price the solver
 //!   never reaches but the fingerprint probes do, so the poison is
@@ -77,7 +78,7 @@ pub const STARVE_SWEEPS: usize = 1;
 pub enum FaultKind {
     /// Panic while serving the request at this index (per-request guard).
     Panic,
-    /// Kill the serving shard thread at this index.
+    /// Kill the shard of the request at this index.
     Kill,
     /// Swap `market`'s demand curve for the NaN-above-threshold wrapper.
     NanCurve {
@@ -300,7 +301,7 @@ pub struct ChaosReport {
     pub failed: usize,
     /// Scheduled fault events (including paired heals).
     pub injected: usize,
-    /// Whole-shard restarts the router performed.
+    /// Shard kills the router recovered from.
     pub shard_restarts: u64,
     /// Resident market servers rebuilt from mirrors.
     pub market_rebuilds: u64,
@@ -320,7 +321,8 @@ pub struct ChaosReport {
 /// workload, and the fault seed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChaosConfig {
-    /// Worker shards.
+    /// Shards: fault domains and report groups (the report is invariant
+    /// to their count).
     pub shards: usize,
     /// Warm workspaces per resident market.
     pub pool: usize,

@@ -58,11 +58,12 @@ pub type ServeResult<T> = Result<T, ServeError>;
 /// subsequent requests.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServeError {
-    /// The owning shard died while this request was in flight; it has
-    /// been respawned and its markets rehydrated, but this request was
-    /// lost. Retrying is safe.
+    /// The request's market lost its resident server while the request
+    /// was in flight — a panic while serving it, or a kill of its shard.
+    /// The router has rebuilt the market from its mirror (every market,
+    /// after a kill), but this request was lost. Retrying is safe.
     ShardRestarted {
-        /// The shard that was restarted.
+        /// The shard of the lost market.
         shard: usize,
     },
     /// The market is quarantined after repeated budget blowouts; reads
@@ -119,8 +120,8 @@ pub enum Request {
 /// Which path produced an equilibrium answer, from cheapest to dearest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Source {
-    /// Served lock-free out of the shared snapshot index by the sharded
-    /// router — the owning shard's solver state was never consulted.
+    /// Served by the sharded router out of the market's published slot —
+    /// the market's resident server was never consulted.
     LockFree,
     /// Fingerprint cache hit — no solve at all.
     CacheHit,
@@ -480,21 +481,6 @@ impl EquilibriumServer {
         Ok((reply, source))
     }
 
-    /// Answers the equilibrium plus `∂s*/∂axis`, and stores the derivative
-    /// as a tangent seed for subsequent small writes along `axis`.
-    pub fn sensitivity(&mut self, axis: Axis) -> NumResult<(Vec<f64>, Arc<EqSnapshot>, Source)> {
-        let (snap, source) = self.equilibrium()?;
-        let ds = Sensitivity::directional(&mut self.game, snap.subsidies(), axis)?;
-        self.stats.sensitivities += 1;
-        self.seed = Some(TangentSeed {
-            axis,
-            at: axis.value(&self.game),
-            ds: ds.clone(),
-            base_key: self.base.expect("equilibrium just answered"),
-        });
-        Ok((ds, snap, source))
-    }
-
     /// Forgets all warm state (slot iterates, tangent seed, dirty
     /// tracking) without touching the cache — benches use this to force
     /// cold solves.
@@ -521,15 +507,15 @@ impl EquilibriumServer {
 
     /// The fingerprint of the last answered (full) equilibrium, if the
     /// parameterization has not been written since — the key the sharded
-    /// tier publishes snapshots under, so a respawned shard can preload
+    /// tier publishes snapshots under, so a rebuilt server can preload
     /// the same (key, snapshot) pair via [`EquilibriumServer::preload`].
     pub fn current_key(&self) -> Option<u64> {
         self.base
     }
 
     /// Seeds the fingerprint cache with an externally held answer (the
-    /// supervision layer's rehydration path: the last *published* snapshot
-    /// of a market whose shard died). The snapshot is inserted as-is; a
+    /// supervision layer's rebuild path: the last *published* snapshot of
+    /// a market whose shard was killed). The snapshot is inserted as-is; a
     /// subsequent read whose parameterization fingerprints to `key` is a
     /// bit-identical cache hit instead of a fresh solve.
     pub fn preload(&mut self, key: u64, snap: Arc<EqSnapshot>) {

@@ -1,77 +1,67 @@
 //! Sharded multi-market serving: session multiplexing over resident
-//! markets with a lock-free read path and supervised fault recovery.
+//! markets with a published-snapshot read path and supervised fault
+//! recovery.
 //!
-//! [`ShardedServer`] hosts many resident markets on `S` worker shards,
-//! each shard a thread owning a full [`EquilibriumServer`] per market it
-//! is pinned to — resident [`SubsidyGame`], warm workspace pool,
-//! fingerprint cache, tangent ladder, all of it. The router in front
-//! does three things:
+//! [`ShardedServer`] owns a full [`EquilibriumServer`] per resident
+//! market — resident [`SubsidyGame`], warm workspace pool, fingerprint
+//! cache, tangent ladder, all of it — and serves every request in the
+//! caller's thread. Each market is pinned to one of `S` shards by stable
+//! hash (FNV-1a over the id, mod `S`). A shard is a fault domain and a
+//! report group, not a thread: a [`Sabotage::Kill`] takes down every
+//! resident server on one shard, and [`ShardedServer::shard_reports`]
+//! sums counters per shard. The router in front does three things:
 //!
-//! * **Pins each market/session id to a shard by stable hash** (FNV-1a
-//!   over the id, mod `S`), and serves every request for a market
-//!   synchronously through its shard's command channel — so per-market
-//!   request order is preserved exactly, and a market's replies are
-//!   bit-identical to a standalone `EquilibriumServer` fed the same
-//!   subsequence, **whatever the shard count** (markets never share
-//!   solver state, caches or workspaces; a shard is an execution host,
-//!   nothing more).
-//! * **Serves pure reads of already-published equilibria lock-free**:
-//!   after a shard answers an equilibrium or sensitivity read, it
-//!   publishes the answering snapshot (keyed by its fingerprint) into a
-//!   shared [`SnapshotIndex`] (and retracts the market on any write)
-//!   *before* replying. A later `Request::Equilibrium` for that market is
-//!   then answered by the router as an `Arc` clone out of the index —
-//!   [`Source::LockFree`], one atomic generation check plus a hash
-//!   lookup, never touching the owning shard's solver state or its
-//!   queue.
-//! * **Supervises its shards.** Each request is served under
+//! * **Serves each market's requests in order**, one call at a time, so
+//!   a market's replies are bit-identical to a standalone
+//!   `EquilibriumServer` fed the same subsequence, **whatever the shard
+//!   count** (markets never share solver state, caches or workspaces).
+//! * **Serves pure reads of already-answered equilibria from a published
+//!   slot**: after a market answers an equilibrium or sensitivity read in
+//!   full, its slot holds the answering snapshot keyed by its
+//!   fingerprint, and any write, error, partial answer or cool empties
+//!   it. A later `Request::Equilibrium` for that market is answered as an
+//!   `Arc` clone of the slot — [`Source::LockFree`], one hash lookup,
+//!   never touching the market's solver state.
+//! * **Supervises its markets.** Each request is served under
 //!   `catch_unwind`: a panic confined to one request drops that market's
-//!   resident server, retracts its published answer, and rebuilds the
-//!   market from the router's mirror — the in-flight request fails with
-//!   the typed [`ServeError::ShardRestarted`], never a hung channel. A
-//!   panic that kills the whole shard thread (detected as a channel
-//!   failure) triggers a full restart: the dead thread is reaped, its
-//!   published entries retracted, the shard respawned, and **every**
-//!   market rehydrated from its mirror plus its last published
-//!   `EqSnapshot` (cold-solve fallback when nothing is published).
+//!   resident server, empties its slot, and rebuilds the market from the
+//!   router's mirror — the in-flight request fails with the typed
+//!   [`ServeError::ShardRestarted`]. A kill drops every resident server
+//!   on its shard and empties their slots, then rebuilds **every** market
+//!   from its mirror plus the pair it had published before the kill
+//!   (cold-solve fallback when nothing was published).
 //!
-//! **Recovery canonicalization.** A whole-shard kill rehydrates *all*
-//! markets, not just the dead shard's. This is deliberate: which markets
-//! share a shard depends on the shard count, so a recovery that rebuilt
-//! only the dead shard's markets would leave different warm state at
-//! different `S` — and the post-recovery reply stream would stop being
-//! bit-identical across shard counts. Rehydrating everything resets every
-//! market to the same canonical state — a pure function of its mirror
-//! game and its last published (fingerprint, snapshot) pair, both of
-//! which are shard-count-invariant — so the determinism contract
-//! survives the fault. A per-request panic needs no such sweep: it
-//! rebuilds exactly one market, which is invariant by itself.
+//! **Recovery canonicalization.** A kill rebuilds *all* markets, not just
+//! the dead shard's. This is deliberate: which markets share a shard
+//! depends on the shard count, so a recovery that rebuilt only the dead
+//! shard's markets would leave different warm state at different `S` —
+//! and the post-recovery reply stream would stop being bit-identical
+//! across shard counts. Rebuilding everything resets every market to the
+//! same canonical state — a pure function of its mirror game and its last
+//! published (fingerprint, snapshot) pair, both of which are
+//! shard-count-invariant — so the determinism contract survives the
+//! fault. A per-request panic needs no such sweep: it rebuilds exactly
+//! one market, which is invariant by itself.
 //!
-//! The lock-free path is **deterministic** under the synchronous serve
-//! discipline: publication happens before the shard's reply is sent, the
-//! channel reply synchronizes-with the router's receive, and only the
-//! market's own requests can change its published entry — so whether a
-//! given request fires the fast path is a pure function of the request
-//! stream, independent of shard count and thread timing. It is also
-//! **answer-preserving**: the fast path fires only when the owning
+//! The published-slot path is **deterministic**: only a market's own
+//! requests change its slot, so whether a given request takes the path
+//! is a pure function of the request stream, independent of shard count.
+//! It is also **answer-preserving**: the slot is filled only while the
 //! market server's last answer for the current parameterization is still
-//! current (any intervening write retracted the entry), and a skipped
-//! cache-hit request would not have changed that server's solver state —
-//! so the served bits match the standalone serve exactly. What *does*
-//! diverge is bookkeeping: requests absorbed by the router never reach
-//! the shard, so per-shard `ServerStats`/cache counters count only the
-//! traffic the shard actually saw, and the router tallies
-//! [`ShardedServer::lockfree_hits`] separately.
-//!
-//! [`SnapshotIndex`]: subcomp_core::snapshot::SnapshotIndex
+//! current (any intervening write emptied it), and a skipped cache-hit
+//! request would not have changed that server's solver state — so the
+//! served bits match the standalone serve exactly. What *does* diverge is
+//! bookkeeping: requests absorbed by the router never reach the market's
+//! server, so its `ServerStats`/cache counters count only the traffic it
+//! actually saw, and the router tallies [`ShardedServer::lockfree_hits`]
+//! separately.
 
 use std::collections::HashMap;
-use std::sync::mpsc::{Receiver, SyncSender};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use subcomp_core::game::SubsidyGame;
-use subcomp_core::snapshot::{EqSnapshot, SnapshotIndex, SnapshotReader};
+use subcomp_core::snapshot::EqSnapshot;
 use subcomp_core::workspace::SolveBudget;
 use subcomp_num::error::{NumError, NumResult};
 
@@ -97,7 +87,8 @@ pub fn shard_of_market(market: u64, shards: usize) -> usize {
 /// Construction parameters of a [`ShardedServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardedConfig {
-    /// Worker shards (threads). At least 1.
+    /// Shards: the fault domains a kill takes down whole, and the groups
+    /// [`ShardedServer::shard_reports`] sums over. At least 1.
     pub shards: usize,
     /// Warm workspaces per resident market.
     pub pool: usize,
@@ -112,10 +103,10 @@ impl Default for ShardedConfig {
 }
 
 /// Injected misbehaviour riding on a single serve call — the fault
-/// harness's hook into the shard loop. [`Sabotage::Panic`] panics
+/// harness's hook into the serve path. [`Sabotage::Panic`] panics
 /// *inside* the per-request `catch_unwind` guard (market-scoped
-/// recovery); [`Sabotage::Kill`] panics *outside* it, taking the whole
-/// shard thread down (channel-failure recovery).
+/// recovery); [`Sabotage::Kill`] takes down the request's whole shard
+/// before it is served (fleet-wide recovery).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Sabotage {
     /// No fault: serve normally.
@@ -123,7 +114,7 @@ pub enum Sabotage {
     None,
     /// Panic while serving this request, inside the per-request guard.
     Panic,
-    /// Kill the shard thread before serving this request.
+    /// Kill the request's shard before serving this request.
     Kill,
 }
 
@@ -133,7 +124,7 @@ pub enum Sabotage {
 pub struct ShardReport {
     /// Shard index (0-based).
     pub shard: usize,
-    /// Resident markets pinned to this shard.
+    /// Resident market servers on this shard.
     pub markets: usize,
     /// Markets currently quarantined on this shard.
     pub quarantined: usize,
@@ -144,80 +135,34 @@ pub struct ShardReport {
     pub cache: CacheStats,
 }
 
-/// Commands the router sends a shard. Every command gets exactly one
-/// reply on the shard's response channel (unless the command kills the
-/// shard, which the router observes as a channel failure).
-enum ShardCmd {
-    Serve { market: u64, req: Request, sabotage: Sabotage },
-    Submit { market: u64, game: Box<SubsidyGame> },
-    SetBudget { market: u64, budget: SolveBudget },
-    Cool { market: u64 },
-    Rehydrate(Box<Rehydrate>),
-    Peek { market: u64 },
-    Report,
-    Shutdown,
-}
+/// A published (fingerprint, snapshot) pair. The fingerprint names the
+/// parameterization the snapshot answers, so recovery can preload a
+/// rebuilt server's cache under the right key.
+type Published = Option<(u64, Arc<EqSnapshot>)>;
 
-/// The rehydration payload: everything a shard needs to rebuild one
-/// resident market to its canonical post-fault state.
-struct Rehydrate {
-    market: u64,
-    game: SubsidyGame,
-    budget: SolveBudget,
-    /// The market's last published (fingerprint, snapshot), if any — the
-    /// rebuilt server preloads its cache with it so unchanged
-    /// parameterizations stay bit-identical cache hits.
-    published: Option<(u64, Arc<EqSnapshot>)>,
-}
-
-/// Shard → router replies, matched 1:1 with commands.
-enum ShardReply {
-    Served(ServeResult<Reply>),
-    /// The request panicked inside the per-request guard; the market's
-    /// resident server was dropped and its published entry retracted.
-    Panicked,
-    Configured,
-    Rehydrated,
-    Peeked(Option<Arc<EqSnapshot>>),
-    Reported {
-        markets: usize,
-        quarantined: usize,
-        stats: ServerStats,
-        cache: CacheStats,
-    },
-    Stopping,
-}
-
-struct ShardHandle {
-    cmd: SyncSender<ShardCmd>,
-    resp: Receiver<ShardReply>,
-    thread: Option<JoinHandle<()>>,
-}
-
-/// The router's authoritative record of one market, independent of any
-/// shard thread's fate: the game as currently parameterized (updated on
-/// every acknowledged write/submit) and the budget in force. Recovery
-/// rebuilds resident servers from exactly this.
-struct MarketMirror {
+/// One resident market. `game` and `budget` are the router's mirror —
+/// the game as currently parameterized (updated on every acknowledged
+/// write and submit) and the budget in force — which every rebuild
+/// starts from, whatever happened to `server`.
+struct Market {
     shard: usize,
     game: SubsidyGame,
     budget: SolveBudget,
-}
-
-fn closed(context: &'static str) -> NumError {
-    NumError::Empty { what: context }
+    /// `None` only after a rebuild itself panicked; a submit
+    /// re-provisions it.
+    server: Option<EquilibriumServer>,
+    /// The last full answer at the current parameterization — what
+    /// [`ShardedServer::serve`] answers equilibrium reads from.
+    published: Published,
 }
 
 /// The sharded multi-market service. See the module docs for the design.
 pub struct ShardedServer {
-    shards: Vec<ShardHandle>,
-    /// market id → mirror (pinning + canonical game + budget).
-    markets: HashMap<u64, MarketMirror>,
-    index: SnapshotIndex,
-    reader: SnapshotReader,
-    lockfree_hits: u64,
+    markets: HashMap<u64, Market>,
+    shards: usize,
     pool: usize,
     cache: usize,
+    lockfree_hits: u64,
     shard_restarts: u64,
     market_rebuilds: u64,
 }
@@ -225,7 +170,7 @@ pub struct ShardedServer {
 impl std::fmt::Debug for ShardedServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedServer")
-            .field("shards", &self.shards.len())
+            .field("shards", &self.shards)
             .field("markets", &self.markets.len())
             .field("lockfree_hits", &self.lockfree_hits)
             .field("shard_restarts", &self.shard_restarts)
@@ -235,9 +180,9 @@ impl std::fmt::Debug for ShardedServer {
 }
 
 impl ShardedServer {
-    /// Builds the service over `markets` (id, game) pairs with `cfg.shards`
-    /// worker threads. Ids must be unique; each market becomes a full
-    /// resident [`EquilibriumServer`] on its pinned shard.
+    /// Builds the service over `markets` (id, game) pairs on `cfg.shards`
+    /// shards. Ids must be unique; each market becomes a full resident
+    /// [`EquilibriumServer`] pinned to its shard.
     pub fn new(markets: Vec<(u64, SubsidyGame)>, cfg: &ShardedConfig) -> NumResult<ShardedServer> {
         if cfg.shards == 0 {
             return Err(NumError::Domain { what: "sharded server: shards", value: 0.0 });
@@ -245,44 +190,36 @@ impl ShardedServer {
         if markets.is_empty() {
             return Err(NumError::Empty { what: "sharded server: markets" });
         }
-        let mut mirrors: HashMap<u64, MarketMirror> = HashMap::with_capacity(markets.len());
-        let mut per_shard: Vec<Vec<(u64, EquilibriumServer)>> =
-            (0..cfg.shards).map(|_| Vec::new()).collect();
+        let mut resident = HashMap::with_capacity(markets.len());
         for (id, game) in markets {
-            let shard = shard_of_market(id, cfg.shards);
-            let mirror =
-                MarketMirror { shard, game: game.clone(), budget: SolveBudget::unlimited() };
-            if mirrors.insert(id, mirror).is_some() {
+            let market = Market {
+                shard: shard_of_market(id, cfg.shards),
+                server: Some(EquilibriumServer::new(game.clone(), cfg.pool, cfg.cache)),
+                game,
+                budget: SolveBudget::unlimited(),
+                published: None,
+            };
+            if resident.insert(id, market).is_some() {
                 return Err(NumError::Domain {
                     what: "sharded server: duplicate market id",
                     value: id as f64,
                 });
             }
-            per_shard[shard].push((id, EquilibriumServer::new(game, cfg.pool, cfg.cache)));
         }
-
-        let index = SnapshotIndex::new();
-        let reader = index.reader();
-        let shards = per_shard
-            .into_iter()
-            .map(|servers| spawn_shard(servers, index.clone(), cfg.pool, cfg.cache))
-            .collect();
         Ok(ShardedServer {
-            shards,
-            markets: mirrors,
-            index,
-            reader,
-            lockfree_hits: 0,
+            markets: resident,
+            shards: cfg.shards,
             pool: cfg.pool,
             cache: cfg.cache,
+            lockfree_hits: 0,
             shard_restarts: 0,
             market_rebuilds: 0,
         })
     }
 
-    /// Number of worker shards.
+    /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.shards.len()
+        self.shards
     }
 
     /// Number of resident markets across all shards.
@@ -295,36 +232,30 @@ impl ShardedServer {
         self.markets.get(&market).map(|m| m.shard)
     }
 
-    /// Equilibrium reads the router answered lock-free, bypassing shards.
+    /// Equilibrium reads the router answered from a published slot,
+    /// bypassing the market's server.
     pub fn lockfree_hits(&self) -> u64 {
         self.lockfree_hits
     }
 
-    /// Whole-shard restarts performed (kill recovery).
+    /// Shard kills recovered from.
     pub fn shard_restarts(&self) -> u64 {
         self.shard_restarts
     }
 
     /// Resident market servers rebuilt from their mirrors — one per
-    /// per-request panic, plus every market on a whole-shard restart
-    /// (recovery canonicalization; see the module docs).
+    /// per-request panic, plus every market on a kill (recovery
+    /// canonicalization; see the module docs).
     pub fn market_rebuilds(&self) -> u64 {
         self.market_rebuilds
     }
 
-    /// A fresh detached reader over the shared snapshot index — the
-    /// retraction/generation test hook.
-    pub fn index_reader(&self) -> SnapshotReader {
-        self.index.reader()
-    }
-
-    /// Serves one request for `market`, trying the lock-free snapshot
-    /// path first for pure equilibrium reads and falling back to the
-    /// owning shard. Per-market order is preserved: the call returns
-    /// only after the request is fully answered.
+    /// Serves one request for `market`, answering pure equilibrium reads
+    /// from the published slot when it holds one and serving everything
+    /// else through the market's resident server.
     pub fn serve(&mut self, market: u64, req: Request) -> ServeResult<Reply> {
         if matches!(req, Request::Equilibrium) {
-            if let Some(snap) = self.reader.get(market) {
+            if let Some(snap) = self.read_cached(market) {
                 self.lockfree_hits += 1;
                 return Ok(Reply::Equilibrium { snap, source: Source::LockFree });
             }
@@ -332,15 +263,15 @@ impl ShardedServer {
         self.serve_with(market, req, Sabotage::None)
     }
 
-    /// Serves one request for `market` through its owning shard,
-    /// bypassing the lock-free fast path (benches compare the two).
+    /// Serves one request for `market` through its resident server,
+    /// bypassing the published slot (benches compare the two).
     pub fn serve_direct(&mut self, market: u64, req: Request) -> ServeResult<Reply> {
         self.serve_with(market, req, Sabotage::None)
     }
 
     /// Serves one request with injected sabotage — the fault harness's
-    /// entry point. Always goes to the shard (sabotage must reach the
-    /// request loop, so the lock-free fast path is bypassed).
+    /// entry point. Always goes to the resident server (sabotage must
+    /// reach the serve path, so the published slot is bypassed).
     pub fn serve_sabotaged(
         &mut self,
         market: u64,
@@ -351,386 +282,245 @@ impl ShardedServer {
     }
 
     fn serve_with(&mut self, market: u64, req: Request, sabotage: Sabotage) -> ServeResult<Reply> {
-        let shard = self.shard_checked(market)?;
-        match self.roundtrip(shard, ShardCmd::Serve { market, req, sabotage })? {
-            ShardReply::Served(result) => {
-                if let Ok(Reply::Updated { axis, value }) = &result {
-                    // Keep the mirror authoritative: replay the write the
-                    // shard just validated and applied.
-                    let mirror = self.markets.get_mut(&market).expect("pinned market");
-                    axis.apply(&mut mirror.game, *value)
-                        .expect("mirror accepts what its shard accepted");
-                }
-                result
-            }
-            ShardReply::Panicked => {
-                // Market-scoped recovery: the shard survived, the market's
-                // resident server did not. Rebuild it from the mirror
-                // (cold-solve fallback — the panic may have torn the
-                // published answer's provenance, so nothing is trusted).
-                self.market_rebuilds += 1;
-                self.rehydrate(market, None);
-                Err(ServeError::ShardRestarted { shard })
-            }
-            _ => Err(ServeError::Num(closed("sharded server: shard protocol desync"))),
+        let shard = self.market_mut(market)?.shard;
+        if sabotage == Sabotage::Kill {
+            self.kill_shard(shard);
+            return Err(ServeError::ShardRestarted { shard });
         }
+        let result = self.guarded(market, |server| {
+            if sabotage == Sabotage::Panic {
+                panic!("fault injection: request panic");
+            }
+            server.serve(req)
+        });
+        if let Ok(Reply::Updated { axis, value }) = &result {
+            // Keep the mirror authoritative: replay the write the server
+            // just validated and applied.
+            let mirror = &mut self.markets.get_mut(&market).expect("resident market").game;
+            axis.apply(mirror, *value).expect("the mirror accepts what its server accepted");
+        }
+        result
     }
 
     /// Replaces `market`'s resident game wholesale (and heals a
-    /// quarantine). The mirror adopts the game first, so a recovery
-    /// racing this submit still converges on the submitted game.
+    /// quarantine). The mirror adopts the game first, so any rebuild —
+    /// including re-provisioning a market that lost its server — starts
+    /// from the submitted game.
     pub fn submit(&mut self, market: u64, game: SubsidyGame) -> ServeResult<Reply> {
-        let shard = self.shard_checked(market)?;
-        self.markets.get_mut(&market).expect("pinned market").game = game.clone();
-        match self.roundtrip(shard, ShardCmd::Submit { market, game: Box::new(game) })? {
-            ShardReply::Served(result) => result,
-            _ => Err(ServeError::Num(closed("sharded server: shard protocol desync"))),
+        let resident = self.market_mut(market)?;
+        resident.game = game.clone();
+        if resident.server.is_none() {
+            return self.rebuild(market, None);
         }
+        self.guarded(market, |server| {
+            let (snap, source) = server.submit(game)?;
+            Ok(Reply::Equilibrium { snap, source })
+        })
     }
 
     /// Sets `market`'s per-solve sweep budget (mirrored for recovery).
     pub fn set_budget(&mut self, market: u64, budget: SolveBudget) -> ServeResult<()> {
-        let shard = self.shard_checked(market)?;
-        self.markets.get_mut(&market).expect("pinned market").budget = budget;
-        match self.roundtrip(shard, ShardCmd::SetBudget { market, budget })? {
-            ShardReply::Configured => Ok(()),
-            _ => Err(ServeError::Num(closed("sharded server: shard protocol desync"))),
+        let resident = self.market_mut(market)?;
+        resident.budget = budget;
+        if let Some(server) = &mut resident.server {
+            server.set_budget(budget);
         }
+        Ok(())
     }
 
     /// Drops every warm-start artifact of `market` — the resident
     /// server's workspace seeds, tangent seed and fingerprint cache, and
-    /// the router's lock-free index entry — so its next equilibrium
-    /// request solves cold through the full shard path. The benchmark
-    /// control for warm-vs-cold comparisons (the adoption loop's
-    /// `loop_cold` id); the resident game itself is untouched.
+    /// its published slot — so its next equilibrium request solves cold.
+    /// The benchmark control for warm-vs-cold comparisons (the adoption
+    /// loop's `loop_cold` id); the resident game itself is untouched.
     pub fn cool_market(&mut self, market: u64) -> ServeResult<()> {
-        let shard = self.shard_checked(market)?;
-        match self.roundtrip(shard, ShardCmd::Cool { market })? {
-            ShardReply::Configured => Ok(()),
-            _ => Err(ServeError::Num(closed("sharded server: shard protocol desync"))),
+        let resident = self.market_mut(market)?;
+        if let Some(server) = &mut resident.server {
+            server.cool();
+            server.invalidate_cache();
         }
+        resident.published = None;
+        Ok(())
     }
 
-    /// The pure lock-free read: the published snapshot for `market`, if
-    /// any — one atomic generation check plus a hash lookup and an `Arc`
-    /// clone, no shard round-trip, no lock in the steady state.
+    /// The published snapshot for `market`, if any — one hash lookup and
+    /// an `Arc` clone, without touching the market's server.
     pub fn read_cached(&mut self, market: u64) -> Option<Arc<EqSnapshot>> {
-        self.reader.get(market)
+        let (_, snap) = self.markets.get(&market)?.published.as_ref()?;
+        Some(Arc::clone(snap))
     }
 
-    /// The owning shard's resident cache entry for `market` as currently
+    /// The resident server's cache entry for `market` as currently
     /// parameterized (counterless introspection via
     /// [`EquilibriumServer::peek_current`]) — identity tests compare it
     /// with [`ShardedServer::read_cached`] by `Arc::ptr_eq`.
     pub fn peek_shard_cache(&mut self, market: u64) -> ServeResult<Option<Arc<EqSnapshot>>> {
-        let shard = self.shard_checked(market)?;
-        match self.roundtrip(shard, ShardCmd::Peek { market })? {
-            ShardReply::Peeked(snap) => Ok(snap),
-            _ => Err(ServeError::Num(closed("sharded server: shard protocol desync"))),
-        }
+        Ok(self.market_mut(market)?.server.as_ref().and_then(|s| s.peek_current()))
     }
 
     /// Per-shard aggregate counters, in shard order — the deterministic
     /// per-shard section of the `serve_market` report.
     pub fn shard_reports(&mut self) -> ServeResult<Vec<ShardReport>> {
-        (0..self.shards.len())
-            .map(|shard| match self.roundtrip(shard, ShardCmd::Report)? {
-                ShardReply::Reported { markets, quarantined, stats, cache } => {
-                    Ok(ShardReport { shard, markets, quarantined, stats, cache })
-                }
-                _ => Err(ServeError::Num(closed("sharded server: shard protocol desync"))),
+        let mut reports: Vec<ShardReport> = (0..self.shards)
+            .map(|shard| ShardReport {
+                shard,
+                markets: 0,
+                quarantined: 0,
+                stats: ServerStats::default(),
+                cache: CacheStats::default(),
             })
-            .collect()
+            .collect();
+        // Addition commutes, so the map's iteration order cannot reach
+        // the sums.
+        for market in self.markets.values() {
+            let Some(server) = &market.server else { continue };
+            let r = &mut reports[market.shard];
+            r.markets += 1;
+            r.quarantined += usize::from(server.is_quarantined());
+            let s = server.stats();
+            r.stats.updates += s.updates;
+            r.stats.equilibria += s.equilibria;
+            r.stats.sensitivities += s.sensitivities;
+            r.stats.cache_hits += s.cache_hits;
+            r.stats.tangent_solves += s.tangent_solves;
+            r.stats.warm_solves += s.warm_solves;
+            r.stats.cold_solves += s.cold_solves;
+            r.stats.partial_solves += s.partial_solves;
+            let c = server.cache_stats();
+            r.cache.hits += c.hits;
+            r.cache.misses += c.misses;
+            r.cache.insertions += c.insertions;
+            r.cache.evictions += c.evictions;
+            r.cache.len += c.len;
+            r.cache.capacity += c.capacity;
+        }
+        Ok(reports)
     }
 
-    /// One synchronous command/reply exchange with `shard`. A channel
-    /// failure means the shard thread is dead: the router restarts it,
-    /// rehydrates the fleet (see the module docs on canonicalization),
-    /// and reports the in-flight request as [`ServeError::ShardRestarted`].
-    fn roundtrip(&mut self, shard: usize, cmd: ShardCmd) -> ServeResult<ShardReply> {
-        let sent = self.shards[shard].cmd.send(cmd).is_ok();
-        let reply = if sent { self.shards[shard].resp.recv().ok() } else { None };
-        match reply {
-            Some(reply) => Ok(reply),
-            None => {
-                self.restart_shard(shard);
+    /// Runs `op` on market `id`'s resident server under `catch_unwind`
+    /// and applies the publish/retract rule to its slot. A caught panic
+    /// drops the server (its invariants may be torn mid-panic), rebuilds
+    /// the market from its mirror with the cold-solve fallback (the panic
+    /// may have torn the published answer's provenance, so nothing is
+    /// trusted) and fails the request as [`ServeError::ShardRestarted`].
+    fn guarded(
+        &mut self,
+        id: u64,
+        op: impl FnOnce(&mut EquilibriumServer) -> ServeResult<Reply>,
+    ) -> ServeResult<Reply> {
+        let market = self.markets.get_mut(&id).expect("resident market");
+        let Some(server) = market.server.as_mut() else {
+            market.published = None;
+            return Err(lost(id));
+        };
+        // AssertUnwindSafe is sound: a caught panic drops the server
+        // below, so no state torn mid-panic ever serves again.
+        match catch_unwind(AssertUnwindSafe(|| op(server))) {
+            Ok(result) => {
+                market.published = published_after(&result, server.current_key());
+                result
+            }
+            Err(_) => {
+                let shard = market.shard;
+                self.market_rebuilds += 1;
+                let _ = self.rebuild(id, None);
                 Err(ServeError::ShardRestarted { shard })
             }
         }
     }
 
-    /// Kill recovery: reap the dead thread, retract its published
-    /// answers, respawn the shard empty, then rehydrate **every** market
-    /// (sorted by id, so recovery work is deterministic) from its mirror
-    /// plus its last published snapshot.
-    fn restart_shard(&mut self, dead: usize) {
+    /// Kill recovery: drop every resident server on shard `dead` and
+    /// empty its slots, then rebuild **every** market (sorted by id, so
+    /// recovery work is deterministic) from its mirror plus the pair it
+    /// had published before the kill.
+    fn kill_shard(&mut self, dead: usize) {
         self.shard_restarts += 1;
-        if let Some(thread) = self.shards[dead].thread.take() {
-            // Reap the worker; a panic payload is expected and discarded.
-            let _ = thread.join();
-        }
         let mut ids: Vec<u64> = self.markets.keys().copied().collect();
         ids.sort_unstable();
-        // Capture rehydration sources before retracting anything.
-        let sources: Vec<(u64, Option<(u64, Arc<EqSnapshot>)>)> =
-            ids.iter().map(|&id| (id, self.index.published(id))).collect();
-        // The dead shard's published answers go first: no reader may be
-        // served an equilibrium whose host no longer exists.
-        for &id in &ids {
-            if self.markets[&id].shard == dead {
-                self.index.retract(id);
-            }
-        }
-        self.shards[dead] = spawn_shard(Vec::new(), self.index.clone(), self.pool, self.cache);
-        for (id, published) in sources {
+        let captured: Vec<(u64, Published)> = ids
+            .into_iter()
+            .map(|id| {
+                let market = self.markets.get_mut(&id).expect("resident market");
+                let published = market.published.clone();
+                if market.shard == dead {
+                    market.server = None;
+                    market.published = None;
+                }
+                (id, published)
+            })
+            .collect();
+        for (id, published) in captured {
             self.market_rebuilds += 1;
-            self.rehydrate(id, published);
+            let _ = self.rebuild(id, published);
         }
     }
 
-    /// Rebuilds one market's resident server on its owning shard from the
-    /// mirror, preloading `published` when given. Best-effort: if the
-    /// shard dies *during* rehydration (only a genuine bug can cause
-    /// that — sabotage rides exclusively on serve commands), the shard is
-    /// respawned empty and the market stays recoverable via submit.
-    fn rehydrate(&mut self, market: u64, published: Option<(u64, Arc<EqSnapshot>)>) {
-        let mirror = &self.markets[&market];
-        let shard = mirror.shard;
-        let cmd = ShardCmd::Rehydrate(Box::new(Rehydrate {
-            market,
-            game: mirror.game.clone(),
-            budget: mirror.budget,
-            published,
-        }));
-        let handle = &self.shards[shard];
-        let ok = handle.cmd.send(cmd).is_ok()
-            && matches!(handle.resp.recv(), Ok(ShardReply::Rehydrated));
-        if !ok {
-            if let Some(thread) = self.shards[shard].thread.take() {
-                let _ = thread.join();
+    /// Rebuilds market `id`'s resident server from its mirror, game and
+    /// budget — the one rebuild path of panic recovery, kill recovery and
+    /// submit re-provisioning — and returns the rebuilt market's answer
+    /// at its current parameterization. A `published` pair answers the
+    /// mirror's current parameterization (any write since would have
+    /// emptied the slot), so it is preloaded into the new cache and
+    /// republished as the same allocation. Without one the server
+    /// cold-solves and its answer goes through the publish/retract rule;
+    /// a panic in that solve leaves the market without a server until a
+    /// submit re-provisions it.
+    fn rebuild(&mut self, id: u64, published: Published) -> ServeResult<Reply> {
+        let market = self.markets.get_mut(&id).expect("resident market");
+        market.server = None;
+        market.published = None;
+        let mut server = EquilibriumServer::new(market.game.clone(), self.pool, self.cache)
+            .with_budget(market.budget);
+        let result = match published {
+            Some((fp, snap)) => {
+                server.preload(fp, Arc::clone(&snap));
+                market.published = Some((fp, Arc::clone(&snap)));
+                Ok(Reply::Equilibrium { snap, source: Source::CacheHit })
             }
-            self.index.retract(market);
-            self.shards[shard] = spawn_shard(Vec::new(), self.index.clone(), self.pool, self.cache);
-        }
+            None => {
+                let solved = catch_unwind(AssertUnwindSafe(|| server.equilibrium()));
+                let Ok(solved) = solved else { return Err(lost(id)) };
+                let result = solved
+                    .map(|(snap, source)| Reply::Equilibrium { snap, source })
+                    .map_err(ServeError::from);
+                market.published = published_after(&result, server.current_key());
+                result
+            }
+        };
+        market.server = Some(server);
+        result
     }
 
-    fn shard_checked(&self, market: u64) -> ServeResult<usize> {
-        self.shard_of(market).ok_or(ServeError::Num(NumError::Domain {
+    fn market_mut(&mut self, id: u64) -> ServeResult<&mut Market> {
+        self.markets.get_mut(&id).ok_or(ServeError::Num(NumError::Domain {
             what: "sharded server: unknown market id",
-            value: market as f64,
+            value: id as f64,
         }))
     }
 }
 
-impl Drop for ShardedServer {
-    fn drop(&mut self) {
-        for handle in &mut self.shards {
-            // A dead shard thread has already dropped its receiver; both
-            // sends and the join stay best-effort during teardown.
-            if handle.cmd.send(ShardCmd::Shutdown).is_ok() {
-                let _ = handle.resp.recv();
-            }
-            if let Some(thread) = handle.thread.take() {
-                let _ = thread.join();
-            }
-        }
-    }
-}
-
-/// Spawns one shard thread over its pinned market servers. Channels are
-/// bounded rendezvous-style (`sync_channel(1)`): the router serves
-/// synchronously, so depth 1 never blocks, and sends move only the
-/// fixed-size command/reply values — no allocation per request on the
-/// router side.
-fn spawn_shard(
-    servers: Vec<(u64, EquilibriumServer)>,
-    index: SnapshotIndex,
-    pool: usize,
-    cache: usize,
-) -> ShardHandle {
-    let (cmd_tx, cmd_rx) = std::sync::mpsc::sync_channel::<ShardCmd>(1);
-    let (resp_tx, resp_rx) = std::sync::mpsc::sync_channel::<ShardReply>(1);
-    let thread =
-        std::thread::spawn(move || shard_loop(servers, index, pool, cache, cmd_rx, resp_tx));
-    ShardHandle { cmd: cmd_tx, resp: resp_rx, thread: Some(thread) }
-}
-
-/// Publishes or retracts `market`'s index entry to match `result` — the
-/// one place the publish/retract discipline lives. Successful full reads
-/// publish under the server's current fingerprint; writes, errors and
-/// partial answers retract.
-fn sync_index(index: &SnapshotIndex, market: u64, result: &ServeResult<Reply>, key: Option<u64>) {
+/// The one publish/retract rule: what a market's slot holds after its
+/// server answered `result`, `key` being the server's current
+/// fingerprint. Full reads publish under that fingerprint; writes,
+/// errors and partial answers retract.
+fn published_after(result: &ServeResult<Reply>, key: Option<u64>) -> Published {
     match result {
         Ok(Reply::Equilibrium { source: Source::Partial, .. })
         | Ok(Reply::Updated { .. })
-        | Err(_) => index.retract(market),
+        | Err(_) => None,
         Ok(Reply::Equilibrium { snap, .. })
         | Ok(Reply::Sensitivity { snap, .. })
-        | Ok(Reply::Degenerate { snap, .. }) => match key {
-            Some(fp) => index.publish(market, fp, Arc::clone(snap)),
-            None => index.retract(market),
-        },
+        | Ok(Reply::Degenerate { snap, .. }) => key.map(|fp| (fp, Arc::clone(snap))),
     }
 }
 
-/// The shard event loop: serve, publish/retract, reply — in that order,
-/// so a published snapshot is visible to the router before the reply
-/// that acknowledges the request it answered. Each serve runs under a
-/// per-request `catch_unwind`; a caught panic drops the market's server
-/// (its invariants may be torn mid-panic) and answers
-/// [`ShardReply::Panicked`] so the router can rebuild from its mirror.
-fn shard_loop(
-    servers: Vec<(u64, EquilibriumServer)>,
-    index: SnapshotIndex,
-    pool: usize,
-    cache: usize,
-    cmd_rx: Receiver<ShardCmd>,
-    resp_tx: SyncSender<ShardReply>,
-) {
-    let mut servers: HashMap<u64, EquilibriumServer> = servers.into_iter().collect();
-    while let Ok(cmd) = cmd_rx.recv() {
-        let reply = match cmd {
-            ShardCmd::Serve { market, req, sabotage } => {
-                if sabotage == Sabotage::Kill {
-                    // Outside the per-request guard: the thread dies and
-                    // the router recovers via the channel-failure path.
-                    panic!("fault injection: shard kill");
-                }
-                let outcome = match servers.get_mut(&market) {
-                    Some(server) => {
-                        // AssertUnwindSafe is sound here because a caught
-                        // panic drops the server below — no state torn
-                        // mid-panic ever serves again.
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            if sabotage == Sabotage::Panic {
-                                panic!("fault injection: request panic");
-                            }
-                            server.serve(req)
-                        }))
-                    }
-                    None => Ok(Err(ServeError::Num(NumError::Domain {
-                        what: "sharded server: market not on this shard",
-                        value: market as f64,
-                    }))),
-                };
-                match outcome {
-                    Ok(result) => {
-                        let key = servers.get(&market).and_then(|s| s.current_key());
-                        sync_index(&index, market, &result, key);
-                        ShardReply::Served(result)
-                    }
-                    Err(_) => {
-                        servers.remove(&market);
-                        index.retract(market);
-                        ShardReply::Panicked
-                    }
-                }
-            }
-            ShardCmd::Submit { market, game } => {
-                let result = match servers.get_mut(&market) {
-                    Some(server) => server.submit(*game),
-                    None => {
-                        // A market lost to a failed rehydration: a submit
-                        // re-provisions it from scratch — the universal
-                        // heal.
-                        let mut server = EquilibriumServer::new(*game, pool, cache);
-                        let r = server.equilibrium();
-                        servers.insert(market, server);
-                        r
-                    }
-                };
-                let result: ServeResult<Reply> = result
-                    .map(|(snap, source)| Reply::Equilibrium { snap, source })
-                    .map_err(ServeError::from);
-                let key = servers.get(&market).and_then(|s| s.current_key());
-                sync_index(&index, market, &result, key);
-                ShardReply::Served(result)
-            }
-            ShardCmd::SetBudget { market, budget } => {
-                if let Some(server) = servers.get_mut(&market) {
-                    server.set_budget(budget);
-                }
-                ShardReply::Configured
-            }
-            ShardCmd::Cool { market } => {
-                if let Some(server) = servers.get_mut(&market) {
-                    server.cool();
-                    server.invalidate_cache();
-                }
-                // A cooled market must not keep answering out of the
-                // router's lock-free index either — that would defeat
-                // the point of forcing the next solve cold.
-                index.retract(market);
-                ShardReply::Configured
-            }
-            ShardCmd::Rehydrate(rehydrate) => {
-                let Rehydrate { market, game, budget, published } = *rehydrate;
-                let mut server = EquilibriumServer::new(game, pool, cache).with_budget(budget);
-                match published {
-                    Some((fp, snap)) => {
-                        // The published answer is only present when no
-                        // write followed the read that produced it, so it
-                        // answers the mirror's current parameterization:
-                        // preload it and republish the same allocation.
-                        server.preload(fp, Arc::clone(&snap));
-                        index.publish(market, fp, snap);
-                    }
-                    None => {
-                        // Cold-solve fallback. `current_key` is None for
-                        // partial answers, so starved or failing markets
-                        // publish nothing and stay resident-but-erroring
-                        // until a submit heals them.
-                        index.retract(market);
-                        if let Ok((snap, _)) = server.equilibrium() {
-                            if let Some(fp) = server.current_key() {
-                                index.publish(market, fp, snap);
-                            }
-                        }
-                    }
-                }
-                servers.insert(market, server);
-                ShardReply::Rehydrated
-            }
-            ShardCmd::Peek { market } => {
-                ShardReply::Peeked(servers.get(&market).and_then(|s| s.peek_current()))
-            }
-            ShardCmd::Report => {
-                let mut stats = ServerStats::default();
-                let mut cache = CacheStats::default();
-                let mut quarantined = 0usize;
-                // Deterministic order for the *sums* is automatic
-                // (addition commutes); iterate however the map likes.
-                for server in servers.values() {
-                    let s = server.stats();
-                    stats.updates += s.updates;
-                    stats.equilibria += s.equilibria;
-                    stats.sensitivities += s.sensitivities;
-                    stats.cache_hits += s.cache_hits;
-                    stats.tangent_solves += s.tangent_solves;
-                    stats.warm_solves += s.warm_solves;
-                    stats.cold_solves += s.cold_solves;
-                    stats.partial_solves += s.partial_solves;
-                    let c = server.cache_stats();
-                    cache.hits += c.hits;
-                    cache.misses += c.misses;
-                    cache.insertions += c.insertions;
-                    cache.evictions += c.evictions;
-                    cache.len += c.len;
-                    cache.capacity += c.capacity;
-                    quarantined += usize::from(server.is_quarantined());
-                }
-                ShardReply::Reported { markets: servers.len(), quarantined, stats, cache }
-            }
-            ShardCmd::Shutdown => {
-                let _ = resp_tx.send(ShardReply::Stopping);
-                return;
-            }
-        };
-        if resp_tx.send(reply).is_err() {
-            return; // router gone; nothing left to serve
-        }
-    }
+/// The typed failure of a market whose rebuild panicked: it has no
+/// resident server until a submit re-provisions it.
+fn lost(id: u64) -> ServeError {
+    ServeError::Num(NumError::Domain {
+        what: "sharded server: market has no resident server (submit to heal)",
+        value: id as f64,
+    })
 }
 
 #[cfg(test)]

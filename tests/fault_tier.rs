@@ -158,6 +158,24 @@ fn budget_starvation_degrades_then_quarantines_and_submit_heals() {
 }
 
 #[test]
+fn starved_sensitivity_reads_degrade_to_partial_equilibria() {
+    // The first rung of the sensitivity ladder: a starved market that is
+    // not yet quarantined answers a sensitivity read with its partial
+    // equilibrium (no derivative of a non-converged iterate) and records
+    // one strike, instead of erroring or panicking.
+    let mut server =
+        EquilibriumServer::new(section5_game(), 1, 0).with_budget(SolveBudget::sweeps(1));
+    let reply = server.serve(Request::Sensitivity { axis: Axis::Mu }).expect("partials are Ok");
+    let Reply::Equilibrium { snap, source: Source::Partial } = reply else {
+        panic!("a starved sensitivity read must degrade to a partial equilibrium, got {reply:?}")
+    };
+    assert!(!snap.stats().converged, "partial snapshots carry their non-convergence");
+    assert_eq!(server.strikes(), 1);
+    assert!(!server.is_quarantined(), "one blowout must not quarantine");
+    assert_eq!(server.stats().sensitivities, 0, "no derivative was served");
+}
+
+#[test]
 fn partial_answers_are_never_published() {
     // Sharded view of the same contract: a starved market's partial
     // answers never reach the lock-free index, so no reader can mistake

@@ -26,7 +26,7 @@ use std::sync::Arc;
 use subcomp::exp::scenarios::section5_system;
 use subcomp::exp::server::{
     fingerprint, generate, generate_multi, summarize_latencies, EquilibriumServer, LoadGenConfig,
-    Reply, ShardedConfig, ShardedServer, Source,
+    Reply, Request, ShardedConfig, ShardedServer, Source,
 };
 use subcomp::game::game::{Axis, SubsidyGame};
 use subcomp::game::nash::{NashSolver, WarmStart};
@@ -109,8 +109,14 @@ fn eviction_under_capacity_pressure_is_lru() {
 #[test]
 fn tangent_ladder_serves_small_steps_and_refuses_large_ones() {
     let mut server = EquilibriumServer::new(section5_game(), 1, 16);
-    let (_, _, src) = server.sensitivity(Axis::Mu).unwrap();
-    assert_eq!(src, Source::Cold);
+    let sensitivity = |server: &mut EquilibriumServer| match server
+        .serve(Request::Sensitivity { axis: Axis::Mu })
+        .unwrap()
+    {
+        Reply::Sensitivity { source, .. } => source,
+        other => panic!("a regular equilibrium must answer its derivative, got {other:?}"),
+    };
+    assert_eq!(sensitivity(&mut server), Source::Cold);
 
     // A small step along the differentiated axis rides the tangent.
     let mu = Axis::Mu.value(server.game());
@@ -130,7 +136,7 @@ fn tangent_ladder_serves_small_steps_and_refuses_large_ones() {
 
     // An oversized step is outside the trust region: the policy refuses
     // the extrapolation and the solve degrades to the warm slot iterate.
-    let (_, _, _) = server.sensitivity(Axis::Mu).unwrap();
+    sensitivity(&mut server);
     let mu = Axis::Mu.value(server.game());
     server.update(Axis::Mu, mu + 1.0).unwrap();
     let (_, src) = server.equilibrium().unwrap();
@@ -383,43 +389,40 @@ fn nan_probing_curves_are_failed_requests_not_poisoned_cache_keys() {
 }
 
 #[test]
-fn retraction_bumps_the_generation_and_readers_never_serve_dead_snapshots() {
-    // The supervision contract on the index side: a reader detached
-    // before a fault observes every retraction as a generation bump and
-    // can never be handed a snapshot whose market has no valid answer —
-    // not after a failed submit, and not after its host shard died.
-    use subcomp::exp::server::{poison_game, Request, Sabotage, ServeError};
+fn retraction_empties_the_published_slot_and_reads_never_serve_dead_snapshots() {
+    // The supervision contract on the read path: once a market has no
+    // valid answer — after a failed submit, or after its shard was
+    // killed and its rebuild failed — `read_cached` hands out nothing for
+    // it, while healthy markets keep their published answers.
+    use subcomp::exp::server::{poison_game, Sabotage, ServeError};
 
     let markets: Vec<(u64, SubsidyGame)> = (0..2u64).map(|id| (id, section5_game())).collect();
     let mut server =
         ShardedServer::new(markets, &ShardedConfig { shards: 1, pool: 2, cache: 16 }).unwrap();
     server.serve(0, Request::Equilibrium).unwrap();
     server.serve(1, Request::Equilibrium).unwrap();
+    let survivor = server.read_cached(1).expect("market 1 published");
+    assert!(server.read_cached(0).is_some(), "market 0 published");
 
-    let mut reader = server.index_reader();
-    assert!(reader.get(0).is_some() && reader.get(1).is_some(), "both markets published");
-    let g0 = reader.seen_generation();
-
-    // A failed submit retracts: the reader sees the bump, not the corpse.
+    // A failed submit retracts: the slot is empty, not the corpse.
     let poisoned = poison_game(&section5_game()).unwrap();
     assert!(matches!(server.submit(0, poisoned), Err(ServeError::Num(NumError::NonFinite { .. }))));
-    assert!(reader.get(0).is_none(), "retracted market must not serve a stale snapshot");
-    assert!(reader.get(1).is_some(), "the healthy market is untouched");
-    let g1 = reader.seen_generation();
-    assert!(g1 > g0, "retraction must bump the generation ({g0} → {g1})");
+    assert!(server.read_cached(0).is_none(), "retracted market must not serve a stale snapshot");
+    let untouched = server.read_cached(1).expect("the healthy market is untouched");
+    assert!(Arc::ptr_eq(&untouched, &survivor), "the healthy market's slot must not move");
 
-    // Kill the shard. Recovery rehydrates market 1 from its published
+    // Kill the shard. Recovery rebuilds market 1 from its published
     // answer; market 0's mirror is still poisoned, so its cold-solve
     // fallback fails and nothing may be republished for it.
     let err = server.serve_sabotaged(0, Request::Equilibrium, Sabotage::Kill);
     assert!(matches!(err, Err(ServeError::ShardRestarted { shard: 0 })));
-    assert!(reader.get(0).is_none(), "a dead market must stay retracted after shard death");
-    assert!(reader.get(1).is_some(), "rehydration republishes the surviving answer");
-    assert!(reader.seen_generation() > g1, "restart recovery must bump the generation");
+    assert!(server.read_cached(0).is_none(), "a dead market must stay retracted after a kill");
+    let republished = server.read_cached(1).expect("the rebuild republishes the survivor");
+    assert!(Arc::ptr_eq(&republished, &survivor), "republished as the same allocation");
 
-    // The universal heal: a clean submit republishes, the reader follows.
+    // The universal heal: a clean submit republishes.
     server.submit(0, section5_game()).unwrap();
-    assert!(reader.get(0).is_some(), "healed market publishes again");
+    assert!(server.read_cached(0).is_some(), "healed market publishes again");
 }
 
 #[test]
