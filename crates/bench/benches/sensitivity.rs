@@ -1,14 +1,15 @@
-//! Benchmarks the Theorem 6 sensitivity analysis (active sets, marginal
-//! utility Jacobian, LU solve), its Jacobian building block, and the
-//! predictor-corrector continuation the directional derivatives enable
-//! along the µ axis.
+//! Benchmarks the Theorem 6 sensitivity analysis (active sets, the
+//! structured Jacobian and its Woodbury solve), the Jacobian as a layer —
+//! the structured engine against the finite-difference oracle it replaced
+//! — and the predictor-corrector continuation the directional derivatives
+//! enable along the µ axis.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 use subcomp_bench::{market_of, market_spread};
 use subcomp_core::game::{Axis, SubsidyGame};
 use subcomp_core::nash::{NashSolver, WarmStart};
-use subcomp_core::sensitivity::Sensitivity;
+use subcomp_core::sensitivity::{Sensitivity, SensitivityWorkspace};
 use subcomp_core::structure::marginal_utility_jacobian;
 use subcomp_core::workspace::SolveWorkspace;
 
@@ -33,6 +34,36 @@ fn bench_jacobian(c: &mut Criterion) {
     g.bench_function("marginal_utility_jacobian_8", |b| {
         b.iter(|| marginal_utility_jacobian(&game, std::hint::black_box(&s)).unwrap())
     });
+    g.finish();
+}
+
+/// The Jacobian layer of a sensitivity read, at the solved equilibrium
+/// of a spread market (`n` = 8 and 64, `p = 0.6`, `q = 0.4`):
+///
+/// * `fd` — the finite-difference oracle, `marginal_utility_jacobian`
+///   (2n state solves, the dense Jacobian the LU path used to factor);
+/// * `structured` — what replaced it: [`SensitivityWorkspace::factor`]
+///   (one state solve plus the O(n) factor assembly) and the Woodbury
+///   solve of the price-axis derivative, on a warm workspace.
+fn bench_jacobian_layer(c: &mut Criterion) {
+    let mut g = c.benchmark_group("layers/jacobian");
+    g.sample_size(10);
+    for n in [8usize, 64] {
+        let game = SubsidyGame::new(market_spread(n), 0.6, 0.4).unwrap();
+        let s = NashSolver::default().with_tol(1e-9).solve(&game).unwrap().subsidies;
+        g.bench_with_input(BenchmarkId::new("fd", n), &(&game, &s), |b, (game, s)| {
+            b.iter(|| marginal_utility_jacobian(game, std::hint::black_box(s)).unwrap())
+        });
+        let mut ws = SensitivityWorkspace::new();
+        let mut ds = Vec::new();
+        g.bench_with_input(BenchmarkId::new("structured", n), &(&game, &s), |b, (game, s)| {
+            b.iter(|| {
+                ws.factor(game, std::hint::black_box(s)).unwrap();
+                ws.solve_into(Axis::Price, &mut ds).unwrap();
+                ds[0]
+            })
+        });
+    }
     g.finish();
 }
 
@@ -101,6 +132,6 @@ fn bench_mu_continuation(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().warm_up_time(Duration::from_millis(400)).measurement_time(Duration::from_secs(2));
-    targets = bench_sensitivity, bench_jacobian, bench_mu_continuation
+    targets = bench_sensitivity, bench_jacobian, bench_jacobian_layer, bench_mu_continuation
 }
 criterion_main!(benches);

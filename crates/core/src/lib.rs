@@ -28,7 +28,9 @@
 //! * [`sensitivity`] — Theorem 6's equilibrium dynamics `∂s/∂p`, `∂s/∂q`
 //!   via the inverse Jacobian `Ψ = (∇_s̃ ũ)^{-1}`, generalized to
 //!   directional derivatives along any [`game::Axis`] (`∂s/∂µ`,
-//!   `∂s/∂v_i`) for predictor-corrector continuation;
+//!   `∂s/∂v_i`) for predictor-corrector continuation. The Jacobian is
+//!   diagonal plus rank two, assembled in O(n) from one solved state and
+//!   solved by Woodbury;
 //! * [`snapshot`] — immutable, concurrent-reader-safe copies of solved
 //!   equilibria plus the tangent warm-start admission policy (the state
 //!   layer under the `exp` equilibrium server);

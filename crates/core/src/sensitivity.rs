@@ -12,17 +12,55 @@
 //! ```
 //!
 //! with `Ψ = (∇_s̃ ũ)^{-1}`, the inverse Jacobian of interior marginal
-//! utilities. This module classifies the active sets, assembles the
-//! Jacobian (central differences of the *analytic* `u`), inverts it by LU,
-//! and reports both derivative vectors. Degenerate equilibria (a pinned
-//! provider with `u_i = 0`, violating strict complementarity) are flagged
-//! rather than silently differentiated.
+//! utilities. Degenerate equilibria (a pinned provider with `u_i = 0`,
+//! violating strict complementarity) are flagged rather than silently
+//! differentiated.
+//!
+//! ## The structured Jacobian
+//!
+//! Providers couple only through the utilization `φ` and the gap slope
+//! `g' = dg/dφ`. Write `a_j = −m_j'(t_j)` (the population response to a
+//! subsidy), `φ_j = λ_j a_j / g'` (`= ∂φ/∂s_j`) and `c_j = λ_j'(φ) a_j`
+//! (how `s_j` moves `g'` directly). Then every off-diagonal entry factors,
+//! `∂u_i/∂s_j = A_i φ_j + B_i c_j`, and
+//!
+//! ```text
+//! ∇u = diag(d) + A·φᵀ + B·cᵀ
+//! ```
+//!
+//! with `A`, `B` and `d` closed forms in the model's first and second
+//! derivatives (`m''`, `λ''`, `Θ_φφ`). [`SensitivityWorkspace`] assembles
+//! the five factor vectors in O(n) from **one** solved state and solves
+//! the interior system by the Woodbury identity with a 2×2 capacitance
+//! matrix, so a derivative costs one state solve plus O(n) arithmetic.
+//! The right-hand sides `∂u/∂θ` are analytic too:
+//!
+//! * price: `∂u_i/∂p = −Σ_j ∂u_i/∂s_j − ∂θ_i/∂s_i`, since every
+//!   `t_k = p − s_k`;
+//! * cap: the pinned-at-`q` column sum `Σ_{j∈N⁺} ∂u_i/∂s_j`;
+//! * capacity: `∂u_i/∂µ = A_i ∂φ/∂µ − B_i Θ_φµ` with
+//!   `∂φ/∂µ = −Θ_µ/g'`;
+//! * profitability `v_j`: `∂u_i/∂v_j = δ_ij ∂θ_i/∂s_i`.
+//!
+//! **Structural fallback.** Woodbury needs a usable diagonal and a
+//! regular capacitance. When some interior `d_k` is zero or not finite,
+//! the 2×2 determinant is zero or not finite, or the Woodbury answer
+//! fails its residual check (relative 1e-10), the
+//! same analytic interior block is assembled densely and factored by
+//! [`LuDecomposition`]. [`SensitivityWorkspace::dense_fallbacks`] counts
+//! those solves.
+//!
+//! **Oracle.** The central-difference Jacobian
+//! ([`crate::structure::marginal_utility_jacobian`]) and the in-place FD
+//! right-hand sides ([`Sensitivity::axis_shift_into`]) no longer run on
+//! any production path; they stay as the test oracle the structured
+//! engine is checked against (`tests/sensitivity_oracle.rs`).
 
 use crate::equilibrium::PIN_TOL;
 use crate::game::{Axis, SubsidyGame};
-use crate::structure::marginal_utility_jacobian;
 use subcomp_model::system::{StateScratch, SystemState};
 use subcomp_num::linalg::lu::LuDecomposition;
+use subcomp_num::linalg::Matrix;
 use subcomp_num::{NumError, NumResult};
 
 /// Strict-complementarity tolerance: a pinned provider whose marginal
@@ -33,8 +71,15 @@ use subcomp_num::{NumError, NumResult};
 /// differentiate them.
 pub const DEGENERATE_U_TOL: f64 = 1e-6;
 
+/// Largest residual `‖∇ũ·x − r‖∞`, relative to the magnitudes that enter
+/// it, that a Woodbury solve may leave before the structured engine
+/// re-solves the block densely. Woodbury is not backward stable when the
+/// diagonal is tiny next to the rank-two part; this check is what turns
+/// that silent cancellation into a counted fallback.
+const WOODBURY_RESIDUAL_TOL: f64 = 1e-10;
+
 /// The boundary classification `N⁻ / Ñ / N⁺` of an equilibrium profile.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ActiveSet {
     /// Providers pinned at `s_i = 0`.
     pub lower: Vec<usize>,
@@ -56,34 +101,41 @@ impl ActiveSet {
     /// assigned to the *nearer* corner (ties to the lower one), instead of
     /// letting the first-tested condition win.
     pub fn classify(s: &[f64], q: f64) -> ActiveSet {
-        let mut lower = Vec::new();
-        let mut interior = Vec::new();
-        let mut upper = Vec::new();
+        let mut active = ActiveSet::default();
+        active.classify_into(s, q);
+        active
+    }
+
+    /// [`ActiveSet::classify`] into this set's buffers (cleared first;
+    /// allocation-free once they have grown to the profile's size).
+    fn classify_into(&mut self, s: &[f64], q: f64) {
+        self.lower.clear();
+        self.interior.clear();
+        self.upper.clear();
         let degenerate = q <= 2.0 * PIN_TOL;
         for (i, &si) in s.iter().enumerate() {
             if degenerate {
                 // Both corners are within PIN_TOL of each other; the
                 // interior is empty by construction.
                 if si <= q - si {
-                    lower.push(i);
+                    self.lower.push(i);
                 } else {
-                    upper.push(i);
+                    self.upper.push(i);
                 }
             } else if si <= PIN_TOL {
-                lower.push(i);
+                self.lower.push(i);
             } else if si >= q - PIN_TOL {
-                upper.push(i);
+                self.upper.push(i);
             } else {
-                interior.push(i);
+                self.interior.push(i);
             }
         }
-        ActiveSet { lower, interior, upper }
     }
 }
 
-/// Reusable buffers for the finite-difference leg of the sensitivity
-/// engine ([`Sensitivity::axis_shift_into`]): the two probe outputs plus
-/// the price/scratch/state buffers the allocation-free marginal-utility
+/// Reusable buffers for the finite-difference oracle
+/// ([`Sensitivity::axis_shift_into`]): the two probe outputs plus the
+/// price/scratch/state buffers the allocation-free marginal-utility
 /// evaluation threads through. After warm-up (one call per game size) a
 /// probe performs zero heap allocation — pinned in `tests/alloc_free.rs`.
 #[derive(Debug, Clone, Default)]
@@ -103,6 +155,331 @@ impl FdWorkspace {
     }
 }
 
+/// The Jacobian `∇u = diag(d) + A·φᵀ + B·cᵀ` in factored form, one
+/// entry per provider (module docs).
+#[derive(Debug, Clone, Default)]
+struct Factors {
+    d: Vec<f64>,
+    a: Vec<f64>,
+    b: Vec<f64>,
+    phi: Vec<f64>,
+    c: Vec<f64>,
+}
+
+impl Factors {
+    fn resize(&mut self, n: usize) {
+        for v in [&mut self.d, &mut self.a, &mut self.b, &mut self.phi, &mut self.c] {
+            v.resize(n, 0.0);
+        }
+    }
+
+    /// `∂u_i/∂s_j`.
+    fn entry(&self, i: usize, j: usize) -> f64 {
+        let diag = if i == j { self.d[i] } else { 0.0 };
+        diag + self.a[i] * self.phi[j] + self.b[i] * self.c[j]
+    }
+
+    /// The structural fallback: assembles the block on `idx` (rows and
+    /// columns) densely and solves it by LU.
+    fn dense(&self, idx: &[usize], rhs: &[f64], x: &mut [f64]) -> NumResult<()> {
+        let k = idx.len();
+        let block = Matrix::from_fn(k, k, |r, s| self.entry(idx[r], idx[s]));
+        x.copy_from_slice(&LuDecomposition::new(&block)?.solve(rhs)?);
+        Ok(())
+    }
+
+    /// `x = D⁻¹r − D⁻¹U·C⁻¹·Vᵀ·D⁻¹r` with `U = [A B]`, `V = [φ c]` and the
+    /// capacitance `C = I₂ + Vᵀ·D⁻¹·U`, restricted to `idx`. Returns
+    /// `false`, leaving `x` unspecified, when a diagonal pivot or the
+    /// capacitance is unusable or the answer fails the residual check.
+    fn woodbury(&self, idx: &[usize], rhs: &[f64], x: &mut [f64]) -> bool {
+        let (mut c00, mut c01, mut c10, mut c11) = (1.0, 0.0, 0.0, 1.0);
+        let (mut z0, mut z1) = (0.0, 0.0);
+        for (slot, &i) in idx.iter().enumerate() {
+            let d = self.d[i];
+            if d == 0.0 || !d.is_finite() {
+                return false;
+            }
+            let (p, q, y) = (self.a[i] / d, self.b[i] / d, rhs[slot] / d);
+            c00 += self.phi[i] * p;
+            c01 += self.phi[i] * q;
+            c10 += self.c[i] * p;
+            c11 += self.c[i] * q;
+            z0 += self.phi[i] * y;
+            z1 += self.c[i] * y;
+            x[slot] = y;
+        }
+        let det = c00 * c11 - c01 * c10;
+        if det == 0.0 || !det.is_finite() {
+            return false;
+        }
+        let w0 = (c11 * z0 - c01 * z1) / det;
+        let w1 = (c00 * z1 - c10 * z0) / det;
+        for (slot, &i) in idx.iter().enumerate() {
+            x[slot] -= (self.a[i] * w0 + self.b[i] * w1) / self.d[i];
+        }
+        self.residual_ok(idx, rhs, x)
+    }
+
+    /// Whether `x` solves the block to [`WOODBURY_RESIDUAL_TOL`] of the
+    /// largest magnitude entering the residual (false on any non-finite
+    /// term).
+    fn residual_ok(&self, idx: &[usize], rhs: &[f64], x: &[f64]) -> bool {
+        let (mut phi_x, mut c_x, mut phi_abs, mut c_abs) = (0.0, 0.0, 0.0, 0.0);
+        for (slot, &i) in idx.iter().enumerate() {
+            phi_x += self.phi[i] * x[slot];
+            c_x += self.c[i] * x[slot];
+            phi_abs += (self.phi[i] * x[slot]).abs();
+            c_abs += (self.c[i] * x[slot]).abs();
+        }
+        let (mut worst, mut scale, mut finite) = (0.0f64, 0.0f64, true);
+        for (slot, &i) in idx.iter().enumerate() {
+            let dx = self.d[i] * x[slot];
+            let res = dx + self.a[i] * phi_x + self.b[i] * c_x - rhs[slot];
+            finite &= res.is_finite();
+            worst = worst.max(res.abs());
+            scale = scale.max(
+                dx.abs() + self.a[i].abs() * phi_abs + self.b[i].abs() * c_abs + rhs[slot].abs(),
+            );
+        }
+        finite && worst <= WOODBURY_RESIDUAL_TOL * scale
+    }
+}
+
+/// Reusable state of the structured Theorem 6 engine (module docs): the
+/// state-solve buffers, the active set, the degeneracy verdict, the
+/// Jacobian factors and the right-hand-side and solution buffers.
+///
+/// [`SensitivityWorkspace::factor`] does the one state solve per
+/// equilibrium; [`SensitivityWorkspace::solve_into`] then answers any
+/// number of axes from the same factors. After warm-up (one call per game
+/// size) neither allocates — pinned in `tests/alloc_free.rs`.
+#[derive(Debug, Clone, Default)]
+pub struct SensitivityWorkspace {
+    prices: Vec<f64>,
+    scratch: StateScratch,
+    state: SystemState,
+    active: ActiveSet,
+    /// `u_i` of the first pinned provider violating strict
+    /// complementarity, if any.
+    degenerate: Option<f64>,
+    jac: Factors,
+    /// `∂θ_i/∂s_i`.
+    dtheta: Vec<f64>,
+    /// `∂φ/∂µ` and `Θ_φµ` at the factored state.
+    dphi_dmu: f64,
+    theta_phimu: f64,
+    /// Per-provider `λ'`, `λ''` and `a = −m'` between the two assembly
+    /// passes.
+    l1: Vec<f64>,
+    l2: Vec<f64>,
+    pop_slope: Vec<f64>,
+    rhs: Vec<f64>,
+    sol: Vec<f64>,
+    fallbacks: u64,
+}
+
+impl SensitivityWorkspace {
+    /// Creates an empty workspace; buffers size themselves on first use
+    /// and only ever grow, so one workspace serves games of any size.
+    pub fn new() -> SensitivityWorkspace {
+        SensitivityWorkspace::default()
+    }
+
+    /// Factors Theorem 6 at the equilibrium `s` of `game`: validates the
+    /// profile, classifies its active set, solves the congestion state
+    /// once, takes the degeneracy verdict from the pinned providers'
+    /// marginal utilities on that state (exactly as
+    /// [`SubsidyGame::marginal_utilities`] computes them) and assembles
+    /// the Jacobian factors. Returns whether the equilibrium is regular.
+    pub fn factor(&mut self, game: &SubsidyGame, s: &[f64]) -> NumResult<bool> {
+        game.validate(s)?;
+        self.active.classify_into(s, game.cap());
+        game.state_into(s, &mut self.prices, &mut self.scratch, &mut self.state)?;
+        let state = &self.state;
+        self.degenerate = self
+            .active
+            .lower
+            .iter()
+            .chain(&self.active.upper)
+            .map(|&i| game.marginal_utility_at_state(i, s, state))
+            .find(|u| u.abs() <= DEGENERATE_U_TOL);
+        self.assemble(game, s);
+        Ok(self.degenerate.is_none())
+    }
+
+    /// The active set of the last factored equilibrium.
+    pub fn active(&self) -> &ActiveSet {
+        &self.active
+    }
+
+    /// How many interior solves took the dense fallback (module docs)
+    /// over this workspace's lifetime, failed ones included.
+    pub fn dense_fallbacks(&self) -> u64 {
+        self.fallbacks
+    }
+
+    /// The full `n × n` Jacobian `∇u` of the last factored equilibrium,
+    /// assembled densely from the factors — O(n²), for oracles and
+    /// diagnostics; the solves never form it.
+    pub fn jacobian(&self) -> Matrix {
+        let n = self.jac.d.len();
+        Matrix::from_fn(n, n, |i, j| self.jac.entry(i, j))
+    }
+
+    /// `∂s/∂θ` at the last factored equilibrium, written into `out`
+    /// (resized to `n`): pinned-at-0 providers do not move, pinned-at-`q`
+    /// providers move one-for-one with the cap and not at all along any
+    /// other axis, and the interior solves `∂s̃/∂θ = −Ψ ∂ũ/∂θ`. A
+    /// degenerate equilibrium is differentiated as if regular (the
+    /// one-sided reading [`Sensitivity::compute`] reports with
+    /// `regular = false`); [`SensitivityWorkspace::directional_into`] is
+    /// the refusing entry point.
+    ///
+    /// # Errors
+    /// An out-of-range [`Axis::Profitability`] index, a singular interior
+    /// block, or a non-finite derivative.
+    pub fn solve_into(&mut self, axis: Axis, out: &mut Vec<f64>) -> NumResult<()> {
+        let n = self.jac.d.len();
+        if let Axis::Profitability(j) = axis {
+            if j >= n {
+                return Err(NumError::DimensionMismatch { expected: n, actual: j });
+            }
+        }
+        out.clear();
+        out.resize(n, 0.0);
+        let active = &self.active;
+        if axis == Axis::Cap {
+            for &i in &active.upper {
+                out[i] = 1.0;
+            }
+        }
+        // Interior providers are the only ones that move through Ψ — and
+        // along the cap axis the right-hand side is identically zero when
+        // nobody pins at q.
+        if active.interior.is_empty() || (axis == Axis::Cap && active.upper.is_empty()) {
+            return Ok(());
+        }
+        let f = &self.jac;
+        self.rhs.clear();
+        match axis {
+            Axis::Price => {
+                let (sum_phi, sum_c) = (f.phi.iter().sum::<f64>(), f.c.iter().sum::<f64>());
+                self.rhs.extend(
+                    active
+                        .interior
+                        .iter()
+                        .map(|&i| -(f.d[i] + f.a[i] * sum_phi + f.b[i] * sum_c) - self.dtheta[i]),
+                );
+            }
+            Axis::Cap => {
+                let sum_phi: f64 = active.upper.iter().map(|&j| f.phi[j]).sum();
+                let sum_c: f64 = active.upper.iter().map(|&j| f.c[j]).sum();
+                self.rhs.extend(active.interior.iter().map(|&i| f.a[i] * sum_phi + f.b[i] * sum_c));
+            }
+            Axis::Mu => {
+                let (dphi, cross) = (self.dphi_dmu, self.theta_phimu);
+                self.rhs.extend(active.interior.iter().map(|&i| f.a[i] * dphi - f.b[i] * cross));
+            }
+            Axis::Profitability(j) => self.rhs.extend(active.interior.iter().map(|&i| {
+                if i == j {
+                    self.dtheta[i]
+                } else {
+                    0.0
+                }
+            })),
+        }
+        self.sol.clear();
+        self.sol.resize(self.rhs.len(), 0.0);
+        if !f.woodbury(&active.interior, &self.rhs, &mut self.sol) {
+            self.fallbacks += 1;
+            f.dense(&active.interior, &self.rhs, &mut self.sol)?;
+        }
+        for (&x, &i) in self.sol.iter().zip(&active.interior) {
+            if !x.is_finite() {
+                return Err(NumError::NonFinite { what: "Theorem 6 derivative", at: x });
+            }
+            out[i] = -x;
+        }
+        Ok(())
+    }
+
+    /// [`Sensitivity::directional`] into caller-owned buffers: factors
+    /// the equilibrium, refuses a degenerate one with the same domain
+    /// error, and solves along `axis` into `out`. Allocation-free once
+    /// warm.
+    pub fn directional_into(
+        &mut self,
+        game: &SubsidyGame,
+        s: &[f64],
+        axis: Axis,
+        out: &mut Vec<f64>,
+    ) -> NumResult<()> {
+        if let Axis::Profitability(j) = axis {
+            if j >= game.n() {
+                return Err(NumError::DimensionMismatch { expected: game.n(), actual: j });
+            }
+        }
+        if !self.factor(game, s)? {
+            return Err(NumError::Domain {
+                what: "degenerate equilibrium: pinned provider with u_i = 0 \
+                       (strict complementarity fails; derivatives are one-sided)",
+                value: self.degenerate.unwrap_or(f64::NAN),
+            });
+        }
+        self.solve_into(axis, out)
+    }
+
+    /// Assembles the factors of the module docs from the solved state:
+    /// one pass per provider for `a`, `a'`, `λ'`, `λ''`, `φ_j`, `c_j`,
+    /// `∂θ_i/∂s_i` and `d_i`, then — once the curvature
+    /// `g'' = Θ_φφ − Σ m_k λ_k''` is known — one for `A_i` and `B_i`.
+    fn assemble(&mut self, game: &SubsidyGame, s: &[f64]) {
+        let sys = game.system();
+        let st = &self.state;
+        let n = game.n();
+        let (phi, g1) = (st.phi, st.dg_dphi);
+        self.jac.resize(n);
+        for v in [&mut self.dtheta, &mut self.l1, &mut self.l2, &mut self.pop_slope] {
+            v.resize(n, 0.0);
+        }
+        let f = &mut self.jac;
+        let mut m_curv = 0.0;
+        for k in 0..n {
+            let cp = sys.cp(k);
+            let (m, lam) = (st.m[k], st.lambda[k]);
+            let t = game.price() - s[k];
+            // The clamped region (t < 0 under clamping) freezes m_k, as in
+            // the marginal utility itself.
+            let (a, a1) = if game.clamps_effective_price() && t < 0.0 {
+                (0.0, 0.0)
+            } else {
+                (-cp.demand().dm_dt(t), cp.demand().d2m_dt2(t))
+            };
+            let (l1, l2) = (cp.throughput().dlambda_dphi(phi), cp.throughput().d2lambda_dphi2(phi));
+            let w = cp.profitability() - s[k];
+            f.phi[k] = lam * a / g1;
+            f.c[k] = l1 * a;
+            self.dtheta[k] = a * lam + m * l1 * f.phi[k];
+            f.d[k] = -a * lam - self.dtheta[k] + w * (a1 * lam + (a * a + m * a1) * lam * l1 / g1);
+            m_curv += m * l2;
+            (self.l1[k], self.l2[k], self.pop_slope[k]) = (l1, l2, a);
+        }
+        let util = sys.utilization_fn();
+        let g2 = util.d2theta_dphi2(phi, sys.mu()) - m_curv;
+        for i in 0..n {
+            let (m, lam, l1, l2, a) =
+                (st.m[i], st.lambda[i], self.l1[i], self.l2[i], self.pop_slope[i]);
+            let w = sys.cp(i).profitability() - s[i];
+            f.b[i] = w * m * a * lam * l1 / (g1 * g1);
+            f.a[i] = -m * l1
+                + w * a * (l1 + m * (l1 * l1 + lam * l2) / g1 - m * lam * l1 * g2 / (g1 * g1));
+        }
+        self.dphi_dmu = -util.dtheta_dmu(phi, sys.mu()) / g1;
+        self.theta_phimu = util.d2theta_dphi_dmu(phi, sys.mu());
+    }
+}
+
 /// Theorem 6 sensitivities at an equilibrium.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sensitivity {
@@ -118,51 +495,16 @@ pub struct Sensitivity {
 }
 
 impl Sensitivity {
-    /// Computes Theorem 6's formulas at the (solved) equilibrium `s`.
+    /// Computes Theorem 6's formulas at the (solved) equilibrium `s` on
+    /// the structured engine ([`SensitivityWorkspace`]): one state solve,
+    /// both columns from the same factors.
     pub fn compute(game: &SubsidyGame, s: &[f64]) -> NumResult<Sensitivity> {
-        game.validate(s)?;
-        let n = game.n();
-        let q = game.cap();
-        let active = ActiveSet::classify(s, q);
-        let u = game.marginal_utilities(s)?;
-
-        // Regularity (strict complementarity): pinned providers must have
-        // strictly one-sided marginal utility.
-        let regular = degenerate_pin(&active, &u).is_none();
-
-        let mut ds_dq = vec![0.0; n];
-        let mut ds_dp = vec![0.0; n];
-        for &i in &active.upper {
-            ds_dq[i] = 1.0;
-        }
-        if !active.interior.is_empty() {
-            let jac = marginal_utility_jacobian(game, s)?;
-            let sub = jac.submatrix(&active.interior)?;
-            let lu = LuDecomposition::new(&sub)?;
-            // One clone for the whole call (the caller's game stays
-            // shared); the in-place probe+restore inside `axis_rhs`
-            // keeps it bit-exact across both axes.
-            let mut probe = game.clone();
-            let mut fd = FdWorkspace::new();
-
-            // ∂s̃/∂q = −Ψ · (Σ_{j∈N⁺} ∂u_k/∂s_j)_k  — solve instead of
-            // invert (the rhs is identically zero when nobody pins at q).
-            if !active.upper.is_empty() {
-                let rhs = axis_rhs(&mut probe, s, Axis::Cap, &active, &jac, &mut fd)?;
-                let sol = lu.solve(&rhs)?;
-                for (slot, &i) in active.interior.iter().enumerate() {
-                    ds_dq[i] = -sol[slot];
-                }
-            }
-
-            // ∂s̃/∂p = −Ψ ∂ũ/∂p with ∂u/∂p by central difference.
-            let rhs = axis_rhs(&mut probe, s, Axis::Price, &active, &jac, &mut fd)?;
-            let sol = lu.solve(&rhs)?;
-            for (slot, &i) in active.interior.iter().enumerate() {
-                ds_dp[i] = -sol[slot];
-            }
-        }
-        Ok(Sensitivity { active, ds_dq, ds_dp, regular })
+        let mut ws = SensitivityWorkspace::new();
+        let regular = ws.factor(game, s)?;
+        let (mut ds_dq, mut ds_dp) = (Vec::new(), Vec::new());
+        ws.solve_into(Axis::Cap, &mut ds_dq)?;
+        ws.solve_into(Axis::Price, &mut ds_dp)?;
+        Ok(Sensitivity { active: ws.active, ds_dq, ds_dp, regular })
     }
 
     /// The Theorem 6 directional derivative `∂s/∂θ` of the equilibrium
@@ -178,17 +520,12 @@ impl Sensitivity {
     /// with the cap (`∂s_i/∂q = 1`) and not at all with any other axis;
     /// interior providers solve `∂s̃/∂θ = −Ψ ∂ũ/∂θ` with
     /// `Ψ = (∇_s̃ ũ)^{-1}`. For [`Axis::Cap`] and [`Axis::Price`] the
-    /// result coincides with `compute`'s `ds_dq`/`ds_dp`; for the other
-    /// axes `∂u/∂θ` is a central difference of the *analytic* marginal
-    /// utilities under the in-place reparameterization
-    /// ([`SubsidyGame::set_mu`]/[`SubsidyGame::set_profitability`]).
-    ///
-    /// The FD leg is **clone-free**: the game is probed in place
-    /// (`θ₀ ± h`) through [`Sensitivity::axis_shift_into`] and restored
-    /// to exactly `θ₀` before returning — which is why the receiver is
-    /// `&mut`. On return the game is bit-identical to what was passed
-    /// in, on error paths included (axis writes are pure parameter
-    /// stores, so the restore is exact).
+    /// result is bit-identical to `compute`'s `ds_dq`/`ds_dp` (same
+    /// engine, same factors). The game is only read; the `&mut` receiver
+    /// is kept for API stability. Resident callers should hold a
+    /// [`SensitivityWorkspace`] and call
+    /// [`SensitivityWorkspace::directional_into`] instead, which is this
+    /// without the per-call buffers.
     ///
     /// # Errors
     /// A degenerate equilibrium — a pinned provider with `u_i ≈ 0`,
@@ -196,57 +533,19 @@ impl Sensitivity {
     /// rather than silently differentiated: the one-sided derivative a
     /// continuation step would extrapolate from it is wrong on one side.
     pub fn directional(game: &mut SubsidyGame, s: &[f64], axis: Axis) -> NumResult<Vec<f64>> {
-        game.validate(s)?;
-        if let Axis::Profitability(j) = axis {
-            if j >= game.n() {
-                return Err(NumError::DimensionMismatch { expected: game.n(), actual: j });
-            }
-        }
-        let n = game.n();
-        let q = game.cap();
-        let active = ActiveSet::classify(s, q);
-        let u = game.marginal_utilities(s)?;
-        if let Some(&i) = degenerate_pin(&active, &u) {
-            return Err(NumError::Domain {
-                what: "degenerate equilibrium: pinned provider with u_i = 0 \
-                       (strict complementarity fails; derivatives are one-sided)",
-                value: u[i],
-            });
-        }
-
-        let mut ds = vec![0.0; n];
-        if axis == Axis::Cap {
-            for &i in &active.upper {
-                ds[i] = 1.0;
-            }
-        }
-        // Interior providers are the only ones that move through Ψ — and
-        // along the cap axis the right-hand side is identically zero when
-        // nobody pins at q, so the Jacobian/LU work is skipped there too.
-        if active.interior.is_empty() || (axis == Axis::Cap && active.upper.is_empty()) {
-            return Ok(ds);
-        }
-        let jac = marginal_utility_jacobian(game, s)?;
-        let sub = jac.submatrix(&active.interior)?;
-        let lu = LuDecomposition::new(&sub)?;
-        let mut fd = FdWorkspace::new();
-        let rhs = axis_rhs(game, s, axis, &active, &jac, &mut fd)?;
-        let sol = lu.solve(&rhs)?;
-        for (slot, &i) in active.interior.iter().enumerate() {
-            ds[i] = -sol[slot];
-        }
+        let mut ds = Vec::new();
+        SensitivityWorkspace::new().directional_into(game, s, axis, &mut ds)?;
         Ok(ds)
     }
 
     /// The finite-difference marginal-utility shift `∂u/∂θ` under the
-    /// in-place reparameterization, written into `out` — the FD
-    /// cross-check leg of [`Sensitivity::directional`], exposed so
-    /// resident engines can pin it. Clone-free probe+restore: the axis
-    /// is written to `θ₀ ± h` in place and **always restored to exactly
-    /// `θ₀`** before returning, error paths included (axis writes are
-    /// pure parameter stores, so the restore is bit-exact). After `ws`
-    /// warm-up the probe performs zero heap allocation (pinned in
-    /// `tests/alloc_free.rs`).
+    /// in-place reparameterization, written into `out` — the FD oracle
+    /// for the structured engine's analytic right-hand sides. Clone-free
+    /// probe+restore: the axis is written to `θ₀ ± h` in place and
+    /// **always restored to exactly `θ₀`** before returning, error paths
+    /// included (axis writes are pure parameter stores, so the restore is
+    /// bit-exact). After `ws` warm-up the probe performs zero heap
+    /// allocation (pinned in `tests/alloc_free.rs`).
     ///
     /// # Errors
     /// [`Axis::Cap`] is refused — the cap moves the feasible box, not
@@ -315,53 +614,13 @@ impl Sensitivity {
     /// `Ok(Some(active_set))` when a pinned provider violates strict
     /// complementarity (the exact condition [`Sensitivity::directional`]
     /// refuses with a domain error), `Ok(None)` when differentiation is
-    /// admissible. The serving layer answers degenerate sensitivity reads
-    /// with the returned partition (a typed, recoverable reply) instead of
-    /// failing the request — the same fallback ladder the µ-sweep uses.
+    /// admissible. The verdict is [`SensitivityWorkspace::factor`]'s, so
+    /// it can never drift from the other entry points; a resident caller
+    /// that goes on to differentiate should call `factor` itself and
+    /// reuse the one state solve.
     pub fn degeneracy(game: &SubsidyGame, s: &[f64]) -> NumResult<Option<ActiveSet>> {
-        game.validate(s)?;
-        let active = ActiveSet::classify(s, game.cap());
-        let u = game.marginal_utilities(s)?;
-        Ok(degenerate_pin(&active, &u).is_some().then_some(active))
-    }
-}
-
-/// The first pinned provider violating strict complementarity, if any —
-/// the one degeneracy test [`Sensitivity::compute`],
-/// [`Sensitivity::directional`] and [`Sensitivity::degeneracy`] all share,
-/// so their verdicts can never drift apart.
-fn degenerate_pin<'a>(active: &'a ActiveSet, u: &[f64]) -> Option<&'a usize> {
-    active.lower.iter().chain(&active.upper).find(|&&i| u[i].abs() <= DEGENERATE_U_TOL)
-}
-
-/// The Theorem 6 right-hand side `(∂u_k/∂θ)_{k ∈ Ñ}` for one axis — the
-/// single implementation [`Sensitivity::compute`] and
-/// [`Sensitivity::directional`] both solve against (the agreement test
-/// pins them bit-identical, so the FD constants live in exactly one
-/// place). For the cap axis this is the pinned-provider column sum
-/// `Σ_{j∈N⁺} ∂u_k/∂s_j` read off the Jacobian; for every other axis the
-/// clone-free in-place probe+restore [`Sensitivity::axis_shift_into`]
-/// gathered over the interior set.
-fn axis_rhs(
-    game: &mut SubsidyGame,
-    s: &[f64],
-    axis: Axis,
-    active: &ActiveSet,
-    jac: &subcomp_num::linalg::Matrix,
-    fd: &mut FdWorkspace,
-) -> NumResult<Vec<f64>> {
-    match axis {
-        // ∂s̃/∂q: the pinned-at-q providers drag their neighbours.
-        Axis::Cap => Ok(active
-            .interior
-            .iter()
-            .map(|&k| active.upper.iter().map(|&j| jac[(k, j)]).sum::<f64>())
-            .collect()),
-        _ => {
-            let mut shift = Vec::new();
-            Sensitivity::axis_shift_into(game, s, axis, fd, &mut shift)?;
-            Ok(active.interior.iter().map(|&k| shift[k]).collect())
-        }
+        let mut ws = SensitivityWorkspace::new();
+        Ok((!ws.factor(game, s)?).then_some(ws.active))
     }
 }
 
@@ -641,5 +900,121 @@ mod tests {
         for &i in &sens.active.interior {
             assert!(sens.ds_dq[i].abs() < 1e-9);
         }
+    }
+
+    // --- The structured engine on synthetic factors -------------------
+
+    fn factors(d: &[f64], a: &[f64], b: &[f64], phi: &[f64], c: &[f64]) -> Factors {
+        Factors { d: d.to_vec(), a: a.to_vec(), b: b.to_vec(), phi: phi.to_vec(), c: c.to_vec() }
+    }
+
+    fn dense_solution(f: &Factors, idx: &[usize], rhs: &[f64]) -> NumResult<Vec<f64>> {
+        let mut x = vec![0.0; rhs.len()];
+        f.dense(idx, rhs, &mut x)?;
+        Ok(x)
+    }
+
+    #[test]
+    fn woodbury_matches_the_dense_block_on_synthetic_factors() {
+        use crate::structure::SplitMix64;
+        let mut rng = SplitMix64::new(5);
+        let mut draw = |lo: f64, hi: f64| lo + (hi - lo) * rng.next_f64();
+        for n in [1usize, 2, 5, 17] {
+            for _ in 0..20 {
+                let d: Vec<f64> = (0..n).map(|_| draw(-3.0, -0.5)).collect();
+                let mut rank_one = || (0..n).map(|_| draw(-0.3, 0.3)).collect::<Vec<f64>>();
+                let f = factors(&d, &rank_one(), &rank_one(), &rank_one(), &rank_one());
+                // Every other provider, as an interior set would pick them.
+                let idx: Vec<usize> = (0..n).filter(|i| n < 3 || i % 2 == 0).collect();
+                let rhs: Vec<f64> = idx.iter().map(|_| draw(-1.0, 1.0)).collect();
+                let mut x = vec![0.0; idx.len()];
+                assert!(f.woodbury(&idx, &rhs, &mut x), "well-conditioned block refused");
+                let dense = dense_solution(&f, &idx, &rhs).unwrap();
+                for (w, l) in x.iter().zip(&dense) {
+                    assert!((w - l).abs() <= 1e-12 * (1.0 + l.abs()), "n {n}: {w} vs {l}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unusable_woodbury_pivots_fall_back_to_the_dense_block() {
+        let idx = [0usize, 1];
+        let rhs = [2.0, 3.0];
+        let mut x = [0.0; 2];
+        // A zero diagonal entry whose rank-two part makes the block I.
+        let zero = factors(&[0.0, 1.0], &[1.0, 0.0], &[0.0, 0.0], &[1.0, 0.0], &[0.0, 0.0]);
+        assert!(!zero.woodbury(&idx, &rhs, &mut x));
+        assert_eq!(dense_solution(&zero, &idx, &rhs).unwrap(), vec![2.0, 3.0]);
+        // A non-finite diagonal entry.
+        let nan = factors(&[f64::NAN, 1.0], &[1.0, 0.0], &[0.0, 0.0], &[1.0, 0.0], &[0.0, 0.0]);
+        assert!(!nan.woodbury(&idx, &rhs, &mut x));
+        // A diagonal tiny next to the rank-two part: the block is ~I, but
+        // Woodbury cancels to the wrong answer; the residual check refuses
+        // it and the dense block solves it.
+        let tiny = factors(&[1e-30, 1e-30], &[1.0, 0.0], &[0.0, 1.0], &[1.0, 0.0], &[0.0, 1.0]);
+        assert!(!tiny.woodbury(&idx, &rhs, &mut x));
+        let dense = dense_solution(&tiny, &idx, &rhs).unwrap();
+        assert!((dense[0] - 2.0).abs() < 1e-12 && (dense[1] - 3.0).abs() < 1e-12);
+        // A singular capacitance with an invertible diagonal means a
+        // singular block: the fallback reports it instead of guessing.
+        let singular = factors(&[1.0, 1.0], &[1.0, 0.0], &[0.0, 0.0], &[-1.0, 0.0], &[0.0, 0.0]);
+        assert!(!singular.woodbury(&idx, &rhs, &mut x));
+        assert!(matches!(
+            dense_solution(&singular, &idx, &rhs),
+            Err(NumError::SingularMatrix { .. })
+        ));
+    }
+
+    #[test]
+    fn the_workspace_counts_dense_fallbacks() {
+        let mut ws = SensitivityWorkspace::new();
+        ws.active = ActiveSet { lower: vec![], interior: vec![0, 1], upper: vec![] };
+        ws.dtheta = vec![2.0, 3.0];
+        ws.jac = factors(&[0.0, 1.0], &[1.0, 0.0], &[0.0, 0.0], &[1.0, 0.0], &[0.0, 0.0]);
+        let mut out = Vec::new();
+        // ∂u/∂v_1 = (0, 3) against ∇ũ = I.
+        ws.solve_into(Axis::Profitability(1), &mut out).unwrap();
+        assert_eq!(out, vec![0.0, -3.0]);
+        assert_eq!(ws.dense_fallbacks(), 1);
+        // A usable diagonal does not count.
+        ws.jac = factors(&[-1.0, -2.0], &[0.0, 0.0], &[0.0, 0.0], &[0.0, 0.0], &[0.0, 0.0]);
+        ws.solve_into(Axis::Profitability(1), &mut out).unwrap();
+        assert_eq!(out, vec![0.0, 1.5]);
+        assert_eq!(ws.dense_fallbacks(), 1);
+        // A singular block is a typed error, and still counted.
+        ws.jac = factors(&[1.0, 1.0], &[1.0, 0.0], &[0.0, 0.0], &[-1.0, 0.0], &[0.0, 0.0]);
+        assert!(ws.solve_into(Axis::Profitability(0), &mut out).is_err());
+        assert_eq!(ws.dense_fallbacks(), 2);
+    }
+
+    #[test]
+    fn structured_jacobian_matches_the_fd_oracle() {
+        // All three active sets populated. The structured factors agree
+        // with central differences of the analytic u on the interior
+        // columns; a pinned column is a one-sided difference, whose O(h)
+        // error (h ≈ 1e-6) sets its looser bound. The Woodbury path
+        // serves every axis.
+        use crate::structure::marginal_utility_jacobian;
+        let mut game = paper_game(0.6, 0.35);
+        let s = solve(&game);
+        let mut ws = SensitivityWorkspace::new();
+        assert!(ws.factor(&game, &s).unwrap());
+        let (structured, fd) = (ws.jacobian(), marginal_utility_jacobian(&game, &s).unwrap());
+        let interior = ws.active().interior.clone();
+        assert!(interior.len() >= 2 && interior.len() < 8, "{:?}", ws.active());
+        for i in 0..8 {
+            for j in 0..8 {
+                let (a, b) = (structured[(i, j)], fd[(i, j)]);
+                let rtol = if interior.contains(&j) { 1e-6 } else { 1e-4 };
+                assert!((a - b).abs() <= rtol * b.abs() + 1e-9, "({i}, {j}): {a} vs fd {b}");
+            }
+        }
+        let mut out = Vec::new();
+        for axis in [Axis::Cap, Axis::Price, Axis::Mu, Axis::Profitability(3)] {
+            ws.solve_into(axis, &mut out).unwrap();
+            assert_eq!(out, Sensitivity::directional(&mut game, &s, axis).unwrap());
+        }
+        assert_eq!(ws.dense_fallbacks(), 0);
     }
 }

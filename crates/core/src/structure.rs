@@ -12,8 +12,14 @@
 //!   [`offdiagonal_monotone`] and [`neg_jacobian_is_m_matrix`] verify both
 //!   halves numerically.
 //!
-//! The Jacobian `∇u` is computed by central differences *of the analytic*
-//! marginal utilities, so its cost is `O(n²)` fixed-point solves.
+//! The Jacobian `∇u` here is computed by central differences *of the
+//! analytic* marginal utilities ([`marginal_utility_jacobian`]), `2n`
+//! fixed-point solves of `O(n)` each. Production sensitivity reads no
+//! longer use it: Theorem 6 runs on the closed-form diagonal-plus-rank-two
+//! Jacobian of [`crate::sensitivity::SensitivityWorkspace`], assembled from
+//! one solved state. This finite-difference Jacobian stays as that
+//! engine's test oracle and as the engine of the Corollary 1 checks
+//! below.
 
 use crate::game::SubsidyGame;
 use subcomp_num::linalg::{is_m_matrix, is_p_matrix, Matrix};
@@ -94,7 +100,8 @@ pub fn p_function_evidence(
 
 /// Central-difference Jacobian of the marginal utilities, `(∇u)_{ij} =
 /// ∂u_i/∂s_j`, at profile `s`. Steps shrink automatically near the box
-/// boundary (one-sided there).
+/// boundary (one-sided there, so first order in the step). The oracle of
+/// the structured sensitivity engine (module docs).
 pub fn marginal_utility_jacobian(game: &SubsidyGame, s: &[f64]) -> NumResult<Matrix> {
     game.validate(s)?;
     let n = game.n();

@@ -181,6 +181,13 @@ impl DemandFn for NanAbove {
             self.inner.dm_dt(t)
         }
     }
+    fn d2m_dt2(&self, t: f64) -> f64 {
+        if t > self.threshold {
+            f64::NAN
+        } else {
+            self.inner.d2m_dt2(t)
+        }
+    }
     fn name(&self) -> &'static str {
         "nan-above"
     }

@@ -36,7 +36,7 @@ pub mod sharded;
 use std::sync::Arc;
 use subcomp_core::game::{Axis, SubsidyGame};
 use subcomp_core::nash::{NashSolver, WarmStart};
-use subcomp_core::sensitivity::{ActiveSet, Sensitivity};
+use subcomp_core::sensitivity::{ActiveSet, SensitivityWorkspace};
 use subcomp_core::snapshot::{EqSnapshot, TangentPolicy};
 use subcomp_core::workspace::{SolveBudget, SolveWorkspace};
 use subcomp_num::error::{NumError, NumResult};
@@ -225,6 +225,8 @@ pub struct EquilibriumServer {
     cache: EqCache,
     tangent: TangentPolicy,
     seed: Option<TangentSeed>,
+    /// The resident Theorem 6 engine behind every sensitivity read.
+    sens: SensitivityWorkspace,
     /// Fingerprint at the last answered equilibrium.
     base: Option<u64>,
     dirty: Dirty,
@@ -266,6 +268,7 @@ impl EquilibriumServer {
             cache: EqCache::new(cache_capacity),
             tangent: TangentPolicy::default(),
             seed: None,
+            sens: SensitivityWorkspace::new(),
             base: None,
             dirty: Dirty::Many,
             stats: ServerStats::default(),
@@ -354,24 +357,33 @@ impl EquilibriumServer {
     /// equilibrium degrades to the plain equilibrium reply (no derivative
     /// of a non-converged iterate), a degenerate equilibrium answers its
     /// active-set partition, and only a regular equilibrium is
-    /// differentiated.
+    /// differentiated. One state solve (the resident workspace's
+    /// `factor`) serves both the degeneracy verdict and the derivative,
+    /// and the tangent seed is refilled in place, so a warm read
+    /// allocates only the reply's `ds`.
     fn serve_sensitivity(&mut self, axis: Axis) -> NumResult<Reply> {
         let (snap, source) = self.equilibrium()?;
         if source == Source::Partial {
             return Ok(Reply::Equilibrium { snap, source });
         }
-        if let Some(active_set) = Sensitivity::degeneracy(&self.game, snap.subsidies())? {
+        if !self.sens.factor(&self.game, snap.subsidies())? {
             self.stats.sensitivities += 1;
+            let active_set = self.sens.active().clone();
             return Ok(Reply::Degenerate { active_set, snap, source });
         }
-        let ds = Sensitivity::directional(&mut self.game, snap.subsidies(), axis)?;
+        let mut ds = Vec::with_capacity(self.game.n());
+        self.sens.solve_into(axis, &mut ds)?;
         self.stats.sensitivities += 1;
-        self.seed = Some(TangentSeed {
-            axis,
-            at: axis.value(&self.game),
-            ds: ds.clone(),
-            base_key: self.base.expect("equilibrium just answered"),
-        });
+        let at = axis.value(&self.game);
+        let base_key = self.base.expect("equilibrium just answered");
+        match &mut self.seed {
+            Some(seed) => {
+                (seed.axis, seed.at, seed.base_key) = (axis, at, base_key);
+                seed.ds.clear();
+                seed.ds.extend_from_slice(&ds);
+            }
+            None => self.seed = Some(TangentSeed { axis, at, ds: ds.clone(), base_key }),
+        }
         Ok(Reply::Sensitivity { ds, snap, source })
     }
 

@@ -12,8 +12,8 @@
 //!    each solve warm-started from its neighbour's equilibrium
 //!    ([`WarmStart::Previous`]), or — with
 //!    [`ContinuationSolver::with_tangent`] — from a Theorem 6 first-order
-//!    predictor ([`WarmStart::Tangent`], tangents from
-//!    [`Sensitivity::directional`]).
+//!    predictor ([`WarmStart::Tangent`], tangents from the structured
+//!    Theorem 6 engine, [`SensitivityWorkspace::directional_into`]).
 //! 2. **Row seeding** — every later row starts each point from the
 //!    *adjacent row's* solution at the same column, so only one point of
 //!    the whole grid ever solves cold (per block; see below). A seeded
@@ -28,11 +28,9 @@
 //! cloned or rebuilt again, and all transients live in a caller-owned
 //! [`GridContext`], so after warm-up the sequential engine performs **zero
 //! heap allocation per grid point** on every axis (pinned by
-//! `tests/alloc_free.rs` for both the classic `(q, p)` panel and a µ-axis
-//! sweep). The tangent predictor is the one exception: computing a
-//! Theorem 6 directional derivative assembles a Jacobian, so
-//! [`ContinuationSolver::with_tangent`] trades allocations for fewer
-//! corrector sweeps and is benchmarked, not alloc-pinned.
+//! `tests/alloc_free.rs` for the classic `(q, p)` panel and for µ-axis
+//! sweeps with and without the tangent predictor, whose Theorem 6
+//! derivatives come from the context's resident [`SensitivityWorkspace`]).
 //!
 //! Parallelism follows the [`BatchSolver`](super::BatchSolver) recipe: the
 //! grid is split into fixed-width *column blocks*, each block is one
@@ -50,7 +48,7 @@
 use super::parallel_map;
 use subcomp_core::game::SubsidyGame;
 use subcomp_core::nash::{NashSolver, SolveStats, WarmStart};
-use subcomp_core::sensitivity::Sensitivity;
+use subcomp_core::sensitivity::SensitivityWorkspace;
 use subcomp_core::welfare::welfare;
 use subcomp_core::workspace::SolveWorkspace;
 use subcomp_model::system::{System, SystemState};
@@ -270,16 +268,17 @@ impl EqGrid {
 
 /// Per-worker continuation state: the mutable game being reparameterized
 /// (one `System` clone at construction — the only one the grid ever
-/// pays), the solver workspace, the row-seed buffer and the tangent
-/// buffer. Reusable across [`ContinuationSolver::solve_seq_into`] calls;
-/// zero allocation once warm (tangent mode excepted — see the module
-/// docs).
+/// pays), the solver workspace, the row-seed buffer, and the tangent
+/// buffer with the Theorem 6 engine that fills it. Reusable across
+/// [`ContinuationSolver::solve_seq_into`] calls; zero allocation once
+/// warm.
 #[derive(Debug, Clone)]
 pub struct GridContext {
     game: SubsidyGame,
     ws: SolveWorkspace,
     seed: Vec<f64>,
     tangent: Vec<f64>,
+    sens: SensitivityWorkspace,
 }
 
 impl GridContext {
@@ -298,7 +297,13 @@ impl GridContext {
         let game = base.clone();
         let ws = SolveWorkspace::for_game(&game);
         let n = game.n();
-        GridContext { game, ws, seed: vec![0.0; n], tangent: Vec::with_capacity(n) }
+        GridContext {
+            game,
+            ws,
+            seed: vec![0.0; n],
+            tangent: Vec::with_capacity(n),
+            sens: SensitivityWorkspace::new(),
+        }
     }
 }
 
@@ -470,7 +475,7 @@ impl ContinuationSolver {
     /// through one caller-owned context into `out`. After a first call of
     /// a given shape (warm-up), repeated calls perform zero heap
     /// allocation — the contract `tests/alloc_free.rs` pins on both the
-    /// `(q, p)` panel and a µ-axis sweep (tangent mode excepted). Results
+    /// `(q, p)` panel and on µ-axis sweeps, tangent mode included. Results
     /// are bit-identical to [`ContinuationSolver::solve_game_into`] at any
     /// thread count.
     pub fn solve_seq_into(
@@ -585,18 +590,15 @@ impl ContinuationSolver {
                     // Tangent for the next column, taken at this point's
                     // equilibrium. A degenerate equilibrium (no derivative)
                     // simply degrades the next start to Previous.
-                    have_tangent = match Sensitivity::directional(
-                        &mut ctx.game,
-                        ctx.ws.subsidies(),
-                        self.col_axis,
-                    ) {
-                        Ok(ds) => {
-                            ctx.tangent.clear();
-                            ctx.tangent.extend_from_slice(&ds);
-                            true
-                        }
-                        Err(_) => false,
-                    };
+                    have_tangent = ctx
+                        .sens
+                        .directional_into(
+                            &ctx.game,
+                            ctx.ws.subsidies(),
+                            self.col_axis,
+                            &mut ctx.tangent,
+                        )
+                        .is_ok();
                 }
                 blk.subsidies[o * n..(o + 1) * n].copy_from_slice(ctx.ws.subsidies());
                 let state = ctx.ws.state();

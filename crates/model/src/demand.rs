@@ -23,6 +23,12 @@ pub trait DemandFn: Send + Sync {
     /// Derivative `dm/dt` (non-positive).
     fn dm_dt(&self, t: f64) -> f64;
 
+    /// Second derivative `d²m/dt²` — the curvature Theorem 6's Jacobian
+    /// reads on its diagonal (`∂a_i/∂s_i = m_i''(t_i)` with
+    /// `a_i = −m_i'(t_i)`). At a kink it returns the value of the piece
+    /// [`DemandFn::dm_dt`] reports there.
+    fn d2m_dt2(&self, t: f64) -> f64;
+
     /// t-elasticity `ε^m_t = (dm/dt)(t/m)` (Definition 2); non-positive for
     /// positive prices.
     fn elasticity(&self, t: f64) -> f64 {
@@ -78,6 +84,9 @@ impl DemandFn for ExpDemand {
     }
     fn dm_dt(&self, t: f64) -> f64 {
         -self.alpha * self.m(t)
+    }
+    fn d2m_dt2(&self, t: f64) -> f64 {
+        self.alpha * self.alpha * self.m(t)
     }
     fn elasticity(&self, t: f64) -> f64 {
         // Closed form: ε^m_t = -αt.
@@ -136,6 +145,10 @@ impl DemandFn for LinearDemand {
             -self.m0 / self.t_max
         }
     }
+    fn d2m_dt2(&self, _t: f64) -> f64 {
+        // Piecewise linear: every piece is straight.
+        0.0
+    }
     fn name(&self) -> &'static str {
         "linear"
     }
@@ -184,6 +197,13 @@ impl DemandFn for IsoelasticDemand {
             -self.alpha * self.m0 * (1.0 + t).powf(-self.alpha - 1.0)
         }
     }
+    fn d2m_dt2(&self, t: f64) -> f64 {
+        if t < -0.5 {
+            0.0
+        } else {
+            self.alpha * (self.alpha + 1.0) * self.m0 * (1.0 + t).powf(-self.alpha - 2.0)
+        }
+    }
     fn name(&self) -> &'static str {
         "isoelastic"
     }
@@ -227,6 +247,10 @@ impl DemandFn for LogisticDemand {
     fn dm_dt(&self, t: f64) -> f64 {
         let e = (self.k * (t - self.t0)).exp();
         -self.m0 * self.norm * self.k * e / (1.0 + e).powi(2)
+    }
+    fn d2m_dt2(&self, t: f64) -> f64 {
+        let e = (self.k * (t - self.t0)).exp();
+        self.m0 * self.norm * self.k * self.k * e * (e - 1.0) / (1.0 + e).powi(3)
     }
     fn name(&self) -> &'static str {
         "logistic"
@@ -350,6 +374,9 @@ mod tests {
             }
             fn dm_dt(&self, t: f64) -> f64 {
                 self.0.dm_dt(t)
+            }
+            fn d2m_dt2(&self, t: f64) -> f64 {
+                self.0.d2m_dt2(t)
             }
             fn name(&self) -> &'static str {
                 "raw"

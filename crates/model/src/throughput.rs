@@ -19,6 +19,11 @@ pub trait ThroughputFn: Send + Sync {
     /// Derivative `dλ/dφ` (strictly negative on `φ > 0`).
     fn dlambda_dphi(&self, phi: f64) -> f64;
 
+    /// Second derivative `d²λ/dφ²` — with [`ThroughputFn::dlambda_dphi`],
+    /// what the Theorem 6 Jacobian needs to differentiate `∂θ_i/∂s_i`
+    /// through the utilization `φ`.
+    fn d2lambda_dphi2(&self, phi: f64) -> f64;
+
     /// φ-elasticity `ε^λ_φ = (dλ/dφ)(φ/λ)` (Definition 2); non-positive.
     fn elasticity(&self, phi: f64) -> f64 {
         let l = self.lambda(phi);
@@ -90,6 +95,9 @@ impl ThroughputFn for ExpThroughput {
     fn dlambda_dphi(&self, phi: f64) -> f64 {
         -self.beta * self.lambda(phi)
     }
+    fn d2lambda_dphi2(&self, phi: f64) -> f64 {
+        self.beta * self.beta * self.lambda(phi)
+    }
     fn elasticity(&self, phi: f64) -> f64 {
         // Closed form: ε^λ_φ = -βφ.
         -self.beta * phi
@@ -131,6 +139,9 @@ impl ThroughputFn for PowerThroughput {
     }
     fn dlambda_dphi(&self, phi: f64) -> f64 {
         -self.beta * self.lambda0 * (1.0 + phi).powf(-self.beta - 1.0)
+    }
+    fn d2lambda_dphi2(&self, phi: f64) -> f64 {
+        self.beta * (self.beta + 1.0) * self.lambda0 * (1.0 + phi).powf(-self.beta - 2.0)
     }
     fn elasticity(&self, phi: f64) -> f64 {
         // Closed form: -β φ / (1 + φ).
@@ -182,6 +193,10 @@ impl ThroughputFn for LogisticThroughput {
     fn dlambda_dphi(&self, phi: f64) -> f64 {
         let e = (self.k * (phi - self.knee)).exp();
         -self.lambda0 * self.norm * self.k * e / (1.0 + e).powi(2)
+    }
+    fn d2lambda_dphi2(&self, phi: f64) -> f64 {
+        let e = (self.k * (phi - self.knee)).exp();
+        self.lambda0 * self.norm * self.k * self.k * e * (e - 1.0) / (1.0 + e).powi(3)
     }
     fn name(&self) -> &'static str {
         "logistic"
@@ -283,6 +298,9 @@ mod tests {
             }
             fn dlambda_dphi(&self, phi: f64) -> f64 {
                 self.0.dlambda_dphi(phi)
+            }
+            fn d2lambda_dphi2(&self, phi: f64) -> f64 {
+                self.0.d2lambda_dphi2(phi)
             }
             fn name(&self) -> &'static str {
                 "raw"

@@ -31,6 +31,14 @@ pub trait UtilizationFn: Send + Sync {
     /// Partial `∂Θ/∂µ` (strictly positive).
     fn dtheta_dmu(&self, phi: f64, mu: f64) -> f64;
 
+    /// Second partial `∂²Θ/∂φ²`: the curvature of the gap slope
+    /// `dg/dφ` in `φ`, which the Theorem 6 Jacobian differentiates.
+    fn d2theta_dphi2(&self, phi: f64, mu: f64) -> f64;
+
+    /// Mixed partial `∂²Θ/∂φ∂µ`: how the gap slope moves with capacity,
+    /// the µ-axis right-hand side of Theorem 6.
+    fn d2theta_dphi_dmu(&self, phi: f64, mu: f64) -> f64;
+
     /// Human-readable family name for reports.
     fn name(&self) -> &'static str;
 
@@ -65,6 +73,12 @@ impl UtilizationFn for Box<dyn UtilizationFn> {
     fn dtheta_dmu(&self, phi: f64, mu: f64) -> f64 {
         (**self).dtheta_dmu(phi, mu)
     }
+    fn d2theta_dphi2(&self, phi: f64, mu: f64) -> f64 {
+        (**self).d2theta_dphi2(phi, mu)
+    }
+    fn d2theta_dphi_dmu(&self, phi: f64, mu: f64) -> f64 {
+        (**self).d2theta_dphi_dmu(phi, mu)
+    }
     fn name(&self) -> &'static str {
         (**self).name()
     }
@@ -78,7 +92,8 @@ impl UtilizationFn for Box<dyn UtilizationFn> {
 
 /// The paper's utilization metric: per-capacity throughput, `Φ(θ, µ) = θ/µ`.
 ///
-/// `Θ(φ, µ) = φ µ`, `∂Θ/∂φ = µ`, `∂Θ/∂µ = φ`.
+/// `Θ(φ, µ) = φ µ`, `∂Θ/∂φ = µ`, `∂Θ/∂µ = φ`, `∂²Θ/∂φ² = 0`,
+/// `∂²Θ/∂φ∂µ = 1`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LinearUtilization;
 
@@ -94,6 +109,12 @@ impl UtilizationFn for LinearUtilization {
     }
     fn dtheta_dmu(&self, phi: f64, _mu: f64) -> f64 {
         phi
+    }
+    fn d2theta_dphi2(&self, _phi: f64, _mu: f64) -> f64 {
+        0.0
+    }
+    fn d2theta_dphi_dmu(&self, _phi: f64, _mu: f64) -> f64 {
+        1.0
     }
     fn name(&self) -> &'static str {
         "linear (theta/mu)"
@@ -161,6 +182,21 @@ impl UtilizationFn for PowerUtilization {
     fn dtheta_dmu(&self, phi: f64, _mu: f64) -> f64 {
         phi.powf(1.0 / self.gamma)
     }
+    fn d2theta_dphi2(&self, phi: f64, mu: f64) -> f64 {
+        // g(g − 1) φ^{g−2} µ; γ = 1 is the linear family (and would read
+        // 0 · ∞ at φ = 0 otherwise).
+        let g = 1.0 / self.gamma;
+        if g == 1.0 {
+            0.0
+        } else {
+            g * (g - 1.0) * phi.powf(g - 2.0) * mu
+        }
+    }
+    fn d2theta_dphi_dmu(&self, phi: f64, _mu: f64) -> f64 {
+        // ∂Θ/∂φ is linear in µ, so the mixed partial is its value at
+        // µ = 1 (boundary guards included).
+        self.dtheta_dphi(phi, 1.0)
+    }
     fn name(&self) -> &'static str {
         "power ((theta/mu)^gamma)"
     }
@@ -195,6 +231,12 @@ impl UtilizationFn for QueueUtilization {
     }
     fn dtheta_dmu(&self, phi: f64, _mu: f64) -> f64 {
         phi / (1.0 + phi)
+    }
+    fn d2theta_dphi2(&self, phi: f64, mu: f64) -> f64 {
+        -2.0 * mu / (1.0 + phi).powi(3)
+    }
+    fn d2theta_dphi_dmu(&self, phi: f64, _mu: f64) -> f64 {
+        1.0 / (1.0 + phi).powi(2)
     }
     fn name(&self) -> &'static str {
         "queue (theta/(mu-theta))"

@@ -1,5 +1,7 @@
 //! Property tests of the model axioms (Assumptions 1 and 2) across every
-//! function family the crate ships, plus cross-family system solves.
+//! function family the crate ships, plus cross-family system solves, and
+//! every closed-form second derivative against a central difference of
+//! the first (`num::diff`).
 
 use proptest::prelude::*;
 use subcomp_model::cp::ContentProvider;
@@ -9,6 +11,7 @@ use subcomp_model::throughput::{ExpThroughput, LogisticThroughput, PowerThroughp
 use subcomp_model::utilization::{
     LinearUtilization, PowerUtilization, QueueUtilization, UtilizationFn,
 };
+use subcomp_num::diff::derivative;
 
 fn throughput_family(idx: usize, lambda0: f64, beta: f64) -> Box<dyn ThroughputFn> {
     match idx % 3 {
@@ -33,6 +36,12 @@ fn utilization_family(idx: usize) -> Box<dyn UtilizationFn> {
         1 => Box::new(PowerUtilization::new(1.4).unwrap()),
         _ => Box::new(QueueUtilization),
     }
+}
+
+/// Whether a closed form agrees with a central difference of the next
+/// lower derivative: relative 1e-5 plus an absolute floor of 1e-7.
+fn agrees(closed: f64, fd: f64) -> bool {
+    (closed - fd).abs() <= 1e-5 * fd.abs() + 1e-7
 }
 
 proptest! {
@@ -141,5 +150,54 @@ proptest! {
         // Theorem 2: utilization and aggregate throughput fall with price.
         prop_assert!(hi.phi <= lo.phi + 1e-12);
         prop_assert!(hi.theta() <= lo.theta() + 1e-12);
+    }
+
+    #[test]
+    fn demand_second_derivative_all_families(
+        fam in 0usize..4,
+        m0 in 0.3f64..3.0,
+        alpha in 0.5f64..5.0,
+        t in -0.4f64..2.0,
+    ) {
+        let d = demand_family(fam, m0, alpha);
+        // Keep the stencil off the kinks: linear demand bends at 0 and
+        // t_max = 1 + α.
+        prop_assume!(fam % 4 != 1 || (t.abs() > 1e-3 && (t - 1.0 - alpha).abs() > 1e-3));
+        let fd = derivative(&|x| d.dm_dt(x), t).unwrap();
+        let closed = d.d2m_dt2(t);
+        prop_assert!(agrees(closed, fd), "{}: m''({t}) = {closed} vs fd {fd}", d.name());
+    }
+
+    #[test]
+    fn throughput_second_derivative_all_families(
+        fam in 0usize..3,
+        lambda0 in 0.3f64..3.0,
+        beta in 0.5f64..5.0,
+        phi in 0.01f64..4.0,
+    ) {
+        let t = throughput_family(fam, lambda0, beta);
+        let fd = derivative(&|x| t.dlambda_dphi(x), phi).unwrap();
+        let closed = t.d2lambda_dphi2(phi);
+        prop_assert!(agrees(closed, fd), "{}: λ''({phi}) = {closed} vs fd {fd}", t.name());
+    }
+
+    #[test]
+    fn utilization_second_partials_all_families(
+        fam in 0usize..4,
+        phi in 0.05f64..4.0,
+        mu in 0.5f64..3.0,
+    ) {
+        // The boxed forwarding impl is what `System` holds, so probe
+        // through it; family 3 adds the early-onset power law γ = 0.5.
+        let u: Box<dyn UtilizationFn> = if fam == 3 {
+            Box::new(PowerUtilization::new(0.5).unwrap())
+        } else {
+            utilization_family(fam)
+        };
+        let fd_phi = derivative(&|x| u.dtheta_dphi(x, mu), phi).unwrap();
+        let fd_mu = derivative(&|m| u.dtheta_dphi(phi, m), mu).unwrap();
+        let (cpp, cpm) = (u.d2theta_dphi2(phi, mu), u.d2theta_dphi_dmu(phi, mu));
+        prop_assert!(agrees(cpp, fd_phi), "{}: Θ_φφ = {cpp} vs fd {fd_phi}", u.name());
+        prop_assert!(agrees(cpm, fd_mu), "{}: Θ_φµ = {cpm} vs fd {fd_mu}", u.name());
     }
 }

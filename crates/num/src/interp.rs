@@ -147,6 +147,30 @@ impl MonotoneCubic {
             + dh01 * self.ys[k + 1]
             + dh11 * self.tangents[k + 1])
     }
+
+    /// Second derivative of the interpolant: linear on each segment and
+    /// discontinuous at interior knots, where the segment to the right is
+    /// used (the last segment at the last knot), as in
+    /// [`MonotoneCubic::derivative`]. Zero beyond the knot range, where
+    /// the derivative is extrapolated as a constant.
+    ///
+    /// Non-finite queries are rejected with [`NumError::NonFinite`].
+    pub fn second_derivative(&self, x: f64) -> NumResult<f64> {
+        validate_query(x)?;
+        let n = self.xs.len();
+        if x < self.xs[0] || x > self.xs[n - 1] {
+            return Ok(0.0);
+        }
+        let k = (upper_index(&self.xs, x) - 1).min(n - 2);
+        let h = self.xs[k + 1] - self.xs[k];
+        let t = (x - self.xs[k]) / h;
+        let d2h00 = (12.0 * t - 6.0) / (h * h);
+        let d2h10 = (6.0 * t - 4.0) / h;
+        let d2h11 = (6.0 * t - 2.0) / h;
+        Ok(d2h00 * (self.ys[k] - self.ys[k + 1])
+            + d2h10 * self.tangents[k]
+            + d2h11 * self.tangents[k + 1])
+    }
 }
 
 /// Rejects NaN/infinite query points before they reach `upper_index`,
@@ -288,6 +312,26 @@ mod tests {
         }
         // Finite queries are untouched by the screen.
         assert_eq!(li.eval(0.5).unwrap(), 2.0);
+    }
+
+    #[test]
+    fn monotone_cubic_second_derivative_matches_difference_of_derivative() {
+        let xs: Vec<f64> = (0..=10).map(|i| i as f64 * 0.2).collect();
+        let ys: Vec<f64> = xs.iter().map(|x| (-3.0 * x).exp()).collect();
+        let mc = MonotoneCubic::new(xs, ys).unwrap();
+        // Off the knots the derivative is smooth, so a central difference
+        // of it pins the closed form.
+        for i in 0..40 {
+            let x = 0.013 + i as f64 * 0.049;
+            let h = 1e-6;
+            let fd = (mc.derivative(x + h).unwrap() - mc.derivative(x - h).unwrap()) / (2.0 * h);
+            let an = mc.second_derivative(x).unwrap();
+            assert!((an - fd).abs() < 1e-6 * (1.0 + fd.abs()), "x {x}: {an} vs {fd}");
+        }
+        assert_eq!(mc.second_derivative(-1.0).unwrap(), 0.0);
+        assert_eq!(mc.second_derivative(3.0).unwrap(), 0.0);
+        assert!(mc.second_derivative(2.0).unwrap().is_finite(), "last knot uses the last segment");
+        assert!(mc.second_derivative(f64::NAN).is_err());
     }
 
     #[test]

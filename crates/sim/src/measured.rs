@@ -112,6 +112,19 @@ impl ThroughputFn for MeasuredThroughput {
             -self.tail_rate * self.lambda(phi)
         }
     }
+    fn d2lambda_dphi2(&self, phi: f64) -> f64 {
+        if phi <= self.phi_max {
+            // The nudged flat segments have a constant slope.
+            let d = self.curve.derivative(phi).unwrap_or(f64::NAN);
+            if d < -1e-12 {
+                self.curve.second_derivative(phi).unwrap_or(f64::NAN)
+            } else {
+                0.0
+            }
+        } else {
+            self.tail_rate * self.tail_rate * self.lambda(phi)
+        }
+    }
     fn name(&self) -> &'static str {
         "measured"
     }
@@ -182,6 +195,18 @@ mod tests {
         for k in 0..100 {
             let phi = k as f64 * 0.05;
             assert!(m.dlambda_dphi(phi) < 0.0, "derivative not negative at {phi}");
+        }
+    }
+
+    #[test]
+    fn second_derivative_matches_difference_of_slope() {
+        let m = MeasuredThroughput::from_samples(&exp_samples(2.0, 15, 2.0)).unwrap();
+        // Off the knots (spacing 2/15) and on both sides of the tail start.
+        for phi in [0.05, 0.31, 0.72, 1.1, 1.55, 1.9, 2.4, 3.7] {
+            let h = 1e-6;
+            let fd = (m.dlambda_dphi(phi + h) - m.dlambda_dphi(phi - h)) / (2.0 * h);
+            let an = m.d2lambda_dphi2(phi);
+            assert!((an - fd).abs() < 1e-5 * (1.0 + fd.abs()), "phi {phi}: {an} vs {fd}");
         }
     }
 

@@ -37,7 +37,7 @@ pub mod prelude {
 /// | Theorem 3 (characterization) | [`game::equilibrium`] (`τ_i`, KKT residuals) | `theorem3_equilibrium_characterization` |
 /// | Theorem 4 (uniqueness) | [`game::structure::p_function_evidence`] | solver-agreement tests |
 /// | Theorem 5 (profitability effect) | [`game::game::SubsidyGame::with_profitability`] | `theorem5_profitability_raises_subsidy` |
-/// | Theorem 6 (equilibrium dynamics) | [`game::sensitivity::Sensitivity`] (+ `directional` along any [`game::game::Axis`]) | re-solved-equilibrium finite differences |
+/// | Theorem 6 (equilibrium dynamics) | [`game::sensitivity::Sensitivity`] (+ `directional` along any [`game::game::Axis`]) on [`game::sensitivity::SensitivityWorkspace`]: the diagonal-plus-rank-two Jacobian from one solved state, solved by Woodbury | re-solved-equilibrium finite differences; the FD Jacobian oracle in `tests/sensitivity_oracle.rs` |
 /// | Corollary 1 (deregulation) | [`game::policy::policy_effect`] (fixed price) | monotone sweeps |
 /// | Theorem 7 (marginal revenue, Υ) | [`game::revenue::marginal_revenue_at`] | finite-difference cross-checks |
 /// | Theorem 8 (policy effect) | [`game::policy::policy_effect`] (optimal price) | per-CP dθ/dq agreement |

@@ -19,7 +19,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use subcomp::game::game::SubsidyGame;
+use subcomp::game::game::{Axis, SubsidyGame};
 use subcomp::game::nash::{NashSolver, WarmStart};
 use subcomp::game::vi::{extragradient_solve_into, projection_solve_into, ViConfig};
 use subcomp::game::workspace::SolveWorkspace;
@@ -224,8 +224,10 @@ fn warm_equilibrium_server_is_allocation_free_after_warmup() {
     // heap — a cache hit (fingerprint pass + shared-snapshot clone) and
     // a warm re-solve (eviction retires a unique snapshot to the
     // freelist, `blank()` recycles it, `capture_into` refills the same
-    // buffers). Sensitivity reads are excluded: the returned derivative
-    // is a fresh `Vec` by contract.
+    // buffers). Sensitivity reads are pinned separately
+    // (`warm_sensitivity_read_allocates_only_its_reply`): their reply
+    // carries a fresh `ds` Vec by contract, and that is their one
+    // allocation.
     use subcomp::exp::server::{EquilibriumServer, Request, Source};
     use subcomp::game::game::Axis;
 
@@ -355,7 +357,7 @@ fn sharded_router_warm_serve_is_allocation_free_after_warmup() {
 
 #[test]
 fn fd_axis_shift_is_allocation_free_after_warmup() {
-    // The clone-free finite-difference leg of the sensitivity engine:
+    // The clone-free finite-difference oracle of the sensitivity engine:
     // `Sensitivity::axis_shift_into` probes the game in place (apply
     // θ±h, evaluate marginal utilities into workspace buffers, restore
     // θ bit-exactly) instead of cloning the game per probe. After one
@@ -389,6 +391,103 @@ fn fd_axis_shift_is_allocation_free_after_warmup() {
         }
     });
     assert_eq!(allocs, 0, "warm FD axis shifts must not touch the heap, saw {allocs} allocations");
+}
+
+/// The §5 market at `p = 0.6, q = 0.35`: a regular equilibrium with all
+/// three active sets populated, so every sensitivity axis does real work
+/// (the cap axis needs providers pinned at `q`).
+fn section5_sensitivity_game() -> SubsidyGame {
+    use subcomp::exp::scenarios::section5_system;
+    SubsidyGame::new(section5_system(), 0.6, 0.35).unwrap()
+}
+
+const SENSITIVITY_AXES: [Axis; 5] =
+    [Axis::Price, Axis::Cap, Axis::Mu, Axis::Profitability(0), Axis::Profitability(5)];
+
+#[test]
+fn sensitivity_workspace_is_allocation_free_after_warmup() {
+    // The structured Theorem 6 engine: one state solve, the O(n) factor
+    // assembly, the Woodbury solve and the analytic right-hand sides all
+    // live in the `SensitivityWorkspace` and the caller's output buffer,
+    // so after one warm-up call a derivative along price, cap, capacity
+    // or a profitability touches no heap — and repeats bit-identically.
+    use subcomp::game::sensitivity::SensitivityWorkspace;
+
+    let game = section5_sensitivity_game();
+    let s = NashSolver::default().with_tol(1e-10).solve(&game).unwrap().subsidies;
+    let mut sens = SensitivityWorkspace::new();
+    let mut out = Vec::new();
+    let mut reference = Vec::new();
+    for &axis in &SENSITIVITY_AXES {
+        sens.directional_into(&game, &s, axis, &mut out).unwrap();
+        reference.push(out.clone());
+    }
+    let active = sens.active();
+    assert!(!active.interior.is_empty() && !active.upper.is_empty(), "{active:?}");
+    let (allocs, ()) = allocations_during(|| {
+        for _ in 0..5 {
+            for (&axis, reference) in SENSITIVITY_AXES.iter().zip(&reference) {
+                sens.directional_into(&game, &s, axis, &mut out).unwrap();
+                assert_eq!(&out, reference, "a warm derivative must repeat bit for bit");
+            }
+        }
+    });
+    assert_eq!(allocs, 0, "warm sensitivity solves must not touch the heap, saw {allocs}");
+    assert_eq!(sens.dense_fallbacks(), 0, "the section 5 market never needs the dense block");
+}
+
+#[test]
+fn warm_sensitivity_read_allocates_only_its_reply() {
+    // A `Request::Sensitivity` on a cached equilibrium through
+    // `EquilibriumServer::serve`: the fingerprint cache hit, the resident
+    // workspace's one state solve (degeneracy verdict and derivative
+    // alike) and the in-place refill of the tangent seed are all
+    // allocation-free; the reply's own `ds` is the one allocation.
+    use subcomp::exp::server::{EquilibriumServer, Reply, Request, Source};
+
+    let mut server = EquilibriumServer::new(section5_sensitivity_game(), 1, 4);
+    let read = |server: &mut EquilibriumServer| {
+        for &axis in &SENSITIVITY_AXES {
+            let reply = server.serve(Request::Sensitivity { axis }).unwrap();
+            let Reply::Sensitivity { ds, source, .. } = reply else {
+                panic!("a regular equilibrium must answer a derivative");
+            };
+            assert_eq!(ds.len(), 8);
+            assert!(matches!(source, Source::CacheHit | Source::Cold));
+        }
+    };
+    read(&mut server); // warm-up: the solve, the workspace and the seed
+    let (allocs, ()) = allocations_during(|| {
+        for _ in 0..5 {
+            read(&mut server);
+        }
+    });
+    let reads = 5 * SENSITIVITY_AXES.len() as u64;
+    assert_eq!(allocs, reads, "a warm sensitivity read must allocate only its reply's ds");
+}
+
+#[test]
+fn tangent_mu_sweep_is_allocation_free_after_warmup() {
+    // The µ-sweep of `mu_axis_sweep_is_allocation_free_after_warmup` in
+    // tangent mode: every column's Theorem 6 derivative comes from the
+    // context's resident sensitivity workspace, so the predictor-corrector
+    // sweep stays off the heap too.
+    use subcomp::exp::scenarios::section5_system;
+    use subcomp::exp::sweep::{Axis, ContinuationSolver, EqGrid, GridContext};
+
+    let base = SubsidyGame::new(section5_system(), 0.6, 0.9).unwrap();
+    let mus: [f64; 8] = std::array::from_fn(|k| 0.5 + 0.35 * k as f64);
+    let solver = ContinuationSolver::over(Axis::Cap, Axis::Mu).with_tangent(true);
+    let mut ctx = GridContext::for_game(&base);
+    let mut grid = EqGrid::empty();
+    solver.solve_seq_into(&mut ctx, &[0.9], &mus, &mut grid).unwrap();
+    let reference = grid.clone();
+    let (allocs, ()) = allocations_during(|| {
+        solver.solve_seq_into(&mut ctx, &[0.9], &mus, &mut grid).unwrap();
+    });
+    assert_eq!(allocs, 0, "a warm tangent mu sweep must not touch the heap, saw {allocs}");
+    assert_eq!(grid, reference, "the warm re-solve must reproduce the sweep exactly");
+    assert_eq!(grid.tangent_fallbacks(), 0, "every column after the first rides a tangent");
 }
 
 #[test]

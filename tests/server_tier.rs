@@ -337,6 +337,13 @@ impl subcomp::model::demand::DemandFn for NanAboveDemand {
             -2.0 * (-t).exp()
         }
     }
+    fn d2m_dt2(&self, t: f64) -> f64 {
+        if t >= self.threshold {
+            f64::NAN
+        } else {
+            2.0 * (-t).exp()
+        }
+    }
     fn name(&self) -> &'static str {
         "nan-above"
     }
