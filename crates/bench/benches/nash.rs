@@ -1,6 +1,8 @@
-//! Benchmarks Nash equilibrium solvers: best-response (Gauss–Seidel,
-//! Jacobi) and variational-inequality methods, scaling in the number of
-//! provider types, and the φ fixed point every best-response probe solves.
+//! Benchmarks Nash equilibrium solvers: the Newton-corrected Gauss–Seidel
+//! engine, Jacobi sweeps and variational-inequality methods, scaling in
+//! the number of provider types, and two layers under a solve: the φ
+//! fixed point every best-response probe solves, and one Newton step
+//! against one sweep.
 //!
 //! All solver benches measure the allocation-free engine entry points
 //! (`solve_into` / `*_solve_into`) on a reused [`SolveWorkspace`] — the
@@ -14,7 +16,7 @@ use subcomp_bench::{market_of, market_spread};
 use subcomp_core::game::SubsidyGame;
 use subcomp_core::nash::{NashSolver, WarmStart};
 use subcomp_core::vi::{extragradient_solve_into, projection_solve_into, ViConfig};
-use subcomp_core::workspace::SolveWorkspace;
+use subcomp_core::workspace::{SolveBudget, SolveWorkspace};
 use subcomp_exp::scenarios::{farm_game, section5_system};
 use subcomp_exp::sweep::BatchSolver;
 
@@ -156,9 +158,58 @@ fn bench_phi_solve(c: &mut Criterion) {
     g.finish();
 }
 
+/// The two iteration kinds of a Gauss–Seidel solve as layers, sized by
+/// n, each at a solved `farm_game` equilibrium with a non-empty interior
+/// (the first of seed 7's games at that size to have one):
+///
+/// * `newton_step` — the default engine restarted on the equilibrium:
+///   one Newton step (a state solve, the O(n) Jacobian factors and a
+///   Woodbury solve), accepted;
+/// * `sweep` — the sweep oracle `solve_by_sweeps_into` restarted there:
+///   one Gauss–Seidel sweep, n threshold searches.
+///
+/// Both include the final state assembly every solve ends with. Their
+/// ratio is what the corrector saves per iteration it takes over.
+fn bench_iteration_layers(c: &mut Criterion) {
+    let mut g = c.benchmark_group("layers/nash");
+    g.sample_size(10);
+    let solver = NashSolver::default();
+    for n in [8usize, 64] {
+        let (game, eq) = (0..)
+            .map(|k| farm_game(7, k, n, n).unwrap())
+            .find_map(|game| {
+                let eq = solver.solve(&game).ok()?;
+                (eq.diagnostics(&game).ok()?.interior > 0).then_some((game, eq.subsidies))
+            })
+            .unwrap();
+        let mut ws = SolveWorkspace::for_game(&game);
+        let start = WarmStart::Profile(&eq);
+        let step = solver.solve_into(&game, start, &mut ws).unwrap();
+        assert_eq!((step.newton_steps, step.gs_sweeps()), (1, 0), "one accepted Newton step");
+        g.bench_with_input(BenchmarkId::new("newton_step", n), &game, |b, game| {
+            b.iter(|| {
+                solver
+                    .solve_into(game, WarmStart::Profile(std::hint::black_box(&eq)), &mut ws)
+                    .unwrap()
+            })
+        });
+        let unlimited = SolveBudget::unlimited();
+        let sweep = solver.solve_by_sweeps_into(&game, start, &mut ws, unlimited).unwrap();
+        assert_eq!(sweep.iterations, 1, "one confirming sweep");
+        g.bench_with_input(BenchmarkId::new("sweep", n), &game, |b, game| {
+            b.iter(|| {
+                let start = WarmStart::Profile(std::hint::black_box(&eq));
+                solver.solve_by_sweeps_into(game, start, &mut ws, unlimited).unwrap()
+            })
+        });
+    }
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().warm_up_time(Duration::from_millis(400)).measurement_time(Duration::from_secs(2));
-    targets = bench_solvers, bench_scaling, bench_warm_start, bench_farm, bench_phi_solve
+    targets = bench_solvers, bench_scaling, bench_warm_start, bench_farm, bench_phi_solve,
+        bench_iteration_layers
 }
 criterion_main!(benches);

@@ -14,6 +14,12 @@
 //! iteration seeded at the previous probe's root (`phi_seed`), which
 //! moves little between probes.
 //!
+//! The Nash solver runs the threshold search inside its Gauss–Seidel
+//! sweeps, the globalization of its Newton corrector ([`crate::nash`]):
+//! a sweep locates the active set, and Newton steps on Theorem 6's
+//! Jacobian finish, so a solve makes about one sweep's worth of these
+//! searches instead of one per sweep until convergence.
+//!
 //! When the probe signs break single crossing (non-finite probes, a
 //! family violating Assumptions 1–2 numerically) the search declines and
 //! the provider falls back to [`grid_best_response`]: a coarse grid scan

@@ -10,11 +10,13 @@
 //!
 //! * [`game`] — the strategic form: effective prices `t_i = p − s_i`,
 //!   utilities `U_i = (v_i − s_i) θ_i(s)` and analytic marginal utilities;
-//! * [`best_response`], [`nash`] — Gauss–Seidel/Jacobi best-response
-//!   solvers for the Nash equilibrium of Definition 3. Each best response
-//!   is a Theorem 3 threshold search (three marginal probes and a Brent
-//!   root); the grid scan remains as its structural fallback and as the
-//!   independent test oracle;
+//! * [`best_response`], [`nash`] — the Nash equilibrium of Definition 3:
+//!   Gauss–Seidel best-response sweeps, corrected by Newton steps on the
+//!   guessed Theorem 3 active set with Theorem 6's Jacobian (a pure sweep
+//!   is the corrector's oracle; Jacobi sweeps the cross-check). Each best
+//!   response is a Theorem 3 threshold search (three marginal probes and
+//!   a Brent root); the grid scan remains as its structural fallback and
+//!   as the independent test oracle;
 //! * [`workspace`] — caller-owned [`workspace::SolveWorkspace`] buffers
 //!   behind the allocation-free `solve_into` engines (batch/ensemble
 //!   solving without per-solve heap traffic);
@@ -30,7 +32,8 @@
 //!   directional derivatives along any [`game::Axis`] (`∂s/∂µ`,
 //!   `∂s/∂v_i`) for predictor-corrector continuation. The Jacobian is
 //!   diagonal plus rank two, assembled in O(n) from one solved state and
-//!   solved by Woodbury;
+//!   solved by Woodbury — the same factors are the Nash corrector's
+//!   Newton matrix;
 //! * [`snapshot`] — immutable, concurrent-reader-safe copies of solved
 //!   equilibria plus the tangent warm-start admission policy (the state
 //!   layer under the `exp` equilibrium server);

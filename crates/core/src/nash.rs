@@ -1,25 +1,68 @@
-//! Nash equilibrium solvers (Definition 3) by iterated best response.
+//! Nash equilibrium solvers (Definition 3): iterated best response,
+//! corrected by Newton's method on the Theorem 3 active set.
 //!
-//! Each best response is the Theorem 3 threshold search of
-//! [`crate::best_response`], seeded at the provider's current iterate.
-//! The primary solver sweeps providers **Gauss–Seidel** style (each best
-//! response immediately visible to the next provider), optionally damped;
-//! a **Jacobi** sweep (simultaneous responses) is available as an
-//! independent cross-check and for studying the paper's stability story —
-//! under Theorem 4's P-function condition both settle on the same unique
-//! equilibrium.
+//! **The corrector.** By Theorem 3 every equilibrium is a KKT point:
+//! providers pinned at `0` (`N⁻`) or at their cap `min(q, v_i)` (`N⁺`),
+//! and interior providers `Ñ` with `u_Ñ(s) = 0`. Theorem 6's interior
+//! Jacobian `∇_s̃ũ` is Newton's matrix for those conditions — nonsingular
+//! under Theorem 4's P-function condition — and [`crate::sensitivity`]
+//! assembles it in O(n) from one solved state and solves it by Woodbury.
+//! So [`NashSolver::solve_into_budgeted`], the one entry point every
+//! [`SweepMode::GaussSeidel`] solve runs through, *guesses* the active
+//! set at the current iterate (the [`crate::sensitivity::ActiveSet`]
+//! classifier, against the solver's own box `[0, min(q, v_i)]`) and takes
+//! box-projected Newton steps on the frozen guess:
 //!
-//! Convergence is declared on the sup-norm of the sweep update; the
-//! returned [`NashSolution`] carries the full solved state and diagnostics,
-//! and [`crate::equilibrium::verify_equilibrium`] can be used post-hoc for
-//! an independent KKT/deviation certificate.
+//! * pinned providers sit on their corners; a step solves the state once,
+//!   reads every `u_i`, factors the Jacobian and solves
+//!   `J_ÑÑ δ = −u_Ñ`, and the next iterate is `s + δ`, clamped to the box;
+//! * the attempt is **accepted** when `max(‖δ‖∞, pinned violation) ≤ tol`.
+//!   A pinned provider's violation is its wrong-signed marginal (`u_i > 0`
+//!   at the lower pin, `u_i < 0` at the upper) over `|∂u_i/∂s_i|`, capped
+//!   at its box width. Both terms are in subsidy units, so `tol` and the
+//!   residual keep the meaning of a sweep update;
+//! * it **declines** when a step leaves the box by more than `tol`, the
+//!   residual fails to halve, the interior converges while a pinned sign
+//!   contradicts its pin, an interior provider sits on (within
+//!   [`PIN_TOL`], like a corner) or past the clamped `t = 0` kink, where
+//!   `u_i` has no root, a value is non-finite or the block is singular —
+//!   or after [`NEWTON_MAX_STEPS`] steps. A decline restores the
+//!   pre-attempt iterate, runs one Gauss–Seidel sweep and guesses again.
+//!
+//! An empty guessed interior skips the attempt, so every cold start from
+//! `s = 0` and every `q = 0` game begins with a sweep.
+//!
+//! **Globalization and oracle.** The Gauss–Seidel sweep — each provider's
+//! best response, the Theorem 3 threshold search of
+//! [`crate::best_response`] seeded at its current iterate, immediately
+//! visible to the next provider, optionally damped — is the corrector's
+//! globalization. Run alone it is the corrector's oracle,
+//! [`NashSolver::solve_by_sweeps_into`], which no production path calls.
+//! A [`SweepMode::Jacobi`] solver (simultaneous responses) stays a pure
+//! sweep: the independent cross-check, and the paper's stability story.
+//! Under Theorem 4 all of them settle on the same unique equilibrium.
+//!
+//! **Effort.** A Newton step and a sweep each count as one iteration
+//! against `max_sweeps` and [`SolveBudget`]; [`SolveStats`] splits the
+//! two. A step that cannot measure its residual (kink, non-finite value,
+//! singular block) ends its attempt without counting, so a partial or
+//! [`NumError::MaxIterations`] answer always carries a finite residual.
+//!
+//! The returned [`NashSolution`] carries the full solved state and
+//! diagnostics, and [`crate::equilibrium::verify_equilibrium`] gives an
+//! independent KKT/deviation certificate.
 
 use crate::best_response::{best_response_into, BrConfig};
+use crate::equilibrium::PIN_TOL;
 use crate::game::SubsidyGame;
+use crate::sensitivity::Pin;
 use crate::workspace::{SolveBudget, SolveWorkspace};
 use subcomp_model::system::SystemState;
 use subcomp_num::linalg::vector::{copy_clamped, sub_inf_norm};
 use subcomp_num::{NumError, NumResult};
+
+/// Most Newton steps one corrector attempt takes before it declines.
+pub const NEWTON_MAX_STEPS: usize = 8;
 
 /// Sweep order for the best-response iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,9 +82,9 @@ pub struct NashSolution {
     pub state: SystemState,
     /// Utilities `U_i(s*)`.
     pub utilities: Vec<f64>,
-    /// Best-response sweeps performed.
+    /// Iterations performed: best-response sweeps plus Newton steps.
     pub iterations: usize,
-    /// Sup-norm of the final sweep update.
+    /// Sup-norm of the final update (see [`SolveStats::residual`]).
     pub residual: f64,
     /// Whether the residual met the tolerance within the budget.
     pub converged: bool,
@@ -90,9 +133,9 @@ impl NashSolution {
 /// a refactor that degrades convergence (not just the answer) is caught.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolveDiagnostics {
-    /// Best-response sweeps performed.
+    /// Iterations performed: best-response sweeps plus Newton steps.
     pub iterations: usize,
-    /// Sup-norm of the final sweep update.
+    /// Sup-norm of the final update (see [`SolveStats::residual`]).
     pub residual: f64,
     /// Whether the solve met its tolerance.
     pub converged: bool,
@@ -108,16 +151,19 @@ pub struct SolveDiagnostics {
     pub interior: usize,
 }
 
-/// Iterated best-response Nash solver.
+/// Nash solver: Gauss–Seidel best-response sweeps corrected by Newton
+/// steps on the guessed active set, or pure Jacobi sweeps (module docs).
 #[derive(Debug, Clone, Copy)]
 pub struct NashSolver {
-    /// Sweep order.
+    /// Sweep order. [`SweepMode::GaussSeidel`] runs the Newton corrector;
+    /// [`SweepMode::Jacobi`] sweeps only.
     pub mode: SweepMode,
-    /// Damping `ω ∈ (0, 1]`: `s ← (1−ω) s + ω BR(s)`.
+    /// Damping `ω ∈ (0, 1]` of the sweeps: `s ← (1−ω) s + ω BR(s)`.
     pub damping: f64,
-    /// Convergence threshold on the sup-norm sweep update.
+    /// Convergence threshold on the sup-norm update (a sweep's, or a
+    /// Newton step's `max(‖δ‖∞, pinned violation)`).
     pub tol: f64,
-    /// Maximum sweeps.
+    /// Maximum iterations: sweeps plus Newton steps.
     pub max_sweeps: usize,
 }
 
@@ -146,7 +192,8 @@ impl NashSolver {
         self
     }
 
-    /// Returns a copy with a different sweep budget.
+    /// Returns a copy with a different iteration ceiling (sweeps plus
+    /// Newton steps).
     pub fn with_max_sweeps(mut self, n: usize) -> Self {
         self.max_sweeps = n.max(1);
         self
@@ -171,9 +218,9 @@ impl NashSolver {
         Ok(ws.solution(stats))
     }
 
-    /// The allocation-free solve engine. Runs the same best-response
-    /// iteration as [`NashSolver::solve`]/[`NashSolver::solve_from`] —
-    /// bit-identical iterates, residuals and sweep counts — but every
+    /// The allocation-free solve engine. Runs the same iteration as
+    /// [`NashSolver::solve`]/[`NashSolver::solve_from`] — bit-identical
+    /// iterates, residuals and iteration counts — but every
     /// transient lives in the caller-owned `ws`: after a first solve at a
     /// given size (warm-up), repeated calls perform **zero heap
     /// allocation** (asserted by the counting-allocator suite). On success
@@ -188,24 +235,57 @@ impl NashSolver {
         self.solve_into_budgeted(game, start, ws, SolveBudget::unlimited())
     }
 
-    /// [`NashSolver::solve_into`] under a deterministic [`SolveBudget`].
+    /// [`NashSolver::solve_into`] under a deterministic [`SolveBudget`]:
+    /// the one solve entry point, which every other solve wraps.
     ///
-    /// The budget is a sweep-count ceiling checked inside the iteration
-    /// loop (an integer compare — no allocation, no clock). When it fires
-    /// before convergence the engine does **not** error: it assembles the
-    /// full state and utilities at the best iterate and returns
+    /// The budget is an iteration ceiling — a Gauss–Seidel sweep or a
+    /// Newton step each count one — checked inside the loop (an integer
+    /// compare: no allocation, no clock). When it fires before
+    /// convergence the engine does **not** error: it assembles the full
+    /// state and utilities at the best iterate and returns
     /// `Ok(SolveStats { converged: false, .. })`, so a serving layer can
-    /// degrade to a partial answer instead of spinning or failing. A
-    /// budget at or above the solver's own `max_sweeps` never fires —
-    /// running out of `max_sweeps` stays the usual
-    /// [`NumError::MaxIterations`] — and an unlimited budget makes this
-    /// bit-identical to [`NashSolver::solve_into`].
+    /// degrade to a partial answer instead of spinning or failing. If it
+    /// fires inside a Newton attempt, the best iterate is the one the
+    /// attempt started from. A budget at or above the solver's own
+    /// `max_sweeps` never fires — running out of `max_sweeps` stays the
+    /// usual [`NumError::MaxIterations`] — and an unlimited budget makes
+    /// this bit-identical to [`NashSolver::solve_into`]. Either way the
+    /// residual reported is finite.
     pub fn solve_into_budgeted(
         &self,
         game: &SubsidyGame,
         start: WarmStart<'_>,
         ws: &mut SolveWorkspace,
         budget: SolveBudget,
+    ) -> NumResult<SolveStats> {
+        self.iterate(game, start, ws, budget, self.mode == SweepMode::GaussSeidel)
+    }
+
+    /// The Newton corrector's oracle: [`NashSolver::solve_into_budgeted`]
+    /// with every iteration a best-response sweep and no Newton step.
+    /// Like [`crate::best_response::grid_best_response`] for the
+    /// threshold search, it runs on no production path; tests and benches
+    /// hold the corrector to it (`tests/newton_oracle.rs`). For a
+    /// [`SweepMode::Jacobi`] solver it is `solve_into_budgeted` itself.
+    pub fn solve_by_sweeps_into(
+        &self,
+        game: &SubsidyGame,
+        start: WarmStart<'_>,
+        ws: &mut SolveWorkspace,
+        budget: SolveBudget,
+    ) -> NumResult<SolveStats> {
+        self.iterate(game, start, ws, budget, false)
+    }
+
+    /// The iteration behind both entry points: before each sweep, a
+    /// Newton attempt when `newton` is set (module docs).
+    fn iterate(
+        &self,
+        game: &SubsidyGame,
+        start: WarmStart<'_>,
+        ws: &mut SolveWorkspace,
+        budget: SolveBudget,
+        newton: bool,
     ) -> NumResult<SolveStats> {
         if let WarmStart::Profile(s0) = start {
             game.validate(s0)?;
@@ -214,7 +294,12 @@ impl NashSolver {
         ws.ensure(game);
         if n == 0 {
             game.state_into(&[], &mut ws.prices, &mut ws.scratch, &mut ws.state)?;
-            return Ok(SolveStats { iterations: 0, residual: 0.0, converged: true });
+            return Ok(SolveStats {
+                iterations: 0,
+                newton_steps: 0,
+                residual: 0.0,
+                converged: true,
+            });
         }
         // Clamp the start into the effective box [0, min(q, v_i)].
         match start {
@@ -254,54 +339,133 @@ impl NashSolver {
         // chain is local and starts cold, so the answer stays a pure
         // function of (game, start) whatever workspace runs it.
         let mut phi_seed = f64::NAN;
-        let mut residual = f64::INFINITY;
-        for sweep in 0..self.max_sweeps {
-            ws.next.copy_from_slice(&ws.s);
-            if self.mode == SweepMode::Jacobi {
-                ws.reference.copy_from_slice(&ws.s); // Jacobi responds to this snapshot
+        let limit = budget.max_sweeps().min(self.max_sweeps);
+        let mut stats = SolveStats {
+            iterations: 0,
+            newton_steps: 0,
+            residual: f64::INFINITY,
+            converged: false,
+        };
+        while stats.iterations < limit {
+            if newton && self.newton_attempt(game, ws, &mut stats, limit) {
+                stats.converged = true;
+                break;
             }
-            for i in 0..n {
-                let basis = match self.mode {
-                    SweepMode::GaussSeidel => &ws.next,
-                    SweepMode::Jacobi => &ws.reference,
-                };
-                // The search is seeded at `basis[i]`, which equals `ws.s[i]`
-                // in both modes: provider `i` has not been updated yet.
-                let br = best_response_into(
-                    game,
-                    i,
-                    basis,
-                    &br_cfg,
-                    &mut ws.m,
-                    &mut phi_seed,
-                    &mut ws.scratch,
-                )?;
-                ws.next[i] = (1.0 - self.damping) * ws.s[i] + self.damping * br.s;
+            if stats.iterations >= limit {
+                break;
             }
-            residual = sub_inf_norm(&ws.s, &ws.next);
-            std::mem::swap(&mut ws.s, &mut ws.next);
-            if residual <= self.tol {
-                game.state_into(&ws.s, &mut ws.prices, &mut ws.scratch, &mut ws.state)?;
-                for i in 0..n {
-                    ws.utilities[i] = game.utility_at_state(i, &ws.s, &ws.state);
-                }
-                return Ok(SolveStats { iterations: sweep + 1, residual, converged: true });
-            }
-            // A budget at or above max_sweeps defers to the MaxIterations
-            // error below, so unlimited budgets stay bit-identical to the
-            // un-budgeted engine.
-            if sweep + 1 >= budget.max_sweeps() && budget.max_sweeps() < self.max_sweeps {
-                // Budget exhausted before convergence: degrade, don't
-                // error. The best iterate is a legitimate (partial)
-                // answer, so assemble the full state for it.
-                game.state_into(&ws.s, &mut ws.prices, &mut ws.scratch, &mut ws.state)?;
-                for i in 0..n {
-                    ws.utilities[i] = game.utility_at_state(i, &ws.s, &ws.state);
-                }
-                return Ok(SolveStats { iterations: sweep + 1, residual, converged: false });
+            stats.residual = self.sweep(game, ws, &br_cfg, &mut phi_seed)?;
+            stats.iterations += 1;
+            if stats.residual <= self.tol {
+                stats.converged = true;
+                break;
             }
         }
-        Err(NumError::MaxIterations { max_iter: self.max_sweeps, residual })
+        // A budget at or above max_sweeps defers to the MaxIterations
+        // error, so unlimited budgets stay bit-identical to the
+        // un-budgeted engine. A smaller one degrades, don't error: the
+        // best iterate is a legitimate (partial) answer.
+        if !stats.converged && budget.max_sweeps() >= self.max_sweeps {
+            return Err(NumError::MaxIterations {
+                max_iter: self.max_sweeps,
+                residual: stats.residual,
+            });
+        }
+        game.state_into(&ws.s, &mut ws.prices, &mut ws.scratch, &mut ws.state)?;
+        for i in 0..n {
+            ws.utilities[i] = game.utility_at_state(i, &ws.s, &ws.state);
+        }
+        Ok(stats)
+    }
+
+    /// One best-response sweep of `ws.s` in place; returns the sup-norm
+    /// of its update.
+    fn sweep(
+        &self,
+        game: &SubsidyGame,
+        ws: &mut SolveWorkspace,
+        br_cfg: &BrConfig,
+        phi_seed: &mut f64,
+    ) -> NumResult<f64> {
+        ws.next.copy_from_slice(&ws.s);
+        if self.mode == SweepMode::Jacobi {
+            ws.reference.copy_from_slice(&ws.s); // Jacobi responds to this snapshot
+        }
+        for i in 0..game.n() {
+            let basis = match self.mode {
+                SweepMode::GaussSeidel => &ws.next,
+                SweepMode::Jacobi => &ws.reference,
+            };
+            // The search is seeded at `basis[i]`, which equals `ws.s[i]`
+            // in both modes: provider `i` has not been updated yet.
+            let br =
+                best_response_into(game, i, basis, br_cfg, &mut ws.m, phi_seed, &mut ws.scratch)?;
+            ws.next[i] = (1.0 - self.damping) * ws.s[i] + self.damping * br.s;
+        }
+        let residual = sub_inf_norm(&ws.s, &ws.next);
+        std::mem::swap(&mut ws.s, &mut ws.next);
+        Ok(residual)
+    }
+
+    /// One corrector attempt from the current iterate (module docs).
+    /// Returns `true` when accepted, with the answer in `ws.s` and its
+    /// residual in `stats`. Otherwise `ws.s` is back at the pre-attempt
+    /// iterate, and a residual still unmeasured becomes the first step's,
+    /// taken from that iterate.
+    fn newton_attempt(
+        &self,
+        game: &SubsidyGame,
+        ws: &mut SolveWorkspace,
+        stats: &mut SolveStats,
+        limit: usize,
+    ) -> bool {
+        if !ws.guess_active_set() {
+            return false;
+        }
+        ws.saved.copy_from_slice(&ws.s);
+        // The pinned providers move onto their corners: part of the
+        // first step.
+        let mut snap = 0.0f64;
+        for i in 0..game.n() {
+            let corner = match ws.pins[i] {
+                Pin::Lower => 0.0,
+                Pin::Upper => ws.caps[i],
+                Pin::Interior => continue,
+            };
+            snap = snap.max((ws.s[i] - corner).abs());
+            ws.s[i] = corner;
+        }
+        let (mut first, mut prev) = (None, f64::INFINITY);
+        for _ in 0..NEWTON_MAX_STEPS {
+            if stats.iterations >= limit {
+                break;
+            }
+            let Some((step, violation)) = ws.newton_step(game) else { break };
+            let step = step.max(std::mem::take(&mut snap));
+            let residual = step.max(violation);
+            stats.iterations += 1;
+            stats.newton_steps += 1;
+            first.get_or_insert(residual);
+            let accept = residual <= self.tol;
+            // A converged interior with residual left over means a
+            // pinned sign contradicts its pin: the guess is wrong.
+            if !accept && (step <= self.tol || residual > 0.5 * prev) {
+                break;
+            }
+            if !ws.take_newton_step(self.tol) {
+                break;
+            }
+            if accept {
+                stats.residual = residual;
+                return true;
+            }
+            prev = residual;
+        }
+        ws.s.copy_from_slice(&ws.saved);
+        if !stats.residual.is_finite() {
+            stats.residual = first.unwrap_or(stats.residual);
+        }
+        false
     }
 }
 
@@ -339,16 +503,29 @@ pub enum WarmStart<'a> {
 }
 
 /// Health summary of one [`NashSolver::solve_into`] run; the solution
-/// itself stays in the workspace. Mirrors the corresponding fields of
-/// [`NashSolution`] bit-for-bit.
+/// itself stays in the workspace. `iterations`, `residual` and
+/// `converged` mirror the fields of [`NashSolution`] bit-for-bit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolveStats {
-    /// Best-response sweeps performed.
+    /// Iterations performed — best-response sweeps plus Newton steps —
+    /// the unit `max_sweeps` and [`SolveBudget`] count.
     pub iterations: usize,
-    /// Sup-norm of the final sweep update.
+    /// Newton steps among the iterations.
+    pub newton_steps: usize,
+    /// Sup-norm of the final update, in subsidy units: the last sweep's,
+    /// or the accepted Newton step's `max(‖δ‖∞, pinned violation)`. A
+    /// partial answer left inside a Newton attempt reports the update
+    /// that measured the iterate it returns.
     pub residual: f64,
     /// Whether the residual met the tolerance within the budget.
     pub converged: bool,
+}
+
+impl SolveStats {
+    /// Best-response sweeps among the iterations.
+    pub fn gs_sweeps(&self) -> usize {
+        self.iterations - self.newton_steps
+    }
 }
 
 impl SolveWorkspace {
@@ -363,6 +540,83 @@ impl SolveWorkspace {
             residual: stats.residual,
             converged: stats.converged,
         }
+    }
+
+    /// Guesses the active set at the current iterate against the solver's
+    /// box `[0, min(q, v_i)]` into `pins` and `interior`; returns whether
+    /// the guessed interior is non-empty.
+    fn guess_active_set(&mut self) -> bool {
+        self.interior.clear();
+        for (i, (&si, &cap)) in self.s.iter().zip(&self.caps).enumerate() {
+            self.pins[i] = Pin::of(si, cap);
+            if self.pins[i] == Pin::Interior {
+                self.interior.push(i);
+            }
+        }
+        !self.interior.is_empty()
+    }
+
+    /// One Newton step at the current iterate on the frozen guess: solves
+    /// the state, every `u_i` and the Jacobian factors there, and
+    /// `J_ÑÑ δ = −u_Ñ` into `step`. Returns `(‖δ_Ñ‖∞, pinned violation)`,
+    /// or `None` when the step cannot be measured: an interior provider
+    /// on (within [`PIN_TOL`], like a corner) or past the clamped `t = 0`
+    /// kink, a failed state solve, a non-finite value or a singular
+    /// block.
+    fn newton_step(&mut self, game: &SubsidyGame) -> Option<(f64, f64)> {
+        let p = game.price();
+        if game.clamps_effective_price() && self.interior.iter().any(|&i| p - self.s[i] <= PIN_TOL)
+        {
+            return None;
+        }
+        game.state_into(&self.s, &mut self.prices, &mut self.scratch, &mut self.state).ok()?;
+        self.jac.assemble(game, &self.s, &self.state);
+        let (mut violation, mut slot) = (0.0f64, 0);
+        for i in 0..game.n() {
+            let u = game.marginal_utility_at_state(i, &self.s, &self.state);
+            if !u.is_finite() {
+                return None;
+            }
+            let wrong_sign = match self.pins[i] {
+                Pin::Interior => {
+                    self.rhs[slot] = -u;
+                    slot += 1;
+                    continue;
+                }
+                Pin::Lower => u > 0.0,
+                Pin::Upper => u < 0.0,
+            };
+            if wrong_sign {
+                // How far a projected step would move it: its Newton
+                // displacement, at most the width of its box.
+                let shift = (u / self.jac.entry(i, i)).abs();
+                if shift.is_nan() {
+                    return None;
+                }
+                violation = violation.max(shift.min(self.caps[i]));
+            }
+        }
+        let k = self.interior.len();
+        self.jac.solve(&self.interior, &self.rhs[..k], &mut self.step[..k]).ok()?;
+        let step = &self.step[..k];
+        if step.iter().any(|x| !x.is_finite()) {
+            return None;
+        }
+        Some((step.iter().fold(0.0f64, |m, x| m.max(x.abs())), violation))
+    }
+
+    /// Moves the interior by the last step, `s_Ñ ← clamp(s_Ñ + δ_Ñ)`.
+    /// Returns `false`, leaving the iterate partly moved, when the step
+    /// leaves the box by more than `tol`.
+    fn take_newton_step(&mut self, tol: f64) -> bool {
+        for (&i, &d) in self.interior.iter().zip(&self.step) {
+            let x = self.s[i] + d;
+            if x < -tol || x > self.caps[i] + tol {
+                return false;
+            }
+            self.s[i] = x.clamp(0.0, self.caps[i]);
+        }
+        true
     }
 }
 
@@ -381,6 +635,10 @@ mod tests {
             }
         }
         SubsidyGame::new(build_system(&specs, 1.0).unwrap(), p, q).unwrap()
+    }
+
+    fn equilibrium(p: f64, q: f64) -> Vec<f64> {
+        NashSolver::default().solve(&paper_game(p, q)).unwrap().subsidies
     }
 
     #[test]
@@ -424,11 +682,15 @@ mod tests {
 
     #[test]
     fn zero_cap_yields_zero_subsidies() {
+        // q = 0 leaves no interior to guess: one sweep, no Newton step.
         let game = paper_game(0.5, 0.0);
         let eq = NashSolver::default().solve(&game).unwrap();
         assert!(eq.subsidies.iter().all(|&s| s == 0.0));
         assert!(eq.converged);
         assert_eq!(eq.iterations, 1);
+        let mut ws = SolveWorkspace::for_game(&game);
+        let stats = NashSolver::default().solve_into(&game, WarmStart::Zero, &mut ws).unwrap();
+        assert_eq!((stats.iterations, stats.newton_steps), (1, 0));
     }
 
     #[test]
@@ -567,6 +829,122 @@ mod tests {
         let err =
             tight.solve_into_budgeted(&game, WarmStart::Zero, &mut ws3, SolveBudget::sweeps(3));
         assert!(matches!(err, Err(NumError::MaxIterations { max_iter: 3, .. })));
+    }
+
+    #[test]
+    fn newton_corrector_agrees_with_the_sweep_oracle() {
+        // Every regime of the §5 market, cold and warm: the corrected
+        // solve lands within 1e-8 of the pure sweep engine, mostly by
+        // Newton steps once it has a non-empty interior to guess.
+        let solver = NashSolver::default();
+        let oracle = |game: &SubsidyGame, start: WarmStart<'_>| {
+            let mut ws = SolveWorkspace::for_game(game);
+            solver.solve_by_sweeps_into(game, start, &mut ws, SolveBudget::unlimited()).unwrap();
+            ws.subsidies().to_vec()
+        };
+        let mut newton_steps = 0;
+        for (p, q) in [(0.5, 1.0), (0.2, 0.4), (1.2, 0.8), (0.6, 0.35), (0.9, 2.0)] {
+            let game = paper_game(p, q);
+            let nearby = equilibrium(p * 1.02, q);
+            for start in [WarmStart::Zero, WarmStart::Profile(&nearby)] {
+                let mut ws = SolveWorkspace::for_game(&game);
+                let stats = solver.solve_into(&game, start, &mut ws).unwrap();
+                assert!(stats.converged && stats.residual <= solver.tol);
+                let reference = oracle(&game, start);
+                for (i, (a, b)) in ws.subsidies().iter().zip(&reference).enumerate() {
+                    assert!((a - b).abs() <= 1e-8, "(p={p}, q={q}) CP {i}: {a} vs oracle {b}");
+                }
+                assert_eq!(ws.newton_dense_fallbacks(), 0);
+                newton_steps += stats.newton_steps;
+            }
+        }
+        assert!(newton_steps > 0, "the corrector never ran");
+    }
+
+    #[test]
+    fn warm_start_at_an_equilibrium_is_accepted_without_a_sweep() {
+        let game = paper_game(0.6, 0.35);
+        let eq = NashSolver::default().solve(&game).unwrap();
+        assert!(eq.diagnostics(&game).unwrap().interior > 0);
+        let mut ws = SolveWorkspace::for_game(&game);
+        let stats = NashSolver::default()
+            .solve_into(&game, WarmStart::Profile(&eq.subsidies), &mut ws)
+            .unwrap();
+        assert!(stats.converged);
+        assert_eq!((stats.iterations, stats.newton_steps, stats.gs_sweeps()), (1, 1, 0));
+        for (a, b) in ws.subsidies().iter().zip(&eq.subsidies) {
+            assert!((a - b).abs() <= 1e-12);
+        }
+    }
+
+    #[test]
+    fn budget_exhausted_mid_attempt_returns_the_pre_attempt_iterate() {
+        // From a nearby equilibrium the corrector converges by Newton
+        // alone, in more than one step; a one-iteration budget therefore
+        // stops it inside its first attempt.
+        let game = paper_game(0.5, 1.0);
+        let start = equilibrium(0.55, 1.0);
+        let solver = NashSolver::default();
+        let mut ws = SolveWorkspace::for_game(&game);
+        let full = solver.solve_into(&game, WarmStart::Profile(&start), &mut ws).unwrap();
+        assert!(full.converged && full.gs_sweeps() == 0 && full.newton_steps >= 2, "{full:?}");
+
+        let partial = solver
+            .solve_into_budgeted(&game, WarmStart::Profile(&start), &mut ws, SolveBudget::sweeps(1))
+            .unwrap();
+        assert!(!partial.converged);
+        assert_eq!((partial.iterations, partial.newton_steps), (1, 1));
+        assert!(partial.residual.is_finite() && partial.residual > solver.tol);
+        for (i, (&s, &s0)) in ws.subsidies().iter().zip(&start).enumerate() {
+            assert_eq!(s.to_bits(), s0.to_bits(), "CP {i} left the pre-attempt iterate");
+            assert!(s >= 0.0 && s <= game.effective_cap(i));
+        }
+        assert!(ws.state().phi.is_finite());
+        assert!(ws.utilities().iter().all(|u| u.is_finite()));
+        // The same cut under max_sweeps is an error, with a finite residual.
+        let capped = solver.with_max_sweeps(1);
+        match capped.solve_into(&game, WarmStart::Profile(&start), &mut ws) {
+            Err(NumError::MaxIterations { max_iter: 1, residual }) => {
+                assert_eq!(residual.to_bits(), partial.residual.to_bits())
+            }
+            other => panic!("expected MaxIterations, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn cold_one_iteration_partial_is_the_sweep_engines() {
+        // A cold start guesses an empty interior, so its first iteration
+        // is the sweep the pure engine runs: bit for bit the same partial.
+        let game = paper_game(0.5, 1.0);
+        let solver = NashSolver::default();
+        let budget = SolveBudget::sweeps(1);
+        let mut ws = SolveWorkspace::for_game(&game);
+        let got = solver.solve_into_budgeted(&game, WarmStart::Zero, &mut ws, budget).unwrap();
+        let mut oracle_ws = SolveWorkspace::for_game(&game);
+        let want =
+            solver.solve_by_sweeps_into(&game, WarmStart::Zero, &mut oracle_ws, budget).unwrap();
+        assert!(!got.converged);
+        assert_eq!(got, want);
+        assert_eq!(got.newton_steps, 0);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(ws.subsidies()), bits(oracle_ws.subsidies()));
+        assert_eq!(bits(ws.utilities()), bits(oracle_ws.utilities()));
+        assert_eq!(ws.state(), oracle_ws.state());
+    }
+
+    #[test]
+    fn jacobi_stays_a_pure_sweep() {
+        let game = paper_game(0.7, 0.6);
+        let solver = NashSolver::default().jacobi().with_damping(0.7);
+        let mut ws = SolveWorkspace::for_game(&game);
+        let stats = solver.solve_into(&game, WarmStart::Zero, &mut ws).unwrap();
+        assert_eq!(stats.newton_steps, 0);
+        let mut oracle_ws = SolveWorkspace::for_game(&game);
+        let oracle = solver
+            .solve_by_sweeps_into(&game, WarmStart::Zero, &mut oracle_ws, SolveBudget::unlimited())
+            .unwrap();
+        assert_eq!(stats, oracle);
+        assert_eq!(ws.subsidies(), oracle_ws.subsidies());
     }
 
     #[test]

@@ -42,12 +42,17 @@
 //!   `∂φ/∂µ = −Θ_µ/g'`;
 //! * profitability `v_j`: `∂u_i/∂v_j = δ_ij ∂θ_i/∂s_i`.
 //!
+//! The Nash solver's Newton corrector ([`crate::nash`]) solves one more
+//! right-hand side on the same factors: `−u_Ñ`, at each iterate of its
+//! interior conditions `u_Ñ(s) = 0`.
+//!
 //! **Structural fallback.** Woodbury needs a usable diagonal and a
 //! regular capacitance. When some interior `d_k` is zero or not finite,
 //! the 2×2 determinant is zero or not finite, or the Woodbury answer
 //! fails its residual check (relative 1e-10), the
 //! same analytic interior block is assembled densely and factored by
-//! [`LuDecomposition`]. [`SensitivityWorkspace::dense_fallbacks`] counts
+//! [`LuDecomposition`]. [`SensitivityWorkspace::dense_fallbacks`] and
+//! [`crate::workspace::SolveWorkspace::newton_dense_fallbacks`] count
 //! those solves.
 //!
 //! **Oracle.** The central-difference Jacobian
@@ -112,23 +117,48 @@ impl ActiveSet {
         self.lower.clear();
         self.interior.clear();
         self.upper.clear();
-        let degenerate = q <= 2.0 * PIN_TOL;
         for (i, &si) in s.iter().enumerate() {
-            if degenerate {
-                // Both corners are within PIN_TOL of each other; the
-                // interior is empty by construction.
-                if si <= q - si {
-                    self.lower.push(i);
-                } else {
-                    self.upper.push(i);
-                }
-            } else if si <= PIN_TOL {
-                self.lower.push(i);
-            } else if si >= q - PIN_TOL {
-                self.upper.push(i);
-            } else {
-                self.interior.push(i);
+            match Pin::of(si, q) {
+                Pin::Lower => self.lower.push(i),
+                Pin::Interior => self.interior.push(i),
+                Pin::Upper => self.upper.push(i),
             }
+        }
+    }
+}
+
+/// Where one provider sits in its strategy box `[0, cap]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Pin {
+    /// At the lower corner, `s_i = 0`.
+    Lower,
+    /// Strictly inside the box.
+    Interior,
+    /// At the upper corner, `s_i = cap`.
+    Upper,
+}
+
+impl Pin {
+    /// Classifies `si` against the box `[0, cap]` with tolerance
+    /// [`PIN_TOL`]: the one classifier behind [`ActiveSet::classify`]
+    /// (the box `[0, q]`) and the Nash solver's active-set guess (the box
+    /// `[0, min(q, v_i)]` it searches). In a degenerate box,
+    /// `cap ≤ 2·PIN_TOL`, both corners are within `PIN_TOL` of each
+    /// other: the provider goes to the nearer one, ties to the lower, and
+    /// the interior is empty.
+    pub(crate) fn of(si: f64, cap: f64) -> Pin {
+        if cap <= 2.0 * PIN_TOL {
+            if si <= cap - si {
+                Pin::Lower
+            } else {
+                Pin::Upper
+            }
+        } else if si <= PIN_TOL {
+            Pin::Lower
+        } else if si >= cap - PIN_TOL {
+            Pin::Upper
+        } else {
+            Pin::Interior
         }
     }
 }
@@ -156,25 +186,114 @@ impl FdWorkspace {
 }
 
 /// The Jacobian `∇u = diag(d) + A·φᵀ + B·cᵀ` in factored form, one
-/// entry per provider (module docs).
+/// entry per provider (module docs), with the quantities its assembly
+/// leaves behind for the right-hand sides. Shared by
+/// [`SensitivityWorkspace`] and the Nash solver's Newton corrector, which
+/// solves one more right-hand side, `−u_Ñ`, on the same block.
 #[derive(Debug, Clone, Default)]
-struct Factors {
+pub(crate) struct Factors {
     d: Vec<f64>,
     a: Vec<f64>,
     b: Vec<f64>,
     phi: Vec<f64>,
     c: Vec<f64>,
+    /// `∂θ_i/∂s_i`.
+    dtheta: Vec<f64>,
+    /// `∂φ/∂µ` and `Θ_φµ` at the assembled state.
+    dphi_dmu: f64,
+    theta_phimu: f64,
+    /// Per-provider `λ'`, `λ''` and `a = −m'` between the two assembly
+    /// passes.
+    l1: Vec<f64>,
+    l2: Vec<f64>,
+    pop_slope: Vec<f64>,
+    /// Block solves that took the dense fallback, failed ones included.
+    fallbacks: u64,
 }
 
 impl Factors {
-    fn resize(&mut self, n: usize) {
-        for v in [&mut self.d, &mut self.a, &mut self.b, &mut self.phi, &mut self.c] {
+    pub(crate) fn resize(&mut self, n: usize) {
+        for v in [
+            &mut self.d,
+            &mut self.a,
+            &mut self.b,
+            &mut self.phi,
+            &mut self.c,
+            &mut self.dtheta,
+            &mut self.l1,
+            &mut self.l2,
+            &mut self.pop_slope,
+        ] {
             v.resize(n, 0.0);
         }
     }
 
+    /// Assembles the factors of the module docs at the profile `s` from
+    /// its solved state: one pass per provider for `a`, `a'`, `λ'`, `λ''`,
+    /// `φ_j`, `c_j`, `∂θ_i/∂s_i` and `d_i`, then — once the curvature
+    /// `g'' = Θ_φφ − Σ m_k λ_k''` is known — one for `A_i` and `B_i`.
+    pub(crate) fn assemble(&mut self, game: &SubsidyGame, s: &[f64], st: &SystemState) {
+        let sys = game.system();
+        let n = game.n();
+        let (phi, g1) = (st.phi, st.dg_dphi);
+        self.resize(n);
+        let mut m_curv = 0.0;
+        for k in 0..n {
+            let cp = sys.cp(k);
+            let (m, lam) = (st.m[k], st.lambda[k]);
+            let t = game.price() - s[k];
+            // The clamped region (t < 0 under clamping) freezes m_k, as in
+            // the marginal utility itself.
+            let (a, a1) = if game.clamps_effective_price() && t < 0.0 {
+                (0.0, 0.0)
+            } else {
+                (-cp.demand().dm_dt(t), cp.demand().d2m_dt2(t))
+            };
+            let (l1, l2) = (cp.throughput().dlambda_dphi(phi), cp.throughput().d2lambda_dphi2(phi));
+            let w = cp.profitability() - s[k];
+            self.phi[k] = lam * a / g1;
+            self.c[k] = l1 * a;
+            self.dtheta[k] = a * lam + m * l1 * self.phi[k];
+            self.d[k] =
+                -a * lam - self.dtheta[k] + w * (a1 * lam + (a * a + m * a1) * lam * l1 / g1);
+            m_curv += m * l2;
+            (self.l1[k], self.l2[k], self.pop_slope[k]) = (l1, l2, a);
+        }
+        let util = sys.utilization_fn();
+        let g2 = util.d2theta_dphi2(phi, sys.mu()) - m_curv;
+        for i in 0..n {
+            let (m, lam, l1, l2, a) =
+                (st.m[i], st.lambda[i], self.l1[i], self.l2[i], self.pop_slope[i]);
+            let w = sys.cp(i).profitability() - s[i];
+            self.b[i] = w * m * a * lam * l1 / (g1 * g1);
+            self.a[i] = -m * l1
+                + w * a * (l1 + m * (l1 * l1 + lam * l2) / g1 - m * lam * l1 * g2 / (g1 * g1));
+        }
+        self.dphi_dmu = -util.dtheta_dmu(phi, sys.mu()) / g1;
+        self.theta_phimu = util.d2theta_dphi_dmu(phi, sys.mu());
+    }
+
+    /// Solves the block on `idx` (rows and columns) against `rhs` into
+    /// `x`: Woodbury first, the dense LU when Woodbury refuses (counted
+    /// in [`Factors::dense_fallbacks`]).
+    ///
+    /// # Errors
+    /// A singular block.
+    pub(crate) fn solve(&mut self, idx: &[usize], rhs: &[f64], x: &mut [f64]) -> NumResult<()> {
+        if !self.woodbury(idx, rhs, x) {
+            self.fallbacks += 1;
+            self.dense(idx, rhs, x)?;
+        }
+        Ok(())
+    }
+
+    /// How many block solves took the dense fallback.
+    pub(crate) fn dense_fallbacks(&self) -> u64 {
+        self.fallbacks
+    }
+
     /// `∂u_i/∂s_j`.
-    fn entry(&self, i: usize, j: usize) -> f64 {
+    pub(crate) fn entry(&self, i: usize, j: usize) -> f64 {
         let diag = if i == j { self.d[i] } else { 0.0 };
         diag + self.a[i] * self.phi[j] + self.b[i] * self.c[j]
     }
@@ -264,19 +383,8 @@ pub struct SensitivityWorkspace {
     /// complementarity, if any.
     degenerate: Option<f64>,
     jac: Factors,
-    /// `∂θ_i/∂s_i`.
-    dtheta: Vec<f64>,
-    /// `∂φ/∂µ` and `Θ_φµ` at the factored state.
-    dphi_dmu: f64,
-    theta_phimu: f64,
-    /// Per-provider `λ'`, `λ''` and `a = −m'` between the two assembly
-    /// passes.
-    l1: Vec<f64>,
-    l2: Vec<f64>,
-    pop_slope: Vec<f64>,
     rhs: Vec<f64>,
     sol: Vec<f64>,
-    fallbacks: u64,
 }
 
 impl SensitivityWorkspace {
@@ -304,7 +412,7 @@ impl SensitivityWorkspace {
             .chain(&self.active.upper)
             .map(|&i| game.marginal_utility_at_state(i, s, state))
             .find(|u| u.abs() <= DEGENERATE_U_TOL);
-        self.assemble(game, s);
+        self.jac.assemble(game, s, &self.state);
         Ok(self.degenerate.is_none())
     }
 
@@ -316,7 +424,7 @@ impl SensitivityWorkspace {
     /// How many interior solves took the dense fallback (module docs)
     /// over this workspace's lifetime, failed ones included.
     pub fn dense_fallbacks(&self) -> u64 {
-        self.fallbacks
+        self.jac.dense_fallbacks()
     }
 
     /// The full `n × n` Jacobian `∇u` of the last factored equilibrium,
@@ -369,7 +477,7 @@ impl SensitivityWorkspace {
                     active
                         .interior
                         .iter()
-                        .map(|&i| -(f.d[i] + f.a[i] * sum_phi + f.b[i] * sum_c) - self.dtheta[i]),
+                        .map(|&i| -(f.d[i] + f.a[i] * sum_phi + f.b[i] * sum_c) - f.dtheta[i]),
                 );
             }
             Axis::Cap => {
@@ -378,23 +486,24 @@ impl SensitivityWorkspace {
                 self.rhs.extend(active.interior.iter().map(|&i| f.a[i] * sum_phi + f.b[i] * sum_c));
             }
             Axis::Mu => {
-                let (dphi, cross) = (self.dphi_dmu, self.theta_phimu);
+                let (dphi, cross) = (f.dphi_dmu, f.theta_phimu);
                 self.rhs.extend(active.interior.iter().map(|&i| f.a[i] * dphi - f.b[i] * cross));
             }
-            Axis::Profitability(j) => self.rhs.extend(active.interior.iter().map(|&i| {
-                if i == j {
-                    self.dtheta[i]
-                } else {
-                    0.0
-                }
-            })),
+            Axis::Profitability(j) => {
+                self.rhs.extend(active.interior.iter().map(
+                    |&i| {
+                        if i == j {
+                            f.dtheta[i]
+                        } else {
+                            0.0
+                        }
+                    },
+                ))
+            }
         }
         self.sol.clear();
         self.sol.resize(self.rhs.len(), 0.0);
-        if !f.woodbury(&active.interior, &self.rhs, &mut self.sol) {
-            self.fallbacks += 1;
-            f.dense(&active.interior, &self.rhs, &mut self.sol)?;
-        }
+        self.jac.solve(&active.interior, &self.rhs, &mut self.sol)?;
         for (&x, &i) in self.sol.iter().zip(&active.interior) {
             if !x.is_finite() {
                 return Err(NumError::NonFinite { what: "Theorem 6 derivative", at: x });
@@ -428,55 +537,6 @@ impl SensitivityWorkspace {
             });
         }
         self.solve_into(axis, out)
-    }
-
-    /// Assembles the factors of the module docs from the solved state:
-    /// one pass per provider for `a`, `a'`, `λ'`, `λ''`, `φ_j`, `c_j`,
-    /// `∂θ_i/∂s_i` and `d_i`, then — once the curvature
-    /// `g'' = Θ_φφ − Σ m_k λ_k''` is known — one for `A_i` and `B_i`.
-    fn assemble(&mut self, game: &SubsidyGame, s: &[f64]) {
-        let sys = game.system();
-        let st = &self.state;
-        let n = game.n();
-        let (phi, g1) = (st.phi, st.dg_dphi);
-        self.jac.resize(n);
-        for v in [&mut self.dtheta, &mut self.l1, &mut self.l2, &mut self.pop_slope] {
-            v.resize(n, 0.0);
-        }
-        let f = &mut self.jac;
-        let mut m_curv = 0.0;
-        for k in 0..n {
-            let cp = sys.cp(k);
-            let (m, lam) = (st.m[k], st.lambda[k]);
-            let t = game.price() - s[k];
-            // The clamped region (t < 0 under clamping) freezes m_k, as in
-            // the marginal utility itself.
-            let (a, a1) = if game.clamps_effective_price() && t < 0.0 {
-                (0.0, 0.0)
-            } else {
-                (-cp.demand().dm_dt(t), cp.demand().d2m_dt2(t))
-            };
-            let (l1, l2) = (cp.throughput().dlambda_dphi(phi), cp.throughput().d2lambda_dphi2(phi));
-            let w = cp.profitability() - s[k];
-            f.phi[k] = lam * a / g1;
-            f.c[k] = l1 * a;
-            self.dtheta[k] = a * lam + m * l1 * f.phi[k];
-            f.d[k] = -a * lam - self.dtheta[k] + w * (a1 * lam + (a * a + m * a1) * lam * l1 / g1);
-            m_curv += m * l2;
-            (self.l1[k], self.l2[k], self.pop_slope[k]) = (l1, l2, a);
-        }
-        let util = sys.utilization_fn();
-        let g2 = util.d2theta_dphi2(phi, sys.mu()) - m_curv;
-        for i in 0..n {
-            let (m, lam, l1, l2, a) =
-                (st.m[i], st.lambda[i], self.l1[i], self.l2[i], self.pop_slope[i]);
-            let w = sys.cp(i).profitability() - s[i];
-            f.b[i] = w * m * a * lam * l1 / (g1 * g1);
-            f.a[i] = -m * l1
-                + w * a * (l1 + m * (l1 * l1 + lam * l2) / g1 - m * lam * l1 * g2 / (g1 * g1));
-        }
-        self.dphi_dmu = -util.dtheta_dmu(phi, sys.mu()) / g1;
-        self.theta_phimu = util.d2theta_dphi_dmu(phi, sys.mu());
     }
 }
 
@@ -905,7 +965,15 @@ mod tests {
     // --- The structured engine on synthetic factors -------------------
 
     fn factors(d: &[f64], a: &[f64], b: &[f64], phi: &[f64], c: &[f64]) -> Factors {
-        Factors { d: d.to_vec(), a: a.to_vec(), b: b.to_vec(), phi: phi.to_vec(), c: c.to_vec() }
+        let mut f = Factors::default();
+        refill(&mut f, d, a, b, phi, c);
+        f
+    }
+
+    /// Overwrites the five factor vectors, keeping the fallback count.
+    fn refill(f: &mut Factors, d: &[f64], a: &[f64], b: &[f64], phi: &[f64], c: &[f64]) {
+        (f.d, f.a, f.b, f.phi, f.c) =
+            (d.to_vec(), a.to_vec(), b.to_vec(), phi.to_vec(), c.to_vec());
     }
 
     fn dense_solution(f: &Factors, idx: &[usize], rhs: &[f64]) -> NumResult<Vec<f64>> {
@@ -970,20 +1038,20 @@ mod tests {
     fn the_workspace_counts_dense_fallbacks() {
         let mut ws = SensitivityWorkspace::new();
         ws.active = ActiveSet { lower: vec![], interior: vec![0, 1], upper: vec![] };
-        ws.dtheta = vec![2.0, 3.0];
         ws.jac = factors(&[0.0, 1.0], &[1.0, 0.0], &[0.0, 0.0], &[1.0, 0.0], &[0.0, 0.0]);
+        ws.jac.dtheta = vec![2.0, 3.0];
         let mut out = Vec::new();
         // ∂u/∂v_1 = (0, 3) against ∇ũ = I.
         ws.solve_into(Axis::Profitability(1), &mut out).unwrap();
         assert_eq!(out, vec![0.0, -3.0]);
         assert_eq!(ws.dense_fallbacks(), 1);
         // A usable diagonal does not count.
-        ws.jac = factors(&[-1.0, -2.0], &[0.0, 0.0], &[0.0, 0.0], &[0.0, 0.0], &[0.0, 0.0]);
+        refill(&mut ws.jac, &[-1.0, -2.0], &[0.0, 0.0], &[0.0, 0.0], &[0.0, 0.0], &[0.0, 0.0]);
         ws.solve_into(Axis::Profitability(1), &mut out).unwrap();
         assert_eq!(out, vec![0.0, 1.5]);
         assert_eq!(ws.dense_fallbacks(), 1);
         // A singular block is a typed error, and still counted.
-        ws.jac = factors(&[1.0, 1.0], &[1.0, 0.0], &[0.0, 0.0], &[-1.0, 0.0], &[0.0, 0.0]);
+        refill(&mut ws.jac, &[1.0, 1.0], &[1.0, 0.0], &[0.0, 0.0], &[-1.0, 0.0], &[0.0, 0.0]);
         assert!(ws.solve_into(Axis::Profitability(0), &mut out).is_err());
         assert_eq!(ws.dense_fallbacks(), 2);
     }

@@ -1,8 +1,9 @@
 //! Caller-owned solver workspaces: the allocation-free batch engine.
 //!
 //! Every Nash/VI solve needs the same transient storage — iterate vectors,
-//! a best-response population scratch, a congestion-state buffer and the
-//! model layer's [`StateScratch`]. A [`SolveWorkspace`] owns all of it, so
+//! a best-response population scratch, a congestion-state buffer, the
+//! model layer's [`StateScratch`] and the Newton corrector's active-set
+//! guess and Jacobian factors. A [`SolveWorkspace`] owns all of it, so
 //! a caller that solves many games (parameter sweeps, seeded ensembles,
 //! the `solve_farm` binary) pays for heap allocation once at warm-up and
 //! never again: [`crate::nash::NashSolver::solve_into`],
@@ -17,18 +18,19 @@
 //! which are now thin shims over this engine.
 
 use crate::game::SubsidyGame;
+use crate::sensitivity::{Factors, Pin};
 use subcomp_model::system::{StateScratch, SystemState};
 
 /// A deterministic per-solve iteration budget.
 ///
 /// The serving layer needs a way to stop a pathological solve from
 /// spinning without giving up determinism, so the budget is counted in
-/// **best-response sweeps, never wall-clock time**: the same game under
-/// the same budget always stops at the same iterate with the same
-/// residual, on any machine. Checking it is an integer compare inside
-/// the sweep loop — no boxing, no cloning, no allocation (the
-/// counting-allocator suite pins the budgeted happy path at zero warm
-/// allocations).
+/// **iterations (a GS sweep or a Newton step), never wall-clock time**:
+/// the same game under the same budget always stops at the same iterate
+/// with the same residual, on any machine. Checking it is an integer
+/// compare inside the solve loop — no boxing, no cloning, no allocation
+/// (the counting-allocator suite pins the budgeted happy path at zero
+/// warm allocations).
 ///
 /// [`SolveBudget::unlimited`] (the default) never fires: the solver's
 /// own `max_sweeps` bound is always reached first, so an unlimited
@@ -50,13 +52,15 @@ impl SolveBudget {
         SolveBudget { max_sweeps: usize::MAX }
     }
 
-    /// At most `n` sweeps (clamped to at least 1: a zero budget would
-    /// forbid even looking at the start iterate).
+    /// At most `n` iterations, each a GS sweep or a Newton step (clamped
+    /// to at least 1: a zero budget would forbid even looking at the start
+    /// iterate).
     pub fn sweeps(n: usize) -> SolveBudget {
         SolveBudget { max_sweeps: n.max(1) }
     }
 
-    /// The sweep ceiling this budget imposes.
+    /// The iteration ceiling (GS sweeps plus Newton steps) this budget
+    /// imposes.
     pub fn max_sweeps(&self) -> usize {
         self.max_sweeps
     }
@@ -98,6 +102,18 @@ pub struct SolveWorkspace {
     pub(crate) state: SystemState,
     /// Utilities at the solution.
     pub(crate) utilities: Vec<f64>,
+    /// The Newton corrector's active-set guess, one pin per provider.
+    pub(crate) pins: Vec<Pin>,
+    /// The guessed interior `Ñ`, in provider order.
+    pub(crate) interior: Vec<usize>,
+    /// The iterate before the current Newton attempt, restored on a
+    /// decline.
+    pub(crate) saved: Vec<f64>,
+    /// Newton right-hand side `−u_Ñ` and step `δ_Ñ` (first `|Ñ|` slots).
+    pub(crate) rhs: Vec<f64>,
+    pub(crate) step: Vec<f64>,
+    /// The Theorem 6 Jacobian factors at the Newton iterate.
+    pub(crate) jac: Factors,
 }
 
 impl SolveWorkspace {
@@ -133,6 +149,13 @@ impl SolveWorkspace {
         self.vi_f.resize(n, 0.0);
         self.vi_pred.resize(n, 0.0);
         self.utilities.resize(n, 0.0);
+        self.pins.resize(n, Pin::Lower);
+        self.interior.clear();
+        self.interior.reserve(n);
+        for v in [&mut self.saved, &mut self.rhs, &mut self.step] {
+            v.resize(n, 0.0);
+        }
+        self.jac.resize(n);
         game.system().prepare_scratch(&mut self.scratch);
     }
 
@@ -149,6 +172,14 @@ impl SolveWorkspace {
     /// Utilities `U_i` at [`SolveWorkspace::subsidies`].
     pub fn utilities(&self) -> &[f64] {
         &self.utilities
+    }
+
+    /// How many Newton steps solved their interior block by the dense LU
+    /// instead of Woodbury (the structural fallback of
+    /// [`crate::sensitivity`]) over this workspace's lifetime, failed
+    /// ones included.
+    pub fn newton_dense_fallbacks(&self) -> u64 {
+        self.jac.dense_fallbacks()
     }
 }
 

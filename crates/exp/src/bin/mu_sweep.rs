@@ -57,7 +57,7 @@ fn main() {
     println!("  welfare(mu): {}", sparkline(&welfare));
     println!();
     let mut t =
-        Table::new(&["mu", "phi", "theta", "revenue", "welfare", "outlay", "sweeps", "fallback"]);
+        Table::new(&["mu", "phi", "theta", "revenue", "welfare", "outlay", "iters", "fallback"]);
     for (c, &mu) in mus.iter().enumerate() {
         let pt = grid.point(0, c);
         t.row(&[
@@ -87,7 +87,7 @@ fn main() {
 
     let report = |label: &str, g: &EqGrid| {
         println!(
-            "  {label:<22} cold solves: {:>2}   total corrector sweeps: {:>4}   \
+            "  {label:<22} cold solves: {:>2}   total iterations: {:>4}   \
              tangent fallbacks: {:>2}",
             g.cold_solves(),
             g.total_sweeps(),

@@ -45,7 +45,7 @@ fn main() {
     let game = SubsidyGame::new(system, p, q).expect("valid game");
     let eq = NashSolver::default().solve(&game).expect("equilibrium");
 
-    println!("equilibrium at p = {p}, q = {q} ({} sweeps):\n", eq.iterations);
+    println!("equilibrium at p = {p}, q = {q} ({} iterations):\n", eq.iterations);
     let mut t = Table::new(&["cp", "alpha", "beta", "v", "subsidy", "users", "theta", "utility"]);
     for i in 0..game.n() {
         t.row(&[

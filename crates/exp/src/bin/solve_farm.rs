@@ -7,7 +7,9 @@
 //! `tests/alloc_free.rs`). Every equilibrium is certified through the
 //! Theorem 3 verifier — its KKT and threshold residuals must both be at
 //! most `1e-6` — so the report doubles as an accuracy sweep, and the run
-//! exits non-zero on any failed or uncertified game.
+//! exits non-zero on any failed or uncertified game. The effort lines
+//! split each solve's iterations into Gauss–Seidel sweeps and Newton
+//! steps (`SolveStats::newton_steps`), mean and maximum per game.
 //!
 //! Usage:
 //!   `cargo run --release -p subcomp-exp --bin solve_farm [-- OPTIONS]`
@@ -30,9 +32,10 @@
 //!
 //! ## The million-game regime
 //!
-//! `--games 1000000` is the supported ensemble ceiling. At about 4,000
-//! games/s per thread (measured on a 2-vCPU Intel Xeon x86-64 host) it
-//! takes roughly 4 minutes single-threaded, scaling near-linearly with
+//! `--games 1000000` is the supported ensemble ceiling. At about 16,000
+//! games/s per thread (the median of three 20,000-game runs on a 2-vCPU
+//! Intel Xeon x86-64 host, whose speed drifts up to 2x between runs) it
+//! takes roughly a minute single-threaded, scaling near-linearly with
 //! `--threads`. Memory stays flat in the game count — the farm streams
 //! blocks through per-worker workspaces and keeps one `Copy` stat per
 //! game — so 1M games is a time budget, not a memory one. The
@@ -165,6 +168,7 @@ fn certify(game: &SubsidyGame, s: &[f64]) -> (f64, bool) {
 struct FarmStat {
     n: usize,
     iterations: usize,
+    newton_steps: usize,
     residual: f64,
     max_kkt: f64,
     certified: bool,
@@ -180,13 +184,32 @@ struct FarmAggregate {
     solved: usize,
     failed: usize,
     providers: usize,
-    iter_total: usize,
-    iter_max: usize,
+    iterations: Effort,
+    sweeps: Effort,
+    newton_steps: Effort,
     residual_max_bits: u64,
     kkt_max_bits: u64,
     uncertified: usize,
     welfare_sum_bits: u64,
     theta_sum_bits: u64,
+}
+
+/// Total and per-game maximum of one effort count.
+#[derive(Clone, Copy, PartialEq, Default)]
+struct Effort {
+    total: usize,
+    max: usize,
+}
+
+impl Effort {
+    fn add(&mut self, count: usize) {
+        self.total += count;
+        self.max = self.max.max(count);
+    }
+
+    fn line(&self, what: &str, games: usize) -> String {
+        format!("{what}: mean {:.4}, max {}", self.total as f64 / games.max(1) as f64, self.max)
+    }
 }
 
 impl FarmAggregate {
@@ -217,6 +240,7 @@ fn run_farm(args: &Args, threads: usize) -> (FarmAggregate, Duration) {
             FarmStat {
                 n: game.n(),
                 iterations: stats.iterations,
+                newton_steps: stats.newton_steps,
                 residual: stats.residual,
                 max_kkt,
                 certified,
@@ -231,8 +255,9 @@ fn run_farm(args: &Args, threads: usize) -> (FarmAggregate, Duration) {
         solved: 0,
         failed: 0,
         providers: 0,
-        iter_total: 0,
-        iter_max: 0,
+        iterations: Effort::default(),
+        sweeps: Effort::default(),
+        newton_steps: Effort::default(),
         residual_max_bits: 0.0f64.to_bits(),
         kkt_max_bits: 0.0f64.to_bits(),
         uncertified: 0,
@@ -248,8 +273,9 @@ fn run_farm(args: &Args, threads: usize) -> (FarmAggregate, Duration) {
             Ok(s) => {
                 agg.solved += 1;
                 agg.providers += s.n;
-                agg.iter_total += s.iterations;
-                agg.iter_max = agg.iter_max.max(s.iterations);
+                agg.iterations.add(s.iterations);
+                agg.sweeps.add(s.iterations - s.newton_steps);
+                agg.newton_steps.add(s.newton_steps);
                 residual_max = residual_max.max(s.residual);
                 if s.max_kkt.is_finite() {
                     kkt_max = kkt_max.max(s.max_kkt);
@@ -277,12 +303,10 @@ fn print_aggregate(args: &Args, agg: &FarmAggregate) {
     );
     println!("solved: {} ({} failed)", agg.solved, agg.failed);
     println!("providers total: {}", agg.providers);
-    println!(
-        "sweeps: mean {:.4}, max {}",
-        agg.iter_total as f64 / agg.solved.max(1) as f64,
-        agg.iter_max
-    );
-    println!("max sweep residual: {:.3e}", agg.residual_max());
+    println!("{}", agg.iterations.line("iterations", agg.solved));
+    println!("{}", agg.sweeps.line("  GS sweeps", agg.solved));
+    println!("{}", agg.newton_steps.line("  Newton steps", agg.solved));
+    println!("max final-update residual: {:.3e}", agg.residual_max());
     println!(
         "max KKT residual (Theorem 3 certificate): {:.3e} ({} uncertified at {CERT_TOL:e})",
         agg.kkt_max(),

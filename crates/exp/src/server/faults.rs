@@ -19,7 +19,7 @@
 //!   caught at the door as a typed [`NumError::NonFinite`], never
 //!   inside a solve.
 //! * [`FaultKind::Starve`] — a market's [`SolveBudget`] is cut to one
-//!   sweep, degrading its solves to [`Source::Partial`] answers until
+//!   iteration, degrading its solves to [`Source::Partial`] answers until
 //!   repeated blowouts quarantine it.
 //!
 //! Curve and budget faults schedule a paired [`FaultKind::Heal`] (clean
@@ -61,14 +61,16 @@ const STREAM_AT: u64 = 9002;
 const STREAM_MARKET: u64 = 9003;
 const STREAM_HEAL: u64 = 9004;
 
-/// Effective-price threshold of the NaN wrapper. The Gauss–Seidel sweep
-/// only evaluates demand at `t = p − s ≤ p ≤ 0.9`, while the server's
-/// fingerprint probes population at `t = 1.5` — so a curve poisoned
-/// above 1.0 is caught by admission fingerprinting, never mid-solve.
+/// Effective-price threshold of the NaN wrapper. The solver's sweeps and
+/// Newton steps only evaluate demand at `t = p − s ≤ p ≤ 0.9`, while the
+/// server's fingerprint probes population at `t = 1.5` — so a curve
+/// poisoned above 1.0 is caught by admission fingerprinting, never
+/// mid-solve.
 const NAN_THRESHOLD: f64 = 1.0;
 
-/// The starvation budget: one Gauss–Seidel sweep, far below what any
-/// cold solve needs, so every cache miss degrades to a partial answer.
+/// The starvation budget: one iteration (a GS sweep or a Newton step),
+/// far below what any cold or moved-market solve needs, so every cache
+/// miss degrades to a partial answer.
 pub const STARVE_SWEEPS: usize = 1;
 
 /// One injected fault kind. `Panic`/`Kill` ride on the request at the

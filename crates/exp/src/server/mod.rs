@@ -231,7 +231,7 @@ pub struct EquilibriumServer {
     base: Option<u64>,
     dirty: Dirty,
     stats: ServerStats,
-    /// Deterministic per-solve sweep budget (unlimited by default).
+    /// Deterministic per-solve iteration budget (unlimited by default).
     budget: SolveBudget,
     /// Consecutive budget blowouts since the last full answer.
     strikes: u32,
@@ -291,20 +291,21 @@ impl EquilibriumServer {
         self
     }
 
-    /// Replaces the per-solve sweep budget (builder style).
+    /// Replaces the per-solve budget (builder style): a ceiling on
+    /// iterations, each a GS sweep or a Newton step.
     pub fn with_budget(mut self, budget: SolveBudget) -> EquilibriumServer {
         self.budget = budget;
         self
     }
 
-    /// Replaces the per-solve sweep budget in place. Healing a starved
+    /// Replaces the per-solve iteration budget in place. Healing a starved
     /// budget does **not** lift an existing quarantine — only
     /// [`EquilibriumServer::submit`] does.
     pub fn set_budget(&mut self, budget: SolveBudget) {
         self.budget = budget;
     }
 
-    /// The per-solve sweep budget in force.
+    /// The per-solve iteration budget in force.
     pub fn budget(&self) -> SolveBudget {
         self.budget
     }

@@ -132,7 +132,8 @@ pub struct EqPointView<'a> {
     pub revenue: f64,
     /// System welfare `W = Σ v_i θ_i`.
     pub welfare: f64,
-    /// Best-response sweeps this point's solve took.
+    /// Iterations this point's solve took (best-response sweeps plus
+    /// Newton steps).
     pub iterations: usize,
     /// Whether the point solved cold (block start or continuation
     /// fallback) rather than from a continuation seed.
@@ -232,7 +233,8 @@ impl EqGrid {
         self.cold.iter().filter(|&&c| c).count()
     }
 
-    /// Total best-response sweeps spent over the whole grid.
+    /// Total iterations (best-response sweeps plus Newton steps) spent
+    /// over the whole grid.
     pub fn total_sweeps(&self) -> usize {
         self.iterations.iter().map(|&k| k as usize).sum()
     }
