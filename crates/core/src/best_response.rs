@@ -30,7 +30,7 @@
 use crate::game::SubsidyGame;
 use std::cell::RefCell;
 use subcomp_model::system::StateScratch;
-use subcomp_num::optimize::maximize_scalar_reusing_ends;
+use subcomp_num::optimize::maximize_scalar;
 use subcomp_num::roots::{brent_seeded, Bracket};
 use subcomp_num::{NumError, NumResult, Tolerance};
 
@@ -64,7 +64,7 @@ impl Default for BrConfig {
 /// Computes provider `i`'s best response to the profile `s`: the Theorem 3
 /// threshold search seeded at `s[i]`, falling back to the grid scan under
 /// `cfg` when the search declines (module docs). A thin shim allocating
-/// throwaway buffers for [`best_response_into`], the engine the Nash
+/// throwaway buffers for `best_response_into`, the engine the Nash
 /// solvers iterate.
 pub fn best_response(
     game: &SubsidyGame,
@@ -214,8 +214,7 @@ pub fn grid_best_response(
 }
 
 /// The grid scan over the populations `m` of the profile. `evaluations`
-/// counts actual fixed-point solves (duplicate endpoint evaluations are
-/// reused, not recomputed).
+/// counts actual fixed-point solves.
 fn grid_scan(
     game: &SubsidyGame,
     i: usize,
@@ -234,7 +233,7 @@ fn grid_scan(
         let (m, phi_seed, scratch) = &mut *buffers.borrow_mut();
         game.marginal_probe(i, si, m, phi_seed, scratch).unwrap_or(f64::NAN)
     };
-    let m = maximize_scalar_reusing_ends(&f, 0.0, hi, cfg.grid, cfg.tol)?;
+    let m = maximize_scalar(&f, 0.0, hi, cfg.grid, cfg.tol)?;
     let mut best = BestResponse { s: m.x, utility: m.value, evaluations: m.evaluations };
     let interior_margin = 1e-5 * (1.0 + hi);
     if m.x > interior_margin && m.x < hi - interior_margin {

@@ -18,6 +18,9 @@ use subcomp_model::system::System;
 use subcomp_num::optimize::maximize_scalar;
 use subcomp_num::{NumError, NumResult, Tolerance};
 
+/// Grid of the outer capacity scan in [`CapacityPlanner::optimal_capacity`].
+const MU_GRID: usize = 12;
+
 /// The ISP's capacity decision problem.
 #[derive(Debug, Clone, Copy)]
 pub struct CapacityPlanner {
@@ -27,8 +30,6 @@ pub struct CapacityPlanner {
     pub price_range: (f64, f64),
     /// Capacity search bracket.
     pub mu_range: (f64, f64),
-    /// Grid used for the outer capacity scan.
-    pub grid: usize,
 }
 
 impl CapacityPlanner {
@@ -43,7 +44,7 @@ impl CapacityPlanner {
         if !(price_range.1 > price_range.0) || !(mu_range.1 > mu_range.0) || !(mu_range.0 > 0.0) {
             return Err(NumError::Domain { what: "invalid search brackets", value: mu_range.0 });
         }
-        Ok(CapacityPlanner { unit_cost, price_range, mu_range, grid: 12 })
+        Ok(CapacityPlanner { unit_cost, price_range, mu_range })
     }
 
     /// Long-run ISP profit at capacity `µ` under cap `q`: revenue at the
@@ -66,7 +67,7 @@ impl CapacityPlanner {
             &f,
             self.mu_range.0,
             self.mu_range.1,
-            self.grid,
+            MU_GRID,
             Tolerance::new(1e-4, 1e-4).with_max_iter(60),
         )?;
         let sys = system.with_capacity(m.x)?;

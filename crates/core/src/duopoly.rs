@@ -25,8 +25,8 @@
 
 use crate::game::SubsidyGame;
 use subcomp_model::system::System;
+use subcomp_num::linalg::sub_inf_norm;
 use subcomp_num::optimize::maximize_scalar;
-use subcomp_num::seq::ConvergenceTracker;
 use subcomp_num::{NumError, NumResult, Tolerance};
 
 /// A two-ISP access market over a shared CP population.
@@ -156,8 +156,7 @@ impl Duopoly {
     pub fn subsidy_equilibrium(&self, p_a: f64, p_b: f64) -> NumResult<DuopolyState> {
         let n = self.n();
         let mut s = vec![0.0; n];
-        let mut tracker = ConvergenceTracker::new(6);
-        tracker.push(&s);
+        let mut delta = f64::NAN;
         let tol = Tolerance::new(1e-9, 1e-9).with_max_iter(80);
         for _ in 0..200 {
             let mut next = s.clone();
@@ -170,16 +169,13 @@ impl Duopoly {
                 };
                 next[i] = maximize_scalar(&f, 0.0, hi, 16, tol)?.x;
             }
-            let delta = tracker.push(&next).unwrap_or(f64::INFINITY);
+            delta = sub_inf_norm(&s, &next);
             s = next;
             if delta < 1e-7 {
                 return self.state_at(p_a, p_b, &s);
             }
         }
-        Err(NumError::MaxIterations {
-            max_iter: 200,
-            residual: tracker.last_delta().unwrap_or(f64::NAN),
-        })
+        Err(NumError::MaxIterations { max_iter: 200, residual: delta })
     }
 
     /// ISP price best-response dynamics: alternate `p_A`, `p_B` revenue

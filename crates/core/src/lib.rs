@@ -37,8 +37,6 @@
 //! * [`snapshot`] — immutable, concurrent-reader-safe copies of solved
 //!   equilibria plus the tangent warm-start admission policy (the state
 //!   layer under the `exp` equilibrium server);
-//! * [`dynamics`] — discrete and continuous best-response dynamics
-//!   (off-equilibrium behaviour, §6);
 //! * [`revenue`] — ISP revenue under equilibrium response and Theorem 7's
 //!   marginal revenue with the `Υ` factor;
 //! * [`pricing`] — the ISP's revenue-maximizing price `p*(q)`;
@@ -73,7 +71,6 @@
 pub mod best_response;
 pub mod capacity;
 pub mod duopoly;
-pub mod dynamics;
 pub mod equilibrium;
 pub mod game;
 pub mod nash;

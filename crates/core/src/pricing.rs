@@ -48,18 +48,6 @@ pub fn optimal_price(
     Ok(PriceChoice { p_star: m.x, revenue: m.value, equilibrium })
 }
 
-/// Sweeps `p*(q)` over a grid of caps — the endogenous-pricing experiment
-/// behind the paper's §5 regulatory discussion.
-pub fn price_response_curve(
-    system: &System,
-    qs: &[f64],
-    lo: f64,
-    hi: f64,
-    solver: &NashSolver,
-) -> NumResult<Vec<(f64, PriceChoice)>> {
-    qs.iter().map(|&q| optimal_price(system, q, lo, hi, solver).map(|c| (q, c))).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,14 +109,5 @@ mod tests {
             "p* = {} should be a bit below 1",
             choice.p_star
         );
-    }
-
-    #[test]
-    fn price_response_curve_is_reported_per_q() {
-        let sys = paper_system();
-        let curve = price_response_curve(&sys, &[0.0, 0.5], 0.0, 2.0, &fast_solver()).unwrap();
-        assert_eq!(curve.len(), 2);
-        assert_eq!(curve[0].0, 0.0);
-        assert!(curve[1].1.revenue >= curve[0].1.revenue - 1e-9);
     }
 }

@@ -428,11 +428,6 @@ impl AdoptionLoop {
         self.cohorts[c].pop.masses()
     }
 
-    /// The cohort populations (read access for cross-validation).
-    pub fn cohort_population(&self, c: usize) -> &Population {
-        &self.cohorts[c].pop
-    }
-
     /// Cumulative equilibrium-answer source tallies.
     pub fn sources(&self) -> SourceCounts {
         self.sources

@@ -79,8 +79,6 @@ pub struct ScenarioSpec {
     pub clamp_price: bool,
     /// Congestion family.
     pub utilization: UtilizationKind,
-    /// Gauss–Seidel damping for the primary solve.
-    pub damping: f64,
     /// Market-simulator leg (None skips the sim for this scenario).
     pub sim: Option<SimParams>,
     /// Capacity applied *after* the base system builds, through the
@@ -105,7 +103,6 @@ impl ScenarioSpec {
             cap: 1.0,
             clamp_price: false,
             utilization: UtilizationKind::Linear,
-            damping: 1.0,
             sim: Some(SimParams { days: 1500, seed: 0xC0FFEE }),
             mu_patch: None,
             v_patches: Vec::new(),
@@ -682,7 +679,7 @@ pub fn run_scenario_with(
     ws: &mut SolveWorkspace,
 ) -> NumResult<ScenarioResult> {
     let game = spec.build_game()?;
-    let solver = NashSolver::default().with_tol(1e-9).with_damping(spec.damping);
+    let solver = NashSolver::default().with_tol(1e-9);
     let stats = solver.solve_into(&game, WarmStart::Zero, ws)?;
     let eq = ws.solution(stats);
     let diagnostics = eq.diagnostics(&game)?;

@@ -66,6 +66,11 @@ pub struct CapacityStudy {
     pub rows: Vec<(f64, f64, f64, f64, f64)>,
 }
 
+/// E2's capacity search bracket. The upper end sits well above every
+/// optimum of the study market: at q = 1 the profit-maximizing capacity is
+/// about 6.7, so a bracket ending at 4 would report its own end as µ*.
+pub const CAPACITY_MU_RANGE: (f64, f64) = (0.4, 16.0);
+
 /// A reduced 4-type market keeps E2 affordable (nested tri-level
 /// optimization: capacity → price → equilibrium).
 pub fn capacity_study_system() -> System {
@@ -84,7 +89,7 @@ pub fn capacity_study_system() -> System {
 /// Runs E2.
 pub fn capacity_study(qs: &[f64], unit_cost: f64, solver: &NashSolver) -> NumResult<CapacityStudy> {
     let system = capacity_study_system();
-    let planner = CapacityPlanner::new(unit_cost, (0.0, 2.0), (0.4, 4.0))?;
+    let planner = CapacityPlanner::new(unit_cost, (0.0, 2.0), CAPACITY_MU_RANGE)?;
     let mut rows = Vec::with_capacity(qs.len());
     for &q in qs {
         let c = planner.optimal_capacity(&system, q, solver)?;
@@ -326,6 +331,17 @@ mod tests {
         // Deregulation must not shrink long-run profit.
         assert!(study.rows[1].3 >= study.rows[0].3 - 1e-6);
         assert!(study.render().contains("mu*"));
+    }
+
+    #[test]
+    fn e2_deregulated_optimum_is_interior() {
+        // At q = 1 the optimum must be a true interior maximum of the
+        // bracket, not one of its ends.
+        let study = capacity_study(&[1.0], 0.08, &solver()).unwrap();
+        let (_, mu_star, _, profit, _) = study.rows[0];
+        let (lo, hi) = CAPACITY_MU_RANGE;
+        assert!(mu_star > lo + 1e-3 && mu_star < hi - 1e-3, "mu* = {mu_star} is pinned");
+        assert!(profit > 0.50, "profit {profit} at mu* = {mu_star}");
     }
 
     #[test]

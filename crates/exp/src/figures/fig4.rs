@@ -7,7 +7,7 @@
 
 use crate::report::{sparkline, write_csv, Table};
 use crate::scenarios::section3_system;
-use crate::sweep::{one_sided_sweep, Axis};
+use crate::sweep::one_sided_sweep;
 use std::path::Path;
 use subcomp_num::NumResult;
 
@@ -30,15 +30,14 @@ pub fn default_prices(points: usize) -> Vec<f64> {
     (0..n).map(|k| 2.5 * k as f64 / (n - 1) as f64).collect()
 }
 
-/// Computes the figure on a price grid — routed through the axis-generic
-/// continuation module's one-sided sweep
-/// ([`crate::sweep::one_sided_sweep`] on [`Axis::Price`]): one reused
-/// scratch/state buffer across the whole grid, values bit-identical to the
-/// historical per-point `OneSidedMarket` evaluation and pinned by the
+/// Computes the figure on a price grid — routed through the one-sided
+/// price sweep ([`crate::sweep::one_sided_sweep`]): one reused
+/// scratch/state buffer across the whole grid, values bit-identical to
+/// per-point `System::state_at_uniform_price` solves and pinned by the
 /// `figure-fig4` golden snapshot.
 pub fn compute(prices: &[f64]) -> NumResult<Fig4> {
     let system = section3_system();
-    let sweep = one_sided_sweep(&system, 0.0, Axis::Price, prices)?;
+    let sweep = one_sided_sweep(&system, prices)?;
     Ok(Fig4 {
         prices: prices.to_vec(),
         theta: sweep.iter().map(|pt| pt.state.theta()).collect(),

@@ -8,7 +8,7 @@
 
 use crate::report::{sparkline, write_csv, Table};
 use crate::scenarios::{section3_specs, section3_system, spec_label};
-use crate::sweep::{one_sided_sweep, Axis};
+use crate::sweep::one_sided_sweep;
 use std::path::Path;
 use subcomp_num::NumResult;
 
@@ -23,13 +23,13 @@ pub struct Fig5 {
     pub labels: Vec<String>,
 }
 
-/// Computes the figure on a price grid — routed through the axis-generic
-/// continuation module's one-sided sweep (see [`crate::figures::fig4`];
-/// values bit-identical to the historical `OneSidedMarket` evaluation,
-/// pinned by the `figure-fig5` golden snapshot).
+/// Computes the figure on a price grid — routed through the one-sided
+/// price sweep (see [`crate::figures::fig4`]; values bit-identical to
+/// per-point `System::state_at_uniform_price` solves, pinned by the
+/// `figure-fig5` golden snapshot).
 pub fn compute(prices: &[f64]) -> NumResult<Fig5> {
     let system = section3_system();
-    let sweep = one_sided_sweep(&system, 0.0, Axis::Price, prices)?;
+    let sweep = one_sided_sweep(&system, prices)?;
     let n = system.n();
     let mut theta = vec![Vec::with_capacity(prices.len()); n];
     for pt in &sweep {

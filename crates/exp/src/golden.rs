@@ -456,9 +456,9 @@ fn flatten_into(value: &Json, path: String, out: &mut Vec<(String, Leaf)>) {
 pub struct FieldDiff {
     /// Dotted field path.
     pub field: String,
-    /// Value in the committed golden (or "<missing>").
+    /// Value in the committed golden (or `"<missing>"`).
     pub expected: String,
-    /// Value in the fresh run (or "<missing>").
+    /// Value in the fresh run (or `"<missing>"`).
     pub actual: String,
     /// Relative error for numeric mismatches (`inf` for type/shape ones).
     pub rel_err: f64,

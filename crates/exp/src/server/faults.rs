@@ -202,7 +202,7 @@ impl DemandFn for NanAbove {
 }
 
 /// Returns a copy of `game` with provider 0's demand curve wrapped in
-/// [`NanAbove`] — enough to poison the whole market's fingerprint (the
+/// `NanAbove` — enough to poison the whole market's fingerprint (the
 /// probes cover every provider) while leaving the solver's working range
 /// untouched.
 pub fn poison_game(game: &SubsidyGame) -> NumResult<SubsidyGame> {

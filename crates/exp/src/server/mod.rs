@@ -223,7 +223,6 @@ pub struct EquilibriumServer {
     /// Fingerprint of the equilibrium whose iterate each slot holds.
     slot_state: Vec<Option<u64>>,
     cache: EqCache,
-    tangent: TangentPolicy,
     seed: Option<TangentSeed>,
     /// The resident Theorem 6 engine behind every sensitivity read.
     sens: SensitivityWorkspace,
@@ -266,7 +265,6 @@ impl EquilibriumServer {
             pool,
             slot_state: vec![None; pool_size],
             cache: EqCache::new(cache_capacity),
-            tangent: TangentPolicy::default(),
             seed: None,
             sens: SensitivityWorkspace::new(),
             base: None,
@@ -285,12 +283,6 @@ impl EquilibriumServer {
         self
     }
 
-    /// Replaces the tangent admission policy (builder style).
-    pub fn with_tangent_policy(mut self, policy: TangentPolicy) -> EquilibriumServer {
-        self.tangent = policy;
-        self
-    }
-
     /// Replaces the per-solve budget (builder style): a ceiling on
     /// iterations, each a GS sweep or a Newton step.
     pub fn with_budget(mut self, budget: SolveBudget) -> EquilibriumServer {
@@ -303,11 +295,6 @@ impl EquilibriumServer {
     /// [`EquilibriumServer::submit`] does.
     pub fn set_budget(&mut self, budget: SolveBudget) {
         self.budget = budget;
-    }
-
-    /// The per-solve iteration budget in force.
-    pub fn budget(&self) -> SolveBudget {
-        self.budget
     }
 
     /// Whether the market is quarantined (reads refused until a submit).
@@ -441,7 +428,7 @@ impl EquilibriumServer {
                 return None;
             }
             let dtheta = seed.axis.value(&self.game) - seed.at;
-            self.tangent.admits(&seed.ds, dtheta).then_some(dtheta)
+            TangentPolicy::default().admits(&seed.ds, dtheta).then_some(dtheta)
         });
         let ws = &mut self.pool[slot];
         let (start, source) = match tangent_dtheta {

@@ -36,7 +36,7 @@
 //! grid is split into fixed-width *column blocks*, each block is one
 //! self-contained continuation (its first row starts cold), and blocks —
 //! not points — are fanned across workers through
-//! [`parallel_map`](super::parallel_map). Because the block structure
+//! [`parallel_map`]. Because the block structure
 //! depends only on [`ContinuationSolver::block`], results are
 //! **bit-identical for any thread count**.
 //!
@@ -170,18 +170,6 @@ impl EqGrid {
 
     /// Column-axis values.
     pub fn cols(&self) -> &[f64] {
-        &self.cols
-    }
-
-    /// Cap rows — the row-axis values, under the name the `(q, p)` panel
-    /// and figure extractors use.
-    pub fn qs(&self) -> &[f64] {
-        &self.rows
-    }
-
-    /// Price columns — the column-axis values, under the name the
-    /// `(q, p)` panel and figure extractors use.
-    pub fn prices(&self) -> &[f64] {
         &self.cols
     }
 
@@ -337,8 +325,10 @@ pub struct ContinuationSolver {
     /// [`ContinuationSolver::col_axis`] seeds a first-order prediction of
     /// the next point ([`WarmStart::Tangent`]), which the solver then only
     /// corrects. Falls back to [`WarmStart::Previous`] whenever the
-    /// derivative is unavailable (degenerate equilibrium). Allocates per
-    /// point (Jacobian assembly) — see the module docs.
+    /// derivative is unavailable (degenerate equilibrium). Allocation-free
+    /// once warm, like the rest of the sequential engine (the Theorem 6
+    /// Jacobian is assembled in the context's resident
+    /// [`SensitivityWorkspace`]) — see the module docs.
     pub tangent: bool,
 }
 
@@ -426,19 +416,6 @@ impl ContinuationSolver {
         self.solve_game(&base, rows, cols)
     }
 
-    /// [`ContinuationSolver::solve`] into a reusable [`EqGrid`].
-    pub fn solve_into(
-        &self,
-        system: &System,
-        rows: &[f64],
-        cols: &[f64],
-        out: &mut EqGrid,
-    ) -> NumResult<()> {
-        let base = SubsidyGame::new(system.clone(), 0.0, 0.0)
-            .expect("p = q = 0 is always a valid parameterization");
-        self.solve_game_into(&base, rows, cols, out)
-    }
-
     /// Solves the full grid over a base game: the two axes sweep their
     /// parameters, everything else (price, cap, capacity, profitabilities,
     /// clamping convention) keeps the base game's values.
@@ -493,45 +470,6 @@ impl ContinuationSolver {
             self.solve_block(rows, ctx, &mut task)?;
         }
         Ok(())
-    }
-
-    /// Adaptive refinement near the revenue peak: solves the grid, then
-    /// repeatedly (up to `levels` times) inserts column midpoints around
-    /// the column with the highest revenue anywhere in the grid and
-    /// re-solves, so the peak the paper's Figure 4/7 story revolves around
-    /// is resolved finer than the base grid without densifying everything.
-    /// Each level re-runs the (warm, continuation-driven) grid solve on
-    /// the refined column list.
-    pub fn solve_refined(
-        &self,
-        base: &SubsidyGame,
-        rows: &[f64],
-        cols: &[f64],
-        levels: usize,
-    ) -> NumResult<EqGrid> {
-        let mut cols = cols.to_vec();
-        let mut grid = self.solve_game(base, rows, &cols)?;
-        for _ in 0..levels {
-            let Some(c_star) = peak_revenue_col(&grid) else { break };
-            let mut refined = cols.clone();
-            let mut inserted = false;
-            if c_star + 1 < cols.len() && cols[c_star + 1] - cols[c_star] > 1e-9 {
-                refined.push(0.5 * (cols[c_star] + cols[c_star + 1]));
-                inserted = true;
-            }
-            if c_star > 0 && cols[c_star] - cols[c_star - 1] > 1e-9 {
-                refined.push(0.5 * (cols[c_star - 1] + cols[c_star]));
-                inserted = true;
-            }
-            if !inserted {
-                break;
-            }
-            refined.sort_by(f64::total_cmp);
-            refined.dedup();
-            cols = refined;
-            grid = self.solve_game(base, rows, &cols)?;
-        }
-        Ok(grid)
     }
 
     /// Solves one column block: column-axis continuation along the first
@@ -672,22 +610,6 @@ impl ContinuationSolver {
     }
 }
 
-/// Index of the column holding the grid's highest revenue (maximum over
-/// rows), or `None` for an empty grid.
-fn peak_revenue_col(grid: &EqGrid) -> Option<usize> {
-    let (mut best_c, mut best_rev) = (None, f64::NEG_INFINITY);
-    for c in 0..grid.n_cols() {
-        for r in 0..grid.n_rows() {
-            let rev = grid.point(r, c).revenue;
-            if rev > best_rev {
-                best_rev = rev;
-                best_c = Some(c);
-            }
-        }
-    }
-    best_c
-}
-
 /// Lazily splits the grid's output buffers into per-block mutable slabs
 /// (the column-major layout makes every block contiguous in every
 /// buffer). An iterator rather than a `Vec` so the sequential engine can
@@ -741,15 +663,15 @@ fn block_tasks<'a>(
 }
 
 // ---------------------------------------------------------------------------
-// One-sided (no-subsidy) axis sweeps
+// One-sided (no-subsidy) price sweep
 // ---------------------------------------------------------------------------
 
-/// One point of a one-sided axis sweep: the §3.2 market (no subsidies)
-/// evaluated at one parameter value.
+/// One point of the one-sided price sweep: the §3.2 market (no subsidies)
+/// evaluated at one uniform price.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StatePoint {
-    /// The swept parameter's value at this point.
-    pub value: f64,
+    /// The uniform price `p` at this point.
+    pub p: f64,
     /// The solved congestion state.
     pub state: SystemState,
     /// ISP revenue `R = p θ`.
@@ -758,92 +680,30 @@ pub struct StatePoint {
     pub utilities: Vec<f64>,
 }
 
-/// Sweeps the *one-sided* market (§3.2: uniform price, no subsidies) along
-/// an axis — the engine behind Figures 4 and 5 and the one-sided leg of
-/// the µ sweeps. Supports [`Axis::Price`] (the swept value is the uniform
-/// price) and [`Axis::Mu`] (the capacity is reparameterized in place via
-/// [`System::set_mu`] at the fixed `price`); the subsidy-game axes have no
-/// one-sided meaning and are rejected.
+/// Sweeps the *one-sided* market (§3.2: every CP's users pay the uniform
+/// price `p`, no subsidies) over a price grid — the engine behind Figures 4
+/// and 5.
 ///
-/// The system is cloned once and every point solves through one reused
-/// scratch/state/price buffer — no per-point `System` rebuilds, and values
-/// are bit-identical to the historical per-point
-/// `state_at_uniform_price` construction (pinned by unit tests here and
-/// by the figure-series goldens).
-pub fn one_sided_sweep(
-    system: &System,
-    price: f64,
-    axis: Axis,
-    values: &[f64],
-) -> NumResult<Vec<StatePoint>> {
-    match axis {
-        Axis::Price | Axis::Mu => {}
-        _ => {
-            return Err(NumError::Domain {
-                what: "one-sided sweeps support the price and capacity axes only",
-                value: f64::NAN,
-            })
-        }
-    }
-    let mut sys = system.clone();
-    let mut scratch = sys.make_scratch();
+/// Every point solves through one reused scratch/state/price buffer, and
+/// values are bit-identical to per-point
+/// [`System::state_at_uniform_price`] solves (pinned by a unit test here
+/// and by the figure-series goldens).
+pub fn one_sided_sweep(system: &System, prices: &[f64]) -> NumResult<Vec<StatePoint>> {
+    let mut scratch = system.make_scratch();
     let mut state = SystemState::empty();
-    let mut t = vec![0.0; sys.n()];
-    let mut out = Vec::with_capacity(values.len());
-    for &v in values {
-        let p = match axis {
-            Axis::Price => v,
-            _ => {
-                sys.set_mu(v)?;
-                price
-            }
-        };
+    let mut t = vec![0.0; system.n()];
+    let mut out = Vec::with_capacity(prices.len());
+    for &p in prices {
         t.fill(p);
-        sys.state_at_prices_into(&t, &mut scratch, &mut state)?;
+        system.state_at_prices_into(&t, &mut scratch, &mut state)?;
         let revenue = p * state.theta();
-        let utilities =
-            sys.cps().iter().zip(&state.theta_i).map(|(cp, &th)| cp.profitability() * th).collect();
-        out.push(StatePoint { value: v, state: state.clone(), revenue, utilities });
-    }
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------------
-// One-dimensional equilibrium sweeps
-// ---------------------------------------------------------------------------
-
-/// One solved point of an equilibrium axis sweep.
-#[derive(Debug, Clone)]
-pub struct AxisSweepPoint {
-    /// The swept parameter's value at this point.
-    pub value: f64,
-    /// The Nash equilibrium solved at this point.
-    pub equilibrium: subcomp_core::nash::NashSolution,
-}
-
-/// Sweeps a single axis with warm-started Nash solves: the base game is
-/// cloned once, each point reparameterizes it in place through the axis
-/// setter and solves through one reused [`SolveWorkspace`]
-/// ([`WarmStart::Previous`] after the first point), so only the returned
-/// solutions allocate. Errors propagate (no cold fallback) — this is the
-/// strict engine `equilibrium_price_sweep` routes through, bit-identical
-/// to its historical clone-per-point loop on the price axis.
-pub fn axis_equilibrium_sweep(
-    base: &SubsidyGame,
-    axis: Axis,
-    values: &[f64],
-    solver: &NashSolver,
-) -> NumResult<Vec<AxisSweepPoint>> {
-    let mut out = Vec::with_capacity(values.len());
-    let mut game = base.clone();
-    let mut ws = SolveWorkspace::for_game(&game);
-    let mut warm = false;
-    for &v in values {
-        axis.apply(&mut game, v)?;
-        let start = if warm { WarmStart::Previous } else { WarmStart::Zero };
-        let stats = solver.solve_into(&game, start, &mut ws)?;
-        warm = true;
-        out.push(AxisSweepPoint { value: v, equilibrium: ws.solution(stats) });
+        let utilities = system
+            .cps()
+            .iter()
+            .zip(&state.theta_i)
+            .map(|(cp, &th)| cp.profitability() * th)
+            .collect();
+        out.push(StatePoint { p, state: state.clone(), revenue, utilities });
     }
     Ok(out)
 }
@@ -852,7 +712,6 @@ pub fn axis_equilibrium_sweep(
 mod tests {
     use super::*;
     use crate::scenarios::section5_system;
-    use subcomp_model::pricing::OneSidedMarket;
 
     fn small_grid() -> (Vec<f64>, Vec<f64>) {
         (vec![0.0, 0.6, 1.2], vec![0.2, 0.5, 0.8, 1.1, 1.5])
@@ -1068,69 +927,26 @@ mod tests {
     }
 
     #[test]
-    fn refined_grid_keeps_base_columns_and_tightens_the_peak() {
-        let sys = section5_system();
-        let base = SubsidyGame::new(sys, 0.0, 0.5).unwrap();
-        let cols: Vec<f64> = (0..6).map(|k| 0.2 + 0.3 * k as f64).collect();
-        let solver = ContinuationSolver::default();
-        let coarse = solver.solve_game(&base, &[0.5], &cols).unwrap();
-        let refined = solver.solve_refined(&base, &[0.5], &cols, 2).unwrap();
-        assert!(refined.n_cols() > coarse.n_cols(), "refinement must add columns");
-        for &c in &cols {
-            assert!(refined.cols().contains(&c), "base column {c} must survive refinement");
-        }
-        let peak = |g: &EqGrid| {
-            (0..g.n_cols()).map(|c| g.point(0, c).revenue).fold(f64::NEG_INFINITY, f64::max)
-        };
-        assert!(peak(&refined) >= peak(&coarse) - 1e-12);
-    }
-
-    #[test]
     fn one_sided_price_sweep_is_bit_identical_to_market_sweep() {
+        // The reference is the market evaluated point by point: a fresh
+        // uniform-price state solve, R = pθ and U_i = v_i θ_i.
         let sys = crate::scenarios::section3_system();
         let prices: Vec<f64> = (0..8).map(|k| 0.3 * k as f64).collect();
-        let market = OneSidedMarket::new(&sys);
-        let reference = market.sweep(&prices).unwrap();
-        let swept = one_sided_sweep(&sys, 0.0, Axis::Price, &prices).unwrap();
-        for (a, b) in reference.iter().zip(&swept) {
-            assert_eq!(a.p, b.value);
-            assert_eq!(a.state.phi.to_bits(), b.state.phi.to_bits());
-            assert_eq!(a.revenue.to_bits(), b.revenue.to_bits());
-            assert_eq!(a.state.theta_i, b.state.theta_i);
-            assert_eq!(a.utilities, b.utilities);
-        }
-    }
-
-    #[test]
-    fn one_sided_mu_sweep_reparameterizes_in_place() {
-        let sys = crate::scenarios::section3_system();
-        let mus = [0.5, 1.0, 2.0];
-        let swept = one_sided_sweep(&sys, 0.4, Axis::Mu, &mus).unwrap();
-        for (pt, &mu) in swept.iter().zip(&mus) {
-            let reference = sys.with_capacity(mu).unwrap().state_at_uniform_price(0.4).unwrap();
-            assert_eq!(pt.value, mu);
-            assert_eq!(pt.state.phi.to_bits(), reference.phi.to_bits());
-        }
-        // Theorem 1: more capacity, more throughput.
-        assert!(swept[2].state.theta() > swept[0].state.theta());
-        // The subsidy axes are meaningless one-sided.
-        assert!(one_sided_sweep(&sys, 0.4, Axis::Cap, &mus).is_err());
-        assert!(one_sided_sweep(&sys, 0.4, Axis::Profitability(0), &mus).is_err());
-    }
-
-    #[test]
-    fn axis_equilibrium_sweep_over_mu_matches_cold() {
-        let sys = section5_system();
-        let base = SubsidyGame::new(sys.clone(), 0.6, 0.8).unwrap();
-        let solver = NashSolver::default().with_tol(1e-8);
-        let mus = [0.8, 1.2];
-        let sweep = axis_equilibrium_sweep(&base, Axis::Mu, &mus, &solver).unwrap();
-        for pt in &sweep {
-            let game = SubsidyGame::new(sys.with_capacity(pt.value).unwrap(), 0.6, 0.8).unwrap();
-            let cold = solver.solve(&game).unwrap();
-            for i in 0..8 {
-                assert!((pt.equilibrium.subsidies[i] - cold.subsidies[i]).abs() < 1e-6);
-            }
+        let swept = one_sided_sweep(&sys, &prices).unwrap();
+        assert_eq!(swept.len(), prices.len());
+        for (&p, b) in prices.iter().zip(&swept) {
+            let state = sys.state_at_uniform_price(p).unwrap();
+            let utilities: Vec<f64> = sys
+                .cps()
+                .iter()
+                .zip(&state.theta_i)
+                .map(|(cp, &th)| cp.profitability() * th)
+                .collect();
+            assert_eq!(p, b.p);
+            assert_eq!(state.phi.to_bits(), b.state.phi.to_bits());
+            assert_eq!((p * state.theta()).to_bits(), b.revenue.to_bits());
+            assert_eq!(state.theta_i, b.state.theta_i);
+            assert_eq!(utilities, b.utilities);
         }
     }
 }

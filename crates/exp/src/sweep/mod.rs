@@ -3,11 +3,10 @@
 //! Two workhorses. [`parallel_map`] fans work items across OS threads
 //! (`std::thread::scope`, no dependency), each worker threading one
 //! persistent context through its contiguous chunk; the allocation-free
-//! [`BatchSolver`] hangs one [`SolveWorkspace`] per worker on it.
-//! [`equilibrium_price_sweep`] walks a price grid with warm-started Nash
-//! solves — consecutive equilibria are close (Theorem 6
-//! differentiability), so warm starts cut sweep time by roughly the
-//! iteration count ratio.
+//! [`BatchSolver`] hangs one [`SolveWorkspace`] per worker on it. Warm
+//! parameter sweeps — a 1-D sweep is a one-row grid — run on the
+//! [`ContinuationSolver`] in [`continuation`], and the no-subsidy §3.2
+//! price sweep behind Figures 4–5 is [`one_sided_sweep`].
 //!
 //! [`BatchSolver`] is the scale layer the `solve_farm` binary builds on:
 //! it amortizes one workspace per worker across the whole batch and
@@ -16,17 +15,15 @@
 //! performs zero heap allocation after warm-up.
 
 pub mod continuation;
-pub mod grid;
 
 pub use continuation::{
-    axis_equilibrium_sweep, one_sided_sweep, Axis, AxisSweepPoint, ContinuationSolver, EqGrid,
-    EqPointView, GridContext, GridSolver, StatePoint,
+    one_sided_sweep, Axis, ContinuationSolver, EqGrid, EqPointView, GridContext, GridSolver,
+    StatePoint,
 };
 
 use subcomp_core::game::SubsidyGame;
 use subcomp_core::nash::{NashSolution, NashSolver, SolveStats, WarmStart};
 use subcomp_core::workspace::SolveWorkspace;
-use subcomp_model::system::System;
 use subcomp_num::NumResult;
 
 /// Maps `f` over `items` on up to `threads` OS threads, preserving order.
@@ -189,45 +186,9 @@ impl BatchSolver {
     }
 }
 
-/// One solved point of a price sweep.
-#[derive(Debug, Clone)]
-pub struct SweepPoint {
-    /// The price at this point.
-    pub p: f64,
-    /// The equilibrium solved at `(p, q)`.
-    pub equilibrium: NashSolution,
-}
-
-/// Sweeps a price grid at fixed cap `q`, warm-starting each solve from the
-/// previous equilibrium.
-///
-/// A thin wrapper over the axis-generic
-/// [`axis_equilibrium_sweep`](continuation::axis_equilibrium_sweep) on
-/// [`Axis::Price`]: the system is cloned exactly once, each point
-/// reparameterizes the same game through [`SubsidyGame::set_price`] and
-/// solves through one reused [`SolveWorkspace`], so only the returned
-/// [`NashSolution`]s allocate. Iterates (and therefore results) are
-/// bit-identical to the historical clone-per-point implementation —
-/// `WarmStart::Previous` re-clamps the prior equilibrium exactly as
-/// `solve_from` did.
-pub fn equilibrium_price_sweep(
-    system: &System,
-    q: f64,
-    prices: &[f64],
-    solver: &NashSolver,
-) -> NumResult<Vec<SweepPoint>> {
-    let base = SubsidyGame::new(system.clone(), 0.0, q)?;
-    let points = axis_equilibrium_sweep(&base, Axis::Price, prices, solver)?;
-    Ok(points
-        .into_iter()
-        .map(|pt| SweepPoint { p: pt.value, equilibrium: pt.equilibrium })
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenarios::section5_system;
 
     #[test]
     fn parallel_map_preserves_order() {
@@ -486,35 +447,5 @@ mod tests {
             )
         }));
         assert!(result.is_err(), "worker panic must reach the caller");
-    }
-
-    #[test]
-    fn warm_sweep_matches_cold_solves() {
-        let sys = section5_system();
-        let solver = NashSolver::default().with_tol(1e-8);
-        let prices = [0.3, 0.4, 0.5];
-        let sweep = equilibrium_price_sweep(&sys, 0.6, &prices, &solver).unwrap();
-        assert_eq!(sweep.len(), 3);
-        for pt in &sweep {
-            let game = SubsidyGame::new(sys.clone(), pt.p, 0.6).unwrap();
-            let cold = solver.solve(&game).unwrap();
-            for i in 0..8 {
-                assert!(
-                    (pt.equilibrium.subsidies[i] - cold.subsidies[i]).abs() < 1e-5,
-                    "p = {}, CP {i}",
-                    pt.p
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sweep_points_keep_prices() {
-        let sys = section5_system();
-        let solver = NashSolver::default().with_tol(1e-7);
-        let prices = [0.2, 0.9];
-        let sweep = equilibrium_price_sweep(&sys, 0.3, &prices, &solver).unwrap();
-        assert_eq!(sweep[0].p, 0.2);
-        assert_eq!(sweep[1].p, 0.9);
     }
 }

@@ -20,8 +20,9 @@
 //! `φ` with `Θ(φ, µ) = Σ_k m_k λ_k(φ)` (Lemma 1). On top of that sit the
 //! closed-form comparative statics of Theorem 1 (capacity and user effects)
 //! and Theorem 2 (price effect) in [`effects`], the elasticity toolkit of
-//! Definition 2 in [`elasticity`], the Lemma 2 aggregation machinery in
-//! [`aggregation`], and the one-sided-pricing market of §3.2 in [`pricing`].
+//! Definition 2 in [`elasticity`], and the Lemma 2 aggregation machinery in
+//! [`aggregation`]. The one-sided pricing of §3.2 (every CP's users pay the
+//! uniform price `p`) is [`system::System::state_at_uniform_price`].
 //!
 //! ## Quick example: the paper's §3.2 numerical setting
 //!
@@ -42,11 +43,10 @@
 //!     }
 //! }
 //! let system = System::new(cps, 1.0, LinearUtilization).unwrap();
-//! let market = OneSidedMarket::new(&system);
-//! let state = market.state(0.5).unwrap();
+//! let state = system.state_at_uniform_price(0.5).unwrap();
 //! assert!(state.phi > 0.0);
 //! // Theorem 2: aggregate throughput decreases with price.
-//! let lower = market.state(0.6).unwrap();
+//! let lower = system.state_at_uniform_price(0.6).unwrap();
 //! assert!(lower.theta() < state.theta());
 //! ```
 
@@ -59,7 +59,6 @@ pub mod cp;
 pub mod demand;
 pub mod effects;
 pub mod elasticity;
-pub mod pricing;
 pub mod system;
 pub mod throughput;
 pub mod utilization;
@@ -69,7 +68,6 @@ pub mod prelude {
     pub use crate::cp::{ContentProvider, CpBuilder};
     pub use crate::demand::{DemandFn, ExpDemand, IsoelasticDemand, LinearDemand, LogisticDemand};
     pub use crate::effects::{PriceEffects, SystemEffects};
-    pub use crate::pricing::OneSidedMarket;
     pub use crate::system::{System, SystemState};
     pub use crate::throughput::{ExpThroughput, LogisticThroughput, PowerThroughput, ThroughputFn};
     pub use crate::utilization::{

@@ -23,6 +23,10 @@ use crate::utilization::UtilizationFn;
 use subcomp_num::roots::{newton, Bracket};
 use subcomp_num::{NumError, NumResult, Tolerance};
 
+/// Tolerance of the Newton φ solve: every system solves its fixed point to
+/// this accuracy.
+const PHI_TOL: Tolerance = Tolerance { abs: 1e-13, rel: 1e-13, max_iter: 300 };
+
 /// Precompiled hot-loop view of the provider list, built once per
 /// [`System`] so the congestion gap `g(φ)` can be evaluated without
 /// virtual dispatch and with one `e^{-βφ}` per *distinct* `β` instead of
@@ -150,7 +154,6 @@ pub struct System {
     cps: Vec<ContentProvider>,
     mu: f64,
     utilization: Box<dyn UtilizationFn>,
-    tol: Tolerance,
     kernel: SystemKernel,
 }
 
@@ -169,13 +172,7 @@ impl System {
         }
         let utilization: Box<dyn UtilizationFn> = Box::new(utilization);
         let kernel = SystemKernel::build(&cps, utilization.as_ref());
-        Ok(System {
-            cps,
-            mu,
-            utilization,
-            tol: Tolerance::new(1e-13, 1e-13).with_max_iter(300),
-            kernel,
-        })
+        Ok(System { cps, mu, utilization, kernel })
     }
 
     /// Number of providers.
@@ -204,7 +201,7 @@ impl System {
     }
 
     /// Sets the capacity `µ` in place — a single scalar write. The
-    /// precompiled [`SystemKernel`] caches only provider-side quantities
+    /// precompiled `SystemKernel` caches only provider-side quantities
     /// (peaks, `λ₀`, the distinct-`β` table) plus the utilization-family
     /// flag, none of which depend on `µ`, so reparameterizing a `µ`-sweep
     /// point costs nothing beyond validation and results are bit-identical
@@ -281,11 +278,6 @@ impl System {
         Ok(sys)
     }
 
-    /// Returns a copy with the fixed-point solver tolerance replaced.
-    pub fn with_tolerance(&self, tol: Tolerance) -> System {
-        System { tol, ..self.clone() }
-    }
-
     /// Populations induced by per-CP effective prices `t`.
     pub fn populations(&self, t: &[f64]) -> NumResult<Vec<f64>> {
         if t.len() != self.n() {
@@ -314,15 +306,6 @@ impl System {
         let mut scratch = self.make_scratch();
         let mut state = SystemState::empty();
         self.solve_state_into(m, &mut scratch, &mut state)?;
-        Ok(state)
-    }
-
-    /// Assembles the state at a *given* utilization (no solving) — also
-    /// used by tests to probe off-equilibrium points.
-    pub fn state_at_phi(&self, phi: f64, m: &[f64]) -> NumResult<SystemState> {
-        let mut scratch = self.make_scratch();
-        let mut state = SystemState::empty();
-        self.state_at_phi_into(phi, m, &mut scratch, &mut state)?;
         Ok(state)
     }
 
@@ -423,7 +406,7 @@ impl System {
             };
             (theta - demand, dtheta - slope)
         };
-        Ok(newton(&mut g, x0, Some(Bracket::new(0.0, top)), self.tol)?.x)
+        Ok(newton(&mut g, x0, Some(Bracket::new(0.0, top)), PHI_TOL)?.x)
     }
 
     /// Provider `j`'s per-user throughput `λ_j(φ)` through the kernel —
@@ -477,7 +460,8 @@ impl System {
         Ok(())
     }
 
-    /// [`System::state_at_phi`] into a caller-owned [`SystemState`].
+    /// Assembles the state at a *given* utilization (no solving) into a
+    /// caller-owned [`SystemState`].
     pub fn state_at_phi_into(
         &self,
         phi: f64,

@@ -4,9 +4,8 @@
 //! Theorem 1, the price effect of Theorem 2, the marginal utilities behind
 //! Theorem 3, the sensitivity matrices of Theorem 6, the marginal revenue of
 //! Theorem 7 — is cross-validated in this repository against finite
-//! differences from this module. Central differences with a
-//! magnitude-adaptive step are the default; Richardson extrapolation is
-//! available when an extra digit is needed.
+//! differences from this module: central differences with a
+//! magnitude-adaptive step.
 
 use crate::error::{NumError, NumResult};
 
@@ -39,32 +38,6 @@ pub fn derivative_with_step(f: &dyn Fn(f64) -> f64, x: f64, h: f64) -> NumResult
     }
 }
 
-/// One-sided (forward) difference — used at domain boundaries such as
-/// subsidy `s_i = 0` or policy cap `s_i = q`, where the symmetric stencil
-/// would step outside the feasible box.
-pub fn forward_derivative(f: &dyn Fn(f64) -> f64, x: f64, h: f64) -> NumResult<f64> {
-    if !(h > 0.0) {
-        return Err(NumError::Domain { what: "derivative step must be positive", value: h });
-    }
-    // Second-order one-sided stencil: (-3f(x) + 4f(x+h) - f(x+2h)) / 2h.
-    let d = (-3.0 * f(x) + 4.0 * f(x + h) - f(x + 2.0 * h)) / (2.0 * h);
-    if d.is_finite() {
-        Ok(d)
-    } else {
-        Err(NumError::NonFinite { what: "forward difference", at: x })
-    }
-}
-
-/// First derivative by Richardson-extrapolated central differences,
-/// `O(h^4)` accurate; roughly two extra digits over [`derivative`].
-pub fn derivative_richardson(f: &dyn Fn(f64) -> f64, x: f64) -> NumResult<f64> {
-    let h = central_step(x) * 8.0;
-    let d_h = derivative_with_step(f, x, h)?;
-    let d_h2 = derivative_with_step(f, x, h / 2.0)?;
-    // Central differences have error ~ c h^2: Richardson combination.
-    Ok((4.0 * d_h2 - d_h) / 3.0)
-}
-
 /// Second derivative by the symmetric three-point stencil.
 pub fn second_derivative(f: &dyn Fn(f64) -> f64, x: f64) -> NumResult<f64> {
     // Optimal step for second derivatives is ~ eps^(1/4).
@@ -75,29 +48,6 @@ pub fn second_derivative(f: &dyn Fn(f64) -> f64, x: f64) -> NumResult<f64> {
     } else {
         Err(NumError::NonFinite { what: "second difference", at: x })
     }
-}
-
-/// Gradient of a scalar field by central differences, written into `out`.
-pub fn gradient(f: &dyn Fn(&[f64]) -> f64, x: &[f64], out: &mut [f64]) -> NumResult<()> {
-    if out.len() != x.len() {
-        return Err(NumError::DimensionMismatch { expected: x.len(), actual: out.len() });
-    }
-    let mut xw = x.to_vec();
-    for i in 0..x.len() {
-        let h = central_step(x[i]);
-        let orig = xw[i];
-        xw[i] = orig + h;
-        let fp = f(&xw);
-        xw[i] = orig - h;
-        let fm = f(&xw);
-        xw[i] = orig;
-        let d = (fp - fm) / (2.0 * h);
-        if !d.is_finite() {
-            return Err(NumError::NonFinite { what: "gradient component", at: x[i] });
-        }
-        out[i] = d;
-    }
-    Ok(())
 }
 
 /// Jacobian of a vector field `F: R^n -> R^m` by central differences.
@@ -151,46 +101,10 @@ mod tests {
     }
 
     #[test]
-    fn richardson_beats_plain_central() {
-        let f = |x: f64| (x * x).sin();
-        let x: f64 = 1.3;
-        let exact = 2.0 * x * (x * x).cos();
-        let plain = (derivative(&f, x).unwrap() - exact).abs();
-        let rich = (derivative_richardson(&f, x).unwrap() - exact).abs();
-        assert!(rich <= plain * 10.0, "richardson {rich} vs plain {plain}");
-        assert!(rich < 1e-10);
-    }
-
-    #[test]
-    fn forward_derivative_at_boundary() {
-        // sqrt is undefined left of 0: forward stencil must still work.
-        let f = |x: f64| x.sqrt();
-        let d = forward_derivative(&f, 0.04, 1e-6).unwrap();
-        assert!((d - 0.5 / 0.2).abs() < 1e-4, "d = {d}");
-    }
-
-    #[test]
     fn second_derivative_of_quadratic() {
         let f = |x: f64| 3.0 * x * x + x + 7.0;
         let d2 = second_derivative(&f, -2.0).unwrap();
         assert!((d2 - 6.0).abs() < 1e-5, "d2 = {d2}");
-    }
-
-    #[test]
-    fn gradient_of_quadratic_field() {
-        let f = |x: &[f64]| x[0] * x[0] + 3.0 * x[0] * x[1] + x[1].powi(2);
-        let x = [1.0, 2.0];
-        let mut g = [0.0; 2];
-        gradient(&f, &x, &mut g).unwrap();
-        assert!((g[0] - (2.0 + 6.0)).abs() < 1e-7);
-        assert!((g[1] - (3.0 + 4.0)).abs() < 1e-7);
-    }
-
-    #[test]
-    fn gradient_dimension_mismatch() {
-        let f = |_: &[f64]| 0.0;
-        let mut g = [0.0; 1];
-        assert!(gradient(&f, &[1.0, 2.0], &mut g).is_err());
     }
 
     #[test]
@@ -214,7 +128,7 @@ mod tests {
     fn bad_step_rejected() {
         let f = |x: f64| x;
         assert!(derivative_with_step(&f, 0.0, 0.0).is_err());
-        assert!(forward_derivative(&f, 0.0, -1.0).is_err());
+        assert!(derivative_with_step(&f, 0.0, -1.0).is_err());
     }
 
     #[test]

@@ -7,18 +7,16 @@
 //! * scalar **root finding** for the congestion fixed point `g(φ) = 0`
 //!   of Definition 1 / Lemma 1 ([`roots`]);
 //! * bounded **one-dimensional maximization** for each content provider's
-//!   best-response subsidy, and **n-dimensional projected ascent** used by
-//!   the variational-inequality solvers ([`optimize`]);
+//!   best-response subsidy and the ISP's outer price and capacity searches
+//!   ([`optimize`]);
 //! * small dense **linear algebra** — LU factorization, matrix inversion and
 //!   the P-matrix / M-matrix structure tests behind Theorems 4 and 6 and
 //!   Corollary 1 ([`linalg`]);
 //! * **numerical differentiation** to cross-check every closed-form
 //!   derivative in the paper ([`diff`]);
-//! * damped **fixed-point iteration** ([`fixedpoint`]), **ODE integration**
-//!   for continuous best-response dynamics ([`ode`]), **interpolation** of
-//!   simulator-measured curves ([`interp`]), **quadrature** for the
-//!   continuum-of-providers extension ([`quad`]) and **summary statistics**
-//!   for simulation output ([`stats`]).
+//! * **interpolation** of simulator-measured curves ([`interp`]),
+//!   **quadrature** for the continuum-of-providers extension ([`quad`]) and
+//!   **summary statistics** for simulation output ([`stats`]).
 //!
 //! The crate has no dependencies and is deliberately boring: plain `f64`,
 //! explicit tolerances, typed errors, and diagnostics (iteration counts,
@@ -42,14 +40,11 @@
 
 pub mod diff;
 pub mod error;
-pub mod fixedpoint;
 pub mod interp;
 pub mod linalg;
-pub mod ode;
 pub mod optimize;
 pub mod quad;
 pub mod roots;
-pub mod seq;
 pub mod stats;
 pub mod tol;
 

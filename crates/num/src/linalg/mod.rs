@@ -12,9 +12,8 @@
 //! Submodules:
 //! * [`matrix`] — the dense matrix type and arithmetic;
 //! * [`lu`] — LU factorization, linear solve, inverse, determinant;
-//! * [`structure`] — P-matrix / M-matrix / Z-matrix / diagonal-dominance
-//!   tests and spectral radius, used to *verify* the paper's equilibrium
-//!   conditions numerically;
+//! * [`structure`] — P-matrix / M-matrix / Z-matrix tests, used to
+//!   *verify* the paper's equilibrium conditions numerically;
 //! * [`vector`] — free functions on `&[f64]` (dot, norms, axpy).
 
 pub mod lu;
@@ -24,8 +23,5 @@ pub mod vector;
 
 pub use lu::{LuDecomposition, LuError};
 pub use matrix::Matrix;
-pub use structure::{
-    is_diagonally_dominant, is_m_matrix, is_p_matrix, is_z_matrix, leading_principal_minors,
-    spectral_radius,
-};
+pub use structure::{is_m_matrix, is_p_matrix, is_z_matrix, leading_principal_minors};
 pub use vector::{axpy, dot, norm_inf, norm_l1, norm_l2, sub_inf_norm};

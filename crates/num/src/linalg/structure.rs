@@ -107,55 +107,6 @@ pub fn is_m_matrix(a: &Matrix, tol: f64) -> NumResult<bool> {
     Ok(leading_principal_minors(a)?.iter().all(|&m| m > tol))
 }
 
-/// Tests strict row diagonal dominance: `|a_ii| > Σ_{j≠i} |a_ij|` for all i.
-pub fn is_diagonally_dominant(a: &Matrix) -> bool {
-    if !a.is_square() {
-        return false;
-    }
-    let n = a.rows();
-    (0..n).all(|i| {
-        let off: f64 = (0..n).filter(|&j| j != i).map(|j| a[(i, j)].abs()).sum();
-        a[(i, i)].abs() > off
-    })
-}
-
-/// Estimates the spectral radius by power iteration on `|A|`-like dynamics.
-///
-/// Returns the dominant-eigenvalue magnitude estimate after convergence of
-/// the Rayleigh quotient (or the iteration budget). Used to check the
-/// contraction property of best-response maps in the game layer.
-pub fn spectral_radius(a: &Matrix, max_iter: usize, tol: f64) -> NumResult<f64> {
-    if !a.is_square() {
-        return Err(NumError::DimensionMismatch { expected: a.rows(), actual: a.cols() });
-    }
-    let n = a.rows();
-    if n == 0 {
-        return Ok(0.0);
-    }
-    // Deterministic start with all modes excited.
-    let mut v: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64) * 0.01).collect();
-    let mut lambda_prev = 0.0;
-    for _ in 0..max_iter.max(1) {
-        let w = a.matvec(&v)?;
-        let norm = w.iter().fold(0.0f64, |m, x| m.max(x.abs()));
-        if norm == 0.0 {
-            return Ok(0.0);
-        }
-        let lambda = {
-            // Rayleigh-like quotient with the sup-norm normalized vector.
-            let num: f64 = w.iter().zip(&v).map(|(a, b)| a * b).sum();
-            let den: f64 = v.iter().map(|x| x * x).sum();
-            (num / den).abs()
-        };
-        v = w.iter().map(|x| x / norm).collect();
-        if (lambda - lambda_prev).abs() <= tol * (1.0 + lambda.abs()) {
-            return Ok(lambda);
-        }
-        lambda_prev = lambda;
-    }
-    Ok(lambda_prev)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,7 +117,6 @@ mod tests {
         assert!(is_p_matrix(&i, 1e-12).unwrap());
         assert!(is_m_matrix(&i, 1e-12).unwrap());
         assert!(is_z_matrix(&i, 1e-12));
-        assert!(is_diagonally_dominant(&i));
     }
 
     #[test]
@@ -227,36 +177,6 @@ mod tests {
         // Off-diagonal mass too large: loses the Hawkins-Simon condition.
         let a = Matrix::from_rows(&[&[1.0, -2.0], &[-2.0, 1.0]]).unwrap();
         assert!(!is_m_matrix(&a, 1e-12).unwrap());
-    }
-
-    #[test]
-    fn diagonal_dominance() {
-        let a = Matrix::from_rows(&[&[3.0, -1.0, -1.0], &[0.0, 2.0, -1.0], &[-1.0, -1.0, 4.0]])
-            .unwrap();
-        assert!(is_diagonally_dominant(&a));
-        let b = Matrix::from_rows(&[&[1.0, -2.0], &[0.0, 1.0]]).unwrap();
-        assert!(!is_diagonally_dominant(&b));
-    }
-
-    #[test]
-    fn spectral_radius_diagonal() {
-        let a = Matrix::diag(&[0.5, -0.9, 0.3]);
-        let r = spectral_radius(&a, 500, 1e-12).unwrap();
-        assert!((r - 0.9).abs() < 1e-6, "r = {r}");
-    }
-
-    #[test]
-    fn spectral_radius_zero_matrix() {
-        let a = Matrix::zeros(3, 3);
-        assert_eq!(spectral_radius(&a, 100, 1e-12).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn spectral_radius_known_2x2() {
-        // [[0, 1], [1, 0]] has eigenvalues ±1.
-        let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
-        let r = spectral_radius(&a, 1000, 1e-10).unwrap();
-        assert!((r - 1.0).abs() < 1e-4, "r = {r}");
     }
 
     #[test]

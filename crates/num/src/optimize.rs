@@ -1,18 +1,12 @@
-//! Bounded optimization.
+//! Bounded scalar maximization.
 //!
-//! Two families of problems occur in the paper:
-//!
-//! 1. **Scalar, box-constrained maximization** — each content provider's
-//!    best-response subsidy maximizes `U_i(s_i; s_{-i})` over `s_i ∈ [0, q]`
-//!    (Definition 3), and the ISP maximizes revenue `R(p)` over a price
-//!    interval (Section 5). [`maximize_scalar`] handles both: a coarse grid
-//!    scan localizes the global maximum (utilities can have a boundary
-//!    maximum or, for pathological function families, several local ones),
-//!    then golden-section + parabolic (Brent) polishing refines it.
-//! 2. **n-dimensional box-constrained ascent** — the variational-inequality
-//!    view of the game (Theorem 4/6 use `VI(F, K)` with `K = [0,q]^N`)
-//!    needs a projected step primitive; [`project_box`] and
-//!    [`projected_gradient_ascent`] provide it.
+//! Each content provider's best-response subsidy maximizes
+//! `U_i(s_i; s_{-i})` over `s_i ∈ [0, q]` (Definition 3), and the ISP
+//! maximizes revenue `R(p)` over a price interval (Section 5).
+//! [`maximize_scalar`] handles both: a coarse grid scan localizes the global
+//! maximum (utilities can have a boundary maximum or, for pathological
+//! function families, several local ones), then golden-section + parabolic
+//! (Brent) polishing refines it.
 //!
 //! Every routine reports function-evaluation counts for benchmarking.
 
@@ -181,33 +175,6 @@ pub fn grid_scan<F: Fn(f64) -> f64 + ?Sized>(
     b: f64,
     n: usize,
 ) -> NumResult<(ScalarMax, f64, f64)> {
-    grid_scan_ends(f, a, b, n).map(|g| (g.best, g.cell_lo, g.cell_hi))
-}
-
-/// Result of [`grid_scan_ends`]: the best grid point, its bracketing cell,
-/// and the raw objective values at the interval endpoints (which the scan
-/// always evaluates) so callers can reuse them instead of re-evaluating.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GridScanEnds {
-    /// Best grid point found.
-    pub best: ScalarMax,
-    /// Left edge of the cell bracketing the best point.
-    pub cell_lo: f64,
-    /// Right edge of the cell bracketing the best point.
-    pub cell_hi: f64,
-    /// Raw `f(a)` (may be non-finite).
-    pub f_a: f64,
-    /// Raw `f(b)` (may be non-finite).
-    pub f_b: f64,
-}
-
-/// [`grid_scan`] that also reports the endpoint values it computed.
-pub fn grid_scan_ends<F: Fn(f64) -> f64 + ?Sized>(
-    f: &F,
-    a: f64,
-    b: f64,
-    n: usize,
-) -> NumResult<GridScanEnds> {
     if !(b >= a) {
         return Err(NumError::Domain { what: "grid_scan requires b >= a", value: b - a });
     }
@@ -217,16 +184,8 @@ pub fn grid_scan_ends<F: Fn(f64) -> f64 + ?Sized>(
     let point = |i: usize| if i == n { b } else { a + h * i as f64 };
     let mut best_i = 0usize;
     let mut best_v = f64::NEG_INFINITY;
-    let mut end_a = f64::NAN;
-    let mut end_b = f64::NAN;
     for i in 0..=n {
         let v = f(point(i));
-        if i == 0 {
-            end_a = v;
-        }
-        if i == n {
-            end_b = v;
-        }
         if v.is_finite() && v > best_v {
             best_v = v;
             best_i = i;
@@ -238,22 +197,18 @@ pub fn grid_scan_ends<F: Fn(f64) -> f64 + ?Sized>(
     let x = point(best_i);
     let lo = if best_i == 0 { a } else { point(best_i - 1) };
     let hi = if best_i == n { b } else { point(best_i + 1) };
-    Ok(GridScanEnds {
-        best: ScalarMax { x, value: best_v, evaluations: n + 1 },
-        cell_lo: lo,
-        cell_hi: hi,
-        f_a: end_a,
-        f_b: end_b,
-    })
+    Ok((ScalarMax { x, value: best_v, evaluations: n + 1 }, lo, hi))
 }
 
 /// Global-ish scalar maximization on `[a, b]`: grid scan to localize, then
-/// Brent polish inside the bracketing cell, with explicit endpoint checks.
+/// Brent polish inside the bracketing cell.
 ///
 /// This is the routine used for best responses: utilities in the
 /// subsidization game are typically unimodal in the own-subsidy, but corner
 /// solutions at `0` and `q` are *expected* equilibria (Theorem 3), so
-/// endpoints are always candidates.
+/// endpoints are always candidates: the scan evaluates `f` at both ends,
+/// once each, and the returned maximum is never below its best grid value.
+/// `evaluations` counts the calls made.
 ///
 /// ```
 /// use subcomp_num::optimize::maximize_scalar;
@@ -269,33 +224,6 @@ pub fn maximize_scalar<F: Fn(f64) -> f64 + ?Sized>(
     grid: usize,
     tol: Tolerance,
 ) -> NumResult<ScalarMax> {
-    maximize_scalar_core(f, a, b, grid, tol, false)
-}
-
-/// [`maximize_scalar`] reusing the endpoint values already computed by the
-/// grid scan instead of re-evaluating `f(a)` and `f(b)` — the hot-path
-/// variant for expensive objectives (each best-response evaluation solves
-/// a congestion fixed point). The returned maximizer and value are
-/// bit-identical to [`maximize_scalar`]; only `evaluations` differs (it
-/// counts actual calls, two fewer).
-pub fn maximize_scalar_reusing_ends<F: Fn(f64) -> f64 + ?Sized>(
-    f: &F,
-    a: f64,
-    b: f64,
-    grid: usize,
-    tol: Tolerance,
-) -> NumResult<ScalarMax> {
-    maximize_scalar_core(f, a, b, grid, tol, true)
-}
-
-fn maximize_scalar_core<F: Fn(f64) -> f64 + ?Sized>(
-    f: &F,
-    a: f64,
-    b: f64,
-    grid: usize,
-    tol: Tolerance,
-    reuse_ends: bool,
-) -> NumResult<ScalarMax> {
     if b == a {
         let v = f(a);
         if !v.is_finite() {
@@ -303,133 +231,14 @@ fn maximize_scalar_core<F: Fn(f64) -> f64 + ?Sized>(
         }
         return Ok(ScalarMax { x: a, value: v, evaluations: 1 });
     }
-    let scan = grid_scan_ends(f, a, b, grid)?;
-    let (coarse, lo, hi) = (scan.best, scan.cell_lo, scan.cell_hi);
+    let (coarse, lo, hi) = grid_scan(f, a, b, grid)?;
     let polished = brent_max(f, lo, hi, tol).or_else(|_| golden_max(f, lo, hi, tol))?;
-    let mut best = if polished.value >= coarse.value { polished } else { coarse };
-    let mut evals = coarse.evaluations + polished.evaluations;
-    // Endpoints are legitimate maximizers for corner equilibria. The scan
-    // already evaluated both ends; re-evaluating (reuse_ends = false)
-    // yields the same values from a pure objective, so both modes compare
-    // identical numbers.
-    for (x, cached) in [(a, scan.f_a), (b, scan.f_b)] {
-        let v = if reuse_ends { cached } else { f(x) };
-        if !reuse_ends {
-            evals += 1;
-        }
-        if v.is_finite() && v > best.value {
-            best = ScalarMax { x, value: v, evaluations: 0 };
-        }
-    }
-    Ok(ScalarMax { x: best.x, value: best.value, evaluations: evals })
-}
-
-/// Projects `x` onto the box `[lo_i, hi_i]` component-wise, in place.
-pub fn project_box(x: &mut [f64], lo: &[f64], hi: &[f64]) {
-    for i in 0..x.len() {
-        x[i] = x[i].clamp(lo[i], hi[i]);
-    }
-}
-
-/// Result of a projected gradient ascent run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProjectedAscent {
-    /// Final iterate.
-    pub x: Vec<f64>,
-    /// Objective value at the final iterate.
-    pub value: f64,
-    /// Iterations performed.
-    pub iterations: usize,
-    /// Sup-norm of the last projected step.
-    pub last_step: f64,
-    /// Whether the convergence criterion was met within the budget.
-    pub converged: bool,
-}
-
-/// Projected gradient ascent on a box, with backtracking line search.
-///
-/// Maximizes `f` subject to `x ∈ [lo, hi]`. `grad` must fill the gradient
-/// into its output slice. Convergence is declared when the projected step
-/// falls below the tolerance. This is a baseline optimizer; game solvers in
-/// `subcomp-core` use best-response iteration as their primary method and
-/// this routine as an independent check.
-pub fn projected_gradient_ascent<
-    F: Fn(&[f64]) -> f64 + ?Sized,
-    G: Fn(&[f64], &mut [f64]) + ?Sized,
->(
-    f: &F,
-    grad: &G,
-    x0: &[f64],
-    lo: &[f64],
-    hi: &[f64],
-    step0: f64,
-    tol: Tolerance,
-) -> NumResult<ProjectedAscent> {
-    let n = x0.len();
-    if lo.len() != n || hi.len() != n {
-        return Err(NumError::DimensionMismatch { expected: n, actual: lo.len().min(hi.len()) });
-    }
-    if n == 0 {
-        return Ok(ProjectedAscent {
-            x: vec![],
-            value: f(&[]),
-            iterations: 0,
-            last_step: 0.0,
-            converged: true,
-        });
-    }
-    let mut x = x0.to_vec();
-    project_box(&mut x, lo, hi);
-    let mut fx = f(&x);
-    if !fx.is_finite() {
-        return Err(NumError::NonFinite { what: "projected ascent objective", at: x[0] });
-    }
-    let mut g = vec![0.0; n];
-    let mut last_step = f64::INFINITY;
-    for iter in 0..tol.max_iter {
-        grad(&x, &mut g);
-        // Backtracking: shrink until ascent (Armijo-lite: any improvement).
-        let mut step = step0;
-        let mut accepted = false;
-        let mut cand = x.clone();
-        for _ in 0..40 {
-            for i in 0..n {
-                cand[i] = x[i] + step * g[i];
-            }
-            project_box(&mut cand, lo, hi);
-            let fc = f(&cand);
-            if fc.is_finite() && fc > fx {
-                let delta = cand.iter().zip(&x).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
-                x.copy_from_slice(&cand);
-                fx = fc;
-                last_step = delta;
-                accepted = true;
-                break;
-            }
-            step *= 0.5;
-        }
-        if !accepted {
-            // No ascent direction within the box: stationary.
-            return Ok(ProjectedAscent {
-                x,
-                value: fx,
-                iterations: iter,
-                last_step: 0.0,
-                converged: true,
-            });
-        }
-        let scale = x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        if tol.is_met(last_step, scale) {
-            return Ok(ProjectedAscent {
-                x,
-                value: fx,
-                iterations: iter + 1,
-                last_step,
-                converged: true,
-            });
-        }
-    }
-    Ok(ProjectedAscent { x, value: fx, iterations: tol.max_iter, last_step, converged: false })
+    let best = if polished.value >= coarse.value { polished } else { coarse };
+    Ok(ScalarMax {
+        x: best.x,
+        value: best.value,
+        evaluations: coarse.evaluations + polished.evaluations,
+    })
 }
 
 /// Multi-start scalar maximization: runs [`maximize_scalar`] on `starts`
@@ -559,72 +368,31 @@ mod tests {
     }
 
     #[test]
+    fn maximize_scalar_evaluates_each_endpoint_once() {
+        use std::cell::Cell;
+        let (calls, at_a, at_b) = (Cell::new(0usize), Cell::new(0usize), Cell::new(0usize));
+        let f = |x: f64| {
+            calls.set(calls.get() + 1);
+            if x == 0.0 {
+                at_a.set(at_a.get() + 1);
+            }
+            if x == 1.0 {
+                at_b.set(at_b.get() + 1);
+            }
+            -(x - 0.3).powi(2)
+        };
+        let m = maximize_scalar(&f, 0.0, 1.0, 16, Tolerance::default()).unwrap();
+        assert!((m.x - 0.3).abs() < 1e-8);
+        assert_eq!((at_a.get(), at_b.get()), (1, 1));
+        assert_eq!(m.evaluations, calls.get());
+    }
+
+    #[test]
     fn maximize_scalar_multimodal_picks_global() {
         // Two peaks; global at x ~ 2.2.
         let f = |x: f64| (-(x - 0.5).powi(2)).exp() + 1.5 * (-(x - 2.2).powi(2) * 4.0).exp();
         let m = maximize_scalar(&f, 0.0, 3.0, 64, Tolerance::default()).unwrap();
         assert!((m.x - 2.2).abs() < 0.05, "x = {}", m.x);
-    }
-
-    #[test]
-    fn project_box_clamps() {
-        let mut x = vec![-1.0, 0.5, 9.0];
-        project_box(&mut x, &[0.0, 0.0, 0.0], &[1.0, 1.0, 1.0]);
-        assert_eq!(x, vec![0.0, 0.5, 1.0]);
-    }
-
-    #[test]
-    fn projected_ascent_concave_quadratic() {
-        // f(x) = -|x - c|^2 over [0,1]^3 with c partially outside the box.
-        let c = [0.5, 1.5, -0.5];
-        let f = move |x: &[f64]| -x.iter().zip(&c).map(|(a, b)| (a - b).powi(2)).sum::<f64>();
-        let grad = move |x: &[f64], g: &mut [f64]| {
-            for i in 0..3 {
-                g[i] = -2.0 * (x[i] - c[i]);
-            }
-        };
-        let r = projected_gradient_ascent(
-            &f,
-            &grad,
-            &[0.2, 0.2, 0.2],
-            &[0.0; 3],
-            &[1.0; 3],
-            0.25,
-            Tolerance::new(1e-10, 1e-10).with_max_iter(10_000),
-        )
-        .unwrap();
-        assert!(r.converged);
-        assert!((r.x[0] - 0.5).abs() < 1e-6);
-        assert!((r.x[1] - 1.0).abs() < 1e-6); // clipped at the box
-        assert!((r.x[2] - 0.0).abs() < 1e-6); // clipped at the box
-    }
-
-    #[test]
-    fn projected_ascent_empty_input() {
-        let f = |_: &[f64]| 0.0;
-        let grad = |_: &[f64], _: &mut [f64]| {};
-        let r =
-            projected_gradient_ascent(&f, &grad, &[], &[], &[], 0.1, Tolerance::default()).unwrap();
-        assert!(r.converged);
-        assert!(r.x.is_empty());
-    }
-
-    #[test]
-    fn projected_ascent_dimension_mismatch() {
-        let f = |_: &[f64]| 0.0;
-        let grad = |_: &[f64], _: &mut [f64]| {};
-        assert!(matches!(
-            projected_gradient_ascent(
-                &f,
-                &grad,
-                &[0.0, 0.0],
-                &[0.0],
-                &[1.0],
-                0.1,
-                Tolerance::default()
-            ),
-            Err(NumError::DimensionMismatch { .. })
-        ));
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! previous probe's root, since the gap and its slope (Equation 2) come from
 //! one `e^{−βφ}` table. [`solve_increasing`] (bracket expansion by
 //! [`expand_upward`], then [`brent`]) needs no slope and no upper end; it is
-//! the oracle the Newton solve is tested against. [`bisection`] and
-//! [`secant`] serve as cross-checks in tests.
+//! the oracle the Newton solve is tested against. [`bisection`] is the
+//! reference [`brent`] is tested against.
 //!
 //! All methods return a [`RootResult`] with the root, the residual actually
 //! achieved and the number of function evaluations, so callers can assert on
@@ -34,18 +34,6 @@ impl Bracket {
         } else {
             Bracket { a: b, b: a }
         }
-    }
-
-    /// Width of the interval.
-    #[inline]
-    pub fn width(&self) -> f64 {
-        self.b - self.a
-    }
-
-    /// Midpoint of the interval.
-    #[inline]
-    pub fn midpoint(&self) -> f64 {
-        0.5 * (self.a + self.b)
     }
 }
 
@@ -336,51 +324,6 @@ pub fn newton<F: FnMut(f64) -> (f64, f64) + ?Sized>(
     Err(NumError::MaxIterations { max_iter: tol.max_iter, residual: f(x).0 })
 }
 
-/// Secant method (derivative-free, superlinear, not globally convergent).
-pub fn secant<F: Fn(f64) -> f64 + ?Sized>(
-    f: &F,
-    x0: f64,
-    x1: f64,
-    tol: Tolerance,
-) -> NumResult<RootResult> {
-    let mut xa = x0;
-    let mut xb = x1;
-    let mut fa = check_finite("secant f(x0)", xa, f(xa))?;
-    let mut fb = check_finite("secant f(x1)", xb, f(xb))?;
-    let mut evals = 2;
-    for iter in 0..tol.max_iter {
-        if fb == 0.0 {
-            return Ok(RootResult { x: xb, residual: 0.0, evaluations: evals, iterations: iter });
-        }
-        let denom = fb - fa;
-        if denom == 0.0 {
-            return Err(NumError::Domain {
-                what: "secant: flat chord (f(x0) == f(x1))",
-                value: fb,
-            });
-        }
-        let next = xb - fb * (xb - xa) / denom;
-        if !next.is_finite() {
-            return Err(NumError::NonFinite { what: "secant step", at: xb });
-        }
-        if tol.is_met(next - xb, xb) {
-            let r = f(next);
-            return Ok(RootResult {
-                x: next,
-                residual: r,
-                evaluations: evals + 1,
-                iterations: iter + 1,
-            });
-        }
-        xa = xb;
-        fa = fb;
-        xb = next;
-        fb = check_finite("secant f", xb, f(xb))?;
-        evals += 1;
-    }
-    Err(NumError::MaxIterations { max_iter: tol.max_iter, residual: fb })
-}
-
 /// Solves `f(x) = 0` for a strictly increasing `f` with `f(lo) < 0` by
 /// expanding a bracket upward and applying Brent's method.
 ///
@@ -422,8 +365,6 @@ mod tests {
     fn bracket_orders_endpoints() {
         let b = Bracket::new(3.0, -1.0);
         assert_eq!((b.a, b.b), (-1.0, 3.0));
-        assert_eq!(b.width(), 4.0);
-        assert_eq!(b.midpoint(), 1.0);
     }
 
     #[test]
@@ -535,19 +476,6 @@ mod tests {
             newton(&mut f, f64::NAN, None, Tolerance::tight()),
             Err(NumError::Domain { .. })
         ));
-    }
-
-    #[test]
-    fn secant_exponential() {
-        let f = |x: f64| x.exp() - 10.0;
-        let r = secant(&f, 1.0, 3.0, Tolerance::default()).unwrap();
-        assert!((r.x - 10f64.ln()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn secant_flat_chord_error() {
-        let f = |_: f64| 1.0;
-        assert!(matches!(secant(&f, 0.0, 1.0, Tolerance::default()), Err(NumError::Domain { .. })));
     }
 
     #[test]

@@ -44,18 +44,6 @@ impl Tolerance {
         self
     }
 
-    /// Returns a copy with the absolute tolerance replaced.
-    pub fn with_abs(mut self, abs: f64) -> Self {
-        self.abs = abs.max(0.0);
-        self
-    }
-
-    /// Returns a copy with the relative tolerance replaced.
-    pub fn with_rel(mut self, rel: f64) -> Self {
-        self.rel = rel.max(0.0);
-        self
-    }
-
     /// The effective threshold at a given iterate magnitude.
     #[inline]
     pub fn threshold(&self, scale: f64) -> f64 {
@@ -66,11 +54,6 @@ impl Tolerance {
     #[inline]
     pub fn is_met(&self, delta: f64, scale: f64) -> bool {
         delta.abs() <= self.threshold(scale)
-    }
-
-    /// A loose tolerance (1e-6 abs/rel) for expensive outer loops.
-    pub fn loose() -> Self {
-        Tolerance::new(1e-6, 1e-6)
     }
 
     /// A tight tolerance (1e-14 abs, 1e-13 rel) for substrate unit tests.
@@ -120,13 +103,12 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let t = Tolerance::default().with_abs(1e-4).with_rel(1e-5).with_max_iter(7);
+        let t = Tolerance::new(1e-4, 1e-5).with_max_iter(7);
         assert_eq!((t.abs, t.rel, t.max_iter), (1e-4, 1e-5, 7));
     }
 
     #[test]
     fn presets() {
-        assert!(Tolerance::loose().abs > Tolerance::default().abs);
         assert!(Tolerance::tight().abs < Tolerance::default().abs);
     }
 }

@@ -79,12 +79,6 @@ impl MeasuredThroughput {
         let curve = MonotoneCubic::new(xs, ys)?;
         Ok(MeasuredThroughput { curve, phi_max, lambda_end, tail_rate, peak })
     }
-
-    /// Number of knots retained after pruning is at least 3 by
-    /// construction; exposes the usable φ range for diagnostics.
-    pub fn measured_range(&self) -> (f64, f64) {
-        (0.0, self.phi_max)
-    }
 }
 
 impl ThroughputFn for MeasuredThroughput {

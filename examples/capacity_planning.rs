@@ -9,6 +9,7 @@
 //!
 //! Run with: `cargo run --example capacity_planning`
 
+use subcomp::exp::extensions::CAPACITY_MU_RANGE;
 use subcomp::game::capacity::CapacityPlanner;
 use subcomp::game::game::SubsidyGame;
 use subcomp::game::nash::NashSolver;
@@ -23,7 +24,7 @@ fn main() {
     ];
     let system = build_system(&specs, 1.0).expect("valid market");
     let solver = NashSolver::default().with_tol(1e-6).with_max_sweeps(100);
-    let planner = CapacityPlanner::new(0.08, (0.0, 2.0), (0.4, 4.0)).expect("planner");
+    let planner = CapacityPlanner::new(0.08, (0.0, 2.0), CAPACITY_MU_RANGE).expect("planner");
 
     println!("long-run capacity choice (cost 0.08 per unit of capacity):\n");
     println!("{:>5} | {:>7} | {:>7} | {:>8} | {:>7}", "q", "mu*", "p*", "profit", "phi");

@@ -10,8 +10,8 @@ use subcomp::game::sensitivity::Sensitivity;
 use subcomp::game::structure::p_function_evidence;
 use subcomp::game::welfare::{corollary2, welfare};
 use subcomp::model::effects::{PriceEffects, SystemEffects};
-use subcomp::model::pricing::OneSidedMarket;
 use subcomp_exp::scenarios::{section3_system, section5_system};
+use subcomp_exp::sweep::one_sided_sweep;
 
 fn solver() -> NashSolver {
     NashSolver::default().with_tol(1e-9)
@@ -30,14 +30,20 @@ fn lemma1_unique_utilization_fixed_point() {
     let mu = sys.mu();
     let map =
         |phi: f64| sys.cps().iter().zip(&m).map(|(cp, &mi)| mi * cp.lambda(phi)).sum::<f64>() / mu;
-    let picard = subcomp::num::fixedpoint::picard(
-        &map,
-        0.3,
-        0.6,
-        subcomp::num::Tolerance::new(1e-12, 0.0).with_max_iter(20_000),
-    )
-    .unwrap();
-    assert!((picard.x - state.phi).abs() < 1e-8);
+    // Damped Picard: φ ← 0.4φ + 0.6·T(φ) from 0.3 until a step below 1e-12.
+    let mut phi = 0.3;
+    let mut converged = false;
+    for _ in 0..20_000 {
+        let next = 0.4 * phi + 0.6 * map(phi);
+        let step = (next - phi).abs();
+        phi = next;
+        if step < 1e-12 {
+            converged = true;
+            break;
+        }
+    }
+    assert!(converged, "damped Picard iteration must converge");
+    assert!((phi - state.phi).abs() < 1e-8);
 }
 
 #[test]
@@ -282,9 +288,12 @@ fn capacity_comparative_statics_split_by_congestion_sensitivity() {
 
 #[test]
 fn figure4_one_sided_revenue_single_peaked() {
-    let sys = section3_system();
-    let market = OneSidedMarket::new(&sys);
-    let (p_star, r_star) = market.revenue_maximizing_price(0.0, 3.0).unwrap();
+    // The revenue-maximizing uniform price on a grid over [0, 3], through
+    // the one-sided sweep Figures 4–5 run.
+    let prices: Vec<f64> = (0..=60).map(|k| 3.0 * k as f64 / 60.0).collect();
+    let sweep = one_sided_sweep(&section3_system(), &prices).unwrap();
+    let peak = sweep.iter().max_by(|a, b| a.revenue.total_cmp(&b.revenue)).unwrap();
+    let (p_star, r_star) = (peak.p, peak.revenue);
     assert!(p_star > 0.0 && p_star < 3.0);
     assert!(r_star > 0.0);
 }

@@ -7,7 +7,6 @@ use proptest::prelude::*;
 use subcomp::exp::scenarios::farm_game;
 use subcomp::exp::sweep::BatchSolver;
 use subcomp::game::best_response::{deviation_gap, grid_best_response, BrConfig};
-use subcomp::game::dynamics::gradient_flow;
 use subcomp::game::equilibrium::verify_equilibrium;
 use subcomp::game::game::SubsidyGame;
 use subcomp::game::nash::NashSolver;
@@ -162,21 +161,28 @@ fn deviation_gap_vanishes_only_at_equilibrium() {
 
 #[test]
 fn continuous_dynamics_settle_on_the_same_point() {
-    // The flow's time constant scales with 1/|∂u/∂s|, which is small for
-    // low-throughput providers — give the integrator a long horizon.
+    // Projected gradient dynamics ṡ_i = u_i(s) on the box [0, cap_i],
+    // integrated by explicit Euler with every step clamped into the box;
+    // its rest points are exactly the Nash equilibria. The flow's time
+    // constant scales with 1/|∂u/∂s|, which is small for low-throughput
+    // providers — give the integrator a long horizon.
     let game = game_for_seed(11);
     let eq = NashSolver::default().solve(&game).unwrap();
-    let traj = gradient_flow(&game, &[0.0; 5], 600.0, 3000).unwrap();
+    let (horizon, steps) = (600.0, 3000);
+    let dt = horizon / steps as f64;
+    let caps: Vec<f64> = (0..5).map(|i| game.effective_cap(i)).collect();
     let dist =
         |s: &[f64]| s.iter().zip(&eq.subsidies).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
-    let d0 = dist(&traj[0].s);
-    let d_end = dist(&traj.last().unwrap().s);
-    assert!(
-        d_end < 2e-2,
-        "flow must approach the Nash point: {:?} vs {:?}",
-        traj.last().unwrap().s,
-        eq.subsidies
-    );
+    let mut s = vec![0.0; 5];
+    let d0 = dist(&s);
+    for _ in 0..steps {
+        let u = game.marginal_utilities(&s).unwrap();
+        for i in 0..5 {
+            s[i] = (s[i] + dt * u[i]).clamp(0.0, caps[i]);
+        }
+    }
+    let d_end = dist(&s);
+    assert!(d_end < 2e-2, "flow must approach the Nash point: {s:?} vs {:?}", eq.subsidies);
     assert!(d_end < 0.05 * d0, "distance must shrink by 20x (was {d0}, now {d_end})");
 }
 
