@@ -1,13 +1,22 @@
 //! Benchmarks the simulators: flow-level ticks and market days per
-//! second, the measurement pipeline, and the SoA adoption engine —
-//! standalone at the million-user scale and inside the closed
+//! second, the measurement pipeline, and the event-driven adoption
+//! engine — standalone at the million-user scale and inside the closed
 //! simulate → warm-resolve loop through the sharded server.
 //!
 //! The adoption ids:
 //!
 //! * `simulator/adoption/step_1m` — one serial tick of a 1,000,000-user
-//!   population (quick mode: 50k). The headline users-stepped/s is
-//!   `1e9 · N / median`.
+//!   population (quick mode: 50k) at adopt = churn = 0.5 and
+//!   explore = decay = 0. That population absorbs within a few ticks,
+//!   after which a tick only finds that no class has candidates: it
+//!   times the absorbed floor, not a per-user cost.
+//! * `simulator/adoption/step_1m_mixing` — the same population and drive
+//!   under the adoption workload's hazards (adopt = churn = 0.5,
+//!   explore = decay = 0.02), where every class keeps flipping: the
+//!   step's steady cost.
+//! * `simulator/adoption/build_1m` — one `Population::build` of the same
+//!   1,000,000 users: the hashes, the radix sort by valuation and the
+//!   bitset allocation.
 //! * `simulator/adoption/loop_warm` — one closed-loop tick (10k users):
 //!   lock-free externality read, simulate, tangent-seeded µ write,
 //!   warm re-solve.
@@ -69,9 +78,9 @@ fn quick() -> bool {
     std::env::var("SUBCOMP_BENCH_QUICK").map(|v| v != "0" && !v.is_empty()).unwrap_or(false)
 }
 
-/// The SoA engine standalone: one tick over a million users, serial
-/// (the parallel fan-out is bit-identical by construction, so the
-/// single-lane number is the per-core cost the scaling study divides).
+/// The engine standalone: one tick over a million users, serial (the
+/// parallel fan-out is bit-identical by construction, so the single-lane
+/// number is the per-core cost the scaling study divides), and one build.
 fn bench_adoption_step(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulator/adoption");
     g.sample_size(10);
@@ -81,13 +90,23 @@ fn bench_adoption_step(c: &mut Criterion) {
         TypeSpec { mass: 0.8, alpha: 5.0 },
         TypeSpec { mass: 1.2, alpha: 1.0 },
     ];
-    let params = AdoptionParams { seed: 7, adopt: 0.5, churn: 0.5, ..Default::default() };
-    let mut pop = Population::build(&types, n_users, 16_384, params).unwrap();
     let drive = TickDrive::uniform(types.len(), 0.4);
-    g.bench_function("step_1m", |b| {
+    let absorbing = AdoptionParams { seed: 7, adopt: 0.5, churn: 0.5, ..Default::default() };
+    let mixing = AdoptionParams { explore: 0.02, decay: 0.02, ..absorbing };
+    for (id, params) in [("step_1m", absorbing), ("step_1m_mixing", mixing)] {
+        let mut pop = Population::build(&types, n_users, 16_384, params).unwrap();
+        g.bench_function(id, |b| {
+            b.iter(|| {
+                pop.step(std::hint::black_box(&drive)).unwrap();
+                pop.adopted_users()
+            })
+        });
+    }
+    g.bench_function("build_1m", |b| {
         b.iter(|| {
-            pop.step(std::hint::black_box(&drive)).unwrap();
-            pop.adopted_users()
+            Population::build(&types, std::hint::black_box(n_users), 16_384, absorbing)
+                .unwrap()
+                .n_users()
         })
     });
     g.finish();

@@ -2,7 +2,7 @@
 //! warm re-solve → simulate, wired through the sharded server.
 //!
 //! `sim::adoption` supplies the demand side — a million-user
-//! structure-of-arrays population adopting and churning under
+//! event-driven bitset population adopting and churning under
 //! externality-dependent hazards. This module closes the feedback loop
 //! the ROADMAP's Weber–Guérin item asks for, with the
 //! [`ShardedServer`] as the equilibrium host (**one resident market per
@@ -54,14 +54,15 @@ use subcomp_sim::rng::SimRng;
 const POP_STREAM: u64 = 0xC040_0001;
 
 /// Steps `pop` by one tick with the block fan-out parallelized over
-/// `threads` OS threads. Blocks are owned, disjoint chunks and the
-/// per-user update is a pure counter function, so the result is
+/// `threads` OS threads. Blocks are owned, disjoint runs of whole
+/// canonical ranges, and every draw is keyed by type, class, rank or
+/// range — never by block or thread — so the result is
 /// **bit-identical to the serial [`Population::step`] for any thread
-/// count** (pinned by the adoption determinism tier). `threads <= 1`
-/// runs serially with no spawn.
+/// count and chunk size** (pinned by the adoption determinism tier).
+/// `threads <= 1` runs serially with no spawn.
 pub fn step_population(pop: &mut Population, threads: usize, drive: &TickDrive) -> NumResult<()> {
     let ctx = pop.prepare_tick(drive)?;
-    parallel_map(pop.blocks_mut(), threads, || (), |_, block| block.step(&ctx, drive));
+    parallel_map(pop.blocks_mut(), threads, || (), |_, block| block.step(&ctx));
     pop.refresh_masses();
     Ok(())
 }
@@ -113,7 +114,8 @@ pub struct LoopConfig {
     pub cohorts: usize,
     /// Users per cohort.
     pub users: usize,
-    /// Users per SoA block (the unit of parallel distribution).
+    /// Users per block, rounded up to whole 4,096-user ranges: the unit
+    /// of parallel distribution, which never changes the trajectory.
     pub chunk: usize,
     /// Worker threads for the block fan-out (`<= 1` is serial).
     pub threads: usize,
@@ -340,12 +342,7 @@ impl AdoptionLoop {
             drop(snap);
             // 2. Simulate one tick over the owned blocks.
             let ctx = cohort.pop.prepare_tick(&cohort.drive).map_err(ServeError::Num)?;
-            parallel_map(
-                cohort.pop.blocks_mut(),
-                cfg.threads,
-                || (),
-                |_, block| block.step(&ctx, &cohort.drive),
-            );
+            parallel_map(cohort.pop.blocks_mut(), cfg.threads, || (), |_, block| block.step(&ctx));
             cohort.pop.refresh_masses();
             adopted += cohort.pop.adopted_users();
             let cohort_mass: f64 = cohort.pop.masses().iter().sum();

@@ -1,21 +1,20 @@
 //! `adopt_sim` — the closed adoption loop, end to end.
 //!
 //! Stands up an [`AdoptionLoop`] over the paper's §5 market — one
-//! resident market per cohort in a [`ShardedServer`], one
-//! structure-of-arrays user population per cohort — and drives the
-//! closed tick: lock-free externality read → simulate one adoption
-//! tick over the owned blocks → in-place `Axis::Mu` (and, on the
-//! demand cadence, demand/`Axis::Profitability`) writes → warm
-//! re-solve.
+//! resident market per cohort in a [`ShardedServer`], one event-driven
+//! bitset user population per cohort — and drives the closed tick:
+//! lock-free externality read → simulate one adoption tick over the
+//! owned blocks → in-place `Axis::Mu` (and, on the demand cadence,
+//! demand/`Axis::Profitability`) writes → warm re-solve.
 //!
 //! Everything on **stdout** is deterministic: the trajectory is a pure
 //! function of the printed configuration, bit-identical across reruns,
-//! thread counts, chunk sizes and shard counts (the SoA engine splits
-//! its counter-mode streams per user, not per thread). Thread/shard
-//! choice and wall-clock timing go to **stderr**, so
-//! `adopt_sim ... > a.txt` diffs byte-for-byte against a rerun — or a
-//! rerun at `--threads 4` — with plain `cmp` (the CI smoke does
-//! exactly that).
+//! thread counts, chunk sizes and shard counts (the engine keys its
+//! draws by type, class, rank and canonical 4,096-user range, never by
+//! block or thread). Thread, shard and chunk choice and wall-clock
+//! timing go to **stderr**, so `adopt_sim ... > a.txt` diffs
+//! byte-for-byte against a rerun — or a rerun at `--threads 4` or
+//! `--chunk 4096` — with plain `cmp` (the CI smoke does exactly that).
 //!
 //! With `--cold` the loop cools every market before each tick
 //! (dropping warm seeds, tangent seed, fingerprint cache and the
@@ -30,7 +29,8 @@
 //!   `--ticks T`         closed-loop ticks to run (default 10)
 //!   `--users N`         users per cohort (default 100000)
 //!   `--cohorts C`       adoption cohorts = resident markets (default 1)
-//!   `--chunk K`         users per SoA block (default 16384)
+//!   `--chunk K`         parallel grain: users per block, rounded up to
+//!                       whole 4,096-user ranges (default 16384)
 //!   `--threads W`       block fan-out threads, 1 = serial (default 1)
 //!   `--shards S`        shards of the server: fault domains and report
 //!                       groups (default 1)
@@ -150,22 +150,21 @@ fn main() {
     let args = parse_args();
     println!("adopt_sim: closed adoption loop over the sharded equilibrium service");
     // The stdout config line names only trajectory-determining knobs:
-    // threads and shards are performance choices and live on stderr so
-    // the report diffs cleanly across them.
+    // threads, shards and chunk are performance choices and live on
+    // stderr so the report diffs cleanly across them.
     println!(
-        "config: ticks={} users={}/cohort cohorts={} chunk={} seed={} gamma={} eta={} \
+        "config: ticks={} users={}/cohort cohorts={} seed={} gamma={} eta={} \
          demand-every={} mode={}",
         args.ticks,
         args.users,
         args.cohorts,
-        args.chunk,
         args.seed,
         args.gamma,
         args.eta,
         args.demand_every,
         if args.cold { "cold" } else { "warm" }
     );
-    eprintln!("adopt_sim: threads={} shards={}", args.threads, args.shards);
+    eprintln!("adopt_sim: threads={} shards={} chunk={}", args.threads, args.shards, args.chunk);
 
     let cfg = LoopConfig {
         seed: args.seed,

@@ -676,8 +676,6 @@ pub struct StatePoint {
     pub state: SystemState,
     /// ISP revenue `R = p θ`.
     pub revenue: f64,
-    /// CP utilities `U_i = v_i θ_i` (no subsidies in the one-sided model).
-    pub utilities: Vec<f64>,
 }
 
 /// Sweeps the *one-sided* market (§3.2: every CP's users pay the uniform
@@ -697,13 +695,7 @@ pub fn one_sided_sweep(system: &System, prices: &[f64]) -> NumResult<Vec<StatePo
         t.fill(p);
         system.state_at_prices_into(&t, &mut scratch, &mut state)?;
         let revenue = p * state.theta();
-        let utilities = system
-            .cps()
-            .iter()
-            .zip(&state.theta_i)
-            .map(|(cp, &th)| cp.profitability() * th)
-            .collect();
-        out.push(StatePoint { p, state: state.clone(), revenue, utilities });
+        out.push(StatePoint { p, state: state.clone(), revenue });
     }
     Ok(out)
 }
@@ -929,24 +921,17 @@ mod tests {
     #[test]
     fn one_sided_price_sweep_is_bit_identical_to_market_sweep() {
         // The reference is the market evaluated point by point: a fresh
-        // uniform-price state solve, R = pθ and U_i = v_i θ_i.
+        // uniform-price state solve and R = pθ.
         let sys = crate::scenarios::section3_system();
         let prices: Vec<f64> = (0..8).map(|k| 0.3 * k as f64).collect();
         let swept = one_sided_sweep(&sys, &prices).unwrap();
         assert_eq!(swept.len(), prices.len());
         for (&p, b) in prices.iter().zip(&swept) {
             let state = sys.state_at_uniform_price(p).unwrap();
-            let utilities: Vec<f64> = sys
-                .cps()
-                .iter()
-                .zip(&state.theta_i)
-                .map(|(cp, &th)| cp.profitability() * th)
-                .collect();
             assert_eq!(p, b.p);
             assert_eq!(state.phi.to_bits(), b.state.phi.to_bits());
             assert_eq!((p * state.theta()).to_bits(), b.revenue.to_bits());
             assert_eq!(state.theta_i, b.state.theta_i);
-            assert_eq!(utilities, b.utilities);
         }
     }
 }

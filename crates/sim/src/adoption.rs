@@ -27,25 +27,46 @@
 //!
 //! # Engine layout and the determinism contract
 //!
-//! The population is a structure of arrays split into fixed-size
-//! [`Block`]s (per-field `uid`/`valuation`/`state` arrays). Within each
-//! block users are **counting-sorted by CP type** at build time and the
-//! per-type runs recorded as segments, so the inner tick loop hoists the
-//! per-type drive out of the loop and runs branch-light over each
-//! segment (the state flip is a XOR, the hazard pick a table index —
-//! autovectorizable, no data-dependent branches).
+//! A tick is driven by events, not by users: its cost scales with the
+//! flips that can happen.
 //!
-//! Per-tick randomness uses a **two-level counter scheme** over
-//! [`SimRng::stream_seed`] instead of sequential generator state: each
-//! tick derives `key = stream_seed(tick_root, tick)` and each user's
-//! draw is the avalanche `h = stream_seed(key, uid)`, compared against a
-//! precomputed `u64` threshold (`p·2⁶⁴`). A user's trajectory is
-//! therefore a pure function of `(seed, uid, drive history)` —
-//! independent of block layout and of which thread steps which block —
-//! so results are **bit-identical across thread counts and chunk
-//! sizes**. Per-type adopter tallies are integer counts scaled by the
-//! constant per-user mass quantum, which makes the aggregated masses
-//! exact and summation-order-free.
+//! * **Users.** [`Population::build`] draws each uid's type and valuation
+//!   from counter hashes of `(seed, uid)`, then orders each type's users
+//!   by `(valuation key, uid)` — a stable LSD radix sort on the 53-bit
+//!   valuation key, fed in uid order. From then on a user is
+//!   `(type, rank)` and no uid is stored. Per type the engine keeps the
+//!   sorted `f64` valuations, which only the split reads, and the
+//!   adoption states as a `u64` bitset cut into owned [`Block`]s: 8 bytes
+//!   and 1 bit per user.
+//! * **Split.** Valuations grow with rank, and correctly rounded multiply
+//!   and subtract are monotone, so each type's positive-surplus users are
+//!   a suffix of its rank order. [`Population::prepare_tick`] finds it by
+//!   `partition_point` on `v·gain − t_eff > 0`, the expression a per-user
+//!   loop evaluates, and stores it into each block of the type.
+//! * **Samplers.** The four classes — explore (idle, surplus ≤ 0), adopt
+//!   (idle, > 0), churn (adopted, ≤ 0) and decay (adopted, > 0) — each
+//!   flip with their own probability `p`, by a rule that depends on `p`
+//!   alone: nothing at `p = 0`; a word-parallel fill of the class's bits
+//!   at `p = 1`; below a cutoff of 1/8, geometric skips over the
+//!   positions on the class's surplus side, where a selected position
+//!   flips only if its state before the tick is in the class; otherwise
+//!   one counter hash per class member, found by bit scan. Flips collect
+//!   in a per-range mask and apply after all four classes, so every class
+//!   reads the state from before the tick.
+//! * **Keys.** Per-user hashes are keyed by `(tick, type, class, rank)`
+//!   and skip streams by `(tick, type, class, range)`, where a range is a
+//!   canonical run of 4,096 users (64 state words) of a type's rank
+//!   order. A block is a whole number of ranges — `chunk` is rounded up to
+//!   whole ranges and only sets the parallel grain — so no draw depends on
+//!   block, chunk or thread, and trajectories are **bit-identical across
+//!   thread counts and chunk sizes** by construction. Per-type adopter
+//!   tallies are integer counts scaled by the constant per-user mass
+//!   quantum, which makes the aggregated masses exact and
+//!   summation-order-free.
+//!
+//! Every tick also records deterministic work counters
+//! ([`Population::tick_counts`]): per-class candidates and flips,
+//! per-user hashes and skip draws, summed over blocks.
 //!
 //! After [`Population::build`], a tick performs **zero heap
 //! allocations** (pinned in `tests/alloc_free.rs`). Blocks are owned,
@@ -62,6 +83,19 @@ const BUILD_STREAM: u64 = 0xAD0B_0001;
 const TICK_STREAM: u64 = 0xAD0B_0002;
 /// Stream index separating the valuation draw from the type draw.
 const VALUATION_STREAM: u64 = 0xAD0B_0003;
+/// Users per canonical range: the unit that keys skip streams and that
+/// blocks are made of.
+const RANGE: usize = 4096;
+/// State words per canonical range.
+const RANGE_WORDS: usize = RANGE / 64;
+/// Classes with a flip probability below this are skip-sampled; at or
+/// above it (and below 1) they draw one hash per member, so no tick
+/// costs more than one hash per user.
+const SKIP_CUTOFF: f64 = 0.125;
+/// Bits of the valuation key (the top 53 bits of its hash).
+const KEY_BITS: usize = 53;
+/// Bits per pass of the build's radix sort.
+const RADIX_BITS: usize = 11;
 
 /// Top 53 bits of an avalanched hash as a uniform in `[0, 1)`.
 #[inline]
@@ -70,17 +104,37 @@ fn u01(h: u64) -> f64 {
 }
 
 /// A per-tick probability as a `u64` firing threshold: the event fires
-/// iff the user's 64-bit hash is strictly below it. `p = 0` never fires;
-/// `p = 1` maps to `u64::MAX` (misses only the single all-ones hash, a
-/// 2⁻⁶⁴ corner the tolerance tiers absorb).
+/// iff the user's 64-bit hash is strictly below it. The cast saturates,
+/// so `p ≤ 0` maps to 0 and `p ≥ 1` to `u64::MAX`.
 #[inline]
 fn threshold(p: f64) -> u64 {
-    if p <= 0.0 {
-        0
-    } else if p >= 1.0 {
-        u64::MAX
-    } else {
-        (p * (u64::MAX as f64 + 1.0)) as u64
+    (p * (u64::MAX as f64 + 1.0)) as u64
+}
+
+/// How one class draws its flips; chosen from its probability alone.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Sampler {
+    /// `p = 0`: the class never flips.
+    Never,
+    /// `0 < p < SKIP_CUTOFF`: geometric skips; holds `1 / ln(1 − p)`.
+    Skip(f64),
+    /// `SKIP_CUTOFF ≤ p < 1`: one hash per member against this threshold.
+    Hash(u64),
+    /// `p = 1`: every member flips.
+    Always,
+}
+
+impl Sampler {
+    fn for_rate(p: f64) -> Sampler {
+        if p <= 0.0 {
+            Sampler::Never
+        } else if p >= 1.0 {
+            Sampler::Always
+        } else if p < SKIP_CUTOFF {
+            Sampler::Skip((-p).ln_1p().recip())
+        } else {
+            Sampler::Hash(threshold(p))
+        }
     }
 }
 
@@ -156,15 +210,10 @@ impl AdoptionParams {
         Ok(())
     }
 
-    /// Firing thresholds indexed by `(state << 1) | (surplus > 0)`:
-    /// `[explore, adopt, churn, decay]`.
-    fn thresholds(&self) -> [u64; 4] {
-        [
-            threshold(self.explore),
-            threshold(self.adopt),
-            threshold(self.churn),
-            threshold(self.decay),
-        ]
+    /// The rates in class order: explore, adopt, churn, decay, i.e.
+    /// indexed `(adopted << 1) | (surplus > 0)`.
+    fn rates(&self) -> [f64; 4] {
+        [self.explore, self.adopt, self.churn, self.decay]
     }
 }
 
@@ -187,110 +236,256 @@ impl TickDrive {
     }
 }
 
-/// One contiguous type-sorted run inside a [`Block`].
-#[derive(Debug, Clone, Copy)]
-struct Seg {
-    /// CP type of every user in the run.
-    cp: u32,
-    /// First index of the run within the block's arrays.
-    start: u32,
-    /// Run length.
-    len: u32,
+/// Deterministic work counters of one tick. Per-class arrays are indexed
+/// `(adopted << 1) | (surplus > 0)`: explore, adopt, churn, decay.
+/// Integers, so they are invariant across thread counts and chunk sizes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TickCounts {
+    /// Users in each class before the tick.
+    pub candidates: [u64; 4],
+    /// Users of each class that flipped.
+    pub flips: [u64; 4],
+    /// Per-user counter hashes drawn (hash-sampled classes).
+    pub hashes: u64,
+    /// Geometric skip draws (skip-sampled classes).
+    pub skip_draws: u64,
+}
+
+impl TickCounts {
+    fn add(&mut self, other: &TickCounts) {
+        for c in 0..4 {
+            self.candidates[c] += other.candidates[c];
+            self.flips[c] += other.flips[c];
+        }
+        self.hashes += other.hashes;
+        self.skip_draws += other.skip_draws;
+    }
 }
 
 /// Precomputed per-tick constants handed to every block step: the tick's
-/// counter key and the four hazard thresholds. `Copy`, so the parallel
+/// counter key and the four class samplers. `Copy`, so the parallel
 /// driver shares it by value.
 #[derive(Debug, Clone, Copy)]
 pub struct TickCtx {
     key: u64,
-    thresholds: [u64; 4],
+    samplers: [Sampler; 4],
 }
 
-/// One owned, fixed-size chunk of the user population (structure of
-/// arrays, counting-sorted by CP type). Blocks partition the uid space
-/// into contiguous ranges; stepping a block touches no memory outside
-/// it, which is what lets the parallel driver hand each block to a
-/// worker with no sharing.
+/// One owned run of whole canonical ranges of one type's rank order:
+/// the adoption states as a bitset plus the tick's surplus split.
+/// Stepping a block touches no memory outside it, which is what lets the
+/// parallel driver hand each block to a worker with no sharing.
 #[derive(Debug, Clone)]
 pub struct Block {
-    /// Global user ids (scrambled within the block by the type sort).
-    uid: Vec<u64>,
-    /// Private valuations `v`, aligned with `uid`.
-    valuation: Vec<f64>,
-    /// Adoption state (0 idle, 1 adopted), aligned with `uid`.
-    state: Vec<u8>,
-    /// Type-sorted runs covering the block.
-    segs: Vec<Seg>,
-    /// Per-type adopter tallies after the last step.
-    counts: Vec<u64>,
+    /// CP type of every user in the block.
+    cp: usize,
+    /// Rank of the block's first user in its type's order (a multiple of
+    /// the range size).
+    start: usize,
+    /// Users in the block.
+    len: usize,
+    /// Block-local index of the first positive-surplus user, stored by
+    /// [`Population::prepare_tick`].
+    split: usize,
+    /// Adoption states, bit `i` of word `i / 64` for local user `i`.
+    state: Vec<u64>,
+    /// Adopters after the last step.
+    adopted: u64,
+    /// Work counters of the last step.
+    counts: TickCounts,
+}
+
+/// The bits of state word `w` whose range-local positions lie in `[a, b)`.
+#[inline]
+fn span_mask(w: usize, a: usize, b: usize) -> u64 {
+    let lo = a.max(w * 64);
+    let hi = b.min(w * 64 + 64);
+    if lo >= hi {
+        return 0;
+    }
+    let ones = if hi - lo == 64 { u64::MAX } else { (1u64 << (hi - lo)) - 1 };
+    ones << (lo - w * 64)
 }
 
 impl Block {
     /// Advances every user in the block by one tick and refreshes the
-    /// block's per-type adopter tallies. Allocation-free; pure in
-    /// `(ctx, drive)` and the block's own arrays.
-    pub fn step(&mut self, ctx: &TickCtx, drive: &TickDrive) {
-        for c in self.counts.iter_mut() {
-            *c = 0;
-        }
-        for seg in &self.segs {
-            let t = seg.cp as usize;
-            let t_eff = drive.t_eff[t];
-            let gain = drive.gain[t];
-            let lo = seg.start as usize;
-            let hi = lo + seg.len as usize;
-            let mut adopted = 0u64;
-            for j in lo..hi {
-                let surplus = self.valuation[j] * gain - t_eff;
-                let st = self.state[j];
-                let idx = ((st as usize) << 1) | usize::from(surplus > 0.0);
-                let h = SimRng::stream_seed(ctx.key, self.uid[j]);
-                let fire = u8::from(h < ctx.thresholds[idx]);
-                let ns = st ^ fire;
-                self.state[j] = ns;
-                adopted += u64::from(ns);
+    /// block's adopter tally and work counters. Allocation-free; pure in
+    /// `ctx`, the block's states and the split the tick's
+    /// [`Population::prepare_tick`] stored.
+    pub fn step(&mut self, ctx: &TickCtx) {
+        let type_key = SimRng::stream_seed(ctx.key, self.cp as u64);
+        let mut counts = TickCounts::default();
+        let mut adopted = 0u64;
+        let mut flips = [0u64; RANGE_WORDS];
+        for (r, words) in self.state.chunks_mut(RANGE_WORDS).enumerate() {
+            let lo = r * RANGE;
+            let len = RANGE.min(self.len - lo);
+            let split = self.split.clamp(lo, lo + len) - lo;
+            let flips = &mut flips[..words.len()];
+            flips.fill(0);
+            // Class sizes before the tick, from the adopters on each side.
+            let held: u64 = words.iter().map(|w| u64::from(w.count_ones())).sum();
+            let below: u64 = (0..split.div_ceil(64))
+                .map(|w| u64::from((words[w] & span_mask(w, 0, split)).count_ones()))
+                .sum();
+            let (n_neg, n_pos) = (split as u64, (len - split) as u64);
+            let sizes = [n_neg - below, n_pos - (held - below), below, held - below];
+            for (class, &sampler) in ctx.samplers.iter().enumerate() {
+                let candidates = sizes[class];
+                counts.candidates[class] += candidates;
+                if candidates == 0 {
+                    continue;
+                }
+                let adopters = class >> 1 == 1;
+                let (a, b) = if class & 1 == 1 { (split, len) } else { (0, split) };
+                let member = |w: usize| {
+                    let bits = if adopters { words[w] } else { !words[w] };
+                    bits & span_mask(w, a, b)
+                };
+                let span = a / 64..b.div_ceil(64);
+                let flipped = match sampler {
+                    Sampler::Never => 0,
+                    Sampler::Always => {
+                        for w in span {
+                            flips[w] |= member(w);
+                        }
+                        candidates
+                    }
+                    Sampler::Hash(threshold) => {
+                        let key = SimRng::stream_seed(type_key, class as u64);
+                        let first = (self.start + lo) as u64;
+                        counts.hashes += candidates;
+                        let mut flipped = 0;
+                        for w in span {
+                            let mut bits = member(w);
+                            let mut fired = 0u64;
+                            while bits != 0 {
+                                let bit = bits.trailing_zeros();
+                                let rank = first + (w * 64) as u64 + u64::from(bit);
+                                // Branch-free: at p near 1/2 a branch here
+                                // mispredicts every other member.
+                                let fire = SimRng::stream_seed(key, rank) < threshold;
+                                fired |= u64::from(fire) << bit;
+                                bits &= bits - 1;
+                            }
+                            flips[w] |= fired;
+                            flipped += u64::from(fired.count_ones());
+                        }
+                        flipped
+                    }
+                    Sampler::Skip(inv_ln_keep) => {
+                        let range = ((self.start + lo) / RANGE) as u64;
+                        let key = SimRng::stream_seed(
+                            SimRng::stream_seed(type_key, 4 + class as u64),
+                            range,
+                        );
+                        let (mut pos, mut draws, mut flipped) = (a, 0u64, 0);
+                        loop {
+                            // Failures before the next selected position:
+                            // Geometric(p) by inversion of `u ∈ (0, 1]`.
+                            let h = SimRng::stream_seed(key, draws);
+                            draws += 1;
+                            let u = ((h >> 11) + 1) as f64 * (1.0 / (1u64 << 53) as f64);
+                            // The cast saturates, so a huge gap ends the span.
+                            let gap = (u.ln() * inv_ln_keep) as usize;
+                            if gap >= b - pos {
+                                break;
+                            }
+                            pos += gap;
+                            let (w, bit) = (pos / 64, pos % 64);
+                            let hit = (words[w] >> bit) & 1 == u64::from(adopters);
+                            flips[w] |= u64::from(hit) << bit;
+                            flipped += u64::from(hit);
+                            pos += 1;
+                        }
+                        counts.skip_draws += draws;
+                        flipped
+                    }
+                };
+                counts.flips[class] += flipped;
             }
-            self.counts[t] += adopted;
+            for (word, &flip) in words.iter_mut().zip(flips.iter()) {
+                *word ^= flip;
+                adopted += u64::from(word.count_ones());
+            }
         }
+        self.adopted = adopted;
+        self.counts = counts;
     }
 
     /// Number of users in the block.
     pub fn len(&self) -> usize {
-        self.uid.len()
+        self.len
     }
 
     /// Whether the block is empty (never true for built populations).
     pub fn is_empty(&self) -> bool {
-        self.uid.is_empty()
+        self.len == 0
     }
 }
 
-/// A structure-of-arrays user population stepping under adoption/churn
-/// hazards. See the module docs for the layout and the determinism
-/// contract.
+/// Sorts keys of at most [`KEY_BITS`] bits ascending by a stable LSD radix
+/// sort; `scratch` must be at least as long as `keys`.
+fn radix_sort(keys: &mut [u64], scratch: &mut [u64]) {
+    const BUCKETS: usize = 1 << RADIX_BITS;
+    const PASSES: usize = KEY_BITS.div_ceil(RADIX_BITS);
+    let digit = |k: u64, pass: usize| (k >> (pass * RADIX_BITS)) as usize & (BUCKETS - 1);
+    let mut starts = vec![[0usize; BUCKETS]; PASSES];
+    for &k in keys.iter() {
+        for (pass, counts) in starts.iter_mut().enumerate() {
+            counts[digit(k, pass)] += 1;
+        }
+    }
+    let n = keys.len();
+    let (mut src, mut dst) = (keys, &mut scratch[..n]);
+    for (pass, next) in starts.iter_mut().enumerate() {
+        let mut at = 0;
+        for slot in next.iter_mut() {
+            let count = *slot;
+            *slot = at;
+            at += count;
+        }
+        for &k in src.iter() {
+            let d = digit(k, pass);
+            dst[next[d]] = k;
+            next[d] += 1;
+        }
+        std::mem::swap(&mut src, &mut dst);
+    }
+    if PASSES % 2 == 1 {
+        dst.copy_from_slice(src);
+    }
+}
+
+/// A bitset user population stepping under adoption/churn hazards. See
+/// the module docs for the layout and the determinism contract.
 #[derive(Debug, Clone)]
 pub struct Population {
     types: Vec<TypeSpec>,
     params: AdoptionParams,
-    thresholds: [u64; 4],
+    samplers: [Sampler; 4],
     tick_root: u64,
     n_users: usize,
     unit: f64,
     tick: u64,
+    /// Every user's valuation, type-major, each type's run ascending.
+    valuations: Vec<f64>,
+    /// Type `t`'s users are `valuations[offsets[t]..offsets[t + 1]]`.
+    offsets: Vec<usize>,
     blocks: Vec<Block>,
     masses: Vec<f64>,
     adopted: u64,
+    counts: TickCounts,
 }
 
 impl Population {
-    /// Builds a population of `n_users` users over the given types,
-    /// split into blocks of `chunk` users (the last block may be
-    /// shorter). Each user's type is drawn proportionally to the type
-    /// mass shares and its valuation from `Exp(α_type)`, both as pure
-    /// functions of `(params.seed, uid)` — so two builds with different
-    /// chunk sizes hold bit-identical user sets, just partitioned
-    /// differently.
+    /// Builds a population of `n_users` users over the given types. Each
+    /// user's type is drawn proportionally to the type mass shares and
+    /// its valuation from `Exp(α_type)`, both as pure functions of
+    /// `(params.seed, uid)`; each type's users are then ordered by
+    /// valuation. The states are cut into blocks of `chunk` users rounded
+    /// up to whole ranges (a type's last block may be shorter), so the
+    /// chunk size sets the parallel grain and nothing else.
     pub fn build(
         types: &[TypeSpec],
         n_users: usize,
@@ -341,68 +536,96 @@ impl Population {
         }
         let n_types = types.len();
         let build_key = SimRng::stream_seed(params.seed, BUILD_STREAM);
-        // Type of user `uid` as a pure function of the seed: shared by
-        // the counting pass and the scatter pass below.
-        let type_of = |uid: u64| -> usize {
-            let u = u01(SimRng::stream_seed(build_key, uid));
-            cum.iter().position(|&c| u < c).unwrap_or(n_types - 1)
+        // Type of the user whose build hash is `h`: the first type whose
+        // cumulative share exceeds `u`. `cum` never decreases, so that is
+        // the count of shares at or below `u`, taken without a branch.
+        let type_of = |h: u64| -> usize {
+            let u = u01(h);
+            cum.iter().filter(|&&c| c <= u).count().min(n_types - 1)
         };
-        let mut blocks = Vec::with_capacity(n_users.div_ceil(chunk));
         let mut offsets = vec![0usize; n_types + 1];
-        for block_start in (0..n_users).step_by(chunk) {
-            let block_len = chunk.min(n_users - block_start);
-            // Counting sort by type: count, prefix, scatter.
-            offsets.iter_mut().for_each(|o| *o = 0);
-            for uid in block_start..block_start + block_len {
-                offsets[type_of(uid as u64) + 1] += 1;
-            }
-            for t in 0..n_types {
-                offsets[t + 1] += offsets[t];
-            }
-            let mut segs = Vec::new();
-            for t in 0..n_types {
-                let len = offsets[t + 1] - offsets[t];
-                if len > 0 {
-                    segs.push(Seg { cp: t as u32, start: offsets[t] as u32, len: len as u32 });
+        for uid in 0..n_users as u64 {
+            offsets[type_of(SimRng::stream_seed(build_key, uid)) + 1] += 1;
+        }
+        for t in 0..n_types {
+            offsets[t + 1] += offsets[t];
+        }
+        // Each user's 53-bit valuation key, scattered into its type's run
+        // in uid order, then radix-sorted: ties keep uid order.
+        let mut keys = vec![0u64; n_users];
+        let mut cursor = offsets[..n_types].to_vec();
+        for uid in 0..n_users as u64 {
+            let h = SimRng::stream_seed(build_key, uid);
+            let t = type_of(h);
+            keys[cursor[t]] = SimRng::stream_seed(h, VALUATION_STREAM) >> 11;
+            cursor[t] += 1;
+        }
+        let widest = offsets.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+        let mut scratch = vec![0u64; widest];
+        for t in 0..n_types {
+            radix_sort(&mut keys[offsets[t]..offsets[t + 1]], &mut scratch);
+        }
+        drop(scratch);
+        // Keys become valuations in place: `Exp(α)` by inversion, the
+        // build's one draw per user. The arguments of `ln` are multiples
+        // of 2⁻⁵³ whose logs lie more than 1.3 ulps apart, wider than twice
+        // the error of a faithfully rounded `ln`, so valuations never
+        // decrease along a type's run and the tick's split is exact.
+        let mut t = 0;
+        let mut i = 0;
+        let valuations: Vec<f64> = keys
+            .into_iter()
+            .map(|k| {
+                while i == offsets[t + 1] {
+                    t += 1;
                 }
+                i += 1;
+                let u = k as f64 * (1.0 / (1u64 << 53) as f64);
+                -(1.0 - u).ln() / types[t].alpha
+            })
+            .collect();
+        debug_assert!(
+            (0..n_types)
+                .all(|t| valuations[offsets[t]..offsets[t + 1]].windows(2).all(|w| w[0] <= w[1])),
+            "valuations must be sorted within each type"
+        );
+        let grain = chunk.div_ceil(RANGE) * RANGE;
+        let mut blocks = Vec::new();
+        for t in 0..n_types {
+            let users = offsets[t + 1] - offsets[t];
+            for start in (0..users).step_by(grain) {
+                let len = grain.min(users - start);
+                blocks.push(Block {
+                    cp: t,
+                    start,
+                    len,
+                    split: 0,
+                    state: vec![0u64; len.div_ceil(64)],
+                    adopted: 0,
+                    counts: TickCounts::default(),
+                });
             }
-            let mut uid_arr = vec![0u64; block_len];
-            let mut val_arr = vec![0.0f64; block_len];
-            let mut cursor = offsets.clone();
-            for uid in block_start..block_start + block_len {
-                let uid = uid as u64;
-                let h = SimRng::stream_seed(build_key, uid);
-                let t = type_of(uid);
-                let slot = cursor[t];
-                cursor[t] += 1;
-                let uv = u01(SimRng::stream_seed(h, VALUATION_STREAM));
-                uid_arr[slot] = uid;
-                val_arr[slot] = -(1.0 - uv).ln() / types[t].alpha;
-            }
-            blocks.push(Block {
-                uid: uid_arr,
-                valuation: val_arr,
-                state: vec![0u8; block_len],
-                segs,
-                counts: vec![0u64; n_types],
-            });
         }
         Ok(Population {
             types: types.to_vec(),
-            thresholds: params.thresholds(),
+            samplers: params.rates().map(Sampler::for_rate),
             tick_root: SimRng::stream_seed(params.seed, TICK_STREAM),
             params,
             n_users,
             unit: total / n_users as f64,
             tick: 0,
+            valuations,
+            offsets,
             blocks,
             masses: vec![0.0; n_types],
             adopted: 0,
+            counts: TickCounts::default(),
         })
     }
 
     /// Validates the drive against this population and opens the next
-    /// tick: bumps the tick counter and returns the per-tick context for
+    /// tick: bumps the tick counter, stores each type's surplus split
+    /// into its blocks and returns the per-tick context for
     /// [`Block::step`]. Split from [`Population::step`] so a parallel
     /// driver can fan [`Population::blocks_mut`] out itself; call
     /// [`Population::refresh_masses`] once every block has stepped.
@@ -427,11 +650,14 @@ impl Population {
                 });
             }
         }
+        for block in &mut self.blocks {
+            let (t_eff, gain) = (drive.t_eff[block.cp], drive.gain[block.cp]);
+            let first = self.offsets[block.cp] + block.start;
+            block.split = self.valuations[first..first + block.len]
+                .partition_point(|&v| !(v * gain - t_eff > 0.0));
+        }
         self.tick += 1;
-        Ok(TickCtx {
-            key: SimRng::stream_seed(self.tick_root, self.tick),
-            thresholds: self.thresholds,
-        })
+        Ok(TickCtx { key: SimRng::stream_seed(self.tick_root, self.tick), samplers: self.samplers })
     }
 
     /// The owned, disjoint blocks — the unit of parallel distribution.
@@ -439,24 +665,25 @@ impl Population {
         &mut self.blocks
     }
 
-    /// Re-aggregates per-type adopted masses from the block tallies:
-    /// integer adopter counts times the constant per-user mass quantum,
-    /// so the result is exact and independent of block layout and
-    /// summation order. Allocation-free.
+    /// Re-aggregates per-type adopted masses and the tick's work counters
+    /// from the blocks: integer adopter counts times the constant
+    /// per-user mass quantum, so the result is exact and independent of
+    /// block layout and summation order. Allocation-free.
     pub fn refresh_masses(&mut self) {
         self.masses.iter_mut().for_each(|m| *m = 0.0);
         let mut adopted = 0u64;
+        let mut counts = TickCounts::default();
         for block in &self.blocks {
-            for (t, &c) in block.counts.iter().enumerate() {
-                self.masses[t] += c as f64;
-                adopted += c;
-            }
+            self.masses[block.cp] += block.adopted as f64;
+            adopted += block.adopted;
+            counts.add(&block.counts);
         }
         // Integer tallies scale once at the end; counts stay exact in u64.
         for m in self.masses.iter_mut() {
             *m *= self.unit;
         }
         self.adopted = adopted;
+        self.counts = counts;
     }
 
     /// Advances the whole population by one tick, serially, and
@@ -464,7 +691,7 @@ impl Population {
     pub fn step(&mut self, drive: &TickDrive) -> NumResult<()> {
         let ctx = self.prepare_tick(drive)?;
         for block in &mut self.blocks {
-            block.step(&ctx, drive);
+            block.step(&ctx);
         }
         self.refresh_masses();
         Ok(())
@@ -483,6 +710,11 @@ impl Population {
     /// Fraction of users currently adopted.
     pub fn adopted_fraction(&self) -> f64 {
         self.adopted as f64 / self.n_users as f64
+    }
+
+    /// Work counters of the last stepped tick, summed over blocks.
+    pub fn tick_counts(&self) -> TickCounts {
+        self.counts
     }
 
     /// The type specs the population was built over.
@@ -576,20 +808,27 @@ mod tests {
 
     #[test]
     fn chunk_size_does_not_change_the_trajectory() {
-        let params = AdoptionParams { seed: 42, adopt: 0.7, churn: 0.6, ..Default::default() };
+        // 60k users over two types: each type spans several canonical
+        // ranges, so the chunk sizes below cut it into different blocks.
+        // Every sampler path runs: skips (explore, decay), hashes (adopt,
+        // churn).
+        let params =
+            AdoptionParams { seed: 42, adopt: 0.7, churn: 0.6, explore: 0.05, decay: 0.03 };
         let drive = TickDrive::uniform(2, 0.15);
         let run = |chunk: usize| {
-            let mut pop = Population::build(&two_types(), 5_000, chunk, params).unwrap();
+            let mut pop = Population::build(&two_types(), 60_000, chunk, params).unwrap();
+            let mut counts = Vec::new();
             for _ in 0..5 {
                 pop.step(&drive).unwrap();
+                counts.push(pop.tick_counts());
             }
-            (pop.masses().to_vec(), pop.adopted_users())
+            (pop.masses().to_vec(), pop.adopted_users(), counts)
         };
-        let (m1, a1) = run(5_000);
-        for chunk in [1, 7, 128, 1024, 4_999] {
-            let (m, a) = run(chunk);
-            assert_eq!(m, m1, "chunk {chunk} diverged");
-            assert_eq!(a, a1, "chunk {chunk} diverged");
+        let reference = run(60_000);
+        for chunk in [1, 4_096, 4_097, 12_289] {
+            let pop = Population::build(&two_types(), 60_000, chunk, params).unwrap();
+            assert!(pop.blocks.len() > 2, "chunk {chunk} must cut the types into blocks");
+            assert_eq!(run(chunk), reference, "chunk {chunk} diverged");
         }
     }
 
@@ -614,6 +853,10 @@ mod tests {
         let before = pop.masses().to_vec();
         pop.step(&drive).unwrap();
         assert_eq!(pop.masses(), &before[..]);
+        // The deterministic regime is two fills and no draws.
+        let counts = pop.tick_counts();
+        assert_eq!((counts.hashes, counts.skip_draws), (0, 0));
+        assert_eq!(counts.flips, [0; 4]);
     }
 
     #[test]
@@ -645,18 +888,38 @@ mod tests {
     }
 
     #[test]
+    fn samplers_depend_only_on_the_rate() {
+        assert_eq!(Sampler::for_rate(0.0), Sampler::Never);
+        assert_eq!(Sampler::for_rate(1.0), Sampler::Always);
+        assert!(matches!(Sampler::for_rate(0.02), Sampler::Skip(l) if l < 0.0));
+        assert!(matches!(Sampler::for_rate(SKIP_CUTOFF), Sampler::Hash(_)));
+        assert!(matches!(Sampler::for_rate(0.5), Sampler::Hash(t) if t == threshold(0.5)));
+    }
+
+    #[test]
+    fn radix_sort_orders_keys_stably() {
+        let mut rng = SimRng::new(3);
+        let mut keys: Vec<u64> =
+            (0..10_000).map(|i| (rng.below(1 << 53) & !0xFF) | (i & 0xFF)).collect();
+        let mut expect = keys.clone();
+        expect.sort_unstable();
+        let mut scratch = vec![0u64; keys.len()];
+        radix_sort(&mut keys, &mut scratch);
+        assert_eq!(keys, expect);
+    }
+
+    #[test]
     fn type_shares_follow_the_mass_split() {
         let pop =
             Population::build(&two_types(), 30_000, 30_000, AdoptionParams::default()).unwrap();
         // Type 0 carries 2/3 of the mass; its user share must match.
-        let block = &pop.blocks[0];
-        let seg0 = block.segs.iter().find(|s| s.cp == 0).unwrap();
-        let share = seg0.len as f64 / 30_000.0;
+        let (lo, hi) = (pop.offsets[0], pop.offsets[1]);
+        let share = (hi - lo) as f64 / 30_000.0;
         assert!((share - 2.0 / 3.0).abs() < 0.01, "share {share}");
-        // Valuations of type 0 average 1/α = 0.5.
-        let lo = seg0.start as usize;
-        let hi = lo + seg0.len as usize;
-        let mean: f64 = block.valuation[lo..hi].iter().sum::<f64>() / seg0.len as f64;
+        // Valuations of type 0 average 1/α = 0.5 and are sorted.
+        let vals = &pop.valuations[lo..hi];
+        let mean: f64 = vals.iter().sum::<f64>() / vals.len() as f64;
         assert!((mean - 0.5).abs() < 0.02, "mean valuation {mean}");
+        assert!(vals.windows(2).all(|w| w[0] <= w[1]));
     }
 }

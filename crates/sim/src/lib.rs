@@ -19,11 +19,12 @@
 //!   the usage-based money flows are metered by [`billing`]. Its long-run
 //!   state is compared against the analytic Nash equilibrium of
 //!   `subcomp-core` — the sim-vs-theory experiment (EXPERIMENTS.md, E3).
-//! * [`adoption`] — a million-user **structure-of-arrays adoption engine**
-//!   (Weber–Guérin externality dynamics): per-field user arrays
-//!   counting-sorted by CP type, counter-keyed randomness so ticks are
-//!   bit-identical across thread counts and chunk sizes, zero heap
-//!   allocation per tick. The heavy-traffic demand side of the closed
+//! * [`adoption`] — a million-user **event-driven adoption engine**
+//!   (Weber–Guérin externality dynamics): users sorted by valuation per
+//!   type, adoption states in bitsets, randomness drawn only where a flip
+//!   can happen (geometric skips and per-user counter hashes, keyed so
+//!   ticks are bit-identical across thread counts and chunk sizes), zero
+//!   heap allocation per tick. The heavy-traffic demand side of the closed
 //!   simulate → re-solve loop (`subcomp-exp`'s `adoption` module).
 //!
 //! Randomness is deterministic per seed ([`rng`]); traces are recorded by
