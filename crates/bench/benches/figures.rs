@@ -86,13 +86,13 @@ fn bench_section5_figures(c: &mut Criterion) {
 }
 
 /// Tracks the continuation win itself as a trajectory point: the same
-/// 3×9 grid solved through the [`GridSolver`] continuation engine
-/// (`continuation`) versus point-by-point cold solves of the *same*
-/// solver configuration on the same reused workspace (`cold`). The ratio
-/// of the two ids is the warm-start speedup — committed to
-/// `BENCH_figures.json` so a regression in continuation quality (e.g.
-/// seeds stopping to help) shows up in review, not just a one-time claim
-/// in a PR description.
+/// 3×9 grid solved through the [`GridSolver`] continuation engine (each
+/// cap row one warm chain along the price axis, `continuation`) versus
+/// point-by-point cold solves of the *same* solver configuration on the
+/// same reused workspace (`cold`). The ratio of the two ids is the
+/// warm-start speedup — committed to `BENCH_figures.json` so a start
+/// that stops paying shows up in review, not just a one-time claim in a
+/// PR description.
 fn bench_panel_warm_vs_cold(c: &mut Criterion) {
     let mut g = c.benchmark_group("figures/panel/warm_vs_cold");
     g.sample_size(10);

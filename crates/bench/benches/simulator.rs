@@ -15,7 +15,7 @@
 //!   explore = decay = 0.02), where every class keeps flipping: the
 //!   step's steady cost.
 //! * `simulator/adoption/build_1m` — one `Population::build` of the same
-//!   1,000,000 users: the hashes, the radix sort by valuation and the
+//!   1,000,000 users: the hashes, the per-type sort by valuation and the
 //!   bitset allocation.
 //! * `simulator/adoption/loop_warm` — one closed-loop tick (10k users):
 //!   lock-free externality read, simulate, tangent-seeded µ write,

@@ -41,13 +41,14 @@
 //! `tests/adoption_tier.rs`. The server runs in the ticking thread and
 //! serves the cohorts one after another.
 
+use crate::server::fingerprint::{fnv_fold, FNV_OFFSET};
 use crate::server::sharded::{ShardedConfig, ShardedServer};
 use crate::server::{Reply, Request, ServeError, ServeResult, Source};
 use crate::sweep::parallel_map;
 use subcomp_core::game::{Axis, SubsidyGame};
 use subcomp_model::aggregation::{build_system, ExpCpSpec};
 use subcomp_num::{NumError, NumResult};
-use subcomp_sim::adoption::{AdoptionParams, Population, TickDrive, TypeSpec};
+use subcomp_sim::adoption::{AdoptionParams, Population, TickCounts, TickDrive, TypeSpec};
 use subcomp_sim::rng::SimRng;
 
 /// Stream index deriving per-cohort population seeds from the loop seed.
@@ -217,16 +218,6 @@ fn u01(h: u64) -> f64 {
     (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// FNV-1a over one 64-bit word.
-#[inline]
-fn fnv_fold(h: u64, word: u64) -> u64 {
-    let mut h = h;
-    for byte in word.to_le_bytes() {
-        h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 impl AdoptionLoop {
     /// Builds the loop: one resident market per cohort (CP demand
     /// curves from `specs`, usage price `price`, subsidy cap `cap`,
@@ -341,9 +332,8 @@ impl AdoptionLoop {
             }
             drop(snap);
             // 2. Simulate one tick over the owned blocks.
-            let ctx = cohort.pop.prepare_tick(&cohort.drive).map_err(ServeError::Num)?;
-            parallel_map(cohort.pop.blocks_mut(), cfg.threads, || (), |_, block| block.step(&ctx));
-            cohort.pop.refresh_masses();
+            step_population(&mut cohort.pop, cfg.threads, &cohort.drive)
+                .map_err(ServeError::Num)?;
             adopted += cohort.pop.adopted_users();
             let cohort_mass: f64 = cohort.pop.masses().iter().sum();
             mass += cohort_mass;
@@ -391,7 +381,7 @@ impl AdoptionLoop {
     /// Runs `ticks` closed-loop ticks and folds every tick summary into
     /// a deterministic report.
     pub fn run(&mut self, ticks: u64) -> ServeResult<LoopReport> {
-        let mut checksum = 0xCBF2_9CE4_8422_2325u64;
+        let mut checksum = FNV_OFFSET;
         let mut last = TickSummary { tick: self.tick, adopted: 0, mass: 0.0 };
         for _ in 0..ticks {
             last = self.tick()?;
@@ -423,6 +413,17 @@ impl AdoptionLoop {
     /// Per-type adopted masses of cohort `c` after the last tick.
     pub fn cohort_masses(&self, c: usize) -> &[f64] {
         self.cohorts[c].pop.masses()
+    }
+
+    /// The last tick's population work counters
+    /// ([`Population::tick_counts`]), summed over cohorts. Read on demand,
+    /// so the tick itself does no extra work.
+    pub fn tick_counts(&self) -> TickCounts {
+        let mut total = TickCounts::default();
+        for cohort in &self.cohorts {
+            total.add(&cohort.pop.tick_counts());
+        }
+        total
     }
 
     /// Cumulative equilibrium-answer source tallies.

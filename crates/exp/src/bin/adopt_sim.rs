@@ -7,6 +7,12 @@
 //! owned blocks → in-place `Axis::Mu` (and, on the demand cadence,
 //! demand/`Axis::Profitability`) writes → warm re-solve.
 //!
+//! The population runs mixing hazards (adopt = churn = 0.5, explore =
+//! decay = 0.02, the benchmark's adoption workload): every class keeps
+//! flipping, so a run reaches both the hashed and the skip-sampled flip
+//! paths, and stdout reports how many per-user hashes and geometric skip
+//! draws the run took (summed over ticks and cohorts).
+//!
 //! Everything on **stdout** is deterministic: the trajectory is a pure
 //! function of the printed configuration, bit-identical across reruns,
 //! thread counts, chunk sizes and shard counts (the engine keys its
@@ -48,6 +54,13 @@
 use std::time::Instant;
 use subcomp_exp::adoption::{AdoptionLoop, LoopConfig};
 use subcomp_exp::scenarios::section5_specs;
+use subcomp_exp::server::fingerprint::{fnv_fold, FNV_OFFSET};
+use subcomp_sim::adoption::AdoptionParams;
+
+/// Mixing hazards: explore and decay keep every class flipping, so the
+/// skip sampler runs (the default hazards absorb and never draw a skip).
+const HAZARDS: AdoptionParams =
+    AdoptionParams { adopt: 0.5, churn: 0.5, explore: 0.02, decay: 0.02, seed: 0 };
 
 #[derive(Debug)]
 struct Args {
@@ -135,17 +148,6 @@ fn parse_args() -> Args {
     }
 }
 
-/// FNV-1a over one 64-bit word — the same fold [`AdoptionLoop::run`]
-/// uses, replicated here so the `--cold` tick-by-tick drive reports the
-/// identical trajectory checksum.
-fn fnv_fold(h: u64, word: u64) -> u64 {
-    let mut h = h;
-    for byte in word.to_le_bytes() {
-        h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 fn main() {
     let args = parse_args();
     println!("adopt_sim: closed adoption loop over the sharded equilibrium service");
@@ -154,7 +156,7 @@ fn main() {
     // stderr so the report diffs cleanly across them.
     println!(
         "config: ticks={} users={}/cohort cohorts={} seed={} gamma={} eta={} \
-         demand-every={} mode={}",
+         demand-every={} mode={} hazards: adopt={} churn={} explore={} decay={}",
         args.ticks,
         args.users,
         args.cohorts,
@@ -162,7 +164,11 @@ fn main() {
         args.gamma,
         args.eta,
         args.demand_every,
-        if args.cold { "cold" } else { "warm" }
+        if args.cold { "cold" } else { "warm" },
+        HAZARDS.adopt,
+        HAZARDS.churn,
+        HAZARDS.explore,
+        HAZARDS.decay
     );
     eprintln!("adopt_sim: threads={} shards={} chunk={}", args.threads, args.shards, args.chunk);
 
@@ -172,6 +178,7 @@ fn main() {
         users: args.users,
         chunk: args.chunk,
         threads: args.threads,
+        hazards: HAZARDS,
         gamma: args.gamma,
         eta: args.eta,
         demand_every: args.demand_every,
@@ -184,8 +191,11 @@ fn main() {
         std::process::exit(2);
     });
 
-    let mut checksum = 0xCBF2_9CE4_8422_2325u64;
+    // The fold `AdoptionLoop::run` uses, so the `--cold` tick-by-tick
+    // drive reports the identical trajectory checksum.
+    let mut checksum = FNV_OFFSET;
     let mut last = None;
+    let (mut hashes, mut skip_draws) = (0u64, 0u64);
     let start = Instant::now();
     for _ in 0..args.ticks {
         if args.cold {
@@ -201,6 +211,9 @@ fn main() {
         checksum = fnv_fold(checksum, summary.tick);
         checksum = fnv_fold(checksum, summary.adopted);
         checksum = fnv_fold(checksum, summary.mass.to_bits());
+        let work = lp.tick_counts();
+        hashes += work.hashes;
+        skip_draws += work.skip_draws;
         last = Some(summary);
     }
     let elapsed = start.elapsed();
@@ -221,6 +234,7 @@ fn main() {
         "answer sources: {} lock-free, {} cache-hit, {} tangent, {} warm, {} cold, {} partial",
         s.lockfree, s.cache, s.tangent, s.warm, s.cold, s.partial
     );
+    println!("population work: {hashes} hashes, {skip_draws} skip draws");
     println!("trajectory checksum: {checksum:016x}");
     let stepped = args.ticks * total_users;
     eprintln!(

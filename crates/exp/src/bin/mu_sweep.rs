@@ -3,37 +3,25 @@
 //! engine (run: `cargo run --release -p subcomp-exp --bin mu_sweep`).
 //!
 //! Sweeps the ISP capacity `µ` at the paper's §5 parameterization
-//! (`p = 0.6`, `q = 1`), reparameterizing one game in place per point
-//! ([`subcomp_core::game::SubsidyGame::set_mu`]) with warm-started Nash
-//! solves, then re-runs the same ladder with the Theorem 6 tangent
-//! predictor ([`subcomp_core::nash::WarmStart::Tangent`]) and reports the
-//! corrector-sweep comparison. Prints the equilibrium series, a shape
-//! check (aggregate throughput must rise with capacity), and writes
-//! `results/mu_sweep.csv`.
-//!
-//! A degenerate equilibrium mid-ladder (a pinned provider with `u ≈ 0`,
-//! where `Sensitivity::directional` refuses to differentiate) does NOT
-//! abort the sweep: the continuation engine degrades that step to
-//! previous-iterate seeding, the affected row is marked in the `fallback`
-//! column, and the table and CSV stay complete.
+//! (`p = 0.6`, `q = 1`) as one warm chain: one game reparameterized in
+//! place per point ([`subcomp_core::game::SubsidyGame::set_mu`]), the
+//! first point solved cold and every later one from its neighbour's
+//! equilibrium. Prints the equilibrium series, a shape check (aggregate
+//! throughput must rise with capacity), the chain's cold solves and
+//! iterations, and writes `results/mu_sweep.csv`.
 
 use subcomp_core::game::SubsidyGame;
 use subcomp_exp::report::{results_dir, sparkline, write_csv, Table};
 use subcomp_exp::scenarios::section5_system;
-use subcomp_exp::sweep::{Axis, ContinuationSolver, EqGrid};
+use subcomp_exp::sweep::{Axis, ContinuationSolver};
 
 fn main() {
     let (p, q) = (0.6, 1.0);
     let mus: Vec<f64> = (0..21).map(|k| 0.25 + 3.75 * k as f64 / 20.0).collect();
     let base = SubsidyGame::new(section5_system(), p, q).expect("paper parameterization is valid");
-    let solver = ContinuationSolver::over(Axis::Cap, Axis::Mu);
-
-    let grid = solver.solve_game(&base, &[q], &mus).expect("mu sweep solves");
-    let tangent = solver
-        .clone()
-        .with_tangent(true)
+    let grid = ContinuationSolver::over(Axis::Cap, Axis::Mu)
         .solve_game(&base, &[q], &mus)
-        .expect("tangent mu sweep solves");
+        .expect("mu sweep solves");
 
     let col = |f: &dyn Fn(usize) -> f64| -> Vec<f64> { (0..mus.len()).map(f).collect() };
     let phi = col(&|c| grid.point(0, c).phi);
@@ -44,11 +32,6 @@ fn main() {
         let pt = grid.point(0, c);
         pt.subsidies.iter().zip(pt.theta).map(|(s, th)| s * th).sum()
     });
-    // Where the tangent ladder degraded to previous-iterate seeding
-    // (derivative unavailable at the preceding equilibrium): 1 = fell
-    // back. All-zero on the paper's ladder; the column exists so a
-    // degenerate point can never silently skew the predictor comparison.
-    let fallback = col(&|c| tangent.point(0, c).tangent_fallback as u8 as f64);
 
     println!("mu sweep — §5 equilibrium vs ISP capacity (p = {p}, q = {q})");
     println!("  phi(mu):     {}", sparkline(&phi));
@@ -56,20 +39,10 @@ fn main() {
     println!("  revenue(mu): {}", sparkline(&revenue));
     println!("  welfare(mu): {}", sparkline(&welfare));
     println!();
-    let mut t =
-        Table::new(&["mu", "phi", "theta", "revenue", "welfare", "outlay", "iters", "fallback"]);
+    let mut t = Table::new(&["mu", "phi", "theta", "revenue", "welfare", "outlay", "iters"]);
     for (c, &mu) in mus.iter().enumerate() {
         let pt = grid.point(0, c);
-        t.row(&[
-            mu,
-            pt.phi,
-            theta[c],
-            pt.revenue,
-            pt.welfare,
-            outlay[c],
-            pt.iterations as f64,
-            fallback[c],
-        ]);
+        t.row(&[mu, pt.phi, theta[c], pt.revenue, pt.welfare, outlay[c], pt.iterations as f64]);
     }
     println!("{}", t.render());
 
@@ -85,18 +58,12 @@ fn main() {
         }
     );
 
-    let report = |label: &str, g: &EqGrid| {
-        println!(
-            "  {label:<22} cold solves: {:>2}   total iterations: {:>4}   \
-             tangent fallbacks: {:>2}",
-            g.cold_solves(),
-            g.total_sweeps(),
-            g.tangent_fallbacks()
-        );
-    };
-    println!("continuation engines over the same {}-point ladder:", mus.len());
-    report("previous-iterate seed:", &grid);
-    report("tangent predictor:", &tangent);
+    println!(
+        "continuation over the {}-point ladder: cold solves: {}   total iterations: {}",
+        mus.len(),
+        grid.cold_solves(),
+        grid.total_sweeps()
+    );
 
     let path = results_dir().join("mu_sweep.csv");
     write_csv(
@@ -108,7 +75,6 @@ fn main() {
             ("revenue", &revenue),
             ("welfare", &welfare),
             ("outlay", &outlay),
-            ("fallback", &fallback),
         ],
     )
     .expect("write csv");

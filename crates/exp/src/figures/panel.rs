@@ -3,10 +3,10 @@
 //! All five figures plot quantities of the *same* family of equilibria:
 //! the 8-type market solved over `p ∈ [0, 2]` for each policy cap
 //! `q ∈ {0, 0.5, 1, 1.5, 2}`. This module computes that grid once through
-//! the [`GridSolver`] continuation engine — price-axis warm starts plus
-//! cap-row seeding, zero per-point allocation, parallel across column
-//! blocks — and the per-figure modules extract their series from the
-//! resulting [`EqGrid`] through borrowed [`EqPointView`]s.
+//! the [`GridSolver`] continuation engine — each cap row one warm chain
+//! along the price axis, zero per-point allocation, rows in parallel —
+//! and the per-figure modules extract their series from the resulting
+//! [`EqGrid`] through borrowed [`EqPointView`]s.
 
 use crate::scenarios::section5_system;
 use crate::scenarios::{paper_policy_grid, paper_price_grid, section5_specs, spec_label};
@@ -27,7 +27,7 @@ pub struct Panel {
 }
 
 /// Computes the paper's panel: `q ∈ {0, …, 2}`, `p ∈ [0, 2]` with
-/// `points` samples, parallel across price blocks.
+/// `points` samples, cap rows fanned across `threads` workers.
 pub fn compute(points: usize, threads: usize) -> NumResult<Panel> {
     compute_on(&paper_policy_grid(), &paper_price_grid(points), threads)
 }

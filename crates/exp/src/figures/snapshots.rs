@@ -1,9 +1,11 @@
 //! Golden snapshots for figure-series data.
 //!
 //! The scenario corpus pins *equilibria*; this module pins the *figure
-//! pipelines*: the exact numeric series behind Figures 4 and 5, computed
-//! on a fixed grid and committed under `tests/golden/figure-*.json`
-//! alongside the scenario snapshots. A figure refactor (like routing the
+//! pipelines*: the exact numeric series behind Figures 4 and 5, and the
+//! §5 equilibrium panel behind Figures 7–11 (revenue, welfare and per-CP
+//! subsidies on the figure tests' 3 × 9 grid), computed on fixed grids
+//! and committed under `tests/golden/figure-*.json` alongside the
+//! scenario snapshots. A figure refactor (like routing the
 //! sweeps through the axis-generic continuation engine) that silently
 //! shifts a plotted series now fails `tests/golden_scenarios.rs` with a
 //! named field diff, exactly like a moved equilibrium — shape checks
@@ -13,7 +15,7 @@
 //! compared under the same tolerance policy
 //! ([`crate::golden::snapshot_tolerances`]) as the corpus.
 
-use crate::figures::{fig4, fig5};
+use crate::figures::{fig4, fig5, panel};
 use crate::golden::Json;
 use subcomp_num::NumResult;
 
@@ -22,10 +24,18 @@ use subcomp_num::NumResult;
 /// goldens; regenerate and say why).
 pub const SNAPSHOT_POINTS: usize = 26;
 
+/// Policy caps of the pinned §5 panel — the figure tests' three rows.
+const PANEL_CAPS: [f64; 3] = [0.0, 0.5, 2.0];
+
+/// Prices of the pinned §5 panel — the figure tests' nine columns.
+fn panel_prices() -> Vec<f64> {
+    (0..9).map(|k| 0.1 + k as f64 * 0.2375).collect()
+}
+
 /// Names (and golden file stems) of every figure-series snapshot, in
 /// deterministic order.
 pub fn figure_snapshot_names() -> Vec<&'static str> {
-    vec!["figure-fig4", "figure-fig5"]
+    vec!["figure-fig4", "figure-fig5", "figure-panel"]
 }
 
 /// Computes every figure-series snapshot, in the same order as
@@ -51,7 +61,28 @@ pub fn figure_snapshots() -> NumResult<Vec<(&'static str, Json)>> {
     j5.set("p", Json::nums(&f5.prices));
     j5.set("theta", series);
 
-    Ok(vec![("figure-fig4", j4), ("figure-fig5", j5)])
+    // The §5 panel: the answers of every point, not the effort, so the
+    // snapshot pins what Figures 7–11 plot whatever seeds the solves.
+    let p = panel::compute_on(&PANEL_CAPS, &panel_prices(), 1)?;
+    let mut rows = Vec::with_capacity(p.qs.len());
+    for (qi, &q) in p.qs.iter().enumerate() {
+        let mut subsidies = Json::obj();
+        for (i, label) in p.labels.iter().enumerate() {
+            subsidies.set(label, Json::nums(&p.cp_series(qi, i, |pt, i| pt.subsidies[i])));
+        }
+        let mut row = Json::obj();
+        row.set("q", Json::Num(q));
+        row.set("revenue", Json::nums(&p.series(qi, |pt| pt.revenue)));
+        row.set("welfare", Json::nums(&p.series(qi, |pt| pt.welfare)));
+        row.set("subsidies", subsidies);
+        rows.push(row);
+    }
+    let mut jp = Json::obj();
+    jp.set("name", Json::Str("figure-panel".into()));
+    jp.set("p", Json::nums(&p.prices));
+    jp.set("rows", Json::Arr(rows));
+
+    Ok(vec![("figure-fig4", j4), ("figure-fig5", j5), ("figure-panel", jp)])
 }
 
 #[cfg(test)]

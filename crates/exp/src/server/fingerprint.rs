@@ -34,7 +34,9 @@
 use subcomp_core::game::SubsidyGame;
 use subcomp_num::error::{NumError, NumResult};
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The FNV-1a offset basis: the initial state of every [`fnv_fold`]
+/// chain.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Fingerprint format version — bump when the probe set or field order
@@ -58,8 +60,10 @@ fn canonical_bits(what: &'static str, x: f64) -> NumResult<u64> {
     Ok(if x == 0.0 { 0 } else { x.to_bits() })
 }
 
-/// FNV-1a over one 64-bit word, byte by byte.
-fn mix(mut h: u64, word: u64) -> u64 {
+/// FNV-1a over one 64-bit word, byte by byte (little-endian) — the one
+/// fold behind game fingerprints, market → shard placement and the
+/// adoption loop's trajectory checksum.
+pub fn fnv_fold(mut h: u64, word: u64) -> u64 {
     for byte in word.to_le_bytes() {
         h ^= byte as u64;
         h = h.wrapping_mul(FNV_PRIME);
@@ -70,19 +74,22 @@ fn mix(mut h: u64, word: u64) -> u64 {
 /// The canonical 64-bit fingerprint of a game, or a typed error if any
 /// covered parameter or probe response is non-finite. Allocation-free.
 pub fn fingerprint(game: &SubsidyGame) -> NumResult<u64> {
-    let mut h = mix(FNV_OFFSET, VERSION);
-    h = mix(h, game.n() as u64);
-    h = mix(h, game.clamps_effective_price() as u64);
-    h = mix(h, canonical_bits("fingerprint: capacity µ", game.system().mu())?);
-    h = mix(h, canonical_bits("fingerprint: price p", game.price())?);
-    h = mix(h, canonical_bits("fingerprint: cap q", game.cap())?);
+    let mut h = fnv_fold(FNV_OFFSET, VERSION);
+    h = fnv_fold(h, game.n() as u64);
+    h = fnv_fold(h, game.clamps_effective_price() as u64);
+    h = fnv_fold(h, canonical_bits("fingerprint: capacity µ", game.system().mu())?);
+    h = fnv_fold(h, canonical_bits("fingerprint: price p", game.price())?);
+    h = fnv_fold(h, canonical_bits("fingerprint: cap q", game.cap())?);
     for cp in game.system().cps() {
-        h = mix(h, canonical_bits("fingerprint: profitability v_i", cp.profitability())?);
+        h = fnv_fold(h, canonical_bits("fingerprint: profitability v_i", cp.profitability())?);
         for t in PROBE_PRICES {
-            h = mix(h, canonical_bits("fingerprint: demand probe n_i(t)", cp.population(t))?);
+            h = fnv_fold(h, canonical_bits("fingerprint: demand probe n_i(t)", cp.population(t))?);
         }
         for phi in PROBE_PHIS {
-            h = mix(h, canonical_bits("fingerprint: throughput probe λ_i(φ)", cp.lambda(phi))?);
+            h = fnv_fold(
+                h,
+                canonical_bits("fingerprint: throughput probe λ_i(φ)", cp.lambda(phi))?,
+            );
         }
     }
     Ok(h)

@@ -277,12 +277,6 @@ impl EquilibriumServer {
         }
     }
 
-    /// Replaces the solver configuration (builder style).
-    pub fn with_solver(mut self, solver: NashSolver) -> EquilibriumServer {
-        self.solver = solver;
-        self
-    }
-
     /// Replaces the per-solve budget (builder style): a ceiling on
     /// iterations, each a GS sweep or a Newton step.
     pub fn with_budget(mut self, budget: SolveBudget) -> EquilibriumServer {

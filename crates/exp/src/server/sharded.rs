@@ -65,23 +65,16 @@ use subcomp_core::snapshot::EqSnapshot;
 use subcomp_core::workspace::SolveBudget;
 use subcomp_num::error::{NumError, NumResult};
 
+use super::fingerprint::{fnv_fold, FNV_OFFSET};
 use super::{
     CacheStats, EquilibriumServer, Reply, Request, ServeError, ServeResult, ServerStats, Source,
 };
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// The stable market → shard pinning: FNV-1a over the market id's bytes,
 /// reduced mod the shard count. Pure, so tests can predict placements.
 pub fn shard_of_market(market: u64, shards: usize) -> usize {
     debug_assert!(shards > 0);
-    let mut h = FNV_OFFSET;
-    for byte in market.to_le_bytes() {
-        h ^= byte as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    (h % shards as u64) as usize
+    (fnv_fold(FNV_OFFSET, market) % shards as u64) as usize
 }
 
 /// Construction parameters of a [`ShardedServer`].

@@ -3,10 +3,11 @@
 //! Two workhorses. [`parallel_map`] fans work items across OS threads
 //! (`std::thread::scope`, no dependency), each worker threading one
 //! persistent context through its contiguous chunk; the allocation-free
-//! [`BatchSolver`] hangs one [`SolveWorkspace`] per worker on it. Warm
-//! parameter sweeps — a 1-D sweep is a one-row grid — run on the
-//! [`ContinuationSolver`] in [`continuation`], and the no-subsidy §3.2
-//! price sweep behind Figures 4–5 is [`one_sided_sweep`].
+//! [`BatchSolver`] hangs one [`SolveWorkspace`] per worker on it.
+//! Parameter grids run on the [`ContinuationSolver`] in [`continuation`],
+//! where every row is one warm chain along the column axis and rows fan
+//! out over [`parallel_map`] (a 1-D sweep is a one-row grid), and the
+//! no-subsidy §3.2 price sweep behind Figures 4–5 is [`one_sided_sweep`].
 //!
 //! [`BatchSolver`] is the scale layer the `solve_farm` binary builds on:
 //! it amortizes one workspace per worker across the whole batch and

@@ -31,11 +31,11 @@
 //! flips that can happen.
 //!
 //! * **Users.** [`Population::build`] draws each uid's type and valuation
-//!   from counter hashes of `(seed, uid)`, then orders each type's users
-//!   by `(valuation key, uid)` — a stable LSD radix sort on the 53-bit
-//!   valuation key, fed in uid order. From then on a user is
-//!   `(type, rank)` and no uid is stored. Per type the engine keeps the
-//!   sorted `f64` valuations, which only the split reads, and the
+//!   from counter hashes of `(seed, uid)`, then sorts each type's 53-bit
+//!   valuation keys. Only the keys are kept, so users with equal keys are
+//!   interchangeable and any sort yields the same array. From then on a
+//!   user is `(type, rank)` and no uid is stored. Per type the engine
+//!   keeps the sorted `f64` valuations, which only the split reads, and the
 //!   adoption states as a `u64` bitset cut into owned [`Block`]s: 8 bytes
 //!   and 1 bit per user.
 //! * **Split.** Valuations grow with rank, and correctly rounded multiply
@@ -92,10 +92,6 @@ const RANGE_WORDS: usize = RANGE / 64;
 /// above it (and below 1) they draw one hash per member, so no tick
 /// costs more than one hash per user.
 const SKIP_CUTOFF: f64 = 0.125;
-/// Bits of the valuation key (the top 53 bits of its hash).
-const KEY_BITS: usize = 53;
-/// Bits per pass of the build's radix sort.
-const RADIX_BITS: usize = 11;
 
 /// Top 53 bits of an avalanched hash as a uniform in `[0, 1)`.
 #[inline]
@@ -252,7 +248,8 @@ pub struct TickCounts {
 }
 
 impl TickCounts {
-    fn add(&mut self, other: &TickCounts) {
+    /// Adds `other`'s counters into these.
+    pub fn add(&mut self, other: &TickCounts) {
         for c in 0..4 {
             self.candidates[c] += other.candidates[c];
             self.flips[c] += other.flips[c];
@@ -424,39 +421,6 @@ impl Block {
     }
 }
 
-/// Sorts keys of at most [`KEY_BITS`] bits ascending by a stable LSD radix
-/// sort; `scratch` must be at least as long as `keys`.
-fn radix_sort(keys: &mut [u64], scratch: &mut [u64]) {
-    const BUCKETS: usize = 1 << RADIX_BITS;
-    const PASSES: usize = KEY_BITS.div_ceil(RADIX_BITS);
-    let digit = |k: u64, pass: usize| (k >> (pass * RADIX_BITS)) as usize & (BUCKETS - 1);
-    let mut starts = vec![[0usize; BUCKETS]; PASSES];
-    for &k in keys.iter() {
-        for (pass, counts) in starts.iter_mut().enumerate() {
-            counts[digit(k, pass)] += 1;
-        }
-    }
-    let n = keys.len();
-    let (mut src, mut dst) = (keys, &mut scratch[..n]);
-    for (pass, next) in starts.iter_mut().enumerate() {
-        let mut at = 0;
-        for slot in next.iter_mut() {
-            let count = *slot;
-            *slot = at;
-            at += count;
-        }
-        for &k in src.iter() {
-            let d = digit(k, pass);
-            dst[next[d]] = k;
-            next[d] += 1;
-        }
-        std::mem::swap(&mut src, &mut dst);
-    }
-    if PASSES % 2 == 1 {
-        dst.copy_from_slice(src);
-    }
-}
-
 /// A bitset user population stepping under adoption/churn hazards. See
 /// the module docs for the layout and the determinism contract.
 #[derive(Debug, Clone)]
@@ -550,8 +514,9 @@ impl Population {
         for t in 0..n_types {
             offsets[t + 1] += offsets[t];
         }
-        // Each user's 53-bit valuation key, scattered into its type's run
-        // in uid order, then radix-sorted: ties keep uid order.
+        // Each user's 53-bit valuation key, scattered into its type's run,
+        // then sorted. No uid rides along, so equal keys are
+        // interchangeable and an unstable sort is exact.
         let mut keys = vec![0u64; n_users];
         let mut cursor = offsets[..n_types].to_vec();
         for uid in 0..n_users as u64 {
@@ -560,12 +525,9 @@ impl Population {
             keys[cursor[t]] = SimRng::stream_seed(h, VALUATION_STREAM) >> 11;
             cursor[t] += 1;
         }
-        let widest = offsets.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
-        let mut scratch = vec![0u64; widest];
         for t in 0..n_types {
-            radix_sort(&mut keys[offsets[t]..offsets[t + 1]], &mut scratch);
+            keys[offsets[t]..offsets[t + 1]].sort_unstable();
         }
-        drop(scratch);
         // Keys become valuations in place: `Exp(α)` by inversion, the
         // build's one draw per user. The arguments of `ln` are multiples
         // of 2⁻⁵³ whose logs lie more than 1.3 ulps apart, wider than twice
@@ -894,18 +856,6 @@ mod tests {
         assert!(matches!(Sampler::for_rate(0.02), Sampler::Skip(l) if l < 0.0));
         assert!(matches!(Sampler::for_rate(SKIP_CUTOFF), Sampler::Hash(_)));
         assert!(matches!(Sampler::for_rate(0.5), Sampler::Hash(t) if t == threshold(0.5)));
-    }
-
-    #[test]
-    fn radix_sort_orders_keys_stably() {
-        let mut rng = SimRng::new(3);
-        let mut keys: Vec<u64> =
-            (0..10_000).map(|i| (rng.below(1 << 53) & !0xFF) | (i & 0xFF)).collect();
-        let mut expect = keys.clone();
-        expect.sort_unstable();
-        let mut scratch = vec![0u64; keys.len()];
-        radix_sort(&mut keys, &mut scratch);
-        assert_eq!(keys, expect);
     }
 
     #[test]

@@ -467,30 +467,6 @@ fn warm_sensitivity_read_allocates_only_its_reply() {
 }
 
 #[test]
-fn tangent_mu_sweep_is_allocation_free_after_warmup() {
-    // The µ-sweep of `mu_axis_sweep_is_allocation_free_after_warmup` in
-    // tangent mode: every column's Theorem 6 derivative comes from the
-    // context's resident sensitivity workspace, so the predictor-corrector
-    // sweep stays off the heap too.
-    use subcomp::exp::scenarios::section5_system;
-    use subcomp::exp::sweep::{Axis, ContinuationSolver, EqGrid, GridContext};
-
-    let base = SubsidyGame::new(section5_system(), 0.6, 0.9).unwrap();
-    let mus: [f64; 8] = std::array::from_fn(|k| 0.5 + 0.35 * k as f64);
-    let solver = ContinuationSolver::over(Axis::Cap, Axis::Mu).with_tangent(true);
-    let mut ctx = GridContext::for_game(&base);
-    let mut grid = EqGrid::empty();
-    solver.solve_seq_into(&mut ctx, &[0.9], &mus, &mut grid).unwrap();
-    let reference = grid.clone();
-    let (allocs, ()) = allocations_during(|| {
-        solver.solve_seq_into(&mut ctx, &[0.9], &mus, &mut grid).unwrap();
-    });
-    assert_eq!(allocs, 0, "a warm tangent mu sweep must not touch the heap, saw {allocs}");
-    assert_eq!(grid, reference, "the warm re-solve must reproduce the sweep exactly");
-    assert_eq!(grid.tangent_fallbacks(), 0, "every column after the first rides a tangent");
-}
-
-#[test]
 fn warm_adoption_loop_tick_is_allocation_free_after_warmup() {
     // The closed adoption loop's resident tick, market server included:
     // the fleet serves in the driving thread, so the counter sees the
