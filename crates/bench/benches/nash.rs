@@ -2,7 +2,7 @@
 //! engine, Jacobi sweeps and variational-inequality methods, scaling in
 //! the number of provider types, and two layers under a solve: the φ
 //! fixed point every best-response probe solves, and one Newton step
-//! against one sweep.
+//! against one sweep, exact or forced.
 //!
 //! All solver benches measure the allocation-free engine entry points
 //! (`solve_into` / `*_solve_into`) on a reused [`SolveWorkspace`] — the
@@ -166,10 +166,16 @@ fn bench_phi_solve(c: &mut Criterion) {
 ///   one Newton step (a state solve, the O(n) Jacobian factors and a
 ///   Woodbury solve), accepted;
 /// * `sweep` — the sweep oracle `solve_by_sweeps_into` restarted there:
-///   one Gauss–Seidel sweep, n threshold searches.
+///   one Gauss–Seidel sweep, n threshold searches, confirming it;
+/// * `first_sweep/{oracle,forced}` — the first iteration of a cold solve
+///   of the same game under a one-iteration budget: the oracle's exact
+///   sweep (`solve_by_sweeps_into`), and the default engine's, whose
+///   roots are forced to 1e-4 (`solve_into_budgeted`). Their ratio is
+///   what the forcing tolerance saves on the sweep that globalizes.
 ///
-/// Both include the final state assembly every solve ends with. Their
-/// ratio is what the corrector saves per iteration it takes over.
+/// All include the final state assembly every solve ends with. The
+/// `newton_step`/`sweep` ratio is what the corrector saves per iteration
+/// it takes over.
 fn bench_iteration_layers(c: &mut Criterion) {
     let mut g = c.benchmark_group("layers/nash");
     g.sample_size(10);
@@ -200,6 +206,22 @@ fn bench_iteration_layers(c: &mut Criterion) {
             b.iter(|| {
                 let start = WarmStart::Profile(std::hint::black_box(&eq));
                 solver.solve_by_sweeps_into(game, start, &mut ws, unlimited).unwrap()
+            })
+        });
+        let one = SolveBudget::sweeps(1);
+        let oracle = solver.solve_by_sweeps_into(&game, WarmStart::Zero, &mut ws, one).unwrap();
+        let forced = solver.solve_into_budgeted(&game, WarmStart::Zero, &mut ws, one).unwrap();
+        assert_eq!((oracle.gs_sweeps(), forced.gs_sweeps()), (1, 1), "one cold sweep each");
+        g.bench_with_input(BenchmarkId::new("first_sweep/oracle", n), &game, |b, game| {
+            b.iter(|| {
+                let game = std::hint::black_box(game);
+                solver.solve_by_sweeps_into(game, WarmStart::Zero, &mut ws, one).unwrap()
+            })
+        });
+        g.bench_with_input(BenchmarkId::new("first_sweep/forced", n), &game, |b, game| {
+            b.iter(|| {
+                let game = std::hint::black_box(game);
+                solver.solve_into_budgeted(game, WarmStart::Zero, &mut ws, one).unwrap()
             })
         });
     }

@@ -18,7 +18,14 @@
 //! sweeps, the globalization of its Newton corrector ([`crate::nash`]):
 //! a sweep locates the active set, and Newton steps on Theorem 6's
 //! Jacobian finish, so a solve makes about one sweep's worth of these
-//! searches instead of one per sweep until convergence.
+//! searches instead of one per sweep until convergence. A sweep reads
+//! only the response subsidy, so the engine it calls makes no utility
+//! probe. The sweep also sets the root tolerance: the corrector's sweeps
+//! solve an interior threshold only to the forcing tolerance the next
+//! Newton attempt needs, and learn whether the answer is such an inexact
+//! root. Corner classifications and the grid scan are exact at any
+//! tolerance. [`best_response`] solves roots to 1e-13 and adds the
+//! utility probe on top.
 //!
 //! When the probe signs break single crossing (non-finite probes, a
 //! family violating Assumptions 1–2 numerically) the search declines and
@@ -28,11 +35,17 @@
 //! independent oracle behind [`deviation_gap`] and the test suites.
 
 use crate::game::SubsidyGame;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use subcomp_model::system::StateScratch;
 use subcomp_num::optimize::maximize_scalar;
 use subcomp_num::roots::{brent_seeded, Bracket};
 use subcomp_num::{NumError, NumResult, Tolerance};
+
+/// Absolute and relative tolerance of an exact interior root: the public
+/// best responses, the grid scan's refinement, the sweep oracle and
+/// Jacobi sweeps solve to it, and the corrector's forcing tolerance
+/// bottoms out at it.
+pub(crate) const EXACT_ROOT_TOL: f64 = 1e-13;
 
 /// Outcome of a best-response computation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,7 +54,8 @@ pub struct BestResponse {
     pub s: f64,
     /// The utility achieved.
     pub utility: f64,
-    /// Objective evaluations spent (each solves a fixed point).
+    /// Fixed-point probes made, utility and marginal alike: each solves
+    /// the congestion fixed point once. Exact on every path.
     pub evaluations: usize,
 }
 
@@ -61,11 +75,36 @@ impl Default for BrConfig {
     }
 }
 
+/// What a sweep reads of one best response: the subsidy, how it was
+/// found, and the fixed-point probes spent — no utility.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Response {
+    /// The response subsidy.
+    pub s: f64,
+    /// How `s` was found.
+    pub origin: Origin,
+    /// Fixed-point probes made.
+    pub evaluations: usize,
+}
+
+/// How a [`Response`] was found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Origin {
+    /// Exactly: a corner classification, a hint where `u_i = 0`, or a
+    /// Brent root solved to [`EXACT_ROOT_TOL`].
+    Exact,
+    /// A Brent root solved to a looser tolerance, wherever it landed (a
+    /// root within that tolerance of a corner is clamped onto it).
+    Inexact,
+    /// The grid-scan fallback, exact to its own tolerances.
+    Grid,
+}
+
 /// Computes provider `i`'s best response to the profile `s`: the Theorem 3
-/// threshold search seeded at `s[i]`, falling back to the grid scan under
-/// `cfg` when the search declines (module docs). A thin shim allocating
-/// throwaway buffers for `best_response_into`, the engine the Nash
-/// solvers iterate.
+/// threshold search seeded at `s[i]`, roots solved to 1e-13, falling
+/// back to the grid scan under `cfg` when the search declines (module
+/// docs). The threshold search's answer costs one more probe, its
+/// utility, which the engine the Nash sweeps call never makes.
 pub fn best_response(
     game: &SubsidyGame,
     i: usize,
@@ -74,41 +113,60 @@ pub fn best_response(
 ) -> NumResult<BestResponse> {
     let (mut m, mut phi_seed) = (Vec::new(), f64::NAN);
     let mut scratch = game.system().make_scratch();
-    best_response_into(game, i, s, cfg, &mut m, &mut phi_seed, &mut scratch)
+    profile_populations(game, s, &mut m)?;
+    match threshold_search(game, i, s[i], EXACT_ROOT_TOL, &mut m, &mut phi_seed, &mut scratch)? {
+        Some(found) => {
+            let utility = game.utility_probe(i, found.s, &mut m, &mut phi_seed, &mut scratch)?;
+            Ok(BestResponse { s: found.s, utility, evaluations: found.evaluations + 1 })
+        }
+        None => grid_scan(game, i, cfg, &mut m, &mut phi_seed, &mut scratch),
+    }
 }
 
-/// The allocation-free best-response engine behind [`best_response`].
-/// Every transient lives in the caller's buffers: `m` caches the
-/// populations of the frozen components `s_{-i}` (they do not depend on
-/// `s_i`), so each probe recomputes only `m[i]` and the congestion fixed
-/// point, seeded at `*phi_seed` (NaN starts cold) and left at the last
-/// probe's root for the caller's next best response.
+/// The allocation-free best-response engine the Nash sweeps call: the
+/// dispatch of [`best_response`], interior roots solved to `root_tol`,
+/// without the utility probe. Every transient lives in the caller's
+/// buffers: `m` caches the populations of the frozen components `s_{-i}`
+/// (they do not depend on `s_i`), so each probe recomputes only `m[i]`
+/// and the congestion fixed point, seeded at `*phi_seed` (NaN starts
+/// cold) and left at the last probe's root for the caller's next best
+/// response.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn best_response_into(
     game: &SubsidyGame,
     i: usize,
     s: &[f64],
     cfg: &BrConfig,
+    root_tol: f64,
     m: &mut Vec<f64>,
     phi_seed: &mut f64,
     scratch: &mut StateScratch,
-) -> NumResult<BestResponse> {
-    // The components other than `i` never change during the search, so
-    // the profile is validated once rather than per probe.
+) -> NumResult<Response> {
+    profile_populations(game, s, m)?;
+    if let Some(found) = threshold_search(game, i, s[i], root_tol, m, phi_seed, scratch)? {
+        return Ok(found);
+    }
+    let br = grid_scan(game, i, cfg, m, phi_seed, scratch)?;
+    Ok(Response { s: br.s, origin: Origin::Grid, evaluations: br.evaluations })
+}
+
+/// Validates the profile and fills `m` with its populations. The
+/// components other than `i` never change during a search, so the
+/// profile is validated once rather than per probe.
+fn profile_populations(game: &SubsidyGame, s: &[f64], m: &mut Vec<f64>) -> NumResult<()> {
     if game.validate(s).is_err() {
         return Err(NumError::NonFinite { what: "best_response profile", at: 0.0 });
     }
     game.populations_for(s, m);
-    match threshold_search(game, i, s[i], m, phi_seed, scratch)? {
-        Some(br) => Ok(br),
-        None => grid_scan(game, i, cfg, m, phi_seed, scratch),
-    }
+    Ok(())
 }
 
 /// Theorem 3 threshold search over the populations `m` of the profile.
 /// Three marginal probes classify the corners (Theorem 3's KKT cases); an
-/// interior threshold is a Brent root of `u_i` bracketed around `hint`.
-/// Under continuation the root moved little from the previous iterate, so
-/// a tight bracket usually survives and Brent finishes in a few probes.
+/// interior threshold is a Brent root of `u_i` bracketed around `hint`,
+/// solved to `root_tol` (absolute and relative). Under continuation the
+/// root moved little from the previous iterate, so a tight bracket
+/// usually survives and Brent finishes in a few probes.
 ///
 /// Returns `Ok(None)` when the observed signs do not match the single-
 /// crossing structure, so the caller's grid-scan fallback runs instead:
@@ -117,14 +175,16 @@ fn threshold_search(
     game: &SubsidyGame,
     i: usize,
     hint: f64,
+    root_tol: f64,
     m: &mut [f64],
     phi_seed: &mut f64,
     scratch: &mut StateScratch,
-) -> NumResult<Option<BestResponse>> {
+) -> NumResult<Option<Response>> {
+    let exact =
+        |s: f64, evaluations: usize| Some(Response { s, origin: Origin::Exact, evaluations });
     let hi = game.effective_cap(i);
     if hi <= 0.0 {
-        let utility = game.utility_probe(i, 0.0, m, phi_seed, scratch)?;
-        return Ok(Some(BestResponse { s: 0.0, utility, evaluations: 1 }));
+        return Ok(exact(0.0, 0));
     }
     let mut evals = 0usize;
     let mut u_of = |si: f64| {
@@ -137,8 +197,7 @@ fn threshold_search(
     }
     if u0 <= 0.0 {
         // τ_i ≤ 0: the margin loss dominates from the start.
-        let utility = game.utility_probe(i, 0.0, m, phi_seed, scratch)?;
-        return Ok(Some(BestResponse { s: 0.0, utility, evaluations: evals + 1 }));
+        return Ok(exact(0.0, evals));
     }
     let u_hi = u_of(hi);
     if !u_hi.is_finite() {
@@ -146,8 +205,7 @@ fn threshold_search(
     }
     if u_hi >= 0.0 {
         // τ_i ≥ min(q, v_i): pinned at the effective cap.
-        let utility = game.utility_probe(i, hi, m, phi_seed, scratch)?;
-        return Ok(Some(BestResponse { s: hi, utility, evaluations: evals + 1 }));
+        return Ok(exact(hi, evals));
     }
     // Interior threshold: u(0) > 0 > u(hi). Shrink the bracket around the
     // hint first; fall back to the full interval when it does not hold.
@@ -157,8 +215,7 @@ fn threshold_search(
         return Ok(None);
     }
     if u_hint == 0.0 {
-        let utility = game.utility_probe(i, hint, m, phi_seed, scratch)?;
-        return Ok(Some(BestResponse { s: hint, utility, evaluations: evals + 1 }));
+        return Ok(exact(hint, evals));
     }
     let delta = 1e-2 * (1.0 + hi);
     let (br, ua, ub) = if u_hint > 0.0 {
@@ -178,14 +235,12 @@ fn threshold_search(
             (Bracket::new(0.0, hint), u0, u_hint)
         }
     };
-    let Ok(root) =
-        brent_seeded(&mut u_of, br, ua, ub, Tolerance::new(1e-13, 1e-13).with_max_iter(120))
-    else {
+    let tol = Tolerance::new(root_tol, root_tol).with_max_iter(120);
+    let Ok(root) = brent_seeded(&mut u_of, br, ua, ub, tol) else {
         return Ok(None);
     };
-    let s_star = root.x.clamp(0.0, hi);
-    let utility = game.utility_probe(i, s_star, m, phi_seed, scratch)?;
-    Ok(Some(BestResponse { s: s_star, utility, evaluations: evals + 1 }))
+    let origin = if root_tol > EXACT_ROOT_TOL { Origin::Inexact } else { Origin::Exact };
+    Ok(Some(Response { s: root.x.clamp(0.0, hi), origin, evaluations: evals }))
 }
 
 /// Computes provider `i`'s best response to `s` (the value of `s[i]`
@@ -214,7 +269,9 @@ pub fn grid_best_response(
 }
 
 /// The grid scan over the populations `m` of the profile. `evaluations`
-/// counts actual fixed-point solves.
+/// counts every fixed-point probe, counted where the probes are made:
+/// the scan and its polish, the marginal bracket and Brent refinement,
+/// and the refined point's utility.
 fn grid_scan(
     game: &SubsidyGame,
     i: usize,
@@ -225,16 +282,19 @@ fn grid_scan(
 ) -> NumResult<BestResponse> {
     let hi = game.effective_cap(i);
     let buffers = RefCell::new((m, phi_seed, scratch));
+    let probes = Cell::new(0usize);
     let f = |si: f64| {
+        probes.set(probes.get() + 1);
         let (m, phi_seed, scratch) = &mut *buffers.borrow_mut();
         game.utility_probe(i, si, m, phi_seed, scratch).unwrap_or(f64::NEG_INFINITY)
     };
     let u_of = |si: f64| {
+        probes.set(probes.get() + 1);
         let (m, phi_seed, scratch) = &mut *buffers.borrow_mut();
         game.marginal_probe(i, si, m, phi_seed, scratch).unwrap_or(f64::NAN)
     };
     let m = maximize_scalar(&f, 0.0, hi, cfg.grid, cfg.tol)?;
-    let mut best = BestResponse { s: m.x, utility: m.value, evaluations: m.evaluations };
+    let (mut s, mut utility) = (m.x, m.value);
     let interior_margin = 1e-5 * (1.0 + hi);
     if m.x > interior_margin && m.x < hi - interior_margin {
         let mut delta = 16.0 * interior_margin;
@@ -250,26 +310,17 @@ fn grid_scan(
             delta *= 2.0;
         }
         if let Some((br, ua, ub)) = bracket {
-            if let Ok(root) = brent_seeded(
-                &mut |si| u_of(si),
-                br,
-                ua,
-                ub,
-                Tolerance::new(1e-13, 1e-13).with_max_iter(120),
-            ) {
+            let tol = Tolerance::new(EXACT_ROOT_TOL, EXACT_ROOT_TOL).with_max_iter(120);
+            if let Ok(root) = brent_seeded(&mut |si| u_of(si), br, ua, ub, tol) {
                 let refined = root.x.clamp(0.0, hi);
                 let val = f(refined);
-                if val.is_finite() && val >= best.utility - 1e-12 {
-                    best = BestResponse {
-                        s: refined,
-                        utility: val,
-                        evaluations: best.evaluations + root.evaluations,
-                    };
+                if val.is_finite() && val >= utility - 1e-12 {
+                    (s, utility) = (refined, val);
                 }
             }
         }
     }
-    Ok(best)
+    Ok(BestResponse { s, utility, evaluations: probes.get() })
 }
 
 /// The maximum utility any provider can gain by unilaterally deviating
@@ -390,10 +441,21 @@ mod tests {
                 let (mut m, mut phi_seed) = (Vec::new(), f64::NAN);
                 let mut scratch = g.system().make_scratch();
                 g.populations_for(&[hint], &mut m);
-                let thr = threshold_search(&g, 0, hint, &mut m, &mut phi_seed, &mut scratch)
-                    .unwrap()
-                    .expect("exponential family satisfies the Theorem 3 structure");
-                assert_eq!(br, thr);
+                let thr = threshold_search(
+                    &g,
+                    0,
+                    hint,
+                    EXACT_ROOT_TOL,
+                    &mut m,
+                    &mut phi_seed,
+                    &mut scratch,
+                )
+                .unwrap()
+                .expect("exponential family satisfies the Theorem 3 structure");
+                assert_eq!(thr.origin, Origin::Exact);
+                assert_eq!(br.s.to_bits(), thr.s.to_bits());
+                // The shim's one extra probe is the utility.
+                assert_eq!(br.evaluations, thr.evaluations + 1);
                 assert!(
                     (br.s - grid.s).abs() < 1e-9,
                     "(α={alpha}, v={v}, p={p}, q={q}, hint={hint}): threshold {} vs grid {}",
@@ -402,6 +464,106 @@ mod tests {
                 );
                 assert!((br.utility - grid.utility).abs() < 1e-9);
             }
+        }
+    }
+
+    #[test]
+    fn a_forced_root_is_marked_inexact_and_cheaper() {
+        // The sweep engine at a loose root tolerance answers within that
+        // tolerance of the exact threshold, in fewer probes, and says so;
+        // corners stay exact whatever the tolerance.
+        let cfg = BrConfig::default();
+        let sweep = |g: &SubsidyGame, hint: f64, root_tol: f64| {
+            let (mut m, mut phi_seed) = (Vec::new(), f64::NAN);
+            let mut scratch = g.system().make_scratch();
+            best_response_into(g, 0, &[hint], &cfg, root_tol, &mut m, &mut phi_seed, &mut scratch)
+                .unwrap()
+        };
+        for (alpha, v, p, q) in [(8.0, 1.0, 1.0, 2.0), (5.0, 1.0, 0.8, 1.0)] {
+            let g = single_cp_game(alpha, v, p, q);
+            let exact = sweep(&g, 0.0, EXACT_ROOT_TOL);
+            let forced = sweep(&g, 0.0, 1e-4);
+            assert_eq!(exact.origin, Origin::Exact);
+            assert_eq!(forced.origin, Origin::Inexact);
+            assert!((forced.s - exact.s).abs() <= 2e-4, "{} vs {}", forced.s, exact.s);
+            assert!(forced.evaluations < exact.evaluations);
+            let br = best_response(&g, 0, &[0.0], &cfg).unwrap();
+            assert_eq!(exact.s.to_bits(), br.s.to_bits());
+            assert_eq!(exact.evaluations + 1, br.evaluations);
+        }
+        for (alpha, v, p, q) in [(0.5, 0.3, 0.5, 1.0), (8.0, 1.0, 1.0, 0.2), (5.0, 1.0, 0.8, 0.0)] {
+            let g = single_cp_game(alpha, v, p, q);
+            let forced = sweep(&g, 0.0, 1e-4);
+            assert_eq!(forced.origin, Origin::Exact, "corner (α={alpha}, v={v}, p={p}, q={q})");
+            assert_eq!(forced.s.to_bits(), best_response(&g, 0, &[0.0], &cfg).unwrap().s.to_bits());
+        }
+    }
+
+    thread_local! {
+        /// Population evaluations of [`Counted`] demand curves on this
+        /// thread: one per fixed-point probe of its provider.
+        static POPULATIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// An exponential demand curve counting its population evaluations.
+    struct Counted(subcomp_model::demand::ExpDemand);
+
+    impl subcomp_model::demand::DemandFn for Counted {
+        fn m(&self, t: f64) -> f64 {
+            POPULATIONS.with(|c| c.set(c.get() + 1));
+            self.0.m(t)
+        }
+        fn dm_dt(&self, t: f64) -> f64 {
+            self.0.dm_dt(t)
+        }
+        fn d2m_dt2(&self, t: f64) -> f64 {
+            self.0.d2m_dt2(t)
+        }
+        fn name(&self) -> &'static str {
+            "counted"
+        }
+        fn boxed_clone(&self) -> Box<dyn subcomp_model::demand::DemandFn> {
+            Box::new(Counted(self.0))
+        }
+        fn scaled(&self, kappa: f64) -> Box<dyn subcomp_model::demand::DemandFn> {
+            self.0.scaled(kappa)
+        }
+    }
+
+    #[test]
+    fn evaluations_count_every_probe_on_both_paths() {
+        // Every probe evaluates the provider's population once, and so
+        // does the profile's population fill before the search: counted
+        // at the demand curve, the probes are the population evaluations
+        // less one.
+        use subcomp_model::cp::ContentProvider;
+        use subcomp_model::demand::ExpDemand;
+        use subcomp_model::system::System;
+        use subcomp_model::throughput::ExpThroughput;
+        use subcomp_model::utilization::LinearUtilization;
+        let counted_game = |alpha: f64, v: f64, p: f64, q: f64| {
+            let cp = ContentProvider::builder("counted")
+                .demand(Counted(ExpDemand::new(1.0, alpha)))
+                .throughput(ExpThroughput::new(1.0, 2.0))
+                .profitability(v)
+                .build();
+            SubsidyGame::new(System::new(vec![cp], 1.0, LinearUtilization).unwrap(), p, q).unwrap()
+        };
+        let probes_of = |run: &dyn Fn() -> BestResponse| {
+            POPULATIONS.with(|c| c.set(0));
+            let br = run();
+            (br.evaluations, POPULATIONS.with(|c| c.get()) - 1)
+        };
+        let cfg = BrConfig::default();
+        // Interior, corner at 0, pinned at the cap, and a zero-width box.
+        for (alpha, v, p, q) in
+            [(8.0, 1.0, 1.0, 2.0), (0.5, 0.3, 0.5, 1.0), (8.0, 1.0, 1.0, 0.2), (5.0, 1.0, 0.8, 0.0)]
+        {
+            let g = counted_game(alpha, v, p, q);
+            let (counted, made) = probes_of(&|| grid_best_response(&g, 0, &[0.0], &cfg).unwrap());
+            assert_eq!(counted, made, "grid scan (α={alpha}, v={v}, p={p}, q={q})");
+            let (counted, made) = probes_of(&|| best_response(&g, 0, &[0.0], &cfg).unwrap());
+            assert_eq!(counted, made, "threshold search (α={alpha}, v={v}, p={p}, q={q})");
         }
     }
 

@@ -36,15 +36,37 @@
 //! best response, the Theorem 3 threshold search of
 //! [`crate::best_response`] seeded at its current iterate, immediately
 //! visible to the next provider, optionally damped — is the corrector's
-//! globalization. Run alone it is the corrector's oracle,
-//! [`NashSolver::solve_by_sweeps_into`], which no production path calls.
-//! A [`SweepMode::Jacobi`] solver (simultaneous responses) stays a pure
-//! sweep: the independent cross-check, and the paper's stability story.
-//! Under Theorem 4 all of them settle on the same unique equilibrium.
+//! globalization. Its job is to land in the corrector's basin with the
+//! right active set, so it solves each interior threshold only as
+//! precisely as the next Newton attempt needs (the inexact-Newton forcing
+//! rule of Dembo, Eisenstat and Steihaug):
+//!
+//! * a sweep solves its Brent roots to `ε = clamp(0.01·r, 1e-13, 1e-4)`,
+//!   absolute and relative, where `r` is the update of the solve's latest
+//!   sweep (`∞` before the first). Only sweep updates set `r`: a declined
+//!   attempt's residual measures the wrong active set;
+//! * **certification floor**: a sweep in which any best response ended on
+//!   a root solved to `ε > 1e-13` reports `max(update, ε)` as its
+//!   residual, so only a sweep with `ε ≤ tol` can declare convergence.
+//!   The corner classifications, a hint where `u_i = 0` and the grid-scan
+//!   fallback are exact and raise no floor, so a `q = 0` solve or an
+//!   all-corner sweep still certifies in one sweep;
+//! * **exact after an unmeasured decline**: when an attempt declined
+//!   before measuring any step (kink, non-finite value, singular block),
+//!   the corrector cannot finish there, so the next sweep runs at 1e-13.
+//!
+//! Run alone, with every root solved to 1e-13, the sweep is the
+//! corrector's oracle, [`NashSolver::solve_by_sweeps_into`], which no
+//! production path calls. A [`SweepMode::Jacobi`] solver (simultaneous
+//! responses) stays a pure, exact sweep: the independent cross-check,
+//! and the paper's stability story. Under Theorem 4 all of them settle
+//! on the same unique equilibrium.
 //!
 //! **Effort.** A Newton step and a sweep each count as one iteration
 //! against `max_sweeps` and [`SolveBudget`]; [`SolveStats`] splits the
-//! two. A step that cannot measure its residual (kink, non-finite value,
+//! two and counts the fixed-point probes of the sweeps' best responses,
+//! and [`SolveWorkspace::grid_fallbacks`] their grid-scan fallbacks. A
+//! step that cannot measure its residual (kink, non-finite value,
 //! singular block) ends its attempt without counting, so a partial or
 //! [`NumError::MaxIterations`] answer always carries a finite residual.
 //!
@@ -52,7 +74,7 @@
 //! diagnostics, and [`crate::equilibrium::verify_equilibrium`] gives an
 //! independent KKT/deviation certificate.
 
-use crate::best_response::{best_response_into, BrConfig};
+use crate::best_response::{best_response_into, BrConfig, Origin, EXACT_ROOT_TOL};
 use crate::equilibrium::PIN_TOL;
 use crate::game::SubsidyGame;
 use crate::sensitivity::Pin;
@@ -63,6 +85,13 @@ use subcomp_num::{NumError, NumResult};
 
 /// Most Newton steps one corrector attempt takes before it declines.
 pub const NEWTON_MAX_STEPS: usize = 8;
+
+/// The forcing term of a corrector sweep: its interior roots are solved
+/// to `FORCING` times the latest sweep update (module docs).
+const FORCING: f64 = 0.01;
+
+/// The loosest root tolerance a corrector sweep uses (its first one).
+const LOOSEST_ROOT_TOL: f64 = 1e-4;
 
 /// Sweep order for the best-response iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -262,10 +291,11 @@ impl NashSolver {
     }
 
     /// The Newton corrector's oracle: [`NashSolver::solve_into_budgeted`]
-    /// with every iteration a best-response sweep and no Newton step.
-    /// Like [`crate::best_response::grid_best_response`] for the
-    /// threshold search, it runs on no production path; tests and benches
-    /// hold the corrector to it (`tests/newton_oracle.rs`). For a
+    /// with every iteration a best-response sweep, every root solved to
+    /// 1e-13, and no Newton step. Like
+    /// [`crate::best_response::grid_best_response`] for the threshold
+    /// search, it runs on no production path; tests and benches hold the
+    /// corrector to it (`tests/newton_oracle.rs`). For a
     /// [`SweepMode::Jacobi`] solver it is `solve_into_budgeted` itself.
     pub fn solve_by_sweeps_into(
         &self,
@@ -278,7 +308,8 @@ impl NashSolver {
     }
 
     /// The iteration behind both entry points: before each sweep, a
-    /// Newton attempt when `newton` is set (module docs).
+    /// Newton attempt and the sweep's forcing tolerance when `newton` is
+    /// set, exact sweeps otherwise (module docs).
     fn iterate(
         &self,
         game: &SubsidyGame,
@@ -297,6 +328,7 @@ impl NashSolver {
             return Ok(SolveStats {
                 iterations: 0,
                 newton_steps: 0,
+                probes: 0,
                 residual: 0.0,
                 converged: true,
             });
@@ -343,19 +375,36 @@ impl NashSolver {
         let mut stats = SolveStats {
             iterations: 0,
             newton_steps: 0,
+            probes: 0,
             residual: f64::INFINITY,
             converged: false,
         };
+        ws.grid_fallbacks = 0;
+        // The latest sweep's update sets the next sweep's forcing
+        // tolerance; a Newton attempt's residual never does.
+        let mut update = f64::INFINITY;
         while stats.iterations < limit {
-            if newton && self.newton_attempt(game, ws, &mut stats, limit) {
-                stats.converged = true;
-                break;
+            let mut exact = !newton;
+            if newton {
+                match self.newton_attempt(game, ws, &mut stats, limit) {
+                    Attempt::Accepted => {
+                        stats.converged = true;
+                        break;
+                    }
+                    // The corrector cannot finish here, so the sweep must.
+                    Attempt::Unmeasured => exact = true,
+                    Attempt::Declined => {}
+                }
             }
             if stats.iterations >= limit {
                 break;
             }
-            stats.residual = self.sweep(game, ws, &br_cfg, &mut phi_seed)?;
-            stats.iterations += 1;
+            let root_tol = if exact {
+                EXACT_ROOT_TOL
+            } else {
+                (FORCING * update).clamp(EXACT_ROOT_TOL, LOOSEST_ROOT_TOL)
+            };
+            update = self.sweep(game, ws, &br_cfg, root_tol, &mut phi_seed, &mut stats)?;
             if stats.residual <= self.tol {
                 stats.converged = true;
                 break;
@@ -378,19 +427,25 @@ impl NashSolver {
         Ok(stats)
     }
 
-    /// One best-response sweep of `ws.s` in place; returns the sup-norm
-    /// of its update.
+    /// One best-response sweep of `ws.s` in place, interior roots solved
+    /// to `root_tol`; counts it, its probes and its grid fallbacks, and
+    /// returns the sup-norm of its update. The residual it reports is the
+    /// update, floored at `root_tol` when any response is an inexact root:
+    /// such a sweep cannot measure an update below its own precision.
     fn sweep(
         &self,
         game: &SubsidyGame,
         ws: &mut SolveWorkspace,
         br_cfg: &BrConfig,
+        root_tol: f64,
         phi_seed: &mut f64,
+        stats: &mut SolveStats,
     ) -> NumResult<f64> {
         ws.next.copy_from_slice(&ws.s);
         if self.mode == SweepMode::Jacobi {
             ws.reference.copy_from_slice(&ws.s); // Jacobi responds to this snapshot
         }
+        let mut floor = 0.0f64;
         for i in 0..game.n() {
             let basis = match self.mode {
                 SweepMode::GaussSeidel => &ws.next,
@@ -398,29 +453,45 @@ impl NashSolver {
             };
             // The search is seeded at `basis[i]`, which equals `ws.s[i]`
             // in both modes: provider `i` has not been updated yet.
-            let br =
-                best_response_into(game, i, basis, br_cfg, &mut ws.m, phi_seed, &mut ws.scratch)?;
+            let br = best_response_into(
+                game,
+                i,
+                basis,
+                br_cfg,
+                root_tol,
+                &mut ws.m,
+                phi_seed,
+                &mut ws.scratch,
+            )?;
+            match br.origin {
+                Origin::Exact => {}
+                Origin::Inexact => floor = root_tol,
+                Origin::Grid => ws.grid_fallbacks += 1,
+            }
+            stats.probes += br.evaluations;
             ws.next[i] = (1.0 - self.damping) * ws.s[i] + self.damping * br.s;
         }
-        let residual = sub_inf_norm(&ws.s, &ws.next);
+        let update = sub_inf_norm(&ws.s, &ws.next);
         std::mem::swap(&mut ws.s, &mut ws.next);
-        Ok(residual)
+        stats.iterations += 1;
+        stats.residual = update.max(floor);
+        Ok(update)
     }
 
     /// One corrector attempt from the current iterate (module docs).
-    /// Returns `true` when accepted, with the answer in `ws.s` and its
-    /// residual in `stats`. Otherwise `ws.s` is back at the pre-attempt
-    /// iterate, and a residual still unmeasured becomes the first step's,
-    /// taken from that iterate.
+    /// When accepted, the answer is in `ws.s` and its residual in
+    /// `stats`. Otherwise `ws.s` is back at the pre-attempt iterate, and a
+    /// residual still unmeasured becomes the first step's, taken from
+    /// that iterate.
     fn newton_attempt(
         &self,
         game: &SubsidyGame,
         ws: &mut SolveWorkspace,
         stats: &mut SolveStats,
         limit: usize,
-    ) -> bool {
+    ) -> Attempt {
         if !ws.guess_active_set() {
-            return false;
+            return Attempt::Declined;
         }
         ws.saved.copy_from_slice(&ws.s);
         // The pinned providers move onto their corners: part of the
@@ -457,16 +528,32 @@ impl NashSolver {
             }
             if accept {
                 stats.residual = residual;
-                return true;
+                return Attempt::Accepted;
             }
             prev = residual;
         }
         ws.s.copy_from_slice(&ws.saved);
+        let Some(first) = first else {
+            return Attempt::Unmeasured;
+        };
         if !stats.residual.is_finite() {
-            stats.residual = first.unwrap_or(stats.residual);
+            stats.residual = first;
         }
-        false
+        Attempt::Declined
     }
+}
+
+/// How a corrector attempt ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Attempt {
+    /// Converged: the answer is in the workspace.
+    Accepted,
+    /// Declined after a measured step, or never started (empty guessed
+    /// interior).
+    Declined,
+    /// Declined before measuring any step: a kink, a non-finite value or
+    /// a singular block.
+    Unmeasured,
 }
 
 /// Starting profile for [`NashSolver::solve_into`].
@@ -512,10 +599,14 @@ pub struct SolveStats {
     pub iterations: usize,
     /// Newton steps among the iterations.
     pub newton_steps: usize,
+    /// Fixed-point probes made by the solve's best responses (the sum of
+    /// their [`crate::best_response::BestResponse::evaluations`]).
+    pub probes: usize,
     /// Sup-norm of the final update, in subsidy units: the last sweep's,
     /// or the accepted Newton step's `max(‖δ‖∞, pinned violation)`. A
-    /// partial answer left inside a Newton attempt reports the update
-    /// that measured the iterate it returns.
+    /// sweep that solved a root to a forcing tolerance reports at least
+    /// that tolerance. A partial answer left inside a Newton attempt
+    /// reports the update that measured the iterate it returns.
     pub residual: f64,
     /// Whether the residual met the tolerance within the budget.
     pub converged: bool,
@@ -912,9 +1003,11 @@ mod tests {
     }
 
     #[test]
-    fn cold_one_iteration_partial_is_the_sweep_engines() {
+    fn cold_one_iteration_partial_is_a_forced_sweep() {
         // A cold start guesses an empty interior, so its first iteration
-        // is the sweep the pure engine runs: bit for bit the same partial.
+        // is a sweep, with roots forced to 1e-4: it lands near the
+        // oracle's exact sweep and never reports a residual below the
+        // precision it solved to.
         let game = paper_game(0.5, 1.0);
         let solver = NashSolver::default();
         let budget = SolveBudget::sweeps(1);
@@ -923,13 +1016,18 @@ mod tests {
         let mut oracle_ws = SolveWorkspace::for_game(&game);
         let want =
             solver.solve_by_sweeps_into(&game, WarmStart::Zero, &mut oracle_ws, budget).unwrap();
-        assert!(!got.converged);
-        assert_eq!(got, want);
-        assert_eq!(got.newton_steps, 0);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(ws.subsidies()), bits(oracle_ws.subsidies()));
-        assert_eq!(bits(ws.utilities()), bits(oracle_ws.utilities()));
-        assert_eq!(ws.state(), oracle_ws.state());
+        assert!(!got.converged && !want.converged);
+        assert_eq!((got.iterations, got.newton_steps), (1, 0));
+        assert!(got.residual >= LOOSEST_ROOT_TOL, "residual {:e}", got.residual);
+        assert!(got.probes < want.probes, "{} vs {} probes", got.probes, want.probes);
+        assert!(ws.state().phi.is_finite());
+        assert!(ws.subsidies().iter().chain(ws.utilities()).all(|x| x.is_finite()));
+        let gap = ws
+            .subsidies()
+            .iter()
+            .zip(oracle_ws.subsidies())
+            .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
+        assert!(gap <= 1e-3, "gap {gap:e} to the oracle's sweep");
     }
 
     #[test]

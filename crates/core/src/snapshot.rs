@@ -61,7 +61,13 @@ impl Default for EqSnapshot {
             state: SystemState::empty(),
             revenue: 0.0,
             welfare: 0.0,
-            stats: SolveStats { iterations: 0, newton_steps: 0, residual: 0.0, converged: false },
+            stats: SolveStats {
+                iterations: 0,
+                newton_steps: 0,
+                probes: 0,
+                residual: 0.0,
+                converged: false,
+            },
         }
     }
 }

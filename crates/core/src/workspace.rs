@@ -114,6 +114,8 @@ pub struct SolveWorkspace {
     pub(crate) step: Vec<f64>,
     /// The Theorem 6 Jacobian factors at the Newton iterate.
     pub(crate) jac: Factors,
+    /// Threshold → grid-scan fallbacks of the last Nash solve.
+    pub(crate) grid_fallbacks: u64,
 }
 
 impl SolveWorkspace {
@@ -180,6 +182,16 @@ impl SolveWorkspace {
     /// ones included.
     pub fn newton_dense_fallbacks(&self) -> u64 {
         self.jac.dense_fallbacks()
+    }
+
+    /// How many best responses of the last Nash solve on this workspace
+    /// fell back from the Theorem 3 threshold search to the grid scan
+    /// ([`crate::best_response`]). Unlike
+    /// [`SolveWorkspace::newton_dense_fallbacks`] it counts one solve, like
+    /// the solution the workspace holds, so a batch can attribute it to
+    /// the game it solved.
+    pub fn grid_fallbacks(&self) -> u64 {
+        self.grid_fallbacks
     }
 }
 

@@ -9,7 +9,10 @@
 //! most `1e-6` — so the report doubles as an accuracy sweep, and the run
 //! exits non-zero on any failed or uncertified game. The effort lines
 //! split each solve's iterations into Gauss–Seidel sweeps and Newton
-//! steps (`SolveStats::newton_steps`), mean and maximum per game.
+//! steps (`SolveStats::newton_steps`), mean and maximum per game, count
+//! the fixed-point probes its best responses made (`SolveStats::probes`)
+//! and the best responses that fell back from the threshold search to the
+//! grid scan (`SolveWorkspace::grid_fallbacks`).
 //!
 //! Usage:
 //!   `cargo run --release -p subcomp-exp --bin solve_farm [-- OPTIONS]`
@@ -32,8 +35,8 @@
 //!
 //! ## The million-game regime
 //!
-//! `--games 1000000` is the supported ensemble ceiling. At about 16,000
-//! games/s per thread (the median of three 20,000-game runs on a 2-vCPU
+//! `--games 1000000` is the supported ensemble ceiling. At about 14,700
+//! games/s per thread (the median of five 20,000-game runs on a 2-vCPU
 //! Intel Xeon x86-64 host, whose speed drifts up to 2x between runs) it
 //! takes roughly a minute single-threaded, scaling near-linearly with
 //! `--threads`. Memory stays flat in the game count — the farm streams
@@ -169,6 +172,8 @@ struct FarmStat {
     n: usize,
     iterations: usize,
     newton_steps: usize,
+    probes: usize,
+    grid_fallbacks: u64,
     residual: f64,
     max_kkt: f64,
     certified: bool,
@@ -187,6 +192,8 @@ struct FarmAggregate {
     iterations: Effort,
     sweeps: Effort,
     newton_steps: Effort,
+    probes: Effort,
+    grid_fallbacks: u64,
     residual_max_bits: u64,
     kkt_max_bits: u64,
     uncertified: usize,
@@ -241,6 +248,8 @@ fn run_farm(args: &Args, threads: usize) -> (FarmAggregate, Duration) {
                 n: game.n(),
                 iterations: stats.iterations,
                 newton_steps: stats.newton_steps,
+                probes: stats.probes,
+                grid_fallbacks: ws.grid_fallbacks(),
                 residual: stats.residual,
                 max_kkt,
                 certified,
@@ -258,6 +267,8 @@ fn run_farm(args: &Args, threads: usize) -> (FarmAggregate, Duration) {
         iterations: Effort::default(),
         sweeps: Effort::default(),
         newton_steps: Effort::default(),
+        probes: Effort::default(),
+        grid_fallbacks: 0,
         residual_max_bits: 0.0f64.to_bits(),
         kkt_max_bits: 0.0f64.to_bits(),
         uncertified: 0,
@@ -276,6 +287,8 @@ fn run_farm(args: &Args, threads: usize) -> (FarmAggregate, Duration) {
                 agg.iterations.add(s.iterations);
                 agg.sweeps.add(s.iterations - s.newton_steps);
                 agg.newton_steps.add(s.newton_steps);
+                agg.probes.add(s.probes);
+                agg.grid_fallbacks += s.grid_fallbacks;
                 residual_max = residual_max.max(s.residual);
                 if s.max_kkt.is_finite() {
                     kkt_max = kkt_max.max(s.max_kkt);
@@ -306,6 +319,8 @@ fn print_aggregate(args: &Args, agg: &FarmAggregate) {
     println!("{}", agg.iterations.line("iterations", agg.solved));
     println!("{}", agg.sweeps.line("  GS sweeps", agg.solved));
     println!("{}", agg.newton_steps.line("  Newton steps", agg.solved));
+    println!("{}", agg.probes.line("best-response probes", agg.solved));
+    println!("grid fallbacks: {}", agg.grid_fallbacks);
     println!("max final-update residual: {:.3e}", agg.residual_max());
     println!(
         "max KKT residual (Theorem 3 certificate): {:.3e} ({} uncertified at {CERT_TOL:e})",

@@ -16,25 +16,35 @@
 //!   must decline there and the sweep finish;
 //! * warm and tangent chains along the §5 market's price and µ axes.
 //!
-//! No farm or mixed game may take the Newton path's dense fallback.
+//! The oracle solves every best-response root to 1e-13. The engine's
+//! sweeps solve theirs to a forcing tolerance, up to 1e-4, and a sweep
+//! that did so cannot certify an update below that tolerance; the
+//! agreement bound holds all the same. No farm or mixed game may take the
+//! Newton path's dense fallback or the best response's grid-scan
+//! fallback. Four warm-chain blocks of the farm ensembles, on which a
+//! sweep without that certification floor, or with one keyed on where a
+//! response landed, declared games converged off the equilibrium, pin
+//! the floor.
 
 mod common;
 
 use common::mixed_game;
 use proptest::prelude::*;
 use subcomp::exp::scenarios::{farm_game, section5_system};
-use subcomp::game::equilibrium::PIN_TOL;
+use subcomp::exp::sweep::BatchSolver;
+use subcomp::game::equilibrium::{verify_equilibrium, PIN_TOL};
 use subcomp::game::game::{Axis, SubsidyGame};
 use subcomp::game::nash::{NashSolver, SolveStats, WarmStart};
 use subcomp::game::sensitivity::Sensitivity;
 use subcomp::game::workspace::{SolveBudget, SolveWorkspace};
+use subcomp::num::NumResult;
 
 const GAP: f64 = 1e-8;
 
 /// The corrected engine and the oracle on one game from one start: the
-/// engine's stats, its dense-fallback count, and the sup-norm gap
-/// between the two equilibria.
-fn compare(game: &SubsidyGame, start: WarmStart<'_>) -> (SolveStats, u64, f64) {
+/// engine's stats, its dense and grid-scan fallback counts, and the
+/// sup-norm gap between the two equilibria.
+fn compare(game: &SubsidyGame, start: WarmStart<'_>) -> (SolveStats, (u64, u64), f64) {
     let solver = NashSolver::default();
     let mut ws = SolveWorkspace::for_game(game);
     let stats = solver.solve_into(game, start, &mut ws).unwrap();
@@ -42,7 +52,8 @@ fn compare(game: &SubsidyGame, start: WarmStart<'_>) -> (SolveStats, u64, f64) {
     let reference =
         solver.solve_by_sweeps_into(game, start, &mut oracle, SolveBudget::unlimited()).unwrap();
     assert!(stats.converged && reference.converged);
-    (stats, ws.newton_dense_fallbacks(), sup_gap(ws.subsidies(), oracle.subsidies()))
+    let fallbacks = (ws.newton_dense_fallbacks(), ws.grid_fallbacks());
+    (stats, fallbacks, sup_gap(ws.subsidies(), oracle.subsidies()))
 }
 
 fn sup_gap(a: &[f64], b: &[f64]) -> f64 {
@@ -50,8 +61,8 @@ fn sup_gap(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// Checks `game` cold and warm-started from the equilibrium at a 2%
-/// higher price; `fallback_free` also holds the engine to zero dense
-/// fallbacks.
+/// higher price; `fallback_free` also holds the engine to zero dense and
+/// zero grid-scan fallbacks.
 fn check(game: &SubsidyGame, fallback_free: bool) -> Result<(), TestCaseError> {
     let nearby = game.with_price(game.price() * 1.02).unwrap();
     let s0 = NashSolver::default().solve(&nearby).unwrap().subsidies;
@@ -59,7 +70,7 @@ fn check(game: &SubsidyGame, fallback_free: bool) -> Result<(), TestCaseError> {
         let (stats, fallbacks, gap) = compare(game, start);
         prop_assert!(gap <= GAP, "n {}: gap {gap:e} ({stats:?})", game.n());
         if fallback_free {
-            prop_assert_eq!(fallbacks, 0);
+            prop_assert_eq!(fallbacks, (0, 0));
         }
     }
     Ok(())
@@ -141,6 +152,41 @@ fn kink_equilibria_are_finished_by_the_sweep() {
         kinks += usize::from(check_clamped(&game).unwrap());
     }
     assert!(kinks > 0, "no kink equilibrium in the slice");
+}
+
+#[test]
+fn forced_sweeps_certify_only_what_they_measured() {
+    // Warm-chain blocks solved as the benchmarks solve them: three of the
+    // benchmark farm's seed-11 ensemble (game i has 2 + i mod 11
+    // providers) and one of `solve_farm`'s seed-7 ensemble. A sweep whose
+    // roots stop at a forcing tolerance can move the iterate by less than
+    // the solver tolerance while still that far off the equilibrium.
+    // Without the certification floor, games 18636, 71859 and 78029 were
+    // declared converged at KKT residuals from 3.8e-6 to 2.5e-5. With a
+    // floor keyed on where a response landed instead of on how it was
+    // solved, game 3696 was, at 1.01e-6: a root within the tolerance of a
+    // corner is clamped onto it.
+    let bench: fn(u64) -> NumResult<SubsidyGame> = |i| {
+        let n = 2 + (i % 11) as usize;
+        farm_game(11, i, n, n)
+    };
+    let farm: fn(u64) -> NumResult<SubsidyGame> = |i| farm_game(7, i, 2, 12);
+    let batch = BatchSolver::default();
+    for (build, from) in [(bench, 18_624u64), (bench, 71_840), (bench, 78_016), (farm, 3_680)] {
+        let games: Vec<u64> = (from..from + batch.block as u64).collect();
+        let solved = batch.run(
+            &games,
+            |&i| build(i),
+            |game, ws, stats| {
+                let report = verify_equilibrium(game, ws.subsidies()).unwrap();
+                (stats.converged, report.max_kkt_residual, report.is_equilibrium(1e-6))
+            },
+        );
+        for (i, result) in games.iter().zip(solved) {
+            let (converged, kkt, certified) = result.unwrap();
+            assert!(converged && certified, "game {i}: KKT residual {kkt:e}");
+        }
+    }
 }
 
 proptest! {
