@@ -1,8 +1,7 @@
 //! Benchmarks the Theorem 6 sensitivity analysis (active sets, the
 //! structured Jacobian and its Woodbury solve), the Jacobian as a layer —
 //! the structured engine against the finite-difference oracle it replaced
-//! — and the predictor-corrector continuation the directional derivatives
-//! enable along the µ axis.
+//! — and continuation along the µ axis, warm against cold.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -68,17 +67,13 @@ fn bench_jacobian_layer(c: &mut Criterion) {
 }
 
 /// Tracks the axis-continuation win itself as a trajectory: the same
-/// 12-point µ ladder on the paper-typed 8-CP market, solved three ways
+/// 12-point µ ladder on the paper-typed 8-CP market, solved two ways
 /// through one in-place-reparameterized game and one reused workspace —
-/// `cold` (every point from the zero profile), `previous` (each point
-/// warm-started from the previous equilibrium, the default engine), and
-/// `tangent` (each point seeded by the Theorem 6 first-order predictor
-/// `s + Δµ·∂s/∂µ`, tangents from `Sensitivity::directional`, corrected by
-/// the solver). The tangent id's cost *includes* assembling the
-/// directional derivative — that is the real price of the predictor —
-/// so the `tangent`/`cold` ratio is the honest predictor-corrector
-/// speedup, and `tangent` vs `previous` records whether first-order
-/// prediction beats plain reuse at this problem size.
+/// `cold` (every point from the zero profile) and `previous` (each point
+/// warm-started from the previous equilibrium, the one warm-start rule).
+/// `previous`/`cold` is the continuation speedup. A Theorem 6 first-order
+/// start (`s + Δµ·∂s/∂µ`, its derivative included) cost 1.17–1.26x
+/// `previous` on this ladder, so the solver no longer offers one.
 fn bench_mu_continuation(c: &mut Criterion) {
     let mut g = c.benchmark_group("sensitivity/continuation");
     g.sample_size(10);
@@ -105,22 +100,6 @@ fn bench_mu_continuation(c: &mut Criterion) {
             for (k, &mu) in std::hint::black_box(&mus[..]).iter().enumerate() {
                 game.set_mu(mu).unwrap();
                 let start = if k == 0 { WarmStart::Zero } else { WarmStart::Previous };
-                sweeps += solver.solve_into(&game, start, &mut ws).unwrap().iterations;
-            }
-            sweeps
-        })
-    });
-    g.bench_function("tangent", |b| {
-        let mut game = base.clone();
-        let mut ws = SolveWorkspace::for_game(&game);
-        b.iter(|| {
-            let mut sweeps = 0usize;
-            game.set_mu(mus[0]).unwrap();
-            sweeps += solver.solve_into(&game, WarmStart::Zero, &mut ws).unwrap().iterations;
-            for w in std::hint::black_box(&mus[..]).windows(2) {
-                let ds = Sensitivity::directional(&mut game, ws.subsidies(), Axis::Mu).unwrap();
-                game.set_mu(w[1]).unwrap();
-                let start = WarmStart::Tangent { ds_dtheta: &ds, dtheta: w[1] - w[0] };
                 sweeps += solver.solve_into(&game, start, &mut ws).unwrap().iterations;
             }
             sweeps

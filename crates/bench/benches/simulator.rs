@@ -18,12 +18,11 @@
 //!   1,000,000 users: the hashes, the per-type sort by valuation and the
 //!   bitset allocation.
 //! * `simulator/adoption/loop_warm` — one closed-loop tick (10k users):
-//!   lock-free externality read, simulate, tangent-seeded µ write,
-//!   warm re-solve.
+//!   lock-free externality read, simulate, µ write, warm re-solve.
 //! * `simulator/adoption/loop_cold` — the same tick with every market
-//!   cooled first (warm seeds, tangent seed, cache and published
-//!   snapshot dropped), so the externality read pays a cold solve. The
-//!   warm-vs-cold loop speedup is `loop_cold / loop_warm`.
+//!   cooled first (slot iterates, cache and published snapshot dropped),
+//!   so the externality read pays a cold solve. The warm-vs-cold loop
+//!   speedup is `loop_cold / loop_warm`.
 //! * `simulator/adoption/served` — the loop tick at 512 users, where
 //!   serving dominates simulation: the per-tick overhead floor of the
 //!   server wiring.

@@ -59,6 +59,17 @@ impl Axis {
         }
     }
 
+    /// Checks that the axis names a parameter of `game`: an
+    /// [`Axis::Profitability`] index must name one of its providers.
+    pub fn validate(self, game: &SubsidyGame) -> NumResult<()> {
+        match self {
+            Axis::Profitability(j) if j >= game.n() => {
+                Err(NumError::DimensionMismatch { expected: game.n(), actual: j })
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Reads the axis' current parameter value off the game.
     ///
     /// # Panics

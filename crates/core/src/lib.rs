@@ -30,13 +30,12 @@
 //! * [`sensitivity`] — Theorem 6's equilibrium dynamics `∂s/∂p`, `∂s/∂q`
 //!   via the inverse Jacobian `Ψ = (∇_s̃ ũ)^{-1}`, generalized to
 //!   directional derivatives along any [`game::Axis`] (`∂s/∂µ`,
-//!   `∂s/∂v_i`) for predictor-corrector continuation. The Jacobian is
-//!   diagonal plus rank two, assembled in O(n) from one solved state and
-//!   solved by Woodbury — the same factors are the Nash corrector's
-//!   Newton matrix;
+//!   `∂s/∂v_i`), served as a product (the `exp` server's sensitivity
+//!   reads). The Jacobian is diagonal plus rank two, assembled in O(n)
+//!   from one solved state and solved by Woodbury — the same factors are
+//!   the Nash corrector's Newton matrix;
 //! * [`snapshot`] — immutable, concurrent-reader-safe copies of solved
-//!   equilibria plus the tangent warm-start admission policy (the state
-//!   layer under the `exp` equilibrium server);
+//!   equilibria (the state layer under the `exp` equilibrium server);
 //! * [`revenue`] — ISP revenue under equilibrium response and Theorem 7's
 //!   marginal revenue with the `Υ` factor;
 //! * [`pricing`] — the ISP's revenue-maximizing price `p*(q)`;
@@ -91,7 +90,7 @@ pub mod prelude {
     pub use crate::nash::{NashSolution, NashSolver, SolveStats, SweepMode, WarmStart};
     pub use crate::pricing::optimal_price;
     pub use crate::sensitivity::{ActiveSet, Sensitivity};
-    pub use crate::snapshot::{EqSnapshot, TangentPolicy};
+    pub use crate::snapshot::EqSnapshot;
     pub use crate::welfare::{welfare, WelfareBreakdown};
     pub use crate::workspace::SolveWorkspace;
 }

@@ -344,27 +344,6 @@ impl NashSolver {
                     ws.s[i] = ws.s[i].clamp(0.0, ws.caps[i]);
                 }
             }
-            WarmStart::Tangent { ds_dtheta, dtheta } => {
-                if ds_dtheta.len() != n {
-                    return Err(NumError::DimensionMismatch {
-                        expected: n,
-                        actual: ds_dtheta.len(),
-                    });
-                }
-                if !dtheta.is_finite() {
-                    return Err(NumError::Domain {
-                        what: "tangent step dtheta must be finite",
-                        value: dtheta,
-                    });
-                }
-                for i in 0..n {
-                    let predicted = ws.s[i] + dtheta * ds_dtheta[i];
-                    // A non-finite sensitivity component degrades to the
-                    // plain Previous start for that provider.
-                    let base = if predicted.is_finite() { predicted } else { ws.s[i] };
-                    ws.s[i] = base.clamp(0.0, ws.caps[i]);
-                }
-            }
         }
         let br_cfg = BrConfig::default();
         // Each probe's φ solve starts at the previous probe's root. The
@@ -564,29 +543,14 @@ pub enum WarmStart<'a> {
     /// An explicit profile, validated against the game then clamped into
     /// the effective box (what [`NashSolver::solve_from`] uses).
     Profile(&'a [f64]),
-    /// Reuse whatever iterate the workspace holds — the batch warm start:
-    /// consecutive solves of nearby games converge in a fraction of the
-    /// sweeps. Dimension changes are padded with zeros; the iterate is
-    /// re-clamped into the new game's box. Falls back to `Zero` behaviour
-    /// on a fresh workspace.
+    /// Reuse whatever iterate the workspace holds — the one warm-start
+    /// rule: start from the neighbour's equilibrium (a grid row's
+    /// previous point, a server slot's last iterate, a batch block's
+    /// previous game), so consecutive solves of nearby games converge in
+    /// a few Newton steps. Dimension changes are padded with zeros; the
+    /// iterate is re-clamped into the new game's box. Falls back to
+    /// `Zero` behaviour on a fresh workspace.
     Previous,
-    /// First-order predictor-corrector continuation: start from the
-    /// workspace's previous iterate *plus* a tangent step
-    /// `s ← clamp(s_prev + dtheta · ds_dtheta)`, where `ds_dtheta` is the
-    /// Theorem 6 directional derivative of the equilibrium along the swept
-    /// parameter ([`crate::sensitivity::Sensitivity::directional`]) and
-    /// `dtheta` the parameter step. The solver then only *corrects* the
-    /// predictor instead of re-converging from the previous point. The
-    /// prediction is clamped into the new game's effective box
-    /// component-wise, so a pinned provider predicted past a corner starts
-    /// exactly on it.
-    Tangent {
-        /// Equilibrium sensitivity `∂s/∂θ` at the previous point (length
-        /// must match the game).
-        ds_dtheta: &'a [f64],
-        /// Parameter step `Δθ` from the previous point to this one.
-        dtheta: f64,
-    },
 }
 
 /// Health summary of one [`NashSolver::solve_into`] run; the solution

@@ -524,11 +524,7 @@ impl SensitivityWorkspace {
         axis: Axis,
         out: &mut Vec<f64>,
     ) -> NumResult<()> {
-        if let Axis::Profitability(j) = axis {
-            if j >= game.n() {
-                return Err(NumError::DimensionMismatch { expected: game.n(), actual: j });
-            }
-        }
+        axis.validate(game)?;
         if !self.factor(game, s)? {
             return Err(NumError::Domain {
                 what: "degenerate equilibrium: pinned provider with u_i = 0 \
@@ -571,9 +567,9 @@ impl Sensitivity {
     /// along an arbitrary parameter axis `θ` — the generalization of
     /// [`Sensitivity::compute`]'s `ds_dq`/`ds_dp` columns to the capacity
     /// `µ` (Theorem 1 direction) and per-provider profitabilities `v_j`
-    /// (Theorem 5 direction). This is the tangent the predictor-corrector
-    /// continuation engine feeds into
-    /// [`crate::nash::WarmStart::Tangent`].
+    /// (Theorem 5 direction): the equilibrium's comparative statics along
+    /// that parameter, served as a product (the `exp` server's
+    /// sensitivity reads), never as a solver start.
     ///
     /// Structure per Theorem 6: providers pinned at `s_i = 0` do not move
     /// (`∂s_i/∂θ = 0`); providers pinned at `s_i = q` move one-for-one
@@ -590,8 +586,8 @@ impl Sensitivity {
     /// # Errors
     /// A degenerate equilibrium — a pinned provider with `u_i ≈ 0`,
     /// violating strict complementarity — is refused with a domain error
-    /// rather than silently differentiated: the one-sided derivative a
-    /// continuation step would extrapolate from it is wrong on one side.
+    /// rather than silently differentiated: its one-sided derivative is
+    /// wrong on one side.
     pub fn directional(game: &mut SubsidyGame, s: &[f64], axis: Axis) -> NumResult<Vec<f64>> {
         let mut ds = Vec::new();
         SensitivityWorkspace::new().directional_into(game, s, axis, &mut ds)?;
@@ -625,11 +621,7 @@ impl Sensitivity {
                 value: f64::NAN,
             });
         }
-        if let Axis::Profitability(j) = axis {
-            if j >= game.n() {
-                return Err(NumError::DimensionMismatch { expected: game.n(), actual: j });
-            }
-        }
+        axis.validate(game)?;
         let theta0 = axis.value(game);
         // Respect each axis' domain: price/profitability live on
         // [0, ∞), capacity on (0, ∞).
@@ -668,19 +660,6 @@ impl Sensitivity {
             *o = (u - m) / denom;
         }
         Ok(())
-    }
-
-    /// Tests the equilibrium `s` for degeneracy *without* differentiating:
-    /// `Ok(Some(active_set))` when a pinned provider violates strict
-    /// complementarity (the exact condition [`Sensitivity::directional`]
-    /// refuses with a domain error), `Ok(None)` when differentiation is
-    /// admissible. The verdict is [`SensitivityWorkspace::factor`]'s, so
-    /// it can never drift from the other entry points; a resident caller
-    /// that goes on to differentiate should call `factor` itself and
-    /// reuse the one state solve.
-    pub fn degeneracy(game: &SubsidyGame, s: &[f64]) -> NumResult<Option<ActiveSet>> {
-        let mut ws = SensitivityWorkspace::new();
-        Ok((!ws.factor(game, s)?).then_some(ws.active))
     }
 }
 
@@ -930,15 +909,15 @@ mod tests {
             let err = Sensitivity::directional(&mut pinned, &s, axis);
             assert!(err.is_err(), "degenerate equilibrium must error along {}", axis.describe());
         }
-        // degeneracy() agrees with both, returning the partition instead
-        // of an error — the serving layer's typed-reply source.
-        let active = Sensitivity::degeneracy(&pinned, &s)
-            .unwrap()
-            .expect("degenerate equilibrium must be detected");
-        assert_eq!(active, ActiveSet::classify(&s, pinned.cap()));
-        assert!(active.upper.contains(&0), "the pinned provider sits in N+");
-        // A regular equilibrium reports None.
-        assert!(Sensitivity::degeneracy(&free, &solve(&free)).unwrap().is_none());
+        // The workspace's factor() gives the same verdict and the
+        // partition instead of an error — the path the serving layer's
+        // typed degenerate reply takes.
+        let mut ws = SensitivityWorkspace::new();
+        assert!(!ws.factor(&pinned, &s).unwrap(), "degenerate equilibrium must be detected");
+        assert_eq!(ws.active(), &ActiveSet::classify(&s, pinned.cap()));
+        assert!(ws.active().upper.contains(&0), "the pinned provider sits in N+");
+        // A regular equilibrium factors as regular.
+        assert!(ws.factor(&free, &solve(&free)).unwrap());
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! Immutable, shareable snapshots of solved equilibria, plus the tangent
-//! warm-start admission policy — the session/state layer the equilibrium
-//! server builds on.
+//! Immutable, shareable snapshots of solved equilibria — the
+//! session/state layer the equilibrium server builds on.
 //!
 //! A [`SolveWorkspace`] is a *mutable* scratch: the next solve overwrites
 //! the solution it holds, so it cannot be handed to readers while the
@@ -18,16 +17,7 @@
 //! zero heap allocation per warm capture — the contract the warm-server
 //! case in `tests/alloc_free.rs` pins.
 //!
-//! [`TangentPolicy`] decides when a parameter delta is small enough to
-//! admit the Theorem 6 first-order predictor ([`WarmStart::Tangent`])
-//! instead of plain previous-iterate seeding: tangent extrapolation only
-//! pays off inside the equilibrium's differentiable neighbourhood, and a
-//! large step (or a blown-up derivative near an active-set change) makes
-//! the predictor *worse* than [`WarmStart::Previous`].
-//!
 //! [`Arc`]: std::sync::Arc
-//! [`WarmStart::Tangent`]: crate::nash::WarmStart::Tangent
-//! [`WarmStart::Previous`]: crate::nash::WarmStart::Previous
 
 use crate::game::SubsidyGame;
 use crate::nash::SolveStats;
@@ -166,44 +156,6 @@ fn copy_slice_into(dst: &mut Vec<f64>, src: &[f64]) {
     dst.copy_from_slice(src);
 }
 
-/// Admission policy for [`WarmStart::Tangent`] on small parameter deltas.
-///
-/// The Theorem 6 tangent is a *local* object: it predicts the equilibrium
-/// displacement to first order around the point it was computed at. The
-/// policy admits the predictor only when both the parameter step and the
-/// predicted subsidy displacement stay inside a trust region; everything
-/// else degrades to [`WarmStart::Previous`], which is always safe.
-///
-/// [`WarmStart::Tangent`]: crate::nash::WarmStart::Tangent
-/// [`WarmStart::Previous`]: crate::nash::WarmStart::Previous
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TangentPolicy {
-    /// Largest admissible parameter step `|Δθ|`.
-    pub max_dtheta: f64,
-    /// Largest admissible predicted displacement `max_i |Δθ · ∂s_i/∂θ|`.
-    pub max_predicted_step: f64,
-}
-
-impl Default for TangentPolicy {
-    fn default() -> Self {
-        TangentPolicy { max_dtheta: 0.25, max_predicted_step: 0.5 }
-    }
-}
-
-impl TangentPolicy {
-    /// Whether a tangent step from `ds_dtheta` over `dtheta` is admitted.
-    /// Non-finite inputs are always rejected.
-    pub fn admits(&self, ds_dtheta: &[f64], dtheta: f64) -> bool {
-        if !dtheta.is_finite() || dtheta.abs() > self.max_dtheta {
-            return false;
-        }
-        ds_dtheta.iter().all(|d| {
-            let step = d * dtheta;
-            step.is_finite() && step.abs() <= self.max_predicted_step
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,7 +195,7 @@ mod tests {
         let stats = solver.solve_into(&game, WarmStart::Zero, &mut ws).unwrap();
         let mut snap = EqSnapshot::capture(&game, &ws, stats);
         let reference = snap.clone();
-        // Dirty the snapshot, then recapture: bit-identical to the first.
+        // Scribble over the snapshot, then recapture: bit-identical to the first.
         snap.subsidies.iter_mut().for_each(|s| *s = -1.0);
         snap.revenue = f64::NAN;
         snap.capture_into(&game, &ws, stats);
@@ -266,21 +218,5 @@ mod tests {
                 });
             }
         });
-    }
-
-    #[test]
-    fn tangent_policy_trust_region() {
-        let policy = TangentPolicy::default();
-        assert!(policy.admits(&[0.5, -1.0], 0.1));
-        // Parameter step too large.
-        assert!(!policy.admits(&[0.5, -1.0], 0.3));
-        // Predicted displacement too large even for a small step.
-        assert!(!policy.admits(&[100.0], 0.01));
-        // Non-finite inputs are rejected, never admitted.
-        assert!(!policy.admits(&[f64::NAN], 0.01));
-        assert!(!policy.admits(&[1.0], f64::NAN));
-        // A tighter policy rejects what the default admits.
-        let tight = TangentPolicy { max_dtheta: 0.05, max_predicted_step: 0.5 };
-        assert!(!tight.admits(&[0.5], 0.1));
     }
 }

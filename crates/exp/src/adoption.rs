@@ -19,19 +19,17 @@
 //!    [`step_population`] fans the owned blocks over
 //!    [`crate::sweep::parallel_map`], bit-identical for any thread
 //!    count — and re-aggregates per-type adopted mass in one pass.
-//! 3. **Feed back.** Adoption load depresses effective capacity,
-//!    `µ = µ_base / (1 + η·load)`, written through the server as an
-//!    in-place `Request::Update { axis: Axis::Mu }`; with
-//!    [`LoopConfig::seed_tangent`] a `Request::Sensitivity` first arms
-//!    the server's tangent seed so the re-solve rides the
-//!    predictor-corrector. Every [`LoopConfig::demand_every`] ticks the
+//! 3. **Feed back.** Every [`LoopConfig::demand_every`] ticks the
 //!    realized masses are written back into the demand curves
-//!    (`m⁰_i ← max(mass_i, floor·m⁰_i)`) together with an
-//!    adoption-coupled `Axis::Profitability` drift, as a full `submit`.
-//! 4. **Re-solve.** A `Request::Equilibrium` re-solves the market —
-//!    tangent-seeded or warm from the previous equilibrium, both
-//!    allocation-free in the resident server — and publishes the
-//!    snapshot the *next* tick's externality read picks up lock-free.
+//!    (`m⁰_i ← max(mass_i, floor·m⁰_i)`) as a full `submit`, together
+//!    with an adoption-coupled `Axis::Profitability` drift. Then adoption
+//!    load depresses effective capacity, `µ = µ_base / (1 + η·load)`,
+//!    written through the server as an in-place
+//!    `Request::Update { axis: Axis::Mu }`.
+//! 4. **Re-solve.** A `Request::Equilibrium` re-solves the market warm
+//!    from the previous equilibrium — allocation-free in the resident
+//!    server — and publishes the snapshot the *next* tick's externality
+//!    read picks up lock-free.
 //!
 //! Cohorts never interact: each cohort's population seed, capacity base
 //! and market id are pure functions of `(loop seed, market id)`, so a
@@ -68,16 +66,18 @@ pub fn step_population(pop: &mut Population, threads: usize, drive: &TickDrive) 
     Ok(())
 }
 
-/// How each equilibrium answer of the closed loop was produced —
-/// cumulative tallies over every served request, the observable that
-/// separates the warm loop from the cooled one.
+/// How each equilibrium answer was produced — cumulative tallies over
+/// served requests, the observable that separates the warm loop from the
+/// cooled one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SourceCounts {
     /// Router-absorbed lock-free snapshot reads.
     pub lockfree: u64,
     /// Fingerprint-cache hits inside a resident server.
     pub cache: u64,
-    /// Tangent-seeded predictor-corrector solves.
+    /// Always 0: no answer is seeded from a Theorem 6 tangent
+    /// ([`Source::Tangent`]). Kept because the benchmark still reads it;
+    /// the benchmark change of ROADMAP item 1(f) removes it.
     pub tangent: u64,
     /// Warm re-solves from the previous equilibrium.
     pub warm: u64,
@@ -132,9 +132,6 @@ pub struct LoopConfig {
     /// Floor on the demand write-back, as a fraction of the original
     /// `m⁰` (keeps the rebuilt system well-posed when adoption crashes).
     pub demand_floor: f64,
-    /// Arm the server's tangent seed (`Request::Sensitivity`) before
-    /// each µ write so re-solves ride the predictor-corrector.
-    pub seed_tangent: bool,
     /// Shards of the sharded server (fault domains and report groups;
     /// they never change a reply).
     pub shards: usize,
@@ -153,7 +150,6 @@ impl Default for LoopConfig {
             eta: 0.3,
             demand_every: 0,
             demand_floor: 0.25,
-            seed_tangent: true,
             shards: 1,
         }
     }
@@ -295,8 +291,8 @@ impl AdoptionLoop {
     /// Advances every cohort by one closed-loop tick. Allocation-free,
     /// market server included, once the fingerprint caches have started
     /// evicting, when the tick stays on the resident paths (serial block
-    /// fan-out, no tangent seeding, no demand write-back tick) — the
-    /// contract pinned in `tests/alloc_free.rs`.
+    /// fan-out, no demand write-back tick) — the contract pinned in
+    /// `tests/alloc_free.rs`.
     pub fn tick(&mut self) -> ServeResult<TickSummary> {
         self.tick += 1;
         let tick = self.tick;
@@ -337,14 +333,12 @@ impl AdoptionLoop {
             adopted += cohort.pop.adopted_users();
             let cohort_mass: f64 = cohort.pop.masses().iter().sum();
             mass += cohort_mass;
-            // 3. Feed back: load depresses capacity; optionally arm the
-            // tangent seed so the µ re-solve rides the predictor.
+            // 3. Feed back: load depresses capacity.
             let load = cohort.pop.adopted_fraction();
             let mu = cohort.mu_base / (1.0 + cfg.eta * load);
             if cfg.demand_every > 0 && tick % cfg.demand_every == 0 {
                 // Demand write-back: realized masses become the new m⁰,
-                // floored; CP 0's margin drifts with adoption. A full
-                // submit resets warm seeds by design.
+                // floored; CP 0's margin drifts with adoption.
                 for (spec, (&m, base)) in
                     self.scratch_specs.iter_mut().zip(cohort.pop.masses().iter().zip(&self.specs))
                 {
@@ -358,12 +352,6 @@ impl AdoptionLoop {
                     cohort.market,
                     Request::Update { axis: Axis::Profitability(0), value: v0 },
                 )?;
-            }
-            if cfg.seed_tangent {
-                match server.serve(cohort.market, Request::Sensitivity { axis: Axis::Mu })? {
-                    Reply::Sensitivity { .. } | Reply::Degenerate { .. } => {}
-                    _ => return Err(desync()),
-                }
             }
             server.serve(cohort.market, Request::Update { axis: Axis::Mu, value: mu })?;
             // 4. Warm re-solve; the published snapshot feeds the next
@@ -400,9 +388,9 @@ impl AdoptionLoop {
         })
     }
 
-    /// Drops every cohort's warm-start state (workspace seeds, tangent
-    /// seed, fingerprint cache, published snapshot) so the next tick's
-    /// re-solves are cold — the benchmark control for warm-vs-cold.
+    /// Drops every cohort's warm-start state (slot iterates, fingerprint
+    /// cache, published snapshot) so the next tick's externality read
+    /// solves cold — the benchmark control for warm-vs-cold.
     pub fn cool(&mut self) -> ServeResult<()> {
         for market in 0..self.cfg.cohorts as u64 {
             self.server.cool_market(market)?;
@@ -496,9 +484,10 @@ mod tests {
         let mut lp = AdoptionLoop::new(&specs, 3.0, 0.6, 0.8, &cfg).unwrap();
         lp.run(5).unwrap();
         let warm = lp.sources();
-        // After the first tick every re-solve is tangent/warm, never cold.
+        // After the first tick every re-solve is warm, never cold.
         assert_eq!(warm.cold, 1, "only the first solve is cold");
-        assert!(warm.tangent + warm.warm >= 4, "re-solves must stay warm: {warm:?}");
+        assert!(warm.warm >= 4, "re-solves must stay warm: {warm:?}");
+        assert_eq!(warm.tangent, 0, "no answer is tangent-seeded: {warm:?}");
         assert!(warm.lockfree >= 4, "externality reads must go lock-free: {warm:?}");
         // Cooling before each tick forces cold re-solves.
         for _ in 0..3 {
@@ -529,9 +518,8 @@ mod tests {
         let mut lp = AdoptionLoop::new(&specs, 3.0, 0.6, 0.8, &cfg).unwrap();
         let report = lp.run(7).unwrap();
         assert!(report.final_adopted > 0);
-        // Submits reset warm chains, so some post-submit solves are
-        // warm-from-previous or cold rather than tangent — but the loop
-        // must keep answering.
+        // Submits replace the demand curves mid-run; the loop must keep
+        // answering in full.
         assert_eq!(report.sources.partial, 0);
     }
 

@@ -23,10 +23,11 @@
 //! `--chunk 4096` — with plain `cmp` (the CI smoke does exactly that).
 //!
 //! With `--cold` the loop cools every market before each tick
-//! (dropping warm seeds, tangent seed, fingerprint cache and the
-//! published snapshot), forcing every re-solve cold — the benchmark
+//! (dropping the slot iterates, the fingerprint cache and the published
+//! snapshot), so each tick's externality read solves cold — the benchmark
 //! control for the warm-vs-cold headline. The trajectory checksum is
-//! unchanged by `--cold`; only the source tallies and the timing move.
+//! unchanged by `--cold` (the CI smoke compares it); only the source
+//! tallies and the timing move.
 //!
 //! Usage:
 //!   `cargo run --release -p subcomp-exp --bin adopt_sim [-- OPTIONS]`
@@ -231,8 +232,8 @@ fn main() {
     println!("cohort 0 masses: [{}]", masses.join(", "));
     let s = lp.sources();
     println!(
-        "answer sources: {} lock-free, {} cache-hit, {} tangent, {} warm, {} cold, {} partial",
-        s.lockfree, s.cache, s.tangent, s.warm, s.cold, s.partial
+        "answer sources: {} lock-free, {} cache-hit, {} warm, {} cold, {} partial",
+        s.lockfree, s.cache, s.warm, s.cold, s.partial
     );
     println!("population work: {hashes} hashes, {skip_draws} skip draws");
     println!("trajectory checksum: {checksum:016x}");

@@ -7,7 +7,7 @@
 //! interleaved across markets, each market pinned to a shard (a fault
 //! domain and report group) by stable hash. The report shows how the
 //! request mix decomposed into answer sources (lock-free / cache hit /
-//! tangent / warm / cold / partial), the per-shard counters, a failure
+//! warm / cold / partial), the per-shard counters, a failure
 //! summary by typed error kind and by market, and a bit-level response
 //! checksum — everything above the `timing` line is deterministic for a
 //! given configuration, so the output diffs cleanly across machines *and
@@ -55,10 +55,11 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 use subcomp_core::game::SubsidyGame;
+use subcomp_exp::adoption::SourceCounts;
 use subcomp_exp::scenarios::section5_system;
 use subcomp_exp::server::{
     error_kind, fold_reply, generate_multi, run_chaos, summarize_latencies, ChaosConfig,
-    LoadGenConfig, Reply, ShardedConfig, ShardedServer, Source,
+    LoadGenConfig, Reply, ShardedConfig, ShardedServer,
 };
 
 #[derive(Debug)]
@@ -315,7 +316,7 @@ fn main() {
     let mut sum = 0u64;
     let mut fail_kinds: BTreeMap<&'static str, usize> = BTreeMap::new();
     let mut fail_markets: BTreeMap<u64, usize> = BTreeMap::new();
-    let mut sources = [0usize; 6]; // lock-free, cache-hit, tangent, warm, cold, partial
+    let mut sources = SourceCounts::default();
     let mut latencies = Vec::with_capacity(stream.len());
     let start = Instant::now();
     for (market, req) in &stream {
@@ -330,14 +331,7 @@ fn main() {
                     Reply::Updated { .. } => None,
                 };
                 if let Some(source) = source {
-                    sources[match source {
-                        Source::LockFree => 0,
-                        Source::CacheHit => 1,
-                        Source::Tangent => 2,
-                        Source::Warm => 3,
-                        Source::Cold => 4,
-                        Source::Partial => 5,
-                    }] += 1;
+                    sources.note(source);
                 }
                 sum = fold_reply(sum, *market, &reply);
             }
@@ -368,8 +362,8 @@ fn main() {
         failures
     );
     println!(
-        "answer sources: {} lock-free, {} cache-hit, {} tangent, {} warm, {} cold, {} partial",
-        sources[0], sources[1], sources[2], sources[3], sources[4], sources[5]
+        "answer sources: {} lock-free, {} cache-hit, {} warm, {} cold, {} partial",
+        sources.lockfree, sources.cache, sources.warm, sources.cold, sources.partial
     );
     println!(
         "cache (all shards): {} hits, {} misses, {} insertions, {} evictions, {}/{} resident",
@@ -383,7 +377,7 @@ fn main() {
     for r in &reports {
         println!(
             "shard {}: markets={}, quarantined={}, {} updates, {} equilibria, {} sensitivities, \
-             {} cache-hit, {} tangent, {} warm, {} cold, {} partial",
+             {} cache-hit, {} warm, {} cold, {} partial",
             r.shard,
             r.markets,
             r.quarantined,
@@ -391,7 +385,6 @@ fn main() {
             r.stats.equilibria,
             r.stats.sensitivities,
             r.stats.cache_hits,
-            r.stats.tangent_solves,
             r.stats.warm_solves,
             r.stats.cold_solves,
             r.stats.partial_solves

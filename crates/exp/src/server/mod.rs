@@ -12,15 +12,15 @@
 //!   rebuild per request — plus full-game submissions via
 //!   [`EquilibriumServer::submit`];
 //! * it **owns a pool of warm [`SolveWorkspace`]s**, so every solve starts
-//!   from the previous iterate of its slot (or a Theorem 6 tangent
-//!   extrapolation when a stored sensitivity admits one — see
-//!   [`TangentPolicy`]) instead of from zero;
+//!   from the previous iterate of its slot — the neighbour's equilibrium
+//!   — when that iterate's shape matches the game, and from zero
+//!   otherwise;
 //! * it **caches by canonical fingerprint** ([`fingerprint`]): a repeated
 //!   query returns an [`Arc`] clone of the stored [`EqSnapshot`] —
 //!   O(lookup), allocation-free, bit-identical to the solve that produced
 //!   it.
 //!
-//! Replies carry their [`Source`] (cache hit / tangent / warm / cold), so
+//! Replies carry their [`Source`] (cache hit / warm / cold / partial), so
 //! callers, benches and tests can audit exactly which path served them.
 //! The whole service is deterministic: same construction, same request
 //! stream, same replies — the property the [`loadgen`] replay tests pin.
@@ -37,7 +37,7 @@ use std::sync::Arc;
 use subcomp_core::game::{Axis, SubsidyGame};
 use subcomp_core::nash::{NashSolver, WarmStart};
 use subcomp_core::sensitivity::{ActiveSet, SensitivityWorkspace};
-use subcomp_core::snapshot::{EqSnapshot, TangentPolicy};
+use subcomp_core::snapshot::EqSnapshot;
 use subcomp_core::workspace::{SolveBudget, SolveWorkspace};
 use subcomp_num::error::{NumError, NumResult};
 
@@ -125,7 +125,9 @@ pub enum Source {
     LockFree,
     /// Fingerprint cache hit — no solve at all.
     CacheHit,
-    /// Solved, seeded by a Theorem 6 tangent extrapolation.
+    /// Never produced: the server seeds no solve from a Theorem 6
+    /// tangent. Kept because the benchmark still matches on it; the
+    /// benchmark change of ROADMAP item 1(f) removes it.
     Tangent,
     /// Solved, seeded by the slot workspace's previous iterate.
     Warm,
@@ -189,7 +191,9 @@ pub struct ServerStats {
     pub sensitivities: u64,
     /// Answers served from the cache.
     pub cache_hits: u64,
-    /// Solves seeded by tangent extrapolation.
+    /// Always 0: the server seeds no solve from a Theorem 6 tangent.
+    /// Kept because the benchmark still reads it; the benchmark change
+    /// of ROADMAP item 1(f) removes it.
     pub tangent_solves: u64,
     /// Solves seeded from a warm slot iterate.
     pub warm_solves: u64,
@@ -197,22 +201,6 @@ pub struct ServerStats {
     pub cold_solves: u64,
     /// Budget-limited solves answered as [`Source::Partial`].
     pub partial_solves: u64,
-}
-
-/// A stored sensitivity that may seed the next solve along its axis.
-struct TangentSeed {
-    axis: Axis,
-    at: f64,
-    ds: Vec<f64>,
-    base_key: u64,
-}
-
-/// What has been written since the last answered equilibrium.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Dirty {
-    Clean,
-    One(Axis),
-    Many,
 }
 
 /// The resident market service. See the module docs for the design.
@@ -223,12 +211,10 @@ pub struct EquilibriumServer {
     /// Fingerprint of the equilibrium whose iterate each slot holds.
     slot_state: Vec<Option<u64>>,
     cache: EqCache,
-    seed: Option<TangentSeed>,
     /// The resident Theorem 6 engine behind every sensitivity read.
     sens: SensitivityWorkspace,
     /// Fingerprint at the last answered equilibrium.
     base: Option<u64>,
-    dirty: Dirty,
     stats: ServerStats,
     /// Deterministic per-solve iteration budget (unlimited by default).
     budget: SolveBudget,
@@ -265,10 +251,8 @@ impl EquilibriumServer {
             pool,
             slot_state: vec![None; pool_size],
             cache: EqCache::new(cache_capacity),
-            seed: None,
             sens: SensitivityWorkspace::new(),
             base: None,
-            dirty: Dirty::Many,
             stats: ServerStats::default(),
             budget: SolveBudget::unlimited(),
             strikes: 0,
@@ -335,15 +319,16 @@ impl EquilibriumServer {
         }
     }
 
-    /// The sensitivity read with the full degradation ladder: a partial
-    /// equilibrium degrades to the plain equilibrium reply (no derivative
-    /// of a non-converged iterate), a degenerate equilibrium answers its
-    /// active-set partition, and only a regular equilibrium is
-    /// differentiated. One state solve (the resident workspace's
-    /// `factor`) serves both the degeneracy verdict and the derivative,
-    /// and the tangent seed is refilled in place, so a warm read
-    /// allocates only the reply's `ds`.
+    /// The sensitivity read with the full degradation ladder: an axis
+    /// naming a provider the market does not have is refused before any
+    /// work, a partial equilibrium degrades to the plain equilibrium reply
+    /// (no derivative of a non-converged iterate), a degenerate
+    /// equilibrium answers its active-set partition, and only a regular
+    /// equilibrium is differentiated. One state solve (the resident
+    /// workspace's `factor`) serves both the degeneracy verdict and the
+    /// derivative, so a warm read allocates only the reply's `ds`.
     fn serve_sensitivity(&mut self, axis: Axis) -> NumResult<Reply> {
+        axis.validate(&self.game)?;
         let (snap, source) = self.equilibrium()?;
         if source == Source::Partial {
             return Ok(Reply::Equilibrium { snap, source });
@@ -356,16 +341,6 @@ impl EquilibriumServer {
         let mut ds = Vec::with_capacity(self.game.n());
         self.sens.solve_into(axis, &mut ds)?;
         self.stats.sensitivities += 1;
-        let at = axis.value(&self.game);
-        let base_key = self.base.expect("equilibrium just answered");
-        match &mut self.seed {
-            Some(seed) => {
-                (seed.axis, seed.at, seed.base_key) = (axis, at, base_key);
-                seed.ds.clear();
-                seed.ds.extend_from_slice(&ds);
-            }
-            None => self.seed = Some(TangentSeed { axis, at, ds: ds.clone(), base_key }),
-        }
         Ok(Reply::Sensitivity { ds, snap, source })
     }
 
@@ -374,11 +349,6 @@ impl EquilibriumServer {
     pub fn update(&mut self, axis: Axis, value: f64) -> NumResult<()> {
         axis.apply(&mut self.game, value)?;
         self.stats.updates += 1;
-        self.dirty = match self.dirty {
-            Dirty::Clean => Dirty::One(axis),
-            Dirty::One(a) if a == axis => Dirty::One(axis),
-            _ => Dirty::Many,
-        };
         Ok(())
     }
 
@@ -391,9 +361,7 @@ impl EquilibriumServer {
     /// chance to answer.
     pub fn submit(&mut self, game: SubsidyGame) -> NumResult<(Arc<EqSnapshot>, Source)> {
         self.game = game;
-        self.seed = None;
         self.base = None;
-        self.dirty = Dirty::Many;
         self.strikes = 0;
         self.quarantined = false;
         self.equilibrium()
@@ -407,34 +375,18 @@ impl EquilibriumServer {
             self.stats.cache_hits += 1;
             self.strikes = 0;
             self.base = Some(key);
-            self.dirty = Dirty::Clean;
             return Ok((snap, Source::CacheHit));
         }
+        // Start from the slot's previous iterate when its shape matches,
+        // else cold.
         let slot = self.game.n() % self.pool.len();
-        // Pick the best admissible warm start, cheapest-to-verify last:
-        // a stored tangent along the single dirty axis, else the slot's
-        // previous iterate (only if its shape matches), else cold.
-        let tangent_dtheta = self.seed.as_ref().and_then(|seed| {
-            let applicable = self.base == Some(seed.base_key)
-                && self.dirty == Dirty::One(seed.axis)
-                && self.slot_state[slot] == Some(seed.base_key);
-            if !applicable {
-                return None;
-            }
-            let dtheta = seed.axis.value(&self.game) - seed.at;
-            TangentPolicy::default().admits(&seed.ds, dtheta).then_some(dtheta)
-        });
         let ws = &mut self.pool[slot];
-        let (start, source) = match tangent_dtheta {
-            Some(dtheta) => {
-                let seed = self.seed.as_ref().expect("checked above");
-                (WarmStart::Tangent { ds_dtheta: &seed.ds, dtheta }, Source::Tangent)
-            }
-            None if self.slot_state[slot].is_some() && ws.subsidies().len() == self.game.n() => {
+        let (start, source) =
+            if self.slot_state[slot].is_some() && ws.subsidies().len() == self.game.n() {
                 (WarmStart::Previous, Source::Warm)
-            }
-            None => (WarmStart::Zero, Source::Cold),
-        };
+            } else {
+                (WarmStart::Zero, Source::Cold)
+            };
         let stats = self.solver.solve_into_budgeted(&self.game, start, ws, self.budget)?;
         if !stats.converged {
             // Only a finite budget can land here (the unlimited budget
@@ -458,7 +410,6 @@ impl EquilibriumServer {
             return Ok((arc, Source::Partial));
         }
         match source {
-            Source::Tangent => self.stats.tangent_solves += 1,
             Source::Warm => self.stats.warm_solves += 1,
             _ => self.stats.cold_solves += 1,
         }
@@ -471,18 +422,15 @@ impl EquilibriumServer {
         self.cache.insert(key, arc);
         self.slot_state[slot] = Some(key);
         self.base = Some(key);
-        self.dirty = Dirty::Clean;
         Ok((reply, source))
     }
 
-    /// Forgets all warm state (slot iterates, tangent seed, dirty
-    /// tracking) without touching the cache — benches use this to force
-    /// cold solves.
+    /// Forgets all warm state (the slots' previous iterates and the last
+    /// answered fingerprint) without touching the cache — benches use this
+    /// to force cold solves.
     pub fn cool(&mut self) {
         self.slot_state.iter_mut().for_each(|s| *s = None);
-        self.seed = None;
         self.base = None;
-        self.dirty = Dirty::Many;
     }
 
     /// Drops every cached equilibrium (retiring snapshots for recycling).

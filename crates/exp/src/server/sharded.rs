@@ -4,7 +4,7 @@
 //!
 //! [`ShardedServer`] owns a full [`EquilibriumServer`] per resident
 //! market — resident [`SubsidyGame`], warm workspace pool, fingerprint
-//! cache, tangent ladder, all of it — and serves every request in the
+//! cache, warm-start ladder, all of it — and serves every request in the
 //! caller's thread. Each market is pinned to one of `S` shards by stable
 //! hash (FNV-1a over the id, mod `S`). A shard is a fault domain and a
 //! report group, not a thread: a [`Sabotage::Kill`] takes down every
@@ -322,8 +322,8 @@ impl ShardedServer {
     }
 
     /// Drops every warm-start artifact of `market` — the resident
-    /// server's workspace seeds, tangent seed and fingerprint cache, and
-    /// its published slot — so its next equilibrium request solves cold.
+    /// server's slot iterates and fingerprint cache, and its published
+    /// slot — so its next equilibrium request solves cold.
     /// The benchmark control for warm-vs-cold comparisons (the adoption
     /// loop's `loop_cold` id); the resident game itself is untouched.
     pub fn cool_market(&mut self, market: u64) -> ServeResult<()> {
@@ -375,7 +375,6 @@ impl ShardedServer {
             r.stats.equilibria += s.equilibria;
             r.stats.sensitivities += s.sensitivities;
             r.stats.cache_hits += s.cache_hits;
-            r.stats.tangent_solves += s.tangent_solves;
             r.stats.warm_solves += s.warm_solves;
             r.stats.cold_solves += s.cold_solves;
             r.stats.partial_solves += s.partial_solves;

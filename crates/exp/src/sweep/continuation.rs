@@ -18,9 +18,9 @@
 //! say) places providers pinned at the old cap inside the new box, so the
 //! Newton corrector's active-set guess fails and the solve falls back to
 //! Gauss–Seidel sweeps, each worth about twenty Newton steps at `n = 8`:
-//! such a start costs more than a cold one. Theorem 6 tangent starts
-//! ([`WarmStart::Tangent`]) did not beat neighbour starts along the
-//! production grids either.
+//! such a start costs more than a cold one. Theorem 6 first-order
+//! (tangent) starts did not beat neighbour starts along the production
+//! grids either, so the solver no longer offers them.
 //!
 //! Reparameterizing a grid point is two scalar writes through the axis
 //! setters ([`SubsidyGame::set_price`] / [`SubsidyGame::set_cap`] /

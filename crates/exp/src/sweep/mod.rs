@@ -98,16 +98,14 @@ pub struct BatchSolver {
     pub threads: usize,
     /// Items per warm-start chain. Also the unit of parallel distribution;
     /// shorter blocks expose more parallelism, longer blocks warm-start
-    /// more aggressively. Minimum 1.
+    /// more aggressively. Minimum 1; a block of one solves every item
+    /// cold.
     pub block: usize,
-    /// Warm-start consecutive items within a block (`false` solves every
-    /// item cold — the reference the equivalence tests compare against).
-    pub warm_start: bool,
 }
 
 impl Default for BatchSolver {
     fn default() -> Self {
-        BatchSolver { solver: NashSolver::default(), threads: 1, block: 32, warm_start: true }
+        BatchSolver { solver: NashSolver::default(), threads: 1, block: 32 }
     }
 }
 
@@ -121,12 +119,6 @@ impl BatchSolver {
     /// Returns a copy with a different warm-start block size (minimum 1).
     pub fn with_block(mut self, block: usize) -> Self {
         self.block = block.max(1);
-        self
-    }
-
-    /// Returns a copy with warm starting disabled (every solve cold).
-    pub fn cold(mut self) -> Self {
-        self.warm_start = false;
         self
     }
 
@@ -163,11 +155,7 @@ impl BatchSolver {
                 for item in chunk.iter() {
                     let result = build(item).and_then(|game| {
                         let game = game.borrow();
-                        let start = if self.warm_start && have_warm {
-                            WarmStart::Previous
-                        } else {
-                            WarmStart::Zero
-                        };
+                        let start = if have_warm { WarmStart::Previous } else { WarmStart::Zero };
                         let stats = self.solver.solve_into(game, start, ws)?;
                         Ok(summarize(game, ws, stats))
                     });
@@ -400,14 +388,15 @@ mod tests {
     }
 
     #[test]
-    fn batch_cold_mode_is_plain_solve() {
+    fn a_block_of_one_is_a_plain_cold_solve_bit_for_bit() {
         let games = farm_games(6);
-        let batch = BatchSolver::default().cold().with_block(3).with_threads(2);
+        let batch = BatchSolver::default().with_block(1).with_threads(2);
         for (game, result) in games.iter().zip(batch.solve_games(&games)) {
             let batched = result.unwrap();
             let direct = batch.solver.solve(game).unwrap();
-            assert_eq!(batched.subsidies, direct.subsidies);
-            assert_eq!(batched.iterations, direct.iterations);
+            let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&batched.subsidies), bits(&direct.subsidies));
+            assert_eq!(batched, direct);
         }
     }
 

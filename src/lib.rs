@@ -37,7 +37,7 @@ pub mod prelude {
 /// | Theorem 3 (characterization) | [`game::equilibrium`] (`τ_i`, KKT residuals); the `N⁻ / Ñ / N⁺` active set the [`game::nash::NashSolver`] corrector guesses and takes Newton steps on, accepting only when the pinned marginal signs confirm it | `theorem3_equilibrium_characterization`; the pure-sweep oracle in `tests/newton_oracle.rs` |
 /// | Theorem 4 (uniqueness) | [`game::structure::p_function_evidence`]; the P-function condition keeps every interior Newton block of the corrector nonsingular | solver-agreement tests; zero dense fallbacks in `tests/newton_oracle.rs` |
 /// | Theorem 5 (profitability effect) | [`game::game::SubsidyGame::with_profitability`] | `theorem5_profitability_raises_subsidy` |
-/// | Theorem 6 (equilibrium dynamics) | [`game::sensitivity::Sensitivity`] (+ `directional` along any [`game::game::Axis`]) on [`game::sensitivity::SensitivityWorkspace`]: the diagonal-plus-rank-two Jacobian from one solved state, solved by Woodbury; the same interior Jacobian is the Newton matrix of every Gauss–Seidel [`game::nash::NashSolver`] solve | re-solved-equilibrium finite differences; the FD Jacobian oracle in `tests/sensitivity_oracle.rs`; the pure-sweep oracle in `tests/newton_oracle.rs` |
+/// | Theorem 6 (equilibrium dynamics) | [`game::sensitivity::Sensitivity`] (+ `directional` along any [`game::game::Axis`]) on [`game::sensitivity::SensitivityWorkspace`]: the diagonal-plus-rank-two Jacobian from one solved state, solved by Woodbury; the same interior Jacobian is the Newton matrix of every Gauss–Seidel [`game::nash::NashSolver`] solve. Served as a product ([`exp::server::Request::Sensitivity`]), never as a solver start | re-solved-equilibrium finite differences; the FD Jacobian oracle in `tests/sensitivity_oracle.rs`; the pure-sweep oracle in `tests/newton_oracle.rs` |
 /// | Corollary 1 (deregulation) | [`game::policy::policy_effect`] (fixed price) | monotone sweeps |
 /// | Theorem 7 (marginal revenue, Υ) | [`game::revenue::marginal_revenue_at`] | finite-difference cross-checks |
 /// | Theorem 8 (policy effect) | [`game::policy::policy_effect`] (optimal price) | per-CP dθ/dq agreement |

@@ -439,10 +439,10 @@ fn sensitivity_workspace_is_allocation_free_after_warmup() {
 #[test]
 fn warm_sensitivity_read_allocates_only_its_reply() {
     // A `Request::Sensitivity` on a cached equilibrium through
-    // `EquilibriumServer::serve`: the fingerprint cache hit, the resident
-    // workspace's one state solve (degeneracy verdict and derivative
-    // alike) and the in-place refill of the tangent seed are all
-    // allocation-free; the reply's own `ds` is the one allocation.
+    // `EquilibriumServer::serve`: the fingerprint cache hit and the
+    // resident workspace's one state solve (degeneracy verdict and
+    // derivative alike) are allocation-free; the reply's own `ds` is the
+    // one allocation.
     use subcomp::exp::server::{EquilibriumServer, Reply, Request, Source};
 
     let mut server = EquilibriumServer::new(section5_sensitivity_game(), 1, 4);
@@ -456,7 +456,7 @@ fn warm_sensitivity_read_allocates_only_its_reply() {
             assert!(matches!(source, Source::CacheHit | Source::Cold));
         }
     };
-    read(&mut server); // warm-up: the solve, the workspace and the seed
+    read(&mut server); // warm-up: the solve and the workspace
     let (allocs, ()) = allocations_during(|| {
         for _ in 0..5 {
             read(&mut server);
@@ -473,8 +473,8 @@ fn warm_adoption_loop_tick_is_allocation_free_after_warmup() {
     // lock-free externality read, the SoA simulation over the owned
     // blocks, the in-place µ write and the warm re-solve with its
     // snapshot capture. On the documented resident configuration —
-    // serial block fan-out, no tangent seeding, no demand write-back —
-    // explore/decay hazards keep the load, and so µ, moving. While the
+    // serial block fan-out, no demand write-back — explore/decay hazards
+    // keep the load, and so µ, moving. While the
     // 64-entry fingerprint cache fills, every fresh answer is a fresh
     // snapshot (`cache.rs`); once it evicts, answers recycle retired
     // snapshots, and that steady state is what the window counts.
@@ -496,7 +496,6 @@ fn warm_adoption_loop_tick_is_allocation_free_after_warmup() {
             ..Default::default()
         },
         demand_every: 0,
-        seed_tangent: false,
         shards: 1,
         ..Default::default()
     };

@@ -2,10 +2,8 @@
 //! in-place system reparameterization (`set_mu`, `set_profitability`,
 //! `patch_cps`) must be **bit-exact** to rebuilding the system from
 //! scratch, the `ContinuationSolver` must agree with independent cold
-//! solves on every axis, a `WarmStart::Tangent` start seeded from
-//! `Sensitivity::directional` must land on the cold equilibrium, and the
-//! row fan-out must stay bit-identical for any thread count on the new
-//! axes.
+//! solves on every axis, and the row fan-out must stay bit-identical for
+//! any thread count on the new axes.
 //!
 //! Together with the µ-sweep case in `tests/alloc_free.rs` (zero heap
 //! allocation per warm sweep) this pins the axis-engine contract: a
@@ -16,9 +14,7 @@
 use subcomp::exp::scenarios::{random_specs, section5_system};
 use subcomp::exp::sweep::{Axis, ContinuationSolver, EqGrid, GridContext};
 use subcomp::game::game::SubsidyGame;
-use subcomp::game::nash::{NashSolver, WarmStart};
-use subcomp::game::sensitivity::Sensitivity;
-use subcomp::game::workspace::SolveWorkspace;
+use subcomp::game::nash::NashSolver;
 use subcomp::model::aggregation::{build_system, ExpCpSpec};
 
 fn nash(tol: f64) -> NashSolver {
@@ -176,61 +172,4 @@ fn mu_price_grid_thread_fanout_is_bit_identical() {
     let mut again = EqGrid::empty();
     solver.solve_seq_into(&mut ctx, &mus, &prices, &mut again).unwrap();
     assert_eq!(seq, again);
-}
-
-// ---------------------------------------------------------------------------
-// Tangent predictor-corrector (core's `WarmStart::Tangent`)
-// ---------------------------------------------------------------------------
-
-#[test]
-fn tangent_warm_start_corrects_to_the_cold_equilibrium() {
-    let sys = section5_system();
-    let mut game = SubsidyGame::new(sys.clone(), 0.6, 0.8).unwrap();
-    let solver = nash(1e-9);
-    let mut ws = SolveWorkspace::for_game(&game);
-
-    game.set_mu(1.0).unwrap();
-    solver.solve_into(&game, WarmStart::Zero, &mut ws).unwrap();
-    let ds = Sensitivity::directional(&mut game, ws.subsidies(), Axis::Mu).unwrap();
-
-    let dmu = 0.15;
-    game.set_mu(1.0 + dmu).unwrap();
-    let stats = solver
-        .solve_into(&game, WarmStart::Tangent { ds_dtheta: &ds, dtheta: dmu }, &mut ws)
-        .unwrap();
-    assert!(stats.converged);
-    let cold = solver
-        .solve(&SubsidyGame::new(sys.with_capacity(1.0 + dmu).unwrap(), 0.6, 0.8).unwrap())
-        .unwrap();
-    for i in 0..8 {
-        assert!(
-            (ws.subsidies()[i] - cold.subsidies[i]).abs() < 1e-7,
-            "CP {i}: tangent-corrected {} vs cold {}",
-            ws.subsidies()[i],
-            cold.subsidies[i]
-        );
-    }
-}
-
-#[test]
-fn tangent_warm_start_validates_inputs() {
-    let game = SubsidyGame::new(section5_system(), 0.6, 0.8).unwrap();
-    let solver = nash(1e-8);
-    let mut ws = SolveWorkspace::for_game(&game);
-    let short = [0.1; 3];
-    assert!(solver
-        .solve_into(&game, WarmStart::Tangent { ds_dtheta: &short, dtheta: 0.1 }, &mut ws)
-        .is_err());
-    let ds = [0.1; 8];
-    assert!(solver
-        .solve_into(&game, WarmStart::Tangent { ds_dtheta: &ds, dtheta: f64::NAN }, &mut ws)
-        .is_err());
-    // A non-finite tangent *component* degrades to Previous for that
-    // provider instead of poisoning the solve.
-    let mut bad = [0.0; 8];
-    bad[2] = f64::INFINITY;
-    let stats = solver
-        .solve_into(&game, WarmStart::Tangent { ds_dtheta: &bad, dtheta: 0.1 }, &mut ws)
-        .unwrap();
-    assert!(stats.converged);
 }

@@ -21,7 +21,9 @@
 //! 5. **Degenerate equilibria are typed replies, not errors.** A
 //!    sensitivity read at an equilibrium violating strict
 //!    complementarity answers `Reply::Degenerate` with the active-set
-//!    partition, and the server keeps serving.
+//!    partition, and the server keeps serving. A read along a provider
+//!    the market does not have fails typed before any work, on a regular
+//!    and a degenerate market alike.
 
 use subcomp::exp::scenarios::section5_system;
 use subcomp::exp::server::{
@@ -226,10 +228,10 @@ fn poisoned_curves_fail_typed_and_heal_cleanly() {
     assert_eq!(snap.subsidies(), clean_bits.as_slice());
 }
 
-#[test]
-fn degenerate_equilibria_are_typed_replies_not_errors() {
-    // Build a genuinely degenerate equilibrium (strict complementarity
-    // fails): solve an interior best response, then cap exactly there.
+/// A regular one-CP market and its degenerate twin (strict
+/// complementarity fails): solve the interior best response, then cap
+/// exactly there.
+fn one_cp_markets() -> [SubsidyGame; 2] {
     use subcomp::game::nash::NashSolver;
     use subcomp::model::aggregation::{build_system, ExpCpSpec};
 
@@ -237,7 +239,12 @@ fn degenerate_equilibria_are_typed_replies_not_errors() {
     let free = SubsidyGame::new(sys.clone(), 1.0, 2.0).unwrap();
     let s_star = NashSolver::default().with_tol(1e-10).solve(&free).unwrap().subsidies[0];
     let pinned = SubsidyGame::new(sys, 1.0, s_star).unwrap();
+    [free, pinned]
+}
 
+#[test]
+fn degenerate_equilibria_are_typed_replies_not_errors() {
+    let [_, pinned] = one_cp_markets();
     let mut server = EquilibriumServer::new(pinned, 1, 8);
     let reply = server.serve(Request::Sensitivity { axis: Axis::Mu }).unwrap();
     let Reply::Degenerate { active_set, snap, .. } = reply else {
@@ -249,6 +256,24 @@ fn degenerate_equilibria_are_typed_replies_not_errors() {
     let reply = server.serve(Request::Equilibrium).unwrap();
     let Reply::Equilibrium { source, .. } = reply else { unreachable!() };
     assert_eq!(source, Source::CacheHit);
+}
+
+#[test]
+fn sensitivity_reads_along_a_missing_provider_fail_before_any_work() {
+    for game in one_cp_markets() {
+        let mut server = EquilibriumServer::new(game, 1, 8);
+        let (stats, cache) = (server.stats(), server.cache_stats());
+        let reply = server.serve(Request::Sensitivity { axis: Axis::Profitability(99) });
+        assert!(
+            matches!(
+                reply,
+                Err(ServeError::Num(NumError::DimensionMismatch { expected: 1, actual: 99 }))
+            ),
+            "a missing provider must fail typed, got {reply:?}"
+        );
+        assert_eq!(server.stats(), stats, "a refused read must count nothing");
+        assert_eq!(server.cache_stats(), cache, "a refused read must solve and cache nothing");
+    }
 }
 
 #[test]

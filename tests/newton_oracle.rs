@@ -14,7 +14,7 @@
 //! * clamped-price farm games, kink equilibria included. A provider
 //!   sitting on the `t = 0` kink has no root of `u_i`, so the corrector
 //!   must decline there and the sweep finish;
-//! * warm and tangent chains along the §5 market's price and µ axes.
+//! * warm chains along the §5 market's price and µ axes.
 //!
 //! The oracle solves every best-response root to 1e-13. The engine's
 //! sweeps solve theirs to a forcing tolerance, up to 1e-4, and a sweep
@@ -35,7 +35,6 @@ use subcomp::exp::sweep::BatchSolver;
 use subcomp::game::equilibrium::{verify_equilibrium, PIN_TOL};
 use subcomp::game::game::{Axis, SubsidyGame};
 use subcomp::game::nash::{NashSolver, SolveStats, WarmStart};
-use subcomp::game::sensitivity::Sensitivity;
 use subcomp::game::workspace::{SolveBudget, SolveWorkspace};
 use subcomp::num::NumResult;
 
@@ -101,16 +100,9 @@ fn check_clamped(game: &SubsidyGame) -> Result<bool, TestCaseError> {
 }
 
 /// Walks eight points along `axis` on the §5 market from `from` by
-/// `step`, each warm-started from the previous point — by a Theorem 6
-/// tangent step when `tangent` is set and the previous equilibrium is
-/// regular — with the engine and the oracle on chains of their own.
-fn check_chain(
-    axis: Axis,
-    q: f64,
-    from: f64,
-    step: f64,
-    tangent: bool,
-) -> Result<(), TestCaseError> {
+/// `step`, each warm-started from the previous point, with the engine and
+/// the oracle on chains of their own.
+fn check_chain(axis: Axis, q: f64, from: f64, step: f64) -> Result<(), TestCaseError> {
     let mut game = SubsidyGame::new(section5_system(), 0.6, q).unwrap();
     axis.apply(&mut game, from).unwrap();
     let solver = NashSolver::default();
@@ -120,19 +112,10 @@ fn check_chain(
         .solve_by_sweeps_into(&game, WarmStart::Zero, &mut oracle, SolveBudget::unlimited())
         .unwrap();
     for k in 1..=8 {
-        let ds = if tangent {
-            Sensitivity::directional(&mut game, ws.subsidies(), axis).ok()
-        } else {
-            None
-        };
         axis.apply(&mut game, from + k as f64 * step).unwrap();
-        let start = match &ds {
-            Some(ds) => WarmStart::Tangent { ds_dtheta: ds, dtheta: step },
-            None => WarmStart::Previous,
-        };
-        let stats = solver.solve_into(&game, start, &mut ws).unwrap();
+        let stats = solver.solve_into(&game, WarmStart::Previous, &mut ws).unwrap();
         let reference = solver
-            .solve_by_sweeps_into(&game, start, &mut oracle, SolveBudget::unlimited())
+            .solve_by_sweeps_into(&game, WarmStart::Previous, &mut oracle, SolveBudget::unlimited())
             .unwrap();
         prop_assert!(stats.converged && reference.converged);
         let gap = sup_gap(ws.subsidies(), oracle.subsidies());
@@ -222,15 +205,14 @@ proptest! {
     }
 
     #[test]
-    fn corrector_matches_the_oracle_along_warm_and_tangent_chains(
-        mode in 0usize..4,
+    fn corrector_matches_the_oracle_along_warm_chains(
+        along_mu in 0usize..2,
         q in 0.2f64..1.0,
         from in 0.4f64..1.0,
         step in -0.05f64..0.05,
     ) {
-        // Bit 0 picks the axis, bit 1 the tangent predictor.
         let (axis, from, step) =
-            if mode & 1 == 1 { (Axis::Mu, 2.0 * from, 1.6 * step) } else { (Axis::Price, from, step) };
-        check_chain(axis, q, from, step, mode & 2 == 2)?;
+            if along_mu == 1 { (Axis::Mu, 2.0 * from, 1.6 * step) } else { (Axis::Price, from, step) };
+        check_chain(axis, q, from, step)?;
     }
 }

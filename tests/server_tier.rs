@@ -13,11 +13,10 @@
 //! 3. **Eviction under pressure is deterministic LRU.** With a
 //!    `capacity`-entry cache, the least-recently-answered equilibrium is
 //!    the one that pays a re-solve.
-//! 4. **The warm-start ladder serves tangent steps.** After a
-//!    sensitivity read, a small write along the same axis is solved from
-//!    the Theorem 6 tangent extrapolation (and still converges onto the
-//!    true equilibrium); an oversized write is refused by the trust
-//!    region and degrades to the previous-iterate seed.
+//! 4. **The warm-start ladder is cache hit → previous iterate → cold.**
+//!    After a sensitivity read, a small write is solved warm from the
+//!    slot's previous iterate and still converges onto the true
+//!    equilibrium; once the server is cooled, the next read solves cold.
 //! 5. **Load-generator replay is deterministic.** Two servers fed the
 //!    same stream produce identical replies (bit-level checksum),
 //!    identical source mixes and identical cache counters.
@@ -107,40 +106,35 @@ fn eviction_under_capacity_pressure_is_lru() {
 }
 
 #[test]
-fn tangent_ladder_serves_small_steps_and_refuses_large_ones() {
+fn warm_ladder_serves_small_steps_and_cooling_forces_cold() {
     let mut server = EquilibriumServer::new(section5_game(), 1, 16);
-    let sensitivity = |server: &mut EquilibriumServer| match server
-        .serve(Request::Sensitivity { axis: Axis::Mu })
-        .unwrap()
-    {
-        Reply::Sensitivity { source, .. } => source,
-        other => panic!("a regular equilibrium must answer its derivative, got {other:?}"),
+    let reply = server.serve(Request::Sensitivity { axis: Axis::Mu }).unwrap();
+    let Reply::Sensitivity { source, .. } = reply else {
+        panic!("a regular equilibrium must answer its derivative, got {reply:?}")
     };
-    assert_eq!(sensitivity(&mut server), Source::Cold);
+    assert_eq!(source, Source::Cold);
 
-    // A small step along the differentiated axis rides the tangent.
+    // A small step is solved from the slot's previous iterate.
     let mu = Axis::Mu.value(server.game());
     server.update(Axis::Mu, mu + 0.05).unwrap();
     let (snap, src) = server.equilibrium().unwrap();
-    assert_eq!(src, Source::Tangent, "a small single-axis step must use the tangent seed");
+    assert_eq!(src, Source::Warm, "a small step must start from the previous iterate");
 
-    // And the tangent-seeded answer is the true equilibrium: compare to
-    // an independent cold solve at the stepped market.
+    // And the warm answer is the true equilibrium: compare to an
+    // independent cold solve at the stepped market.
     let mut stepped = section5_game();
     stepped.set_mu(mu + 0.05).unwrap();
     let mut ws = SolveWorkspace::new();
     NashSolver::default().with_tol(1e-10).solve_into(&stepped, WarmStart::Zero, &mut ws).unwrap();
     for (a, b) in snap.subsidies().iter().zip(ws.subsidies()) {
-        assert!((a - b).abs() < 1e-8, "tangent-seeded solve landed off the equilibrium");
+        assert!((a - b).abs() < 1e-8, "warm solve landed off the equilibrium");
     }
 
-    // An oversized step is outside the trust region: the policy refuses
-    // the extrapolation and the solve degrades to the warm slot iterate.
-    sensitivity(&mut server);
-    let mu = Axis::Mu.value(server.game());
-    server.update(Axis::Mu, mu + 1.0).unwrap();
+    // Cooling forgets the slot iterates: the next uncached read is cold.
+    server.cool();
+    server.update(Axis::Mu, mu + 0.1).unwrap();
     let (_, src) = server.equilibrium().unwrap();
-    assert_eq!(src, Source::Warm, "an out-of-trust-region step must not be extrapolated");
+    assert_eq!(src, Source::Cold, "a cooled server must solve cold");
 }
 
 #[test]
