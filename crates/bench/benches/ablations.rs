@@ -1,6 +1,6 @@
-//! Ablation benchmarks for the design choices DESIGN.md calls out:
-//! best-response damping, solver tolerance, and the extension substrates
-//! (duopoly inner equilibrium, continuum quadrature).
+//! Ablation benchmarks for the design choices DESIGN.md calls out: solver
+//! tolerance and the extension substrates (duopoly inner equilibrium,
+//! continuum quadrature).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -9,19 +9,6 @@ use subcomp_core::duopoly::Duopoly;
 use subcomp_core::game::SubsidyGame;
 use subcomp_core::nash::NashSolver;
 use subcomp_model::continuum::ContinuumMarket;
-
-fn bench_damping(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation/damping");
-    g.sample_size(10);
-    let game = SubsidyGame::new(market_spread(8), 0.6, 0.8).unwrap();
-    for omega in [1.0f64, 0.7, 0.4] {
-        g.bench_with_input(BenchmarkId::from_parameter(omega), &omega, |b, &omega| {
-            let solver = NashSolver::default().with_damping(omega).with_tol(1e-7);
-            b.iter(|| solver.solve(std::hint::black_box(&game)).unwrap())
-        });
-    }
-    g.finish();
-}
 
 fn bench_tolerance(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation/solver_tol");
@@ -61,6 +48,6 @@ fn bench_extensions(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().warm_up_time(Duration::from_millis(400)).measurement_time(Duration::from_secs(2));
-    targets = bench_damping, bench_tolerance, bench_extensions
+    targets = bench_tolerance, bench_extensions
 }
 criterion_main!(benches);

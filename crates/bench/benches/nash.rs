@@ -1,5 +1,6 @@
 //! Benchmarks Nash equilibrium solvers: the Newton-corrected Gauss–Seidel
-//! engine, Jacobi sweeps and variational-inequality methods, scaling in
+//! engine, the damped-Jacobi cross-check and variational-inequality
+//! methods, scaling in
 //! the number of provider types, and two layers under a solve: the φ
 //! fixed point every best-response probe solves, and one Newton step
 //! against one sweep, exact or forced.
@@ -41,9 +42,12 @@ fn bench_solvers(c: &mut Criterion) {
         })
     });
     g.bench_function("jacobi_damped", |b| {
-        let solver = NashSolver::default().jacobi().with_damping(0.7).with_tol(1e-8);
+        let solver = NashSolver::default().with_tol(1e-8);
         let mut ws = SolveWorkspace::for_game(&game);
-        b.iter(|| solver.solve_into(std::hint::black_box(&game), WarmStart::Zero, &mut ws).unwrap())
+        b.iter(|| {
+            let game = std::hint::black_box(&game);
+            solver.solve_jacobi_into(game, WarmStart::Zero, &mut ws, 0.7).unwrap()
+        })
     });
     g.bench_function("vi_projection", |b| {
         let cfg = ViConfig { tol: 1e-7, ..Default::default() };

@@ -59,21 +59,17 @@ pub struct BestResponse {
     pub evaluations: usize,
 }
 
-/// Configuration of the grid-scan search ([`grid_best_response`], and the
-/// fallback of [`best_response`]).
-#[derive(Debug, Clone, Copy)]
-pub struct BrConfig {
-    /// Grid points for the localization scan.
-    pub grid: usize,
-    /// Polish tolerance.
-    pub tol: Tolerance,
-}
+/// Grid points of the grid scan's localization pass.
+const GRID_POINTS: usize = 24;
 
-impl Default for BrConfig {
-    fn default() -> Self {
-        BrConfig { grid: 24, tol: Tolerance::new(1e-11, 1e-11).with_max_iter(120) }
-    }
-}
+/// Tolerance of the grid scan's Brent polish of its best cell.
+const POLISH_TOL: Tolerance = Tolerance { abs: 1e-11, rel: 1e-11, max_iter: 120 };
+
+/// The argument [`best_response`] still takes. It holds nothing: the grid
+/// scan runs at fixed settings. Kept because the benchmark still passes
+/// one; the benchmark change of ROADMAP item 1(e) removes it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BrConfig;
 
 /// What a sweep reads of one best response: the subsidy, how it was
 /// found, and the fixed-point probes spent — no utility.
@@ -102,14 +98,14 @@ pub(crate) enum Origin {
 
 /// Computes provider `i`'s best response to the profile `s`: the Theorem 3
 /// threshold search seeded at `s[i]`, roots solved to 1e-13, falling
-/// back to the grid scan under `cfg` when the search declines (module
-/// docs). The threshold search's answer costs one more probe, its
-/// utility, which the engine the Nash sweeps call never makes.
+/// back to the grid scan when the search declines (module docs). The
+/// threshold search's answer costs one more probe, its utility, which
+/// the engine the Nash sweeps call never makes.
 pub fn best_response(
     game: &SubsidyGame,
     i: usize,
     s: &[f64],
-    cfg: &BrConfig,
+    _cfg: &BrConfig,
 ) -> NumResult<BestResponse> {
     let (mut m, mut phi_seed) = (Vec::new(), f64::NAN);
     let mut scratch = game.system().make_scratch();
@@ -119,7 +115,7 @@ pub fn best_response(
             let utility = game.utility_probe(i, found.s, &mut m, &mut phi_seed, &mut scratch)?;
             Ok(BestResponse { s: found.s, utility, evaluations: found.evaluations + 1 })
         }
-        None => grid_scan(game, i, cfg, &mut m, &mut phi_seed, &mut scratch),
+        None => grid_scan(game, i, &mut m, &mut phi_seed, &mut scratch),
     }
 }
 
@@ -131,12 +127,10 @@ pub fn best_response(
 /// and the congestion fixed point, seeded at `*phi_seed` (NaN starts
 /// cold) and left at the last probe's root for the caller's next best
 /// response.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn best_response_into(
     game: &SubsidyGame,
     i: usize,
     s: &[f64],
-    cfg: &BrConfig,
     root_tol: f64,
     m: &mut Vec<f64>,
     phi_seed: &mut f64,
@@ -146,7 +140,7 @@ pub(crate) fn best_response_into(
     if let Some(found) = threshold_search(game, i, s[i], root_tol, m, phi_seed, scratch)? {
         return Ok(found);
     }
-    let br = grid_scan(game, i, cfg, m, phi_seed, scratch)?;
+    let br = grid_scan(game, i, m, phi_seed, scratch)?;
     Ok(Response { s: br.s, origin: Origin::Grid, evaluations: br.evaluations })
 }
 
@@ -251,12 +245,7 @@ fn threshold_search(
 /// sensitivity analysis (Theorem 6) needs. It assumes nothing about the
 /// shape of `U_i`, which makes it the oracle the threshold search is
 /// checked against.
-pub fn grid_best_response(
-    game: &SubsidyGame,
-    i: usize,
-    s: &[f64],
-    cfg: &BrConfig,
-) -> NumResult<BestResponse> {
+pub fn grid_best_response(game: &SubsidyGame, i: usize, s: &[f64]) -> NumResult<BestResponse> {
     // A failure maps to the same error the scan surfaces when every
     // objective evaluation comes back non-finite.
     if game.validate(s).is_err() {
@@ -265,7 +254,7 @@ pub fn grid_best_response(
     let (mut m, mut phi_seed) = (Vec::new(), f64::NAN);
     let mut scratch = game.system().make_scratch();
     game.populations_for(s, &mut m);
-    grid_scan(game, i, cfg, &mut m, &mut phi_seed, &mut scratch)
+    grid_scan(game, i, &mut m, &mut phi_seed, &mut scratch)
 }
 
 /// The grid scan over the populations `m` of the profile. `evaluations`
@@ -275,7 +264,6 @@ pub fn grid_best_response(
 fn grid_scan(
     game: &SubsidyGame,
     i: usize,
-    cfg: &BrConfig,
     m: &mut [f64],
     phi_seed: &mut f64,
     scratch: &mut StateScratch,
@@ -293,7 +281,7 @@ fn grid_scan(
         let (m, phi_seed, scratch) = &mut *buffers.borrow_mut();
         game.marginal_probe(i, si, m, phi_seed, scratch).unwrap_or(f64::NAN)
     };
-    let m = maximize_scalar(&f, 0.0, hi, cfg.grid, cfg.tol)?;
+    let m = maximize_scalar(&f, 0.0, hi, GRID_POINTS, POLISH_TOL)?;
     let (mut s, mut utility) = (m.x, m.value);
     let interior_margin = 1e-5 * (1.0 + hi);
     if m.x > interior_margin && m.x < hi - interior_margin {
@@ -328,12 +316,12 @@ fn grid_scan(
 /// Returns `(gap, argmax_provider)`. Deviations come from
 /// [`grid_best_response`], so the gap stays independent of the threshold
 /// engine the solvers run.
-pub fn deviation_gap(game: &SubsidyGame, s: &[f64], cfg: &BrConfig) -> NumResult<(f64, usize)> {
+pub fn deviation_gap(game: &SubsidyGame, s: &[f64]) -> NumResult<(f64, usize)> {
     game.validate(s)?;
     let us = game.utilities(s)?;
     let mut worst = (0.0f64, 0usize);
     for i in 0..game.n() {
-        let br = grid_best_response(game, i, s, cfg)?;
+        let br = grid_best_response(game, i, s)?;
         let gain = br.utility - us[i];
         if gain > worst.0 {
             worst = (gain, i);
@@ -357,7 +345,7 @@ mod tests {
         // With one CP and weak congestion feedback, the optimum is near the
         // no-feedback solution s* = v - 1/alpha (from d/ds[(v-s)e^{alpha s}]).
         let g = single_cp_game(8.0, 1.0, 1.0, 2.0);
-        let br = best_response(&g, 0, &[0.0], &BrConfig::default()).unwrap();
+        let br = best_response(&g, 0, &[0.0], &BrConfig).unwrap();
         let no_feedback = 1.0 - 1.0 / 8.0;
         assert!(br.s > 0.5 && br.s <= no_feedback + 1e-6, "br = {}", br.s);
         // Must be a stationary point: u_i ~ 0 there.
@@ -369,7 +357,7 @@ mod tests {
     fn unprofitable_cp_does_not_subsidize() {
         // alpha small, v small: margin loss dominates, corner at 0.
         let g = single_cp_game(0.5, 0.3, 0.5, 1.0);
-        let br = best_response(&g, 0, &[0.0], &BrConfig::default()).unwrap();
+        let br = best_response(&g, 0, &[0.0], &BrConfig).unwrap();
         assert_eq!(br.s, 0.0);
         // Theorem 3's corner condition: u_i <= 0 at s_i = 0.
         assert!(g.marginal_utility(0, &[0.0]).unwrap() <= 1e-10);
@@ -379,7 +367,7 @@ mod tests {
     fn tight_cap_binds() {
         // Strong demand response, low cap: corner at q.
         let g = single_cp_game(8.0, 1.0, 1.0, 0.2);
-        let br = best_response(&g, 0, &[0.0], &BrConfig::default()).unwrap();
+        let br = best_response(&g, 0, &[0.0], &BrConfig).unwrap();
         assert!((br.s - 0.2).abs() < 1e-9, "br = {}", br.s);
         assert!(g.marginal_utility(0, &[0.2]).unwrap() >= -1e-10);
     }
@@ -387,14 +375,14 @@ mod tests {
     #[test]
     fn best_response_never_exceeds_profitability() {
         let g = single_cp_game(10.0, 0.4, 1.0, 2.0);
-        let br = best_response(&g, 0, &[0.0], &BrConfig::default()).unwrap();
+        let br = best_response(&g, 0, &[0.0], &BrConfig).unwrap();
         assert!(br.s <= 0.4 + 1e-12);
     }
 
     #[test]
     fn best_response_beats_grid() {
         let g = single_cp_game(5.0, 1.0, 0.8, 1.0);
-        let br = best_response(&g, 0, &[0.0], &BrConfig::default()).unwrap();
+        let br = best_response(&g, 0, &[0.0], &BrConfig).unwrap();
         for k in 0..=50 {
             let s = k as f64 * 0.02;
             let u = g.utility(0, &[s]).unwrap();
@@ -405,15 +393,15 @@ mod tests {
     #[test]
     fn deviation_gap_zero_at_br_fixed_point() {
         let g = single_cp_game(5.0, 1.0, 0.8, 1.0);
-        let br = best_response(&g, 0, &[0.0], &BrConfig::default()).unwrap();
-        let (gap, _) = deviation_gap(&g, &[br.s], &BrConfig::default()).unwrap();
+        let br = best_response(&g, 0, &[0.0], &BrConfig).unwrap();
+        let (gap, _) = deviation_gap(&g, &[br.s]).unwrap();
         assert!(gap < 1e-8, "gap = {gap}");
     }
 
     #[test]
     fn deviation_gap_positive_off_equilibrium() {
         let g = single_cp_game(8.0, 1.0, 1.0, 2.0);
-        let (gap, who) = deviation_gap(&g, &[0.0], &BrConfig::default()).unwrap();
+        let (gap, who) = deviation_gap(&g, &[0.0]).unwrap();
         assert!(gap > 1e-3, "gap = {gap}");
         assert_eq!(who, 0);
     }
@@ -424,7 +412,6 @@ mod tests {
         // answer as the grid-scan oracle — exactly at corners, to root
         // tolerance at interior optima — across corner, interior and
         // cap-pinned regimes, with and without a useful hint in `s[0]`.
-        let cfg = BrConfig::default();
         let cases = [
             (0.5, 0.3, 0.5, 1.0),  // corner at 0
             (8.0, 1.0, 1.0, 2.0),  // interior
@@ -434,9 +421,9 @@ mod tests {
         ];
         for (alpha, v, p, q) in cases {
             let g = single_cp_game(alpha, v, p, q);
-            let grid = grid_best_response(&g, 0, &[0.0], &cfg).unwrap();
+            let grid = grid_best_response(&g, 0, &[0.0]).unwrap();
             for hint in [0.0, 0.5 * grid.s, grid.s, g.effective_cap(0)] {
-                let br = best_response(&g, 0, &[hint], &cfg).unwrap();
+                let br = best_response(&g, 0, &[hint], &BrConfig).unwrap();
                 // The search itself answers; the grid fallback never runs.
                 let (mut m, mut phi_seed) = (Vec::new(), f64::NAN);
                 let mut scratch = g.system().make_scratch();
@@ -472,11 +459,10 @@ mod tests {
         // The sweep engine at a loose root tolerance answers within that
         // tolerance of the exact threshold, in fewer probes, and says so;
         // corners stay exact whatever the tolerance.
-        let cfg = BrConfig::default();
         let sweep = |g: &SubsidyGame, hint: f64, root_tol: f64| {
             let (mut m, mut phi_seed) = (Vec::new(), f64::NAN);
             let mut scratch = g.system().make_scratch();
-            best_response_into(g, 0, &[hint], &cfg, root_tol, &mut m, &mut phi_seed, &mut scratch)
+            best_response_into(g, 0, &[hint], root_tol, &mut m, &mut phi_seed, &mut scratch)
                 .unwrap()
         };
         for (alpha, v, p, q) in [(8.0, 1.0, 1.0, 2.0), (5.0, 1.0, 0.8, 1.0)] {
@@ -487,7 +473,7 @@ mod tests {
             assert_eq!(forced.origin, Origin::Inexact);
             assert!((forced.s - exact.s).abs() <= 2e-4, "{} vs {}", forced.s, exact.s);
             assert!(forced.evaluations < exact.evaluations);
-            let br = best_response(&g, 0, &[0.0], &cfg).unwrap();
+            let br = best_response(&g, 0, &[0.0], &BrConfig).unwrap();
             assert_eq!(exact.s.to_bits(), br.s.to_bits());
             assert_eq!(exact.evaluations + 1, br.evaluations);
         }
@@ -495,7 +481,10 @@ mod tests {
             let g = single_cp_game(alpha, v, p, q);
             let forced = sweep(&g, 0.0, 1e-4);
             assert_eq!(forced.origin, Origin::Exact, "corner (α={alpha}, v={v}, p={p}, q={q})");
-            assert_eq!(forced.s.to_bits(), best_response(&g, 0, &[0.0], &cfg).unwrap().s.to_bits());
+            assert_eq!(
+                forced.s.to_bits(),
+                best_response(&g, 0, &[0.0], &BrConfig).unwrap().s.to_bits()
+            );
         }
     }
 
@@ -554,15 +543,14 @@ mod tests {
             let br = run();
             (br.evaluations, POPULATIONS.with(|c| c.get()) - 1)
         };
-        let cfg = BrConfig::default();
         // Interior, corner at 0, pinned at the cap, and a zero-width box.
         for (alpha, v, p, q) in
             [(8.0, 1.0, 1.0, 2.0), (0.5, 0.3, 0.5, 1.0), (8.0, 1.0, 1.0, 0.2), (5.0, 1.0, 0.8, 0.0)]
         {
             let g = counted_game(alpha, v, p, q);
-            let (counted, made) = probes_of(&|| grid_best_response(&g, 0, &[0.0], &cfg).unwrap());
+            let (counted, made) = probes_of(&|| grid_best_response(&g, 0, &[0.0]).unwrap());
             assert_eq!(counted, made, "grid scan (α={alpha}, v={v}, p={p}, q={q})");
-            let (counted, made) = probes_of(&|| best_response(&g, 0, &[0.0], &cfg).unwrap());
+            let (counted, made) = probes_of(&|| best_response(&g, 0, &[0.0], &BrConfig).unwrap());
             assert_eq!(counted, made, "threshold search (α={alpha}, v={v}, p={p}, q={q})");
         }
     }
@@ -570,9 +558,8 @@ mod tests {
     #[test]
     fn zero_width_box_pins_both_engines_at_zero() {
         let g = single_cp_game(5.0, 1.0, 0.8, 0.0);
-        let cfg = BrConfig::default();
-        let br = best_response(&g, 0, &[0.0], &cfg).unwrap();
-        let grid = grid_best_response(&g, 0, &[0.0], &cfg).unwrap();
+        let br = best_response(&g, 0, &[0.0], &BrConfig).unwrap();
+        let grid = grid_best_response(&g, 0, &[0.0]).unwrap();
         assert_eq!(br.s, 0.0);
         assert_eq!(grid.s, 0.0);
         assert_eq!(br.utility.to_bits(), grid.utility.to_bits());
@@ -586,8 +573,8 @@ mod tests {
             build_system(&[ExpCpSpec::unit(6.0, 1.0, 1.0), ExpCpSpec::unit(6.0, 8.0, 1.0)], 1.0)
                 .unwrap();
         let g = SubsidyGame::new(sys, 0.8, 1.0).unwrap();
-        let br_alone = best_response(&g, 1, &[0.0, 0.0], &BrConfig::default()).unwrap();
-        let br_crowded = best_response(&g, 1, &[0.9, 0.0], &BrConfig::default()).unwrap();
+        let br_alone = best_response(&g, 1, &[0.0, 0.0], &BrConfig).unwrap();
+        let br_crowded = best_response(&g, 1, &[0.9, 0.0], &BrConfig).unwrap();
         assert!(br_crowded.utility < br_alone.utility);
     }
 }

@@ -13,7 +13,8 @@
 //! * [`best_response`], [`nash`] — the Nash equilibrium of Definition 3:
 //!   Gauss–Seidel best-response sweeps, corrected by Newton steps on the
 //!   guessed Theorem 3 active set with Theorem 6's Jacobian (a pure sweep
-//!   is the corrector's oracle; Jacobi sweeps the cross-check). Each best
+//!   is the corrector's oracle; damped Jacobi sweeps, a separate entry
+//!   point, the cross-check). Each best
 //!   response is a Theorem 3 threshold search (three marginal probes and
 //!   a Brent root); the grid scan remains as its structural fallback and
 //!   as the independent test oracle;
@@ -87,7 +88,7 @@ pub mod workspace;
 pub mod prelude {
     pub use crate::equilibrium::{verify_equilibrium, EquilibriumReport};
     pub use crate::game::{Axis, SubsidyGame};
-    pub use crate::nash::{NashSolution, NashSolver, SolveStats, SweepMode, WarmStart};
+    pub use crate::nash::{NashSolution, NashSolver, SolveStats, WarmStart};
     pub use crate::pricing::optimal_price;
     pub use crate::sensitivity::{ActiveSet, Sensitivity};
     pub use crate::snapshot::EqSnapshot;

@@ -8,10 +8,10 @@
 //! under Theorem 4's P-function condition — and [`crate::sensitivity`]
 //! assembles it in O(n) from one solved state and solves it by Woodbury.
 //! So [`NashSolver::solve_into_budgeted`], the one entry point every
-//! [`SweepMode::GaussSeidel`] solve runs through, *guesses* the active
-//! set at the current iterate (the [`crate::sensitivity::ActiveSet`]
-//! classifier, against the solver's own box `[0, min(q, v_i)]`) and takes
-//! box-projected Newton steps on the frozen guess:
+//! solve runs through, *guesses* the active set at the current iterate
+//! (the [`crate::sensitivity::ActiveSet`] classifier, against the
+//! solver's own box `[0, min(q, v_i)]`) and takes box-projected Newton
+//! steps on the frozen guess:
 //!
 //! * pinned providers sit on their corners; a step solves the state once,
 //!   reads every `u_i`, factors the Jacobian and solves
@@ -32,14 +32,14 @@
 //! An empty guessed interior skips the attempt, so every cold start from
 //! `s = 0` and every `q = 0` game begins with a sweep.
 //!
-//! **Globalization and oracle.** The Gauss–Seidel sweep — each provider's
-//! best response, the Theorem 3 threshold search of
+//! **Globalization and oracles.** The Gauss–Seidel sweep — each
+//! provider's best response, the Theorem 3 threshold search of
 //! [`crate::best_response`] seeded at its current iterate, immediately
-//! visible to the next provider, optionally damped — is the corrector's
-//! globalization. Its job is to land in the corrector's basin with the
-//! right active set, so it solves each interior threshold only as
-//! precisely as the next Newton attempt needs (the inexact-Newton forcing
-//! rule of Dembo, Eisenstat and Steihaug):
+//! visible to the next provider — is the corrector's globalization. Its
+//! job is to land in the corrector's basin with the right active set, so
+//! it solves each interior threshold only as precisely as the next Newton
+//! attempt needs (the inexact-Newton forcing rule of Dembo, Eisenstat and
+//! Steihaug):
 //!
 //! * a sweep solves its Brent roots to `ε = clamp(0.01·r, 1e-13, 1e-4)`,
 //!   absolute and relative, where `r` is the update of the solve's latest
@@ -57,9 +57,10 @@
 //!
 //! Run alone, with every root solved to 1e-13, the sweep is the
 //! corrector's oracle, [`NashSolver::solve_by_sweeps_into`], which no
-//! production path calls. A [`SweepMode::Jacobi`] solver (simultaneous
-//! responses) stays a pure, exact sweep: the independent cross-check,
-//! and the paper's stability story. Under Theorem 4 all of them settle
+//! production path calls. Damped Jacobi sweeps (simultaneous responses,
+//! `s ← (1−ω) s + ω BR(s)`), exact and without Newton steps, are the
+//! independent cross-check and the paper's stability story:
+//! [`NashSolver::solve_jacobi_into`]. Under Theorem 4 all of them settle
 //! on the same unique equilibrium.
 //!
 //! **Effort.** A Newton step and a sweep each count as one iteration
@@ -74,7 +75,7 @@
 //! diagnostics, and [`crate::equilibrium::verify_equilibrium`] gives an
 //! independent KKT/deviation certificate.
 
-use crate::best_response::{best_response_into, BrConfig, Origin, EXACT_ROOT_TOL};
+use crate::best_response::{best_response_into, Origin, EXACT_ROOT_TOL};
 use crate::equilibrium::PIN_TOL;
 use crate::game::SubsidyGame;
 use crate::sensitivity::Pin;
@@ -92,15 +93,6 @@ const FORCING: f64 = 0.01;
 
 /// The loosest root tolerance a corrector sweep uses (its first one).
 const LOOSEST_ROOT_TOL: f64 = 1e-4;
-
-/// Sweep order for the best-response iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SweepMode {
-    /// Sequential sweeps: provider `i` reacts to the freshest profile.
-    GaussSeidel,
-    /// Simultaneous sweeps: all providers react to the previous profile.
-    Jacobi,
-}
 
 /// A solved equilibrium (or the best iterate when not converged).
 #[derive(Debug, Clone, PartialEq)]
@@ -181,14 +173,9 @@ pub struct SolveDiagnostics {
 }
 
 /// Nash solver: Gauss–Seidel best-response sweeps corrected by Newton
-/// steps on the guessed active set, or pure Jacobi sweeps (module docs).
+/// steps on the guessed active set (module docs).
 #[derive(Debug, Clone, Copy)]
 pub struct NashSolver {
-    /// Sweep order. [`SweepMode::GaussSeidel`] runs the Newton corrector;
-    /// [`SweepMode::Jacobi`] sweeps only.
-    pub mode: SweepMode,
-    /// Damping `ω ∈ (0, 1]` of the sweeps: `s ← (1−ω) s + ω BR(s)`.
-    pub damping: f64,
     /// Convergence threshold on the sup-norm update (a sweep's, or a
     /// Newton step's `max(‖δ‖∞, pinned violation)`).
     pub tol: f64,
@@ -198,23 +185,11 @@ pub struct NashSolver {
 
 impl Default for NashSolver {
     fn default() -> Self {
-        NashSolver { mode: SweepMode::GaussSeidel, damping: 1.0, tol: 1e-9, max_sweeps: 600 }
+        NashSolver { tol: 1e-9, max_sweeps: 600 }
     }
 }
 
 impl NashSolver {
-    /// Returns a copy using Jacobi sweeps.
-    pub fn jacobi(mut self) -> Self {
-        self.mode = SweepMode::Jacobi;
-        self
-    }
-
-    /// Returns a copy with damping `ω ∈ (0, 1]`.
-    pub fn with_damping(mut self, omega: f64) -> Self {
-        self.damping = omega.clamp(f64::MIN_POSITIVE, 1.0);
-        self
-    }
-
     /// Returns a copy with a different convergence threshold.
     pub fn with_tol(mut self, tol: f64) -> Self {
         self.tol = tol.max(0.0);
@@ -239,22 +214,14 @@ impl NashSolver {
         Ok(ws.solution(stats))
     }
 
-    /// Solves from an explicit starting profile — warm starts make the
-    /// `p`/`q` sweeps of Figures 7–11 fast and continuous.
-    pub fn solve_from(&self, game: &SubsidyGame, s0: &[f64]) -> NumResult<NashSolution> {
-        let mut ws = SolveWorkspace::for_game(game);
-        let stats = self.solve_into(game, WarmStart::Profile(s0), &mut ws)?;
-        Ok(ws.solution(stats))
-    }
-
     /// The allocation-free solve engine. Runs the same iteration as
-    /// [`NashSolver::solve`]/[`NashSolver::solve_from`] — bit-identical
-    /// iterates, residuals and iteration counts — but every
-    /// transient lives in the caller-owned `ws`: after a first solve at a
-    /// given size (warm-up), repeated calls perform **zero heap
-    /// allocation** (asserted by the counting-allocator suite). On success
-    /// the solution is left in the workspace ([`SolveWorkspace::subsidies`],
-    /// [`SolveWorkspace::state`], [`SolveWorkspace::utilities`]).
+    /// [`NashSolver::solve`] — bit-identical iterates, residuals and
+    /// iteration counts — but every transient lives in the caller-owned
+    /// `ws`: after a first solve at a given size (warm-up), repeated calls
+    /// perform **zero heap allocation** (asserted by the counting-allocator
+    /// suite). On success the solution is left in the workspace
+    /// ([`SolveWorkspace::subsidies`], [`SolveWorkspace::state`],
+    /// [`SolveWorkspace::utilities`]).
     pub fn solve_into(
         &self,
         game: &SubsidyGame,
@@ -287,7 +254,7 @@ impl NashSolver {
         ws: &mut SolveWorkspace,
         budget: SolveBudget,
     ) -> NumResult<SolveStats> {
-        self.iterate(game, start, ws, budget, self.mode == SweepMode::GaussSeidel)
+        self.iterate(game, start, ws, budget, Sweeps::Corrected)
     }
 
     /// The Newton corrector's oracle: [`NashSolver::solve_into_budgeted`]
@@ -295,8 +262,7 @@ impl NashSolver {
     /// 1e-13, and no Newton step. Like
     /// [`crate::best_response::grid_best_response`] for the threshold
     /// search, it runs on no production path; tests and benches hold the
-    /// corrector to it (`tests/newton_oracle.rs`). For a
-    /// [`SweepMode::Jacobi`] solver it is `solve_into_budgeted` itself.
+    /// corrector to it (`tests/newton_oracle.rs`).
     pub fn solve_by_sweeps_into(
         &self,
         game: &SubsidyGame,
@@ -304,19 +270,44 @@ impl NashSolver {
         ws: &mut SolveWorkspace,
         budget: SolveBudget,
     ) -> NumResult<SolveStats> {
-        self.iterate(game, start, ws, budget, false)
+        self.iterate(game, start, ws, budget, Sweeps::GaussSeidel)
     }
 
-    /// The iteration behind both entry points: before each sweep, a
-    /// Newton attempt and the sweep's forcing tolerance when `newton` is
-    /// set, exact sweeps otherwise (module docs).
+    /// The independent cross-check: damped Jacobi sweeps, where every
+    /// provider responds to the previous iterate and the iterate moves to
+    /// `(1−ω) s + ω BR(s)`, every root solved to 1e-13, no Newton step and
+    /// no budget. Like [`NashSolver::solve_by_sweeps_into`] it runs on no
+    /// serving path; the scenario corpus reports its distance to the
+    /// engine's answer, and it is allocation-free on a warm workspace.
+    ///
+    /// # Errors
+    /// A damping `ω` outside `(0, 1]` is refused with a domain error.
+    pub fn solve_jacobi_into(
+        &self,
+        game: &SubsidyGame,
+        start: WarmStart<'_>,
+        ws: &mut SolveWorkspace,
+        damping: f64,
+    ) -> NumResult<SolveStats> {
+        if !(damping > 0.0 && damping <= 1.0) {
+            return Err(NumError::Domain {
+                what: "Jacobi damping must lie in (0, 1]",
+                value: damping,
+            });
+        }
+        self.iterate(game, start, ws, SolveBudget::unlimited(), Sweeps::Jacobi(damping))
+    }
+
+    /// The iteration behind every entry point: before each sweep, a
+    /// Newton attempt and the sweep's forcing tolerance for
+    /// [`Sweeps::Corrected`], exact sweeps otherwise (module docs).
     fn iterate(
         &self,
         game: &SubsidyGame,
         start: WarmStart<'_>,
         ws: &mut SolveWorkspace,
         budget: SolveBudget,
-        newton: bool,
+        sweeps: Sweeps,
     ) -> NumResult<SolveStats> {
         if let WarmStart::Profile(s0) = start {
             game.validate(s0)?;
@@ -345,7 +336,11 @@ impl NashSolver {
                 }
             }
         }
-        let br_cfg = BrConfig::default();
+        let newton = matches!(sweeps, Sweeps::Corrected);
+        let jacobi = match sweeps {
+            Sweeps::Jacobi(omega) => Some(omega),
+            Sweeps::Corrected | Sweeps::GaussSeidel => None,
+        };
         // Each probe's φ solve starts at the previous probe's root. The
         // chain is local and starts cold, so the answer stays a pure
         // function of (game, start) whatever workspace runs it.
@@ -383,7 +378,7 @@ impl NashSolver {
             } else {
                 (FORCING * update).clamp(EXACT_ROOT_TOL, LOOSEST_ROOT_TOL)
             };
-            update = self.sweep(game, ws, &br_cfg, root_tol, &mut phi_seed, &mut stats)?;
+            update = sweep(game, ws, jacobi, root_tol, &mut phi_seed, &mut stats)?;
             if stats.residual <= self.tol {
                 stats.converged = true;
                 break;
@@ -404,57 +399,6 @@ impl NashSolver {
             ws.utilities[i] = game.utility_at_state(i, &ws.s, &ws.state);
         }
         Ok(stats)
-    }
-
-    /// One best-response sweep of `ws.s` in place, interior roots solved
-    /// to `root_tol`; counts it, its probes and its grid fallbacks, and
-    /// returns the sup-norm of its update. The residual it reports is the
-    /// update, floored at `root_tol` when any response is an inexact root:
-    /// such a sweep cannot measure an update below its own precision.
-    fn sweep(
-        &self,
-        game: &SubsidyGame,
-        ws: &mut SolveWorkspace,
-        br_cfg: &BrConfig,
-        root_tol: f64,
-        phi_seed: &mut f64,
-        stats: &mut SolveStats,
-    ) -> NumResult<f64> {
-        ws.next.copy_from_slice(&ws.s);
-        if self.mode == SweepMode::Jacobi {
-            ws.reference.copy_from_slice(&ws.s); // Jacobi responds to this snapshot
-        }
-        let mut floor = 0.0f64;
-        for i in 0..game.n() {
-            let basis = match self.mode {
-                SweepMode::GaussSeidel => &ws.next,
-                SweepMode::Jacobi => &ws.reference,
-            };
-            // The search is seeded at `basis[i]`, which equals `ws.s[i]`
-            // in both modes: provider `i` has not been updated yet.
-            let br = best_response_into(
-                game,
-                i,
-                basis,
-                br_cfg,
-                root_tol,
-                &mut ws.m,
-                phi_seed,
-                &mut ws.scratch,
-            )?;
-            match br.origin {
-                Origin::Exact => {}
-                Origin::Inexact => floor = root_tol,
-                Origin::Grid => ws.grid_fallbacks += 1,
-            }
-            stats.probes += br.evaluations;
-            ws.next[i] = (1.0 - self.damping) * ws.s[i] + self.damping * br.s;
-        }
-        let update = sub_inf_norm(&ws.s, &ws.next);
-        std::mem::swap(&mut ws.s, &mut ws.next);
-        stats.iterations += 1;
-        stats.residual = update.max(floor);
-        Ok(update)
     }
 
     /// One corrector attempt from the current iterate (module docs).
@@ -522,6 +466,60 @@ impl NashSolver {
     }
 }
 
+/// The sweeps [`NashSolver::iterate`] runs, one per entry point.
+#[derive(Debug, Clone, Copy)]
+enum Sweeps {
+    /// Gauss–Seidel at the forcing tolerance, each preceded by a Newton
+    /// attempt: the engine.
+    Corrected,
+    /// Exact Gauss–Seidel alone: the corrector's oracle.
+    GaussSeidel,
+    /// Exact Jacobi alone, damped by `ω`: the cross-check.
+    Jacobi(f64),
+}
+
+/// One best-response sweep of `ws.s` in place, interior roots solved to
+/// `root_tol`: Gauss–Seidel, or Jacobi damped by `ω` when `jacobi` is
+/// `Some(ω)`. Counts it, its probes and its grid fallbacks, and returns
+/// the sup-norm of its update. The residual it reports is the update,
+/// floored at `root_tol` when any response is an inexact root: such a
+/// sweep cannot measure an update below its own precision.
+fn sweep(
+    game: &SubsidyGame,
+    ws: &mut SolveWorkspace,
+    jacobi: Option<f64>,
+    root_tol: f64,
+    phi_seed: &mut f64,
+    stats: &mut SolveStats,
+) -> NumResult<f64> {
+    ws.next.copy_from_slice(&ws.s);
+    let mut floor = 0.0f64;
+    for i in 0..game.n() {
+        // Gauss–Seidel responds to the freshest profile, Jacobi to the
+        // previous iterate, which the sweep leaves untouched. Either way
+        // the search is seeded at `ws.s[i]`: provider `i` has not been
+        // updated yet.
+        let basis = if jacobi.is_some() { &ws.s } else { &ws.next };
+        let br =
+            best_response_into(game, i, basis, root_tol, &mut ws.m, phi_seed, &mut ws.scratch)?;
+        match br.origin {
+            Origin::Exact => {}
+            Origin::Inexact => floor = root_tol,
+            Origin::Grid => ws.grid_fallbacks += 1,
+        }
+        stats.probes += br.evaluations;
+        ws.next[i] = match jacobi {
+            Some(omega) => (1.0 - omega) * ws.s[i] + omega * br.s,
+            None => br.s,
+        };
+    }
+    let update = sub_inf_norm(&ws.s, &ws.next);
+    std::mem::swap(&mut ws.s, &mut ws.next);
+    stats.iterations += 1;
+    stats.residual = update.max(floor);
+    Ok(update)
+}
+
 /// How a corrector attempt ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Attempt {
@@ -541,7 +539,7 @@ pub enum WarmStart<'a> {
     /// The paper's baseline `s = 0` (what [`NashSolver::solve`] uses).
     Zero,
     /// An explicit profile, validated against the game then clamped into
-    /// the effective box (what [`NashSolver::solve_from`] uses).
+    /// the effective box.
     Profile(&'a [f64]),
     /// Reuse whatever iterate the workspace holds — the one warm-start
     /// rule: start from the neighbour's equilibrium (a grid row's
@@ -585,7 +583,7 @@ impl SolveStats {
 
 impl SolveWorkspace {
     /// Clones the workspace's solution out into an owning [`NashSolution`]
-    /// (the one allocation the thin `solve`/`solve_from` wrappers make).
+    /// (the one allocation the thin `solve` wrapper makes).
     pub fn solution(&self, stats: SolveStats) -> NashSolution {
         NashSolution {
             subsidies: self.subsidies().to_vec(),
@@ -713,14 +711,10 @@ mod tests {
         // Theorem 4 uniqueness: independent solvers land on the same point.
         let game = paper_game(0.7, 0.6);
         let gs = NashSolver::default().solve(&game).unwrap();
-        let jc = NashSolver::default().jacobi().with_damping(0.7).solve(&game).unwrap();
-        for i in 0..8 {
-            assert!(
-                (gs.subsidies[i] - jc.subsidies[i]).abs() < 1e-6,
-                "CP {i}: GS {} vs Jacobi {}",
-                gs.subsidies[i],
-                jc.subsidies[i]
-            );
+        let mut ws = SolveWorkspace::for_game(&game);
+        NashSolver::default().solve_jacobi_into(&game, WarmStart::Zero, &mut ws, 0.7).unwrap();
+        for (i, (a, b)) in gs.subsidies.iter().zip(ws.subsidies()).enumerate() {
+            assert!((a - b).abs() < 1e-6, "CP {i}: GS {a} vs Jacobi {b}");
         }
     }
 
@@ -728,9 +722,12 @@ mod tests {
     fn warm_start_agrees_with_cold_start() {
         let game = paper_game(0.9, 1.0);
         let cold = NashSolver::default().solve(&game).unwrap();
-        let warm = NashSolver::default().solve_from(&game, &[0.3; 8]).unwrap();
-        for i in 0..8 {
-            assert!((cold.subsidies[i] - warm.subsidies[i]).abs() < 1e-6);
+        let mut ws = SolveWorkspace::for_game(&game);
+        let warm = NashSolver::default()
+            .solve_into(&game, WarmStart::Profile(&[0.3; 8]), &mut ws)
+            .unwrap();
+        for (a, b) in cold.subsidies.iter().zip(ws.subsidies()) {
+            assert!((a - b).abs() < 1e-6);
         }
         assert!(warm.iterations <= cold.iterations + 5);
     }
@@ -831,8 +828,7 @@ mod tests {
             let eq = NashSolver::default().with_tol(1e-9).solve(&game).unwrap();
             assert!(eq.converged);
             for i in 0..8 {
-                let grid =
-                    grid_best_response(&game, i, &eq.subsidies, &BrConfig::default()).unwrap();
+                let grid = grid_best_response(&game, i, &eq.subsidies).unwrap();
                 assert!(
                     (grid.s - eq.subsidies[i]).abs() < 1e-7,
                     "(p={p}, q={q}) CP {i}: equilibrium {} vs grid best response {}",
@@ -995,18 +991,33 @@ mod tests {
     }
 
     #[test]
-    fn jacobi_stays_a_pure_sweep() {
+    fn jacobi_is_an_exact_sweep_and_refuses_bad_damping() {
+        let solver = NashSolver::default();
         let game = paper_game(0.7, 0.6);
-        let solver = NashSolver::default().jacobi().with_damping(0.7);
         let mut ws = SolveWorkspace::for_game(&game);
-        let stats = solver.solve_into(&game, WarmStart::Zero, &mut ws).unwrap();
+        let stats = solver.solve_jacobi_into(&game, WarmStart::Zero, &mut ws, 0.7).unwrap();
+        assert!(stats.converged && stats.residual <= solver.tol);
         assert_eq!(stats.newton_steps, 0);
-        let mut oracle_ws = SolveWorkspace::for_game(&game);
+        // A lone provider responds to the same profile in either sweep
+        // order, so undamped Jacobi is the Gauss–Seidel oracle bit for bit.
+        let solo = SubsidyGame::new(
+            build_system(&[ExpCpSpec::unit(5.0, 2.0, 1.0)], 1.0).unwrap(),
+            0.8,
+            1.0,
+        )
+        .unwrap();
+        let jacobi = solver.solve_jacobi_into(&solo, WarmStart::Zero, &mut ws, 1.0).unwrap();
+        let mut oracle_ws = SolveWorkspace::for_game(&solo);
         let oracle = solver
-            .solve_by_sweeps_into(&game, WarmStart::Zero, &mut oracle_ws, SolveBudget::unlimited())
+            .solve_by_sweeps_into(&solo, WarmStart::Zero, &mut oracle_ws, SolveBudget::unlimited())
             .unwrap();
-        assert_eq!(stats, oracle);
-        assert_eq!(ws.subsidies(), oracle_ws.subsidies());
+        assert_eq!(jacobi, oracle);
+        assert_eq!(ws.subsidies()[0].to_bits(), oracle_ws.subsidies()[0].to_bits());
+        // Damping outside (0, 1] is refused, not clamped.
+        for omega in [0.0, -0.5, 1.5, f64::NAN] {
+            let refused = solver.solve_jacobi_into(&game, WarmStart::Zero, &mut ws, omega);
+            assert!(matches!(refused, Err(NumError::Domain { .. })), "ω = {omega}: {refused:?}");
+        }
     }
 
     #[test]

@@ -577,8 +577,7 @@ impl Sensitivity {
     /// interior providers solve `∂s̃/∂θ = −Ψ ∂ũ/∂θ` with
     /// `Ψ = (∇_s̃ ũ)^{-1}`. For [`Axis::Cap`] and [`Axis::Price`] the
     /// result is bit-identical to `compute`'s `ds_dq`/`ds_dp` (same
-    /// engine, same factors). The game is only read; the `&mut` receiver
-    /// is kept for API stability. Resident callers should hold a
+    /// engine, same factors). Resident callers should hold a
     /// [`SensitivityWorkspace`] and call
     /// [`SensitivityWorkspace::directional_into`] instead, which is this
     /// without the per-call buffers.
@@ -588,7 +587,7 @@ impl Sensitivity {
     /// violating strict complementarity — is refused with a domain error
     /// rather than silently differentiated: its one-sided derivative is
     /// wrong on one side.
-    pub fn directional(game: &mut SubsidyGame, s: &[f64], axis: Axis) -> NumResult<Vec<f64>> {
+    pub fn directional(game: &SubsidyGame, s: &[f64], axis: Axis) -> NumResult<Vec<f64>> {
         let mut ds = Vec::new();
         SensitivityWorkspace::new().directional_into(game, s, axis, &mut ds)?;
         Ok(ds)
@@ -822,12 +821,12 @@ mod tests {
 
     #[test]
     fn directional_matches_compute_on_price_and_cap() {
-        let mut game = paper_game(0.6, 0.35);
+        let game = paper_game(0.6, 0.35);
         let s = solve(&game);
         let sens = Sensitivity::compute(&game, &s).unwrap();
         assert!(sens.regular);
-        let dq = Sensitivity::directional(&mut game, &s, Axis::Cap).unwrap();
-        let dp = Sensitivity::directional(&mut game, &s, Axis::Price).unwrap();
+        let dq = Sensitivity::directional(&game, &s, Axis::Cap).unwrap();
+        let dp = Sensitivity::directional(&game, &s, Axis::Price).unwrap();
         // Same Jacobian, same LU, same right-hand sides — bit-identical.
         assert_eq!(dq, sens.ds_dq);
         assert_eq!(dp, sens.ds_dp);
@@ -838,9 +837,9 @@ mod tests {
         // Theorem 1's comparative statics through the Theorem 6 system:
         // the directional derivative along µ must match re-solved
         // equilibria at perturbed capacities.
-        let mut game = paper_game(0.6, 0.35);
+        let game = paper_game(0.6, 0.35);
         let s = solve(&game);
-        let ds = Sensitivity::directional(&mut game, &s, Axis::Mu).unwrap();
+        let ds = Sensitivity::directional(&game, &s, Axis::Mu).unwrap();
         let h = 1e-4;
         let s_hi = solve(&game.with_mu(1.0 + h).unwrap());
         let s_lo = solve(&game.with_mu(1.0 - h).unwrap());
@@ -859,7 +858,7 @@ mod tests {
         // Theorem 5's direction: bump one provider's profitability and
         // compare the whole equilibrium response against the directional
         // derivative ∂s/∂v_j.
-        let mut game = paper_game(0.6, 0.35);
+        let game = paper_game(0.6, 0.35);
         let s = solve(&game);
         let sens = Sensitivity::compute(&game, &s).unwrap();
         let h = 1e-4;
@@ -874,7 +873,7 @@ mod tests {
         }
         assert!(!probes.is_empty(), "test setting must populate at least one probe set");
         for j in probes {
-            let ds = Sensitivity::directional(&mut game, &s, Axis::Profitability(j)).unwrap();
+            let ds = Sensitivity::directional(&game, &s, Axis::Profitability(j)).unwrap();
             let v = game.profitability(j);
             let s_hi = solve(&game.with_profitability(j, v + h).unwrap());
             let s_lo = solve(&game.with_profitability(j, v - h).unwrap());
@@ -899,14 +898,14 @@ mod tests {
         let free = SubsidyGame::new(sys.clone(), 1.0, 2.0).unwrap();
         let s_star = NashSolver::default().with_tol(1e-10).solve(&free).unwrap().subsidies[0];
         assert!(s_star > 0.1 && s_star < 2.0 - 0.1, "interior by construction");
-        let mut pinned = SubsidyGame::new(sys, 1.0, s_star).unwrap();
+        let pinned = SubsidyGame::new(sys, 1.0, s_star).unwrap();
         let s = solve(&pinned);
         assert!((s[0] - s_star).abs() < 1e-6, "the cap now binds exactly at the old optimum");
         // compute() flags it; directional() refuses to differentiate it.
         let sens = Sensitivity::compute(&pinned, &s).unwrap();
         assert!(!sens.regular, "pinned provider with u = 0 must be flagged degenerate");
         for axis in [Axis::Cap, Axis::Price, Axis::Mu, Axis::Profitability(0)] {
-            let err = Sensitivity::directional(&mut pinned, &s, axis);
+            let err = Sensitivity::directional(&pinned, &s, axis);
             assert!(err.is_err(), "degenerate equilibrium must error along {}", axis.describe());
         }
         // The workspace's factor() gives the same verdict and the
@@ -922,10 +921,10 @@ mod tests {
 
     #[test]
     fn directional_validates_inputs() {
-        let mut game = paper_game(0.6, 0.35);
+        let game = paper_game(0.6, 0.35);
         let s = solve(&game);
-        assert!(Sensitivity::directional(&mut game, &s, Axis::Profitability(99)).is_err());
-        assert!(Sensitivity::directional(&mut game, &[0.0; 3], Axis::Mu).is_err());
+        assert!(Sensitivity::directional(&game, &s, Axis::Profitability(99)).is_err());
+        assert!(Sensitivity::directional(&game, &[0.0; 3], Axis::Mu).is_err());
     }
 
     #[test]
@@ -1043,7 +1042,7 @@ mod tests {
         // error (h ≈ 1e-6) sets its looser bound. The Woodbury path
         // serves every axis.
         use crate::structure::marginal_utility_jacobian;
-        let mut game = paper_game(0.6, 0.35);
+        let game = paper_game(0.6, 0.35);
         let s = solve(&game);
         let mut ws = SensitivityWorkspace::new();
         assert!(ws.factor(&game, &s).unwrap());
@@ -1060,7 +1059,7 @@ mod tests {
         let mut out = Vec::new();
         for axis in [Axis::Cap, Axis::Price, Axis::Mu, Axis::Profitability(3)] {
             ws.solve_into(axis, &mut out).unwrap();
-            assert_eq!(out, Sensitivity::directional(&mut game, &s, axis).unwrap());
+            assert_eq!(out, Sensitivity::directional(&game, &s, axis).unwrap());
         }
         assert_eq!(ws.dense_fallbacks(), 0);
     }

@@ -14,8 +14,8 @@
 //!
 //! Buffers only ever grow, so one workspace can hop between games of
 //! different sizes; results are bit-identical to the allocating wrappers
-//! (`solve`, `solve_from`, `projection_solve`, `extragradient_solve`),
-//! which are now thin shims over this engine.
+//! (`solve`, `projection_solve`, `extragradient_solve`), which are thin
+//! shims over this engine.
 
 use crate::game::SubsidyGame;
 use crate::sensitivity::{Factors, Pin};
@@ -84,8 +84,6 @@ pub struct SolveWorkspace {
     pub(crate) s: Vec<f64>,
     /// Next iterate under construction.
     pub(crate) next: Vec<f64>,
-    /// Frozen reference profile for Jacobi sweeps.
-    pub(crate) reference: Vec<f64>,
     /// Per-provider effective caps `min(q, v_i)` of the current game.
     pub(crate) caps: Vec<f64>,
     /// Population scratch for best-response probes.
@@ -141,7 +139,6 @@ impl SolveWorkspace {
         let n = game.n();
         self.s.resize(n, 0.0);
         self.next.resize(n, 0.0);
-        self.reference.resize(n, 0.0);
         self.caps.resize(n, 0.0);
         for i in 0..n {
             self.caps[i] = game.effective_cap(i);

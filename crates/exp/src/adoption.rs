@@ -106,6 +106,10 @@ impl SourceCounts {
     }
 }
 
+/// Floor on the demand write-back, as a fraction of the original `m⁰`
+/// (keeps the rebuilt system well-posed when adoption crashes).
+const DEMAND_FLOOR: f64 = 0.25;
+
 /// Configuration of the closed loop.
 #[derive(Debug, Clone)]
 pub struct LoopConfig {
@@ -129,9 +133,6 @@ pub struct LoopConfig {
     /// Write realized masses back into the demand curves (full `submit`
     /// plus a profitability drift) every this many ticks; 0 disables.
     pub demand_every: u64,
-    /// Floor on the demand write-back, as a fraction of the original
-    /// `m⁰` (keeps the rebuilt system well-posed when adoption crashes).
-    pub demand_floor: f64,
     /// Shards of the sharded server (fault domains and report groups;
     /// they never change a reply).
     pub shards: usize,
@@ -149,7 +150,6 @@ impl Default for LoopConfig {
             gamma: 0.5,
             eta: 0.3,
             demand_every: 0,
-            demand_floor: 0.25,
             shards: 1,
         }
     }
@@ -245,12 +245,6 @@ impl AdoptionLoop {
                 value: cfg.eta,
             });
         }
-        if !(cfg.demand_floor > 0.0 && cfg.demand_floor <= 1.0) {
-            return Err(NumError::Domain {
-                what: "demand floor must be a fraction in (0, 1]",
-                value: cfg.demand_floor,
-            });
-        }
         let types: Vec<TypeSpec> =
             specs.iter().map(|s| TypeSpec { mass: s.m0, alpha: s.alpha }).collect();
         let pop_root = SimRng::stream_seed(cfg.seed, POP_STREAM);
@@ -342,7 +336,7 @@ impl AdoptionLoop {
                 for (spec, (&m, base)) in
                     self.scratch_specs.iter_mut().zip(cohort.pop.masses().iter().zip(&self.specs))
                 {
-                    spec.m0 = m.max(cfg.demand_floor * base.m0);
+                    spec.m0 = m.max(DEMAND_FLOOR * base.m0);
                 }
                 let game =
                     SubsidyGame::new(build_system(&self.scratch_specs, mu)?, self.price, self.cap)?;
@@ -530,6 +524,5 @@ mod tests {
         assert!(bad(LoopConfig { cohorts: 0, ..small_cfg() }));
         assert!(bad(LoopConfig { gamma: -1.0, ..small_cfg() }));
         assert!(bad(LoopConfig { eta: f64::NAN, ..small_cfg() }));
-        assert!(bad(LoopConfig { demand_floor: 0.0, ..small_cfg() }));
     }
 }

@@ -184,7 +184,6 @@ fn main() {
         eta: args.eta,
         demand_every: args.demand_every,
         shards: args.shards,
-        ..Default::default()
     };
     let specs = section5_specs();
     let mut lp = AdoptionLoop::new(&specs, 3.0, 0.6, 0.8, &cfg).unwrap_or_else(|e| {

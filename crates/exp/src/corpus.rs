@@ -684,8 +684,7 @@ pub fn run_scenario_with(
     let eq = ws.solution(stats);
     let diagnostics = eq.diagnostics(&game)?;
 
-    let jacobi = NashSolver::default().with_tol(1e-9).jacobi().with_damping(0.6);
-    let jacobi_gap = match jacobi.solve_into(&game, WarmStart::Zero, ws) {
+    let jacobi_gap = match solver.solve_jacobi_into(&game, WarmStart::Zero, ws, 0.6) {
         Ok(_) => eq
             .subsidies
             .iter()
@@ -698,8 +697,7 @@ pub fn run_scenario_with(
     let sim = match spec.sim {
         None => None,
         Some(params) => {
-            let cfg =
-                MarketSimConfig { days: params.days, seed: params.seed, ..Default::default() };
+            let cfg = MarketSimConfig { days: params.days, seed: params.seed };
             // Compare against exactly the equilibrium this snapshot pins.
             let report = MarketSim::new(&game, cfg)?.run_against(&eq.subsidies)?;
             Some(SimSnapshot {

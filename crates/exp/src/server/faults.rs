@@ -429,7 +429,12 @@ pub fn run_chaos(markets: &[(u64, SubsidyGame)], cfg: &ChaosConfig) -> NumResult
             }
             next_event += 1;
         }
-        let result = server.serve_sabotaged(*market, *req, sabotage);
+        // Unsabotaged traffic takes the production read path, published
+        // slot included; sabotage must reach the resident server.
+        let result = match sabotage {
+            Sabotage::None => server.serve(*market, *req),
+            _ => server.serve_sabotaged(*market, *req, sabotage),
+        };
         match &result {
             Ok(_) => ok += 1,
             Err(_) => failed += 1,

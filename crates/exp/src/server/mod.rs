@@ -345,9 +345,11 @@ impl EquilibriumServer {
     }
 
     /// Applies a validated axis write to the resident market. No solve
-    /// happens until the next read.
+    /// happens until the next read, so the market has no current answer
+    /// until then; a refused write changes nothing.
     pub fn update(&mut self, axis: Axis, value: f64) -> NumResult<()> {
         axis.apply(&mut self.game, value)?;
+        self.base = None;
         self.stats.updates += 1;
         Ok(())
     }

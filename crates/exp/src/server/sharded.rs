@@ -18,10 +18,12 @@
 //! * **Serves pure reads of already-answered equilibria from a published
 //!   slot**: after a market answers an equilibrium or sensitivity read in
 //!   full, its slot holds the answering snapshot keyed by its
-//!   fingerprint, and any write, error, partial answer or cool empties
-//!   it. A later `Request::Equilibrium` for that market is answered as an
-//!   `Arc` clone of the slot — [`Source::LockFree`], one hash lookup,
-//!   never touching the market's solver state.
+//!   fingerprint, and any accepted write, partial answer or cool empties
+//!   it, as does an error that leaves the server without a current
+//!   answer; a refused request leaves it as it was. A later
+//!   `Request::Equilibrium` for that market is answered as an `Arc`
+//!   clone of the slot — [`Source::LockFree`], one hash lookup, never
+//!   touching the market's solver state.
 //! * **Supervises its markets.** Each request is served under
 //!   `catch_unwind`: a panic confined to one request drops that market's
 //!   resident server, empties its slot, and rebuilds the market from the
@@ -409,7 +411,8 @@ impl ShardedServer {
         // below, so no state torn mid-panic ever serves again.
         match catch_unwind(AssertUnwindSafe(|| op(server))) {
             Ok(result) => {
-                market.published = published_after(&result, server.current_key());
+                let published = market.published.take();
+                market.published = published_after(&result, server.current_key(), published);
                 result
             }
             Err(_) => {
@@ -475,7 +478,7 @@ impl ShardedServer {
                 let result = solved
                     .map(|(snap, source)| Reply::Equilibrium { snap, source })
                     .map_err(ServeError::from);
-                market.published = published_after(&result, server.current_key());
+                market.published = published_after(&result, server.current_key(), None);
                 result
             }
         };
@@ -493,13 +496,14 @@ impl ShardedServer {
 
 /// The one publish/retract rule: what a market's slot holds after its
 /// server answered `result`, `key` being the server's current
-/// fingerprint. Full reads publish under that fingerprint; writes,
-/// errors and partial answers retract.
-fn published_after(result: &ServeResult<Reply>, key: Option<u64>) -> Published {
+/// fingerprint and `before` the slot's previous pair. Full reads publish
+/// under that fingerprint; accepted writes and partial answers retract.
+/// An error keeps the previous pair while the server still names it as
+/// its current answer: a refused request changed nothing.
+fn published_after(result: &ServeResult<Reply>, key: Option<u64>, before: Published) -> Published {
     match result {
-        Ok(Reply::Equilibrium { source: Source::Partial, .. })
-        | Ok(Reply::Updated { .. })
-        | Err(_) => None,
+        Ok(Reply::Equilibrium { source: Source::Partial, .. }) | Ok(Reply::Updated { .. }) => None,
+        Err(_) => before.filter(|(fp, _)| key == Some(*fp)),
         Ok(Reply::Equilibrium { snap, .. })
         | Ok(Reply::Sensitivity { snap, .. })
         | Ok(Reply::Degenerate { snap, .. }) => key.map(|fp| (fp, Arc::clone(snap))),

@@ -5,9 +5,9 @@
 //! types of system dynamics, where players' decisions are not rational or
 //! optimal". This simulator provides exactly that missing layer:
 //!
-//! * **Users** churn gradually: each day the population relaxes a fraction
-//!   `adjust_rate` of the way toward the demand level `m_i(t_i)`, with
-//!   multiplicative noise — nobody re-reads the price sheet daily.
+//! * **Users** churn gradually: each day the population relaxes 45% of
+//!   the way toward the demand level `m_i(t_i)`, with multiplicative
+//!   noise — nobody re-reads the price sheet daily.
 //! * **CPs** know neither the demand curves nor each other's strategies.
 //!   Each review period, one CP (round-robin) runs an A/B experiment on
 //!   its own subsidy: it perturbs `s_i` by `±step`, observes realized
@@ -27,41 +27,37 @@ use subcomp_core::game::SubsidyGame;
 use subcomp_core::nash::NashSolver;
 use subcomp_num::{NumError, NumResult};
 
+/// Daily population adjustment fraction: high enough that populations
+/// mostly re-equilibrate within one review period, keeping A/B profit
+/// comparisons honest.
+const ADJUST_RATE: f64 = 0.45;
+
+/// Population noise amplitude (multiplicative, per day).
+const NOISE: f64 = 0.0015;
+
+/// Days between one CP's subsidy experiments.
+const REVIEW_PERIOD: usize = 6;
+
+/// Initial experiment step.
+const INITIAL_STEP: f64 = 0.1;
+
+/// Multiplicative step decay applied after each full CP rotation. Slow:
+/// the climb must be able to travel the full strategy box (sum of
+/// accepted steps ≈ initial/(1-decay)/2) before the step collapses.
+const STEP_DECAY: f64 = 0.99;
+
 /// Configuration for the market simulation.
 #[derive(Debug, Clone, Copy)]
 pub struct MarketSimConfig {
     /// Days to simulate.
     pub days: usize,
-    /// Daily population adjustment fraction in `(0, 1]`.
-    pub adjust_rate: f64,
-    /// Population noise amplitude (multiplicative, per day).
-    pub noise: f64,
-    /// Days between one CP's subsidy experiments.
-    pub review_period: usize,
-    /// Initial experiment step.
-    pub initial_step: f64,
-    /// Multiplicative step decay applied after each full CP rotation.
-    pub step_decay: f64,
     /// RNG seed.
     pub seed: u64,
 }
 
 impl Default for MarketSimConfig {
     fn default() -> Self {
-        MarketSimConfig {
-            days: 6000,
-            // High enough that populations mostly re-equilibrate within
-            // one review period, keeping A/B profit comparisons honest.
-            adjust_rate: 0.45,
-            noise: 0.0015,
-            review_period: 6,
-            initial_step: 0.1,
-            // Slow decay: the climb must be able to travel the full
-            // strategy box (sum of accepted steps ≈ initial/(1-decay)/2)
-            // before the step collapses.
-            step_decay: 0.99,
-            seed: 0xBEEF,
-        }
+        MarketSimConfig { days: 6000, seed: 0xBEEF }
     }
 }
 
@@ -90,17 +86,8 @@ pub struct MarketSim<'a> {
 impl<'a> MarketSim<'a> {
     /// Creates a simulator over a game (price and cap fixed for the run).
     pub fn new(game: &'a SubsidyGame, cfg: MarketSimConfig) -> NumResult<Self> {
-        if !(cfg.adjust_rate > 0.0 && cfg.adjust_rate <= 1.0) {
-            return Err(NumError::Domain {
-                what: "adjust_rate must lie in (0, 1]",
-                value: cfg.adjust_rate,
-            });
-        }
-        if cfg.review_period == 0 || cfg.days == 0 {
-            return Err(NumError::Domain {
-                what: "days and review_period must be positive",
-                value: 0.0,
-            });
+        if cfg.days == 0 {
+            return Err(NumError::Domain { what: "days must be positive", value: 0.0 });
         }
         Ok(MarketSim { game, cfg })
     }
@@ -128,7 +115,7 @@ impl<'a> MarketSim<'a> {
         // Start at the no-subsidy baseline with populations at demand.
         let mut s = vec![0.0; n];
         let mut m = game.system().populations(&game.effective_prices(&s))?;
-        let mut step = cfg.initial_step;
+        let mut step = INITIAL_STEP;
 
         let mut trace = Trace::new();
         let phi_idx = trace.add(Series::new("phi", cfg.days / 4));
@@ -147,8 +134,8 @@ impl<'a> MarketSim<'a> {
             // 1. Users churn toward the demand level (with noise).
             let targets = game.system().populations(&game.effective_prices(&s))?;
             for i in 0..n {
-                let noise = 1.0 + cfg.noise * rng.gaussian(0.0, 1.0);
-                m[i] += cfg.adjust_rate * (targets[i] - m[i]);
+                let noise = 1.0 + NOISE * rng.gaussian(0.0, 1.0);
+                m[i] += ADJUST_RATE * (targets[i] - m[i]);
                 m[i] = (m[i] * noise).max(0.0);
             }
             // 2. The network settles within the day (fixed point at m).
@@ -166,7 +153,7 @@ impl<'a> MarketSim<'a> {
                 trace.series_mut(s_idx[i]).push(s[i]);
             }
             // 5. Subsidy experiments at review boundaries.
-            if (day + 1) % cfg.review_period == 0 {
+            if (day + 1) % REVIEW_PERIOD == 0 {
                 let avg_profit: Vec<f64> =
                     profit_window.iter().map(|p| p / window_days as f64).collect();
                 match experiment.take() {
@@ -175,7 +162,7 @@ impl<'a> MarketSim<'a> {
                         let i = rotation % n;
                         rotation += 1;
                         if rotation % n == 0 {
-                            step *= cfg.step_decay;
+                            step *= STEP_DECAY;
                         }
                         let cap = game.effective_cap(i);
                         if cap > 0.0 {
@@ -274,10 +261,8 @@ mod tests {
     #[test]
     fn config_validation() {
         let game = two_cp_game();
-        let bad1 = MarketSimConfig { adjust_rate: 0.0, ..Default::default() };
-        assert!(MarketSim::new(&game, bad1).is_err());
-        let bad2 = MarketSimConfig { review_period: 0, ..Default::default() };
-        assert!(MarketSim::new(&game, bad2).is_err());
+        let bad = MarketSimConfig { days: 0, ..Default::default() };
+        assert!(MarketSim::new(&game, bad).is_err());
     }
 
     #[test]

@@ -124,14 +124,14 @@ fn nash_solve_into_is_allocation_free_after_warmup() {
 #[test]
 fn jacobi_solve_into_is_allocation_free_after_warmup() {
     let games = games();
-    let solver = NashSolver::default().jacobi().with_damping(0.7).with_tol(1e-6);
+    let solver = NashSolver::default().with_tol(1e-6);
     let mut ws = SolveWorkspace::new();
     for game in &games {
-        solver.solve_into(game, WarmStart::Zero, &mut ws).unwrap();
+        solver.solve_jacobi_into(game, WarmStart::Zero, &mut ws, 0.7).unwrap();
     }
     let (allocs, _) = allocations_during(|| {
         for game in &games {
-            solver.solve_into(game, WarmStart::Zero, &mut ws).unwrap();
+            solver.solve_jacobi_into(game, WarmStart::Zero, &mut ws, 0.7).unwrap();
         }
     });
     assert_eq!(allocs, 0, "warm Jacobi solves must not touch the heap, saw {allocs} allocations");

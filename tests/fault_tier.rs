@@ -1,7 +1,7 @@
 //! Fault tier: the serving layer's recovery contracts under injected
 //! failure (see `tests/README.md`, "The fault tier").
 //!
-//! Five contracts:
+//! Six contracts:
 //!
 //! 1. **Chaos replay is bit-identical and shard-invariant.** One seed,
 //!    one fault schedule: two runs produce byte-equal reports, and the
@@ -24,7 +24,12 @@
 //!    partition, and the server keeps serving. A read along a provider
 //!    the market does not have fails typed before any work, on a regular
 //!    and a degenerate market alike.
+//! 6. **A refused request changes nothing.** A write or a read refused
+//!    before any state changed leaves the market's published slot as it
+//!    was, so the next equilibrium read stays lock-free; an accepted
+//!    write and a poisoned submit still empty it.
 
+use std::sync::Arc;
 use subcomp::exp::scenarios::section5_system;
 use subcomp::exp::server::{
     poison_game, run_chaos, ChaosConfig, ChaosReport, EquilibriumServer, FaultKind, FaultPlan,
@@ -274,6 +279,40 @@ fn sensitivity_reads_along_a_missing_provider_fail_before_any_work() {
         assert_eq!(server.stats(), stats, "a refused read must count nothing");
         assert_eq!(server.cache_stats(), cache, "a refused read must solve and cache nothing");
     }
+}
+
+#[test]
+fn refused_requests_leave_the_published_slot_as_it_was() {
+    let mut server = ShardedServer::new(section5_markets(1), &ShardedConfig::default()).unwrap();
+    server.serve(0, Request::Equilibrium).unwrap();
+    let published = server.read_cached(0).expect("a full read publishes its answer");
+    let refused = [
+        Request::Update { axis: Axis::Mu, value: f64::NAN },
+        Request::Update { axis: Axis::Cap, value: -1.0 },
+        Request::Update { axis: Axis::Profitability(99), value: 1.0 },
+        Request::Sensitivity { axis: Axis::Profitability(99) },
+    ];
+    for req in refused {
+        let reply = server.serve(0, req);
+        assert!(reply.is_err(), "{req:?} must be refused, got {reply:?}");
+        let slot = server.read_cached(0).expect("a refused request must leave the slot");
+        assert!(Arc::ptr_eq(&slot, &published), "{req:?} replaced the published snapshot");
+        let Reply::Equilibrium { snap, source } = server.serve(0, Request::Equilibrium).unwrap()
+        else {
+            unreachable!()
+        };
+        assert_eq!(source, Source::LockFree, "the read after {req:?} left the lock-free path");
+        assert!(Arc::ptr_eq(&snap, &published));
+    }
+    // An accepted write still empties the slot...
+    server.serve(0, Request::Update { axis: Axis::Price, value: 0.7 }).unwrap();
+    assert!(server.read_cached(0).is_none(), "an accepted write must retract the slot");
+    // ...and so does a poisoned submit, which leaves no current answer.
+    server.serve(0, Request::Equilibrium).unwrap();
+    assert!(server.read_cached(0).is_some());
+    let poisoned = poison_game(&section5_game()).unwrap();
+    assert!(matches!(server.submit(0, poisoned), Err(ServeError::Num(NumError::NonFinite { .. }))));
+    assert!(server.read_cached(0).is_none(), "a poisoned submit must retract the slot");
 }
 
 #[test]

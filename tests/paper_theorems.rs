@@ -3,12 +3,13 @@
 
 use subcomp::game::equilibrium::verify_equilibrium;
 use subcomp::game::game::SubsidyGame;
-use subcomp::game::nash::NashSolver;
+use subcomp::game::nash::{NashSolver, WarmStart};
 use subcomp::game::policy::{policy_effect, PriceResponse};
 use subcomp::game::revenue::marginal_revenue_at;
 use subcomp::game::sensitivity::Sensitivity;
 use subcomp::game::structure::p_function_evidence;
 use subcomp::game::welfare::{corollary2, welfare};
+use subcomp::game::workspace::SolveWorkspace;
 use subcomp::model::effects::{PriceEffects, SystemEffects};
 use subcomp_exp::scenarios::{section3_system, section5_system};
 use subcomp_exp::sweep::one_sided_sweep;
@@ -101,9 +102,10 @@ fn theorem4_uniqueness_evidence_and_solver_agreement() {
     assert!(ev.holds(), "counterexample {:?}", ev.counterexample);
     // Independent solvers land on the same equilibrium.
     let gs = solver().solve(&game).unwrap();
-    let jac = solver().jacobi().with_damping(0.6).solve(&game).unwrap();
-    for i in 0..8 {
-        assert!((gs.subsidies[i] - jac.subsidies[i]).abs() < 1e-6);
+    let mut ws = SolveWorkspace::for_game(&game);
+    solver().solve_jacobi_into(&game, WarmStart::Zero, &mut ws, 0.6).unwrap();
+    for (a, b) in gs.subsidies.iter().zip(ws.subsidies()) {
+        assert!((a - b).abs() < 1e-6);
     }
 }
 

@@ -6,11 +6,12 @@
 use proptest::prelude::*;
 use subcomp::exp::scenarios::farm_game;
 use subcomp::exp::sweep::BatchSolver;
-use subcomp::game::best_response::{deviation_gap, grid_best_response, BrConfig};
+use subcomp::game::best_response::{deviation_gap, grid_best_response};
 use subcomp::game::equilibrium::verify_equilibrium;
 use subcomp::game::game::SubsidyGame;
-use subcomp::game::nash::NashSolver;
+use subcomp::game::nash::{NashSolver, WarmStart};
 use subcomp::game::vi::{extragradient_solve, natural_residual, projection_solve, ViConfig};
+use subcomp::game::workspace::{SolveBudget, SolveWorkspace};
 use subcomp::model::aggregation::{build_system, ExpCpSpec};
 use subcomp_exp::scenarios::random_system;
 
@@ -31,9 +32,9 @@ fn market_strategy() -> impl Strategy<Value = Vec<ExpCpSpec>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Theorem 4 as a property: on random valid games, Gauss–Seidel and
-    /// Jacobi sweeps — damped and undamped alike — must land on the same
-    /// unique equilibrium within tolerance.
+    /// Theorem 4 as a property: on random valid games, the Newton-corrected
+    /// engine, pure Gauss–Seidel sweeps and damped Jacobi sweeps must land
+    /// on the same unique equilibrium within tolerance.
     #[test]
     fn sweep_families_agree_on_random_games(
         specs in market_strategy(),
@@ -43,23 +44,26 @@ proptest! {
     ) {
         let sys = build_system(&specs, mu).unwrap();
         let game = SubsidyGame::new(sys, p, q).unwrap();
-        let reference = NashSolver::default().with_tol(1e-9).solve(&game).unwrap();
+        let solver = NashSolver::default().with_tol(1e-9);
+        let reference = solver.solve(&game).unwrap();
         prop_assert!(reference.converged);
-        let variants: [(&str, NashSolver); 3] = [
-            ("gs-damped", NashSolver::default().with_tol(1e-9).with_damping(0.7)),
-            ("jacobi-damped-0.8", NashSolver::default().with_tol(1e-9).jacobi().with_damping(0.8)),
-            ("jacobi-damped-0.5", NashSolver::default().with_tol(1e-9).jacobi().with_damping(0.5)),
-        ];
-        for (label, solver) in variants {
-            let other = solver.solve(&game).unwrap();
-            prop_assert!(other.converged, "{label} did not converge");
-            for i in 0..game.n() {
-                prop_assert!(
-                    (reference.subsidies[i] - other.subsidies[i]).abs() < 1e-5,
-                    "{label} CP {i}: GS {} vs {}",
-                    reference.subsidies[i],
-                    other.subsidies[i]
-                );
+        let mut ws = SolveWorkspace::for_game(&game);
+        for (label, damping) in
+            [("gs-sweeps", None), ("jacobi-damped-0.8", Some(0.8)), ("jacobi-damped-0.5", Some(0.5))]
+        {
+            let stats = match damping {
+                None => solver.solve_by_sweeps_into(
+                    &game,
+                    WarmStart::Zero,
+                    &mut ws,
+                    SolveBudget::unlimited(),
+                ),
+                Some(omega) => solver.solve_jacobi_into(&game, WarmStart::Zero, &mut ws, omega),
+            }
+            .unwrap();
+            prop_assert!(stats.converged, "{label} did not converge");
+            for (i, (a, b)) in reference.subsidies.iter().zip(ws.subsidies()).enumerate() {
+                prop_assert!((a - b).abs() < 1e-5, "{label} CP {i}: GS {a} vs {b}");
             }
         }
     }
@@ -76,20 +80,19 @@ proptest! {
     ) {
         let games: Vec<SubsidyGame> =
             (0..count as u64).map(|k| farm_game(seed, k, 2, 12).unwrap()).collect();
-        let cfg = BrConfig::default();
         let solved = BatchSolver::default().solve_games(&games);
         for (k, (game, eq)) in games.iter().zip(solved).enumerate() {
             let eq = eq.unwrap();
             prop_assert!(eq.converged, "game {} did not converge", k);
             for i in 0..game.n() {
-                let grid = grid_best_response(game, i, &eq.subsidies, &cfg).unwrap();
+                let grid = grid_best_response(game, i, &eq.subsidies).unwrap();
                 prop_assert!(
                     (grid.s - eq.subsidies[i]).abs() < 1e-7,
                     "game {} CP {}: equilibrium {} vs grid best response {}",
                     k, i, eq.subsidies[i], grid.s
                 );
             }
-            let (gap, who) = deviation_gap(game, &eq.subsidies, &cfg).unwrap();
+            let (gap, who) = deviation_gap(game, &eq.subsidies).unwrap();
             prop_assert!(gap < 1e-8, "game {} CP {} gains {:e} by deviating", k, who, gap);
         }
     }
@@ -105,9 +108,12 @@ proptest! {
     ) {
         let sys = build_system(&specs, 1.0).unwrap();
         let game = SubsidyGame::new(sys, p, q).unwrap();
-        let eq = NashSolver::default().with_tol(1e-9).jacobi().with_damping(omega)
-            .solve(&game).unwrap();
-        let report = verify_equilibrium(&game, &eq.subsidies).unwrap();
+        let mut ws = SolveWorkspace::for_game(&game);
+        NashSolver::default()
+            .with_tol(1e-9)
+            .solve_jacobi_into(&game, WarmStart::Zero, &mut ws, omega)
+            .unwrap();
+        let report = verify_equilibrium(&game, ws.subsidies()).unwrap();
         prop_assert!(
             report.is_equilibrium(1e-5),
             "kkt {:.2e} threshold {:.2e}",
@@ -153,9 +159,9 @@ fn extragradient_agrees_with_gauss_seidel() {
 fn deviation_gap_vanishes_only_at_equilibrium() {
     let game = game_for_seed(9);
     let eq = NashSolver::default().solve(&game).unwrap();
-    let (gap_eq, _) = deviation_gap(&game, &eq.subsidies, &BrConfig::default()).unwrap();
+    let (gap_eq, _) = deviation_gap(&game, &eq.subsidies).unwrap();
     assert!(gap_eq < 1e-7, "gap at equilibrium {gap_eq}");
-    let (gap_origin, _) = deviation_gap(&game, &[0.0; 5], &BrConfig::default()).unwrap();
+    let (gap_origin, _) = deviation_gap(&game, &[0.0; 5]).unwrap();
     assert!(gap_origin > gap_eq);
 }
 
@@ -193,11 +199,12 @@ fn warm_and_cold_starts_unique_equilibrium() {
     for seed in [21u64, 22, 23] {
         let game = game_for_seed(seed);
         let solver = NashSolver::default();
-        let a = solver.solve_from(&game, &[0.0; 5]).unwrap();
+        let a = solver.solve(&game).unwrap();
         let caps: Vec<f64> = (0..5).map(|i| game.effective_cap(i)).collect();
-        let b = solver.solve_from(&game, &caps).unwrap();
-        for i in 0..5 {
-            assert!((a.subsidies[i] - b.subsidies[i]).abs() < 1e-6, "seed {seed} CP {i}");
+        let mut ws = SolveWorkspace::for_game(&game);
+        solver.solve_into(&game, WarmStart::Profile(&caps), &mut ws).unwrap();
+        for (i, (a, b)) in a.subsidies.iter().zip(ws.subsidies()).enumerate() {
+            assert!((a - b).abs() < 1e-6, "seed {seed} CP {i}");
         }
     }
 }

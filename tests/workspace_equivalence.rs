@@ -1,17 +1,18 @@
 //! Property tier for the workspace engine: on random games, solves through
-//! a reused [`SolveWorkspace`] must match the fresh-allocation wrappers
+//! a reused [`SolveWorkspace`] must match fresh-workspace solves
 //! **bit-exactly** — same subsidies, state, utilities, sweep counts and
-//! residual bits — across Gauss–Seidel, damped Jacobi and both VI methods,
-//! including a workspace hopping between games of different sizes.
+//! residual bits — across the Nash engine, the damped-Jacobi cross-check
+//! and both VI methods, including a workspace hopping between games of
+//! different sizes.
 //!
-//! This is the contract that lets `solve`, `solve_from`,
-//! `projection_solve` and `extragradient_solve` remain thin shims over the
-//! engine (and what keeps the golden snapshots byte-identical across the
-//! allocation-free refactor).
+//! This is the contract that lets `solve`, `projection_solve` and
+//! `extragradient_solve` remain thin shims over the engine (and what
+//! keeps the golden snapshots byte-identical across the allocation-free
+//! refactor).
 
 use proptest::prelude::*;
 use subcomp::game::game::SubsidyGame;
-use subcomp::game::nash::{NashSolver, WarmStart};
+use subcomp::game::nash::{NashSolver, SolveStats, WarmStart};
 use subcomp::game::vi::{
     extragradient_solve, extragradient_solve_into, projection_solve, projection_solve_into,
     ViConfig,
@@ -44,18 +45,28 @@ proptest! {
     ) {
         let game_a = SubsidyGame::new(build_system(&specs_a, 1.0).unwrap(), p, q).unwrap();
         let game_b = SubsidyGame::new(build_system(&specs_b, 1.0).unwrap(), 1.3 - p, q).unwrap();
-        for solver in [
-            NashSolver::default().with_tol(1e-8),
-            NashSolver::default().jacobi().with_damping(0.6).with_tol(1e-7),
-        ] {
-            // Fresh-allocation reference solves.
-            let fresh_a = solver.solve(&game_a).unwrap();
-            let fresh_b = solver.solve(&game_b).unwrap();
+        let (engine, jacobi) = (NashSolver::default().with_tol(1e-8), NashSolver::default().with_tol(1e-7));
+        let engine_run = |game: &SubsidyGame, ws: &mut SolveWorkspace| {
+            engine.solve_into(game, WarmStart::Zero, ws).unwrap()
+        };
+        let jacobi_run = |game: &SubsidyGame, ws: &mut SolveWorkspace| {
+            jacobi.solve_jacobi_into(game, WarmStart::Zero, ws, 0.6).unwrap()
+        };
+        let runs: [&dyn Fn(&SubsidyGame, &mut SolveWorkspace) -> SolveStats; 2] =
+            [&engine_run, &jacobi_run];
+        for run in runs {
+            // Fresh-workspace reference solves.
+            let fresh = |game: &SubsidyGame| {
+                let mut ws = SolveWorkspace::for_game(game);
+                let stats = run(game, &mut ws);
+                ws.solution(stats)
+            };
+            let (fresh_a, fresh_b) = (fresh(&game_a), fresh(&game_b));
             // One workspace reused across games of (usually) different n,
             // then back to the first game — every run must be bit-exact.
             let mut ws = SolveWorkspace::new();
             for (game, fresh) in [(&game_a, &fresh_a), (&game_b, &fresh_b), (&game_a, &fresh_a)] {
-                let stats = solver.solve_into(game, WarmStart::Zero, &mut ws).unwrap();
+                let stats = run(game, &mut ws);
                 prop_assert_eq!(bits(ws.subsidies()), bits(&fresh.subsidies));
                 prop_assert_eq!(bits(ws.utilities()), bits(&fresh.utilities));
                 prop_assert_eq!(ws.state().phi.to_bits(), fresh.state.phi.to_bits());
@@ -77,10 +88,14 @@ proptest! {
         let game = SubsidyGame::new(build_system(&specs, 1.0).unwrap(), p, q).unwrap();
         let s0 = vec![warm; game.n()];
         let solver = NashSolver::default().with_tol(1e-8);
-        let fresh = solver.solve_from(&game, &s0).unwrap();
-        let mut ws = SolveWorkspace::for_game(&game);
+        let mut fresh_ws = SolveWorkspace::for_game(&game);
+        let fresh = solver.solve_into(&game, WarmStart::Profile(&s0), &mut fresh_ws).unwrap();
+        // A workspace holding another solve's iterate must not leak it
+        // into an explicit profile start.
+        let mut ws = SolveWorkspace::new();
+        solver.solve_into(&game, WarmStart::Zero, &mut ws).unwrap();
         let stats = solver.solve_into(&game, WarmStart::Profile(&s0), &mut ws).unwrap();
-        prop_assert_eq!(bits(ws.subsidies()), bits(&fresh.subsidies));
+        prop_assert_eq!(bits(ws.subsidies()), bits(fresh_ws.subsidies()));
         prop_assert_eq!(stats.iterations, fresh.iterations);
         prop_assert_eq!(stats.residual.to_bits(), fresh.residual.to_bits());
     }
