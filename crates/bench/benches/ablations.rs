@@ -1,6 +1,5 @@
-//! Ablation benchmarks for the design choices DESIGN.md calls out: solver
-//! tolerance and the extension substrates (duopoly inner equilibrium,
-//! continuum quadrature).
+//! Ablation benchmarks for three design choices: solver tolerance and the
+//! extension substrates (duopoly inner equilibrium, continuum quadrature).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;

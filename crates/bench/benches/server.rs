@@ -16,9 +16,15 @@
 //! * `server/warm_pool/*` — cache wiped before every read, slot iterates
 //!   kept: each request pays a warm re-solve from the previous iterate.
 //! * `server/cache_hit/*` — the fingerprint cache holds the answer: each
-//!   request pays one fingerprint pass and an `Arc` clone, no solve.
+//!   request folds the axis scalars onto the market's stored curve digest
+//!   and pays an `Arc` clone, no solve.
 //! * `server/mixed/*` — the deterministic load-generator stream (80%
 //!   reads over 8 hot keys, Zipf skew): the end-to-end client view.
+//! * `server/sensitivity/{fresh,repeat}/*` — a price-sensitivity read
+//!   of a cached equilibrium. `fresh` is the read right after a write that
+//!   lands on the other of two cached operating points, so the server
+//!   factors Theorem 6 for the answering snapshot; `repeat` is the same
+//!   read again, which may reuse those factors.
 //!
 //! Each mix records `p50`, `p99` and `mean` per-request ns plus a
 //! `throughput` id: sustained wall-clock ns per request over the whole
@@ -34,12 +40,12 @@
 //!   the caller's thread, so the shard count only regroups the same work.
 //! * `server/sharded/read_path/{locked,lockfree}` — median ns for the
 //!   same already-cached equilibrium read answered by the market's
-//!   resident server (`serve_direct`: a fingerprint pass and a cache hit,
+//!   resident server (`serve_direct`: a per-read key and a cache hit,
 //!   `Source::CacheHit`) vs the router's published slot
 //!   (`Source::LockFree`).
 
 use std::time::Instant;
-use subcomp_core::game::SubsidyGame;
+use subcomp_core::game::{Axis, SubsidyGame};
 use subcomp_exp::scenarios::section5_system;
 use subcomp_exp::server::{
     generate, generate_multi, EquilibriumServer, LoadGenConfig, Reply, Request, ShardedConfig,
@@ -142,6 +148,41 @@ fn bench_mixed(_c: &mut Criterion) {
     }
     let ns_per_req = t_all.elapsed().as_nanos() as f64 / stream.len() as f64;
     publish("mixed", &samples, ns_per_req);
+}
+
+/// Price-sensitivity reads on cached equilibria, split by whether a write
+/// came between the read and the previous one: after each write to the
+/// other of two cached prices, one `fresh` read and one `repeat` read.
+/// Both must answer a derivative from the cache.
+fn bench_sensitivity(_c: &mut Criterion) {
+    let reads = if quick() { 1_000 } else { 20_000 };
+    let mut server = section5_server();
+    let prices = [0.6, 0.65];
+    let sensitivity = |server: &mut EquilibriumServer| {
+        let t0 = Instant::now();
+        let reply = server.serve(Request::Sensitivity { axis: Axis::Price });
+        let dt = t0.elapsed().as_nanos() as f64;
+        let source = match reply.expect("§5 sensitivity read") {
+            Reply::Sensitivity { source, .. } => source,
+            other => panic!("a regular §5 equilibrium answered {other:?}"),
+        };
+        (dt, source)
+    };
+    let (mut fresh, mut repeat) = (Vec::with_capacity(reads), Vec::with_capacity(reads));
+    // The first two rounds solve and cache both prices, untimed.
+    for i in 0..reads + 2 {
+        let value = prices[i % 2];
+        server.serve(Request::Update { axis: Axis::Price, value }).expect("valid price");
+        for samples in [&mut fresh, &mut repeat] {
+            let (dt, source) = sensitivity(&mut server);
+            if i >= 2 {
+                assert_eq!(source, Source::CacheHit, "both prices stay cached");
+                samples.push(dt);
+            }
+        }
+    }
+    publish("sensitivity/fresh", &fresh, mean(&fresh).expect("samples"));
+    publish("sensitivity/repeat", &repeat, mean(&repeat).expect("samples"));
 }
 
 /// Fresh copies of the §5 market as resident sharded-server markets.
@@ -280,6 +321,7 @@ criterion_group!(
     bench_warm_pool,
     bench_cache_hit,
     bench_mixed,
+    bench_sensitivity,
     bench_sharded,
     bench_read_path,
     bench_recovery

@@ -7,10 +7,11 @@
 //! maximize long-run profit `R(p*(µ, q), µ) − c·µ` against a linear
 //! capacity cost `c`, with CPs at their subsidy equilibrium throughout.
 //!
-//! The headline experiment (`EXPERIMENTS.md`, E2): the optimal capacity
-//! `µ*(q)` grows with the policy cap `q` — deregulated subsidization
-//! funds expansion — and expansion relieves exactly the congestion-
-//! sensitive providers that short-run deregulation hurt.
+//! The headline experiment (E2 of the `extensions` binary in
+//! `subcomp-exp`): the optimal capacity `µ*(q)` grows with the policy cap
+//! `q` — deregulated subsidization funds expansion — and expansion
+//! relieves exactly the congestion-sensitive providers that short-run
+//! deregulation hurt.
 
 use crate::nash::NashSolver;
 use crate::pricing::optimal_price;

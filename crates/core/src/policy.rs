@@ -287,7 +287,7 @@ mod tests {
         // demand effectively more elastic around the peak) while optimal
         // revenue rises sharply — the paper's caution that deregulation
         // "might" raise prices is a possibility statement, not a theorem,
-        // and EXPERIMENTS.md records this measured direction.
+        // and this test pins the measured direction.
         let sys = paper_system();
         let s = NashSolver::default().with_tol(1e-7).with_max_sweeps(120);
         let rows = policy_sweep(&sys, &[0.0, 1.0], PriceResponse::Optimal { lo: 0.0, hi: 2.0 }, &s)

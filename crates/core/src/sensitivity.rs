@@ -32,7 +32,9 @@
 //! derivatives (`m''`, `λ''`, `Θ_φφ`). [`SensitivityWorkspace`] assembles
 //! the five factor vectors in O(n) from **one** solved state and solves
 //! the interior system by the Woodbury identity with a 2×2 capacitance
-//! matrix, so a derivative costs one state solve plus O(n) arithmetic.
+//! matrix, so a derivative costs one state solve plus O(n) arithmetic —
+//! O(n) alone when the caller already holds the solved state
+//! ([`SensitivityWorkspace::factor_at`]).
 //! The right-hand sides `∂u/∂θ` are analytic too:
 //!
 //! * price: `∂u_i/∂p = −Σ_j ∂u_i/∂s_j − ∂θ_i/∂s_i`, since every
@@ -370,9 +372,11 @@ impl Factors {
 /// Jacobian factors and the right-hand-side and solution buffers.
 ///
 /// [`SensitivityWorkspace::factor`] does the one state solve per
-/// equilibrium; [`SensitivityWorkspace::solve_into`] then answers any
-/// number of axes from the same factors. After warm-up (one call per game
-/// size) neither allocates — pinned in `tests/alloc_free.rs`.
+/// equilibrium, and [`SensitivityWorkspace::factor_at`] factors from a
+/// state the caller already holds; [`SensitivityWorkspace::solve_into`]
+/// then answers any number of axes from the same factors. After warm-up
+/// (one call per game size) none of them allocates — pinned in
+/// `tests/alloc_free.rs`.
 #[derive(Debug, Clone, Default)]
 pub struct SensitivityWorkspace {
     prices: Vec<f64>,
@@ -394,17 +398,48 @@ impl SensitivityWorkspace {
         SensitivityWorkspace::default()
     }
 
-    /// Factors Theorem 6 at the equilibrium `s` of `game`: validates the
-    /// profile, classifies its active set, solves the congestion state
-    /// once, takes the degeneracy verdict from the pinned providers'
+    /// Factors Theorem 6 at the equilibrium `s` of `game`: solves the
+    /// congestion state at `s` cold (the state a solve leaves behind at
+    /// its answer, see [`SensitivityWorkspace::factor_at`]) and factors
+    /// there. Returns whether the equilibrium is regular.
+    pub fn factor(&mut self, game: &SubsidyGame, s: &[f64]) -> NumResult<bool> {
+        // Detach the state buffer so `factor_at` can read it while the
+        // rest of the workspace is written; `mem::take` swaps in an empty
+        // state (no allocation).
+        let mut state = std::mem::take(&mut self.state);
+        let result = game
+            .state_into(s, &mut self.prices, &mut self.scratch, &mut state)
+            .and_then(|()| self.factor_at(game, s, &state));
+        self.state = state;
+        result
+    }
+
+    /// Factors Theorem 6 at the equilibrium `s` of `game` from its solved
+    /// congestion `state`: validates the profile, classifies its active
+    /// set, takes the degeneracy verdict from the pinned providers'
     /// marginal utilities on that state (exactly as
     /// [`SubsidyGame::marginal_utilities`] computes them) and assembles
     /// the Jacobian factors. Returns whether the equilibrium is regular.
-    pub fn factor(&mut self, game: &SubsidyGame, s: &[f64]) -> NumResult<bool> {
+    ///
+    /// No state solve: a caller that already holds the state at `s`
+    /// passes it in. Every solve ends by solving the state at its answer
+    /// cold, so the state an [`EqSnapshot`](crate::snapshot::EqSnapshot)
+    /// captured is bit-identical to the one [`SensitivityWorkspace::factor`]
+    /// would solve, and so are the verdict and the factors.
+    ///
+    /// # Errors
+    /// An invalid profile, or a state for a different number of providers.
+    pub fn factor_at(
+        &mut self,
+        game: &SubsidyGame,
+        s: &[f64],
+        state: &SystemState,
+    ) -> NumResult<bool> {
         game.validate(s)?;
+        if state.n() != game.n() {
+            return Err(NumError::DimensionMismatch { expected: game.n(), actual: state.n() });
+        }
         self.active.classify_into(s, game.cap());
-        game.state_into(s, &mut self.prices, &mut self.scratch, &mut self.state)?;
-        let state = &self.state;
         self.degenerate = self
             .active
             .lower
@@ -412,7 +447,7 @@ impl SensitivityWorkspace {
             .chain(&self.active.upper)
             .map(|&i| game.marginal_utility_at_state(i, s, state))
             .find(|u| u.abs() <= DEGENERATE_U_TOL);
-        self.jac.assemble(game, s, &self.state);
+        self.jac.assemble(game, s, state);
         Ok(self.degenerate.is_none())
     }
 

@@ -1,4 +1,4 @@
-//! Extension experiments E1–E3 (DESIGN.md §4).
+//! Extension experiments E1–E5, run end to end by the `extensions` binary.
 //!
 //! * **E1 — endogenous pricing**: re-optimize the monopoly price at each
 //!   cap and measure what deregulation does to price, revenue and welfare

@@ -66,8 +66,8 @@ pub fn check_shape(fig: &CpFigure, q_base: usize) -> NumResult<Result<(), String
         //     is high enough that congestion is mild (p >= 1.2 on the
         //     paper grid). At small p the (2,5,1) type loses — the
         //     paper's documented exception — and our reproduction finds
-        //     the (2,2,1) type dips slightly below baseline there too
-        //     (recorded as a deviation in EXPERIMENTS.md).
+        //     the (2,2,1) type dips slightly below baseline there too,
+        //     a deviation from the paper this check leaves unasserted.
         for i in [4usize, 5] {
             for pi in 0..np {
                 if fig.prices[pi] < 1.2 {

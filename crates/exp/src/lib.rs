@@ -1,9 +1,9 @@
 //! # `subcomp-exp` — experiment harness
 //!
 //! Regenerates every data figure in the evaluation of Ma, *Subsidization
-//! Competition* (CoNEXT 2014), plus the three extension experiments in
-//! DESIGN.md. Each paper figure has a dedicated binary printing the same
-//! series the paper plots and writing a CSV under `results/`:
+//! Competition* (CoNEXT 2014), plus the extension experiments E1–E5 of
+//! [`extensions`]. Each paper figure has a dedicated binary printing the
+//! same series the paper plots and writing a CSV under `results/`:
 //!
 //! | binary | paper artifact | content |
 //! |---|---|---|

@@ -5,7 +5,9 @@
 //! [`super::fingerprint::fingerprint`]) to an
 //! `Arc<`[`EqSnapshot`]`>`. A hit hands out an `Arc` clone — a refcount
 //! bump, no copy, no allocation — which is what makes repeated queries
-//! O(lookup).
+//! O(lookup). The cache only compares keys; how a key is derived (the
+//! server folds a read's axis scalars onto a curve digest it holds) is
+//! the fingerprint module's business.
 //!
 //! Recycling keeps the *steady state* allocation-free too: evicted
 //! snapshots retire to a freelist, and [`EqCache::blank`] hands them back
@@ -16,9 +18,11 @@
 //! map and freelist reserve `capacity + 1` slots up front, so
 //! evict-then-insert churn at capacity touches no allocator either.
 //!
-//! Eviction is least-recently-used under a monotone logical clock, with
-//! the smaller key winning ties — fully deterministic, so a replayed
-//! request stream reproduces the exact same hit/miss/eviction sequence.
+//! Eviction is least-recently-used under a monotone logical clock —
+//! fully deterministic, so a replayed request stream reproduces the exact
+//! same hit/miss/eviction sequence. The clock ticks on every lookup and
+//! insert, so no two entries share a recency and key values never break
+//! a tie: a change of fingerprint format moves no eviction.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -117,7 +121,7 @@ impl EqCache {
     }
 
     /// Inserts `snap` under `key`, evicting the least-recently-used entry
-    /// if the cache is full (ties broken toward the smaller key). The
+    /// if the cache is full (recencies are unique, so there are no ties). The
     /// evicted snapshot retires to the freelist for [`EqCache::blank`].
     pub fn insert(&mut self, key: u64, snap: Arc<EqSnapshot>) {
         self.clock += 1;

@@ -18,7 +18,15 @@
 //! * it **caches by canonical fingerprint** ([`fingerprint`]): a repeated
 //!   query returns an [`Arc`] clone of the stored [`EqSnapshot`] —
 //!   O(lookup), allocation-free, bit-identical to the solve that produced
-//!   it.
+//!   it. The key is derived from what the server already holds: the
+//!   market's curve digest ([`curve_digest`], the trait-object probes) is
+//!   computed at construction and on each submit, the only places the
+//!   curves can change, and a read folds only the 3 + n axis scalars onto
+//!   it ([`key`]);
+//! * it **answers sensitivity reads from the answering snapshot**: Theorem
+//!   6 is factored from the snapshot's own solved state (no state solve),
+//!   and a read whose equilibrium is the one last factored reuses those
+//!   factors and solves only its axis's right-hand side.
 //!
 //! Replies carry their [`Source`] (cache hit / warm / cold / partial), so
 //! callers, benches and tests can audit exactly which path served them.
@@ -26,6 +34,8 @@
 //! stream, same replies — the property the [`loadgen`] replay tests pin.
 //!
 //! [`fingerprint`]: fingerprint::fingerprint
+//! [`curve_digest`]: fingerprint::curve_digest
+//! [`key`]: fingerprint::key
 
 pub mod cache;
 pub mod faults;
@@ -210,9 +220,16 @@ pub struct EquilibriumServer {
     pool: Vec<SolveWorkspace>,
     /// Fingerprint of the equilibrium whose iterate each slot holds.
     slot_state: Vec<Option<u64>>,
+    /// The resident game's curve digest, or the typed error that its
+    /// curves are unfingerprintable; only `new` and `submit` write it.
+    digest: NumResult<u64>,
     cache: EqCache,
     /// The resident Theorem 6 engine behind every sensitivity read.
     sens: SensitivityWorkspace,
+    /// Fingerprint of the cached equilibrium whose factors `sens` holds,
+    /// and whether that equilibrium is regular. Cleared by everything
+    /// that can put another snapshot under the same fingerprint.
+    factored: Option<(u64, bool)>,
     /// Fingerprint at the last answered equilibrium.
     base: Option<u64>,
     stats: ServerStats,
@@ -246,12 +263,14 @@ impl EquilibriumServer {
         let pool_size = pool_size.max(1);
         let pool = (0..pool_size).map(|_| SolveWorkspace::for_game(&game)).collect();
         EquilibriumServer {
+            digest: fingerprint::curve_digest(&game),
             game,
             solver: NashSolver::default().with_tol(1e-10),
             pool,
             slot_state: vec![None; pool_size],
             cache: EqCache::new(cache_capacity),
             sens: SensitivityWorkspace::new(),
+            factored: None,
             base: None,
             stats: ServerStats::default(),
             budget: SolveBudget::unlimited(),
@@ -324,16 +343,38 @@ impl EquilibriumServer {
     /// work, a partial equilibrium degrades to the plain equilibrium reply
     /// (no derivative of a non-converged iterate), a degenerate
     /// equilibrium answers its active-set partition, and only a regular
-    /// equilibrium is differentiated. One state solve (the resident
-    /// workspace's `factor`) serves both the degeneracy verdict and the
-    /// derivative, so a warm read allocates only the reply's `ds`.
+    /// equilibrium is differentiated.
+    ///
+    /// No state solve: the resident workspace factors Theorem 6 from the
+    /// answering snapshot's own state (`factor_at`), which is the cold
+    /// state at its subsidies, so verdict and derivative are bit-identical
+    /// to a fresh [`Sensitivity::directional`] at the snapshot. A cache hit
+    /// on the equilibrium last factored skips even that and reuses the
+    /// stored factors, verdict and active set: only the axis's right-hand
+    /// side is solved. The mark is cleared by every accepted write,
+    /// submit, cache invalidation and preload, and by a failed factor, so
+    /// a reused factor always belongs to the snapshot the cache hands
+    /// out; a fresh solve always factors, since it captured a new
+    /// snapshot even when its fingerprint is the marked one. A warm read
+    /// allocates only the reply's `ds`.
+    ///
+    /// [`Sensitivity::directional`]: subcomp_core::sensitivity::Sensitivity::directional
     fn serve_sensitivity(&mut self, axis: Axis) -> NumResult<Reply> {
         axis.validate(&self.game)?;
         let (snap, source) = self.equilibrium()?;
         if source == Source::Partial {
             return Ok(Reply::Equilibrium { snap, source });
         }
-        if !self.sens.factor(&self.game, snap.subsidies())? {
+        let regular = match self.factored {
+            Some((key, regular)) if source == Source::CacheHit && self.base == Some(key) => regular,
+            _ => {
+                self.factored = None;
+                let regular = self.sens.factor_at(&self.game, snap.subsidies(), snap.state())?;
+                self.factored = self.base.map(|key| (key, regular));
+                regular
+            }
+        };
+        if !regular {
             self.stats.sensitivities += 1;
             let active_set = self.sens.active().clone();
             return Ok(Reply::Degenerate { active_set, snap, source });
@@ -350,6 +391,7 @@ impl EquilibriumServer {
     pub fn update(&mut self, axis: Axis, value: f64) -> NumResult<()> {
         axis.apply(&mut self.game, value)?;
         self.base = None;
+        self.factored = None;
         self.stats.updates += 1;
         Ok(())
     }
@@ -362,16 +404,20 @@ impl EquilibriumServer {
     /// quarantine before solving, so a fresh (fixed) game always gets a
     /// chance to answer.
     pub fn submit(&mut self, game: SubsidyGame) -> NumResult<(Arc<EqSnapshot>, Source)> {
+        self.digest = fingerprint::curve_digest(&game);
         self.game = game;
         self.base = None;
+        self.factored = None;
         self.strikes = 0;
         self.quarantined = false;
         self.equilibrium()
     }
 
     /// Answers the equilibrium of the market as currently parameterized.
+    /// A market whose curves are unfingerprintable fails every read with
+    /// its digest's typed error until a clean submit replaces them.
     pub fn equilibrium(&mut self) -> NumResult<(Arc<EqSnapshot>, Source)> {
-        let key = fingerprint(&self.game)?;
+        let key = self.key()?;
         self.stats.equilibria += 1;
         if let Some(snap) = self.cache.get(key) {
             self.stats.cache_hits += 1;
@@ -438,6 +484,7 @@ impl EquilibriumServer {
     /// Drops every cached equilibrium (retiring snapshots for recycling).
     pub fn invalidate_cache(&mut self) {
         self.cache.clear();
+        self.factored = None;
     }
 
     /// The cached snapshot for the market **as currently parameterized**,
@@ -445,8 +492,13 @@ impl EquilibriumServer {
     /// tier's identity tests compare it against lock-free reads). `None`
     /// when the current parameterization is uncached or unfingerprintable.
     pub fn peek_current(&self) -> Option<Arc<EqSnapshot>> {
-        let key = fingerprint(&self.game).ok()?;
-        self.cache.peek(key)
+        self.cache.peek(self.key().ok()?)
+    }
+
+    /// The fingerprint of the market as currently parameterized: its axis
+    /// scalars folded onto the stored curve digest.
+    fn key(&self) -> NumResult<u64> {
+        fingerprint::key(self.digest.clone()?, &self.game)
     }
 
     /// The fingerprint of the last answered (full) equilibrium, if the
@@ -464,6 +516,7 @@ impl EquilibriumServer {
     /// bit-identical cache hit instead of a fresh solve.
     pub fn preload(&mut self, key: u64, snap: Arc<EqSnapshot>) {
         self.cache.insert(key, snap);
+        self.factored = None;
     }
 }
 

@@ -18,7 +18,8 @@
 //!   hill-climbing on realized profit (no oracle access to utilities), and
 //!   the usage-based money flows are metered by [`billing`]. Its long-run
 //!   state is compared against the analytic Nash equilibrium of
-//!   `subcomp-core` — the sim-vs-theory experiment (EXPERIMENTS.md, E3).
+//!   `subcomp-core` — the sim-vs-theory experiment (E3 of the `extensions`
+//!   binary in `subcomp-exp`).
 //! * [`adoption`] — a million-user **event-driven adoption engine**
 //!   (Weber–Guérin externality dynamics): users sorted by valuation per
 //!   type, adoption states in bitsets, randomness drawn only where a flip

@@ -1,8 +1,9 @@
 //! # `subcomp` — Subsidization Competition for a Neutral Internet
 //!
-//! Facade crate re-exporting the full workspace. See the README for the
-//! architecture overview, `DESIGN.md` for the paper-to-module inventory,
-//! and `EXPERIMENTS.md` for paper-vs-measured results.
+//! Facade crate re-exporting the full workspace. [`paper_map`] maps each
+//! result of the paper to the module that implements it and the test that
+//! checks it; `ROADMAP.md` holds the open items and the measured state of
+//! each engine, and `tests/README.md` the test tiers.
 //!
 //! Reproduces: Richard T. B. Ma, *Subsidization Competition: Vitalizing
 //! the Neutral Internet*, ACM CoNEXT 2014 (arXiv:1406.2516).

@@ -438,31 +438,46 @@ fn sensitivity_workspace_is_allocation_free_after_warmup() {
 
 #[test]
 fn warm_sensitivity_read_allocates_only_its_reply() {
-    // A `Request::Sensitivity` on a cached equilibrium through
-    // `EquilibriumServer::serve`: the fingerprint cache hit and the
-    // resident workspace's one state solve (degeneracy verdict and
-    // derivative alike) are allocation-free; the reply's own `ds` is the
-    // one allocation.
+    // `Request::Sensitivity` through `EquilibriumServer::serve` on both
+    // of its paths. Writes alternate the market between two cached
+    // operating points, so the first read after each write is a cache hit
+    // whose snapshot was not the last one factored: the resident
+    // workspace factors Theorem 6 from that snapshot's state. The reads
+    // that follow at the same point reuse those factors and solve only
+    // their axis. Either way the cache hit and the factors are
+    // allocation-free, and the reply's own `ds` is the one allocation.
     use subcomp::exp::server::{EquilibriumServer, Reply, Request, Source};
 
     let mut server = EquilibriumServer::new(section5_sensitivity_game(), 1, 4);
-    let read = |server: &mut EquilibriumServer| {
-        for &axis in &SENSITIVITY_AXES {
-            let reply = server.serve(Request::Sensitivity { axis }).unwrap();
-            let Reply::Sensitivity { ds, source, .. } = reply else {
-                panic!("a regular equilibrium must answer a derivative");
-            };
-            assert_eq!(ds.len(), 8);
-            assert!(matches!(source, Source::CacheHit | Source::Cold));
-        }
+    let p0 = Axis::Price.value(server.game());
+    let read = |server: &mut EquilibriumServer, axis: Axis| {
+        let reply = server.serve(Request::Sensitivity { axis }).unwrap();
+        let Reply::Sensitivity { ds, source, .. } = reply else {
+            panic!("a regular equilibrium must answer a derivative");
+        };
+        assert_eq!(ds.len(), 8);
+        source
     };
-    read(&mut server); // warm-up: the solve and the workspace
+    let visit = |server: &mut EquilibriumServer, p: f64| {
+        server.serve(Request::Update { axis: Axis::Price, value: p }).unwrap();
+        // Fresh factors from the snapshot, then reuse along every axis.
+        let first = read(server, Axis::Price);
+        for &axis in &SENSITIVITY_AXES {
+            assert_eq!(read(server, axis), Source::CacheHit, "a re-read must hit the cache");
+        }
+        first
+    };
+    for p in [p0, p0 * 1.05] {
+        visit(&mut server, p); // warm-up: solves both points, sizes the workspace
+    }
     let (allocs, ()) = allocations_during(|| {
         for _ in 0..5 {
-            read(&mut server);
+            for p in [p0, p0 * 1.05] {
+                assert_eq!(visit(&mut server, p), Source::CacheHit, "both points stay cached");
+            }
         }
     });
-    let reads = 5 * SENSITIVITY_AXES.len() as u64;
+    let reads = 5 * 2 * (1 + SENSITIVITY_AXES.len() as u64);
     assert_eq!(allocs, reads, "a warm sensitivity read must allocate only its reply's ds");
 }
 

@@ -1,4 +1,5 @@
-//! The simulators against the analytic model (DESIGN.md experiment E3):
+//! The simulators against the analytic model (experiment E3 of
+//! `subcomp_exp::extensions`):
 //! the Definition 1 fixed point emerges from a stochastic flow-level
 //! link, and myopic market agents find the analytic Nash equilibrium.
 

@@ -9,16 +9,27 @@
 //! `extragradient_solve` remain thin shims over the engine (and what
 //! keeps the golden snapshots byte-identical across the allocation-free
 //! refactor).
+//!
+//! One more contract rides here: the congestion state an [`EqSnapshot`]
+//! holds is bit-identical to the state solved cold at its subsidies,
+//! whatever answered — a cold or warm solve, a budget-starved partial, or
+//! a snapshot a rebuilt server preloaded after a kill. The equilibrium
+//! server factors Theorem 6 from that state instead of solving it again,
+//! so a solve that ever ended on a seeded state would fail here before it
+//! moved a served derivative.
 
 use proptest::prelude::*;
-use subcomp::game::game::SubsidyGame;
+use subcomp::exp::server::{Reply, Request, Sabotage, ShardedConfig, ShardedServer, Source};
+use subcomp::game::game::{Axis, SubsidyGame};
 use subcomp::game::nash::{NashSolver, SolveStats, WarmStart};
+use subcomp::game::snapshot::EqSnapshot;
 use subcomp::game::vi::{
     extragradient_solve, extragradient_solve_into, projection_solve, projection_solve_into,
     ViConfig,
 };
-use subcomp::game::workspace::SolveWorkspace;
+use subcomp::game::workspace::{SolveBudget, SolveWorkspace};
 use subcomp::model::aggregation::{build_system, ExpCpSpec};
+use subcomp::model::system::SystemState;
 
 /// Strategy: a small market of 2–4 exponential CP types.
 fn market_strategy() -> impl Strategy<Value = Vec<ExpCpSpec>> {
@@ -31,6 +42,15 @@ fn market_strategy() -> impl Strategy<Value = Vec<ExpCpSpec>> {
 
 fn bits(xs: &[f64]) -> Vec<u64> {
     xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Every float of a solved state, as bits.
+fn state_bits(st: &SystemState) -> Vec<u64> {
+    let mut out = vec![st.phi.to_bits(), st.dg_dphi.to_bits()];
+    for xs in [&st.m, &st.lambda, &st.theta_i] {
+        out.extend(bits(xs));
+    }
+    out
 }
 
 proptest! {
@@ -125,6 +145,45 @@ proptest! {
             prop_assert_eq!(bits(ws.subsidies()), bits(&fresh_eg.subsidies));
             prop_assert_eq!(eg.iterations, fresh_eg.iterations);
             prop_assert_eq!(eg.natural_residual.to_bits(), fresh_eg.natural_residual.to_bits());
+        }
+    }
+
+    #[test]
+    fn snapshot_state_is_the_cold_state_at_its_subsidies(
+        specs in market_strategy(),
+        p in 0.3f64..1.0,
+        q in 0.2f64..1.0,
+    ) {
+        let game = SubsidyGame::new(build_system(&specs, 1.0).unwrap(), p, q).unwrap();
+        let mut neighbour = game.clone();
+        Axis::Price.apply(&mut neighbour, p + 0.05).unwrap();
+        let solver = NashSolver::default().with_tol(1e-10);
+        let mut ws = SolveWorkspace::for_game(&game);
+        let mut answers = Vec::new();
+        let stats = solver.solve_into(&game, WarmStart::Zero, &mut ws).unwrap();
+        answers.push((game.clone(), EqSnapshot::capture(&game, &ws, stats)));
+        let stats = solver.solve_into(&neighbour, WarmStart::Previous, &mut ws).unwrap();
+        answers.push((neighbour.clone(), EqSnapshot::capture(&neighbour, &ws, stats)));
+        let budget = SolveBudget::sweeps(1);
+        let stats = solver.solve_into_budgeted(&game, WarmStart::Zero, &mut ws, budget).unwrap();
+        answers.push((game.clone(), EqSnapshot::capture(&game, &ws, stats)));
+        // A kill rebuilds the market and preloads its published answer;
+        // the next sensitivity read is a cache hit on that snapshot.
+        let mut fleet =
+            ShardedServer::new(vec![(0, game.clone())], &ShardedConfig::default()).unwrap();
+        fleet.serve(0, Request::Equilibrium).unwrap();
+        prop_assert!(fleet.serve_sabotaged(0, Request::Equilibrium, Sabotage::Kill).is_err());
+        let (snap, source) = match fleet.serve(0, Request::Sensitivity { axis: Axis::Price }) {
+            Ok(Reply::Sensitivity { snap, source, .. } | Reply::Degenerate { snap, source, .. }) => {
+                (snap, source)
+            }
+            other => panic!("a converged market answers a sensitivity read, got {other:?}"),
+        };
+        prop_assert_eq!(source, Source::CacheHit);
+        answers.push((game.clone(), (*snap).clone()));
+        for (game, snap) in &answers {
+            let cold = game.state(snap.subsidies()).unwrap();
+            prop_assert_eq!(state_bits(snap.state()), state_bits(&cold));
         }
     }
 }
