@@ -1,13 +1,12 @@
 //! Benchmarks Nash equilibrium solvers: the Newton-corrected Gauss–Seidel
-//! engine, the damped-Jacobi cross-check and variational-inequality
-//! methods, scaling in
-//! the number of provider types, and two layers under a solve: the φ
-//! fixed point every best-response probe solves, and one Newton step
-//! against one sweep, exact or forced.
+//! engine and the damped-Jacobi cross-check, scaling in the number of
+//! provider types, and two layers under a solve: the φ fixed point every
+//! best-response probe solves, and one Newton step against one sweep,
+//! exact or forced.
 //!
 //! All solver benches measure the allocation-free engine entry points
-//! (`solve_into` / `*_solve_into`) on a reused [`SolveWorkspace`] — the
-//! per-solve cost a batch caller actually pays. Cold benches still solve
+//! (`solve_into` / `solve_jacobi_into`) on a reused [`SolveWorkspace`] —
+//! the per-solve cost a batch caller actually pays. Cold benches still solve
 //! from the zero profile to full convergence, so their numbers are
 //! directly comparable with the pre-workspace `solve(&game)` baselines.
 
@@ -16,7 +15,6 @@ use std::time::Duration;
 use subcomp_bench::{market_of, market_spread};
 use subcomp_core::game::SubsidyGame;
 use subcomp_core::nash::{NashSolver, WarmStart};
-use subcomp_core::vi::{extragradient_solve_into, projection_solve_into, ViConfig};
 use subcomp_core::workspace::{SolveBudget, SolveWorkspace};
 use subcomp_exp::scenarios::{farm_game, section5_system};
 use subcomp_exp::sweep::BatchSolver;
@@ -47,20 +45,6 @@ fn bench_solvers(c: &mut Criterion) {
         b.iter(|| {
             let game = std::hint::black_box(&game);
             solver.solve_jacobi_into(game, WarmStart::Zero, &mut ws, 0.7).unwrap()
-        })
-    });
-    g.bench_function("vi_projection", |b| {
-        let cfg = ViConfig { tol: 1e-7, ..Default::default() };
-        let mut ws = SolveWorkspace::for_game(&game);
-        b.iter(|| {
-            projection_solve_into(std::hint::black_box(&game), &[0.0; 8], &cfg, &mut ws).unwrap()
-        })
-    });
-    g.bench_function("vi_extragradient", |b| {
-        let cfg = ViConfig { tol: 1e-7, ..Default::default() };
-        let mut ws = SolveWorkspace::for_game(&game);
-        b.iter(|| {
-            extragradient_solve_into(std::hint::black_box(&game), &[0.0; 8], &cfg, &mut ws).unwrap()
         })
     });
     g.finish();

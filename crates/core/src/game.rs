@@ -442,46 +442,6 @@ impl SubsidyGame {
         self.system.state_at_prices_into(prices, scratch, out)
     }
 
-    /// The VI map `F(s) = −u(s)` into a caller-owned buffer (the
-    /// allocation-free core of [`crate::vi`]): solves the state at `s`
-    /// into `state` and writes the negated marginal utilities into `out`.
-    pub(crate) fn vi_map_into(
-        &self,
-        s: &[f64],
-        prices: &mut Vec<f64>,
-        scratch: &mut StateScratch,
-        state: &mut SystemState,
-        out: &mut Vec<f64>,
-    ) -> NumResult<()> {
-        self.state_into(s, prices, scratch, state)?;
-        out.resize(self.n(), 0.0);
-        for i in 0..self.n() {
-            out[i] = -self.marginal_utility_at_state(i, s, state);
-        }
-        Ok(())
-    }
-
-    /// [`SubsidyGame::marginal_utilities`] into caller-owned buffers —
-    /// the positive-sign sibling of [`SubsidyGame::vi_map_into`], the
-    /// allocation-free core of the sensitivity engine's
-    /// finite-difference leg. Bit-identical to the allocating wrapper
-    /// (both ride the `_into` state solvers).
-    pub(crate) fn marginal_utilities_into(
-        &self,
-        s: &[f64],
-        prices: &mut Vec<f64>,
-        scratch: &mut StateScratch,
-        state: &mut SystemState,
-        out: &mut Vec<f64>,
-    ) -> NumResult<()> {
-        self.state_into(s, prices, scratch, state)?;
-        out.resize(self.n(), 0.0);
-        for i in 0..self.n() {
-            out[i] = self.marginal_utility_at_state(i, s, state);
-        }
-        Ok(())
-    }
-
     /// All marginal utilities `u(s)` at a profile (one fixed-point solve).
     pub fn marginal_utilities(&self, s: &[f64]) -> NumResult<Vec<f64>> {
         let state = self.state(s)?;

@@ -22,8 +22,9 @@
 //!   behind the allocation-free `solve_into` engines (batch/ensemble
 //!   solving without per-solve heap traffic);
 //! * [`vi`] — the same equilibrium as a box-constrained variational
-//!   inequality `VI(−u, [0,q]^N)` with projection and extragradient
-//!   solvers (the formulation behind Theorems 4 and 6);
+//!   inequality `VI(−u, [0,q]^N)` (the formulation behind Theorems 4
+//!   and 6): the natural-residual certificate and a fixed-step
+//!   projection solve, the test reference for the Nash engine;
 //! * [`equilibrium`] — Theorem 3's threshold characterization
 //!   `s_i = min{τ_i(s), q}` and KKT/deviation verification;
 //! * [`structure`] — Theorem 4's P-function uniqueness condition and

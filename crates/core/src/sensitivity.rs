@@ -58,10 +58,10 @@
 //! those solves.
 //!
 //! **Oracle.** The central-difference Jacobian
-//! ([`crate::structure::marginal_utility_jacobian`]) and the in-place FD
-//! right-hand sides ([`Sensitivity::axis_shift_into`]) no longer run on
-//! any production path; they stay as the test oracle the structured
-//! engine is checked against (`tests/sensitivity_oracle.rs`).
+//! ([`crate::structure::marginal_utility_jacobian`]) and the FD
+//! right-hand sides ([`Sensitivity::axis_shift`]) no longer run on any
+//! production path; they stay as the test oracle the structured engine
+//! is checked against (`tests/sensitivity_oracle.rs`).
 
 use crate::equilibrium::PIN_TOL;
 use crate::game::{Axis, SubsidyGame};
@@ -162,28 +162,6 @@ impl Pin {
         } else {
             Pin::Interior
         }
-    }
-}
-
-/// Reusable buffers for the finite-difference oracle
-/// ([`Sensitivity::axis_shift_into`]): the two probe outputs plus the
-/// price/scratch/state buffers the allocation-free marginal-utility
-/// evaluation threads through. After warm-up (one call per game size) a
-/// probe performs zero heap allocation — pinned in `tests/alloc_free.rs`.
-#[derive(Debug, Clone, Default)]
-pub struct FdWorkspace {
-    up: Vec<f64>,
-    um: Vec<f64>,
-    prices: Vec<f64>,
-    scratch: StateScratch,
-    state: SystemState,
-}
-
-impl FdWorkspace {
-    /// Creates an empty workspace; buffers size themselves on first use
-    /// and only ever grow, so one workspace serves games of any size.
-    pub fn new() -> FdWorkspace {
-        FdWorkspace::default()
     }
 }
 
@@ -628,26 +606,17 @@ impl Sensitivity {
         Ok(ds)
     }
 
-    /// The finite-difference marginal-utility shift `∂u/∂θ` under the
-    /// in-place reparameterization, written into `out` — the FD oracle
-    /// for the structured engine's analytic right-hand sides. Clone-free
-    /// probe+restore: the axis is written to `θ₀ ± h` in place and
-    /// **always restored to exactly `θ₀`** before returning, error paths
-    /// included (axis writes are pure parameter stores, so the restore is
-    /// bit-exact). After `ws` warm-up the probe performs zero heap
-    /// allocation (pinned in `tests/alloc_free.rs`).
+    /// The finite-difference marginal-utility shift `∂u/∂θ` along `axis`
+    /// at the profile `s` — the FD oracle for the structured engine's
+    /// analytic right-hand sides: a central difference of
+    /// [`SubsidyGame::marginal_utilities`] on a clone of `game` moved to
+    /// `θ₀ ± h`, the lower probe clipped to the axis' domain.
     ///
     /// # Errors
     /// [`Axis::Cap`] is refused — the cap moves the feasible box, not
     /// the marginal utilities, so it has no FD leg (its Theorem 6
     /// right-hand side is a Jacobian column sum instead).
-    pub fn axis_shift_into(
-        game: &mut SubsidyGame,
-        s: &[f64],
-        axis: Axis,
-        ws: &mut FdWorkspace,
-        out: &mut Vec<f64>,
-    ) -> NumResult<()> {
+    pub fn axis_shift(game: &SubsidyGame, s: &[f64], axis: Axis) -> NumResult<Vec<f64>> {
         if axis == Axis::Cap {
             return Err(NumError::Domain {
                 what: "the cap axis has no finite-difference leg \
@@ -665,35 +634,13 @@ impl Sensitivity {
         };
         let hi = theta0 + h;
         let lo = (theta0 - h).max(if axis == Axis::Mu { 0.5 * theta0 } else { 0.0 });
-        let probes = (|| {
-            axis.apply(game, hi)?;
-            game.marginal_utilities_into(
-                s,
-                &mut ws.prices,
-                &mut ws.scratch,
-                &mut ws.state,
-                &mut ws.up,
-            )?;
-            axis.apply(game, lo)?;
-            game.marginal_utilities_into(
-                s,
-                &mut ws.prices,
-                &mut ws.scratch,
-                &mut ws.state,
-                &mut ws.um,
-            )
-        })();
-        // Restore θ₀ *before* surfacing any probe error, so the game
-        // comes back unchanged whatever happened.
-        let restored = axis.apply(game, theta0);
-        probes?;
-        restored?;
+        let mut probe = game.clone();
+        axis.apply(&mut probe, hi)?;
+        let up = probe.marginal_utilities(s)?;
+        axis.apply(&mut probe, lo)?;
+        let um = probe.marginal_utilities(s)?;
         let denom = hi - lo;
-        out.resize(game.n(), 0.0);
-        for (o, (&u, &m)) in out.iter_mut().zip(ws.up.iter().zip(&ws.um)) {
-            *o = (u - m) / denom;
-        }
-        Ok(())
+        Ok(up.iter().zip(&um).map(|(u, m)| (u - m) / denom).collect())
     }
 }
 

@@ -5,17 +5,23 @@
 //! solutions of `VI(F, K)` where `F = −u` (negated marginal utilities) and
 //! `K = [0, q]^N`: find `s ∈ K` with `(x − s)ᵀ F(s) ≥ 0 ∀x ∈ K`.
 //!
-//! Two classical solvers are provided — fixed-step **projection**
-//! (`s ← Π_K(s − γ F(s))`) and Korpelevich **extragradient** — as
-//! independent cross-checks on the best-response solvers in [`crate::nash`].
-//! The natural-residual map `‖s − Π_K(s − F(s))‖_∞` doubles as an
-//! equilibrium certificate.
+//! The natural-residual map `‖s − Π_K(s − F(s))‖_∞` vanishes exactly at
+//! those solutions, so it certifies an equilibrium whichever solver found
+//! it. Fixed-step **projection** (`s ← Π_K(s − γ F(s))`) is the VI
+//! reference the best-response solvers in [`crate::nash`] are checked
+//! against; no production path calls it.
 
 use crate::game::SubsidyGame;
-use crate::workspace::SolveWorkspace;
 use subcomp_model::system::SystemState;
-use subcomp_num::linalg::vector::{clamp_in_place, step_into, sub_inf_norm};
+use subcomp_num::linalg::vector::sub_inf_norm;
 use subcomp_num::{NumError, NumResult};
+
+/// Step size `γ` of the projection method.
+const STEP: f64 = 0.15;
+/// Convergence threshold on the step `‖s_{k+1} − s_k‖_∞ / γ`.
+const TOL: f64 = 1e-9;
+/// Iteration budget.
+const MAX_ITER: usize = 20_000;
 
 /// Result of a VI solve.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,25 +34,6 @@ pub struct ViSolution {
     pub natural_residual: f64,
     /// Iterations performed.
     pub iterations: usize,
-    /// Whether the residual met the tolerance.
-    pub converged: bool,
-}
-
-/// Configuration for the VI solvers.
-#[derive(Debug, Clone, Copy)]
-pub struct ViConfig {
-    /// Step size `γ > 0`.
-    pub step: f64,
-    /// Convergence threshold on the natural residual.
-    pub tol: f64,
-    /// Iteration budget.
-    pub max_iter: usize,
-}
-
-impl Default for ViConfig {
-    fn default() -> Self {
-        ViConfig { step: 0.15, tol: 1e-9, max_iter: 20_000 }
-    }
 }
 
 fn project(game: &SubsidyGame, s: &mut [f64]) {
@@ -68,125 +55,39 @@ pub fn natural_residual(game: &SubsidyGame, s: &[f64]) -> NumResult<f64> {
     Ok(s.iter().zip(&proj).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max))
 }
 
-/// Health summary of one VI `_into` solve; the solution itself stays in
-/// the workspace. Mirrors the corresponding [`ViSolution`] fields
-/// bit-for-bit.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ViStats {
-    /// Natural residual at the solution.
-    pub natural_residual: f64,
-    /// Iterations performed.
-    pub iterations: usize,
-    /// Whether the residual met the tolerance.
-    pub converged: bool,
+/// Fixed-step projection method from `s0` (projected onto the box
+/// first). Converges for co-coercive maps; on this game the fixed step
+/// is conservative enough in practice.
+///
+/// # Errors
+/// [`NumError::MaxIterations`] when the step has not fallen below the
+/// tolerance within the iteration budget.
+pub fn projection_solve(game: &SubsidyGame, s0: &[f64]) -> NumResult<ViSolution> {
+    project_until(game, s0, MAX_ITER)
 }
 
-/// Fixed-step projection method. Converges for co-coercive maps; on this
-/// game the step default is conservative enough in practice, and the
-/// method is used as a cross-check rather than the primary solver.
-pub fn projection_solve(game: &SubsidyGame, s0: &[f64], cfg: &ViConfig) -> NumResult<ViSolution> {
-    let mut ws = SolveWorkspace::for_game(game);
-    let stats = projection_solve_into(game, s0, cfg, &mut ws)?;
-    Ok(vi_solution(&ws, stats))
-}
-
-/// Korpelevich extragradient: a predictor step probes `F`, the corrector
-/// applies it — convergent for merely monotone maps, at twice the cost
-/// per iteration.
-pub fn extragradient_solve(
-    game: &SubsidyGame,
-    s0: &[f64],
-    cfg: &ViConfig,
-) -> NumResult<ViSolution> {
-    let mut ws = SolveWorkspace::for_game(game);
-    let stats = extragradient_solve_into(game, s0, cfg, &mut ws)?;
-    Ok(vi_solution(&ws, stats))
-}
-
-fn vi_solution(ws: &SolveWorkspace, stats: ViStats) -> ViSolution {
-    ViSolution {
-        subsidies: ws.subsidies().to_vec(),
-        state: ws.state().clone(),
-        natural_residual: stats.natural_residual,
-        iterations: stats.iterations,
-        converged: stats.converged,
-    }
-}
-
-/// [`projection_solve`] on a caller-owned workspace: bit-identical
-/// iterates, zero heap allocation once the workspace is warm. On success
-/// the solution stays in `ws` ([`SolveWorkspace::subsidies`] /
-/// [`SolveWorkspace::state`]).
-pub fn projection_solve_into(
-    game: &SubsidyGame,
-    s0: &[f64],
-    cfg: &ViConfig,
-    ws: &mut SolveWorkspace,
-) -> NumResult<ViStats> {
+/// [`projection_solve`] with an explicit iteration budget.
+fn project_until(game: &SubsidyGame, s0: &[f64], max_iter: usize) -> NumResult<ViSolution> {
     game.validate(s0)?;
-    ws.ensure(game);
-    ws.s.copy_from_slice(s0);
-    clamp_in_place(&mut ws.s, 0.0, &ws.caps);
+    let mut s = s0.to_vec();
+    project(game, &mut s);
     let mut residual = f64::INFINITY;
-    for iter in 0..cfg.max_iter {
-        game.vi_map_into(&ws.s, &mut ws.prices, &mut ws.scratch, &mut ws.state, &mut ws.vi_f)?;
-        step_into(&ws.s, &ws.vi_f, cfg.step, &mut ws.next);
-        clamp_in_place(&mut ws.next, 0.0, &ws.caps);
-        residual = sub_inf_norm(&ws.s, &ws.next) / cfg.step;
-        std::mem::swap(&mut ws.s, &mut ws.next);
-        if residual <= cfg.tol {
-            return finish_vi(game, ws, iter + 1);
+    for iter in 0..max_iter {
+        let f = vi_map(game, &s)?;
+        let mut next: Vec<f64> = s.iter().zip(&f).map(|(si, fi)| si - STEP * fi).collect();
+        project(game, &mut next);
+        residual = sub_inf_norm(&s, &next) / STEP;
+        s = next;
+        if residual <= TOL {
+            return Ok(ViSolution {
+                natural_residual: natural_residual(game, &s)?,
+                state: game.state(&s)?,
+                subsidies: s,
+                iterations: iter + 1,
+            });
         }
     }
-    Err(NumError::MaxIterations { max_iter: cfg.max_iter, residual })
-}
-
-/// [`extragradient_solve`] on a caller-owned workspace: bit-identical
-/// iterates, zero heap allocation once the workspace is warm.
-pub fn extragradient_solve_into(
-    game: &SubsidyGame,
-    s0: &[f64],
-    cfg: &ViConfig,
-    ws: &mut SolveWorkspace,
-) -> NumResult<ViStats> {
-    game.validate(s0)?;
-    ws.ensure(game);
-    ws.s.copy_from_slice(s0);
-    clamp_in_place(&mut ws.s, 0.0, &ws.caps);
-    let mut residual = f64::INFINITY;
-    for iter in 0..cfg.max_iter {
-        game.vi_map_into(&ws.s, &mut ws.prices, &mut ws.scratch, &mut ws.state, &mut ws.vi_f)?;
-        step_into(&ws.s, &ws.vi_f, cfg.step, &mut ws.vi_pred);
-        clamp_in_place(&mut ws.vi_pred, 0.0, &ws.caps);
-        game.vi_map_into(
-            &ws.vi_pred,
-            &mut ws.prices,
-            &mut ws.scratch,
-            &mut ws.state,
-            &mut ws.vi_f,
-        )?;
-        step_into(&ws.s, &ws.vi_f, cfg.step, &mut ws.next);
-        clamp_in_place(&mut ws.next, 0.0, &ws.caps);
-        residual = sub_inf_norm(&ws.s, &ws.next) / cfg.step;
-        std::mem::swap(&mut ws.s, &mut ws.next);
-        if residual <= cfg.tol {
-            return finish_vi(game, ws, iter + 1);
-        }
-    }
-    Err(NumError::MaxIterations { max_iter: cfg.max_iter, residual })
-}
-
-/// Terminal bookkeeping shared by the VI engines: solve the state at the
-/// converged iterate and compute the natural residual, all in workspace
-/// buffers (`vi_f` holds `F(s)`, `vi_pred` the projected probe).
-fn finish_vi(game: &SubsidyGame, ws: &mut SolveWorkspace, iterations: usize) -> NumResult<ViStats> {
-    game.vi_map_into(&ws.s, &mut ws.prices, &mut ws.scratch, &mut ws.state, &mut ws.vi_f)?;
-    for i in 0..ws.s.len() {
-        ws.vi_pred[i] = ws.s[i] - ws.vi_f[i];
-    }
-    clamp_in_place(&mut ws.vi_pred, 0.0, &ws.caps);
-    let nr = sub_inf_norm(&ws.s, &ws.vi_pred);
-    Ok(ViStats { natural_residual: nr, iterations, converged: true })
+    Err(NumError::MaxIterations { max_iter, residual })
 }
 
 #[cfg(test)]
@@ -209,34 +110,27 @@ mod tests {
 
     #[test]
     fn projection_agrees_with_best_response() {
+        // Two starts, one at the origin and one inside the box, reach the
+        // engine's equilibrium.
         let game = paper_game(0.7, 0.6);
         let br = NashSolver::default().solve(&game).unwrap();
-        let vi = projection_solve(&game, &[0.0; 8], &ViConfig::default()).unwrap();
-        assert!(vi.converged);
-        for i in 0..8 {
-            assert!(
-                (br.subsidies[i] - vi.subsidies[i]).abs() < 1e-5,
-                "CP {i}: BR {} vs VI {}",
-                br.subsidies[i],
-                vi.subsidies[i]
-            );
-        }
-    }
-
-    #[test]
-    fn extragradient_agrees_with_projection() {
-        let game = paper_game(0.5, 1.0);
-        let pj = projection_solve(&game, &[0.1; 8], &ViConfig::default()).unwrap();
-        let eg = extragradient_solve(&game, &[0.4; 8], &ViConfig::default()).unwrap();
-        for i in 0..8 {
-            assert!((pj.subsidies[i] - eg.subsidies[i]).abs() < 1e-5, "CP {i}");
+        for start in [0.0, 0.4] {
+            let vi = projection_solve(&game, &[start; 8]).unwrap();
+            for i in 0..8 {
+                assert!(
+                    (br.subsidies[i] - vi.subsidies[i]).abs() < 1e-5,
+                    "start {start}, CP {i}: BR {} vs VI {}",
+                    br.subsidies[i],
+                    vi.subsidies[i]
+                );
+            }
         }
     }
 
     #[test]
     fn natural_residual_zero_at_solution_positive_elsewhere() {
         let game = paper_game(0.6, 0.5);
-        let sol = projection_solve(&game, &[0.0; 8], &ViConfig::default()).unwrap();
+        let sol = projection_solve(&game, &[0.0; 8]).unwrap();
         assert!(sol.natural_residual < 1e-7);
         let off = natural_residual(&game, &[0.0; 8]).unwrap();
         assert!(off > 1e-3, "residual at the origin should be large, got {off}");
@@ -256,10 +150,9 @@ mod tests {
     #[test]
     fn tiny_budget_errors_out() {
         let game = paper_game(0.5, 1.0);
-        let cfg = ViConfig { max_iter: 2, ..Default::default() };
         assert!(matches!(
-            projection_solve(&game, &[0.0; 8], &cfg),
-            Err(NumError::MaxIterations { .. })
+            project_until(&game, &[0.0; 8], 2),
+            Err(NumError::MaxIterations { max_iter: 2, .. })
         ));
     }
 }

@@ -1,21 +1,19 @@
 //! Caller-owned solver workspaces: the allocation-free batch engine.
 //!
-//! Every Nash/VI solve needs the same transient storage — iterate vectors,
+//! Every Nash solve needs the same transient storage — iterate vectors,
 //! a best-response population scratch, a congestion-state buffer, the
 //! model layer's [`StateScratch`] and the Newton corrector's active-set
 //! guess and Jacobian factors. A [`SolveWorkspace`] owns all of it, so
 //! a caller that solves many games (parameter sweeps, seeded ensembles,
 //! the `solve_farm` binary) pays for heap allocation once at warm-up and
-//! never again: [`crate::nash::NashSolver::solve_into`],
-//! [`crate::vi::projection_solve_into`] and
-//! [`crate::vi::extragradient_solve_into`] all run allocation-free on a
-//! warm workspace, as asserted by the counting-allocator suite in
-//! `tests/alloc_free.rs`.
+//! never again: [`crate::nash::NashSolver::solve_into`] and the
+//! damped-Jacobi cross-check [`crate::nash::NashSolver::solve_jacobi_into`]
+//! run allocation-free on a warm workspace, as asserted by the
+//! counting-allocator suite in `tests/alloc_free.rs`.
 //!
 //! Buffers only ever grow, so one workspace can hop between games of
-//! different sizes; results are bit-identical to the allocating wrappers
-//! (`solve`, `projection_solve`, `extragradient_solve`), which are thin
-//! shims over this engine.
+//! different sizes; results are bit-identical to the allocating
+//! [`crate::nash::NashSolver::solve`], a thin shim over this engine.
 
 use crate::game::SubsidyGame;
 use crate::sensitivity::{Factors, Pin};
@@ -71,7 +69,7 @@ impl SolveBudget {
     }
 }
 
-/// Reusable buffers for the Nash and VI solvers.
+/// Reusable buffers for the Nash solvers.
 ///
 /// Create one per worker thread with [`SolveWorkspace::for_game`] (or
 /// [`SolveWorkspace::new`] for lazy sizing) and pass it to the `_into`
@@ -90,10 +88,6 @@ pub struct SolveWorkspace {
     pub(crate) m: Vec<f64>,
     /// Effective-price scratch for full state assembly.
     pub(crate) prices: Vec<f64>,
-    /// VI map buffer `F(s) = −u(s)`.
-    pub(crate) vi_f: Vec<f64>,
-    /// VI predictor / projection buffer.
-    pub(crate) vi_pred: Vec<f64>,
     /// Model-layer scratch (exp table, population buffer).
     pub(crate) scratch: StateScratch,
     /// Solved congestion state at the current iterate.
@@ -145,8 +139,6 @@ impl SolveWorkspace {
         }
         self.m.resize(n, 0.0);
         self.prices.resize(n, 0.0);
-        self.vi_f.resize(n, 0.0);
-        self.vi_pred.resize(n, 0.0);
         self.utilities.resize(n, 0.0);
         self.pins.resize(n, Pin::Lower);
         self.interior.clear();

@@ -237,8 +237,6 @@ pub struct EquilibriumServer {
     budget: SolveBudget,
     /// Consecutive budget blowouts since the last full answer.
     strikes: u32,
-    /// Strikes at which the market quarantines itself.
-    quarantine_after: u32,
     quarantined: bool,
 }
 
@@ -275,7 +273,6 @@ impl EquilibriumServer {
             stats: ServerStats::default(),
             budget: SolveBudget::unlimited(),
             strikes: 0,
-            quarantine_after: QUARANTINE_AFTER,
             quarantined: false,
         }
     }
@@ -446,7 +443,7 @@ impl EquilibriumServer {
             // deterministic strike count.
             self.stats.partial_solves += 1;
             self.strikes += 1;
-            if self.strikes >= self.quarantine_after {
+            if self.strikes >= QUARANTINE_AFTER {
                 self.quarantined = true;
             }
             self.slot_state[slot] = None;

@@ -38,26 +38,6 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// Out-of-place step `out ← s − gamma * f` (the projection-method update
-/// before clamping). Panics on length mismatch.
-pub fn step_into(s: &[f64], f: &[f64], gamma: f64, out: &mut [f64]) {
-    assert_eq!(s.len(), f.len(), "step_into: length mismatch");
-    assert_eq!(s.len(), out.len(), "step_into: length mismatch");
-    for i in 0..s.len() {
-        out[i] = s[i] - gamma * f[i];
-    }
-}
-
-/// In-place component-wise clamp of `x` into the box `[lo, hi_i]` — the
-/// projection onto a per-component-capped orthant. Panics on length
-/// mismatch.
-pub fn clamp_in_place(x: &mut [f64], lo: f64, hi: &[f64]) {
-    assert_eq!(x.len(), hi.len(), "clamp_in_place: length mismatch");
-    for (xi, &h) in x.iter_mut().zip(hi) {
-        *xi = xi.clamp(lo, h);
-    }
-}
-
 /// Clamped copy `dst ← clamp(src, lo, hi_i)` — an allocation-free
 /// combination of copy and box projection. Panics on length mismatch.
 pub fn copy_clamped(src: &[f64], lo: f64, hi: &[f64], dst: &mut [f64]) {
@@ -112,30 +92,9 @@ mod tests {
     }
 
     #[test]
-    fn step_into_matches_elementwise() {
-        let mut out = vec![0.0; 3];
-        step_into(&[1.0, 2.0, 3.0], &[0.5, -1.0, 0.0], 2.0, &mut out);
-        assert_eq!(out, vec![0.0, 4.0, 3.0]);
-    }
-
-    #[test]
-    fn clamp_in_place_projects() {
-        let mut x = vec![-0.5, 0.5, 2.0];
-        clamp_in_place(&mut x, 0.0, &[1.0, 1.0, 1.5]);
-        assert_eq!(x, vec![0.0, 0.5, 1.5]);
-    }
-
-    #[test]
     fn copy_clamped_copies_and_projects() {
         let mut dst = vec![0.0; 3];
         copy_clamped(&[-1.0, 0.3, 9.0], 0.0, &[1.0, 1.0, 0.5], &mut dst);
         assert_eq!(dst, vec![0.0, 0.3, 0.5]);
-    }
-
-    #[test]
-    #[should_panic(expected = "step_into: length mismatch")]
-    fn step_into_length_mismatch_panics() {
-        let mut out = vec![0.0; 2];
-        step_into(&[1.0], &[1.0], 1.0, &mut out);
     }
 }

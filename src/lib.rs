@@ -41,7 +41,7 @@ pub mod prelude {
 /// | Theorem 6 (equilibrium dynamics) | [`game::sensitivity::Sensitivity`] (+ `directional` along any [`game::game::Axis`]) on [`game::sensitivity::SensitivityWorkspace`]: the diagonal-plus-rank-two Jacobian from one solved state, solved by Woodbury; the same interior Jacobian is the Newton matrix of every Gauss–Seidel [`game::nash::NashSolver`] solve. Served as a product ([`exp::server::Request::Sensitivity`]), never as a solver start | re-solved-equilibrium finite differences; the FD Jacobian oracle in `tests/sensitivity_oracle.rs`; the pure-sweep oracle in `tests/newton_oracle.rs` |
 /// | Corollary 1 (deregulation) | [`game::policy::policy_effect`] (fixed price) | monotone sweeps |
 /// | Theorem 7 (marginal revenue, Υ) | [`game::revenue::marginal_revenue_at`] | finite-difference cross-checks |
-/// | Theorem 8 (policy effect) | [`game::policy::policy_effect`] (optimal price) | per-CP dθ/dq agreement |
+/// | Theorem 8 (policy effect) | [`game::policy::policy_effect`] (optimal price) | `theorem8_policy_effect_with_optimal_price`: per-CP dθ/dq, dφ/dq and dR/dq against equilibria re-solved at `p*(q ± h)` |
 /// | Corollary 2 (welfare) | [`game::welfare::corollary2`] | sign-consistency tests |
 /// | Figures 4–11 | [`exp::figures`] | shape checks + `tests/figures_shape.rs` |
 /// | beyond the paper: scenario corpus | [`exp::corpus`] (+ [`exp::golden`]) | golden snapshots, `tests/golden_scenarios.rs` |

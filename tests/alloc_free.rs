@@ -21,7 +21,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use subcomp::game::game::{Axis, SubsidyGame};
 use subcomp::game::nash::{NashSolver, WarmStart};
-use subcomp::game::vi::{extragradient_solve_into, projection_solve_into, ViConfig};
 use subcomp::game::workspace::SolveWorkspace;
 use subcomp::model::aggregation::{build_system, ExpCpSpec};
 
@@ -135,26 +134,6 @@ fn jacobi_solve_into_is_allocation_free_after_warmup() {
         }
     });
     assert_eq!(allocs, 0, "warm Jacobi solves must not touch the heap, saw {allocs} allocations");
-}
-
-#[test]
-fn vi_solvers_are_allocation_free_after_warmup() {
-    let games = games();
-    let cfg = ViConfig { tol: 1e-5, ..Default::default() };
-    let mut ws = SolveWorkspace::new();
-    let starts: Vec<Vec<f64>> = games.iter().map(|g| vec![0.0; g.n()]).collect();
-    for (game, s0) in games.iter().zip(&starts) {
-        projection_solve_into(game, s0, &cfg, &mut ws).unwrap();
-        extragradient_solve_into(game, s0, &cfg, &mut ws).unwrap();
-    }
-    let (allocs, _) = allocations_during(|| {
-        for (game, s0) in games.iter().zip(&starts) {
-            let pj = projection_solve_into(game, s0, &cfg, &mut ws).unwrap();
-            let eg = extragradient_solve_into(game, s0, &cfg, &mut ws).unwrap();
-            assert!(pj.converged && eg.converged);
-        }
-    });
-    assert_eq!(allocs, 0, "warm VI solves must not touch the heap, saw {allocs} allocations");
 }
 
 #[test]
@@ -353,44 +332,6 @@ fn sharded_router_warm_serve_is_allocation_free_after_warmup() {
         allocs, 0,
         "the warm sharded serve path must not allocate, saw {allocs} allocations"
     );
-}
-
-#[test]
-fn fd_axis_shift_is_allocation_free_after_warmup() {
-    // The clone-free finite-difference oracle of the sensitivity engine:
-    // `Sensitivity::axis_shift_into` probes the game in place (apply
-    // θ±h, evaluate marginal utilities into workspace buffers, restore
-    // θ bit-exactly) instead of cloning the game per probe. After one
-    // warm-up call per axis sizes the `FdWorkspace` and the output
-    // buffer, repeated shifts across every supported axis stay off the
-    // heap — and the game parameter really is restored, so back-to-back
-    // calls keep producing identical derivatives.
-    use subcomp::game::game::Axis;
-    use subcomp::game::sensitivity::{FdWorkspace, Sensitivity};
-
-    let mut game = games().into_iter().next().unwrap();
-    let solver = NashSolver::default().with_tol(1e-8);
-    let mut ws = SolveWorkspace::new();
-    solver.solve_into(&game, WarmStart::Zero, &mut ws).unwrap();
-    let s: Vec<f64> = ws.subsidies().to_vec();
-    let axes = [Axis::Mu, Axis::Price, Axis::Profitability(0), Axis::Profitability(2)];
-
-    let mut fd = FdWorkspace::new();
-    let mut out = Vec::new();
-    let mut reference = Vec::new();
-    for &axis in &axes {
-        Sensitivity::axis_shift_into(&mut game, &s, axis, &mut fd, &mut out).unwrap();
-        reference.push(out.clone());
-    }
-    let (allocs, ()) = allocations_during(|| {
-        for _ in 0..5 {
-            for (&axis, reference) in axes.iter().zip(&reference) {
-                Sensitivity::axis_shift_into(&mut game, &s, axis, &mut fd, &mut out).unwrap();
-                assert_eq!(&out, reference, "in-place probe+restore must be deterministic");
-            }
-        }
-    });
-    assert_eq!(allocs, 0, "warm FD axis shifts must not touch the heap, saw {allocs} allocations");
 }
 
 /// The §5 market at `p = 0.6, q = 0.35`: a regular equilibrium with all

@@ -5,6 +5,7 @@ use subcomp::game::equilibrium::verify_equilibrium;
 use subcomp::game::game::SubsidyGame;
 use subcomp::game::nash::{NashSolver, WarmStart};
 use subcomp::game::policy::{policy_effect, PriceResponse};
+use subcomp::game::pricing::optimal_price;
 use subcomp::game::revenue::marginal_revenue_at;
 use subcomp::game::sensitivity::Sensitivity;
 use subcomp::game::structure::p_function_evidence;
@@ -192,6 +193,40 @@ fn theorem8_policy_effect_with_fixed_price() {
     // Some CP gains and some loses (the congestion externality).
     assert!((0..8).any(|i| pe.throughput_increasing(i)));
     assert!((0..8).any(|i| !pe.throughput_increasing(i)));
+}
+
+#[test]
+fn theorem8_policy_effect_with_optimal_price() {
+    // The monopoly regime: the ISP re-optimizes p*(q), so the
+    // (1 − ∂s_i/∂p)·dp/dq term of dt_i/dq is live. Each derivative is held
+    // to central differences of the equilibria at p*(q ± h). Not at
+    // q = 0.35, where dp/dq ≈ 2e-4 leaves that term untested, nor at
+    // q = 1, where the cap no longer binds and every derivative is 0.
+    let sys = section5_system();
+    let solver = solver();
+    let (lo, hi, h) = (0.0, 2.0, 1e-3);
+    let at = |q: f64| {
+        let p = optimal_price(&sys, q, lo, hi, &solver).unwrap().p_star;
+        let game = SubsidyGame::new(sys.clone(), p, q).unwrap();
+        let eq = solver.solve(&game).unwrap();
+        let revenue = eq.isp_revenue(&game);
+        (eq.state, revenue)
+    };
+    let close = |x: f64, fd: f64| (x - fd).abs() <= 3e-2 * (1.0 + fd.abs());
+    for q in [0.2, 0.5] {
+        let pe = policy_effect(&sys, q, PriceResponse::Optimal { lo, hi }, &solver).unwrap();
+        assert!(pe.dp_dq.abs() > 0.1, "q {q}: dp/dq {}", pe.dp_dq);
+        let ((up, r_up), (down, r_down)) = (at(q + h), at(q - h));
+        let fd = |a: f64, b: f64| (a - b) / (2.0 * h);
+        for i in 0..8 {
+            let d = fd(up.theta_i[i], down.theta_i[i]);
+            assert!(close(pe.dtheta_dq[i], d), "q {q} CP {i}: dθ/dq {} vs {d}", pe.dtheta_dq[i]);
+        }
+        let d = fd(up.phi, down.phi);
+        assert!(close(pe.dphi_dq, d), "q {q}: dφ/dq {} vs {d}", pe.dphi_dq);
+        let d = fd(r_up, r_down);
+        assert!(close(pe.dr_dq, d), "q {q}: dR/dq {} vs {d}", pe.dr_dq);
+    }
 }
 
 #[test]

@@ -12,7 +12,7 @@
 //!   difference of the same `u` instead;
 //! * `directional` along all four axes: the FD Jacobian's interior block
 //!   factored by LU, against the right-hand sides of
-//!   `Sensitivity::axis_shift_into` (price, capacity, profitability) and
+//!   `Sensitivity::axis_shift` (price, capacity, profitability) and
 //!   the pinned-at-`q` column sum (cap).
 //!
 //! Inputs: `farm_game` ensembles with n = 2..64; mixed model families
@@ -34,7 +34,7 @@ use proptest::prelude::*;
 use subcomp::exp::scenarios::farm_game;
 use subcomp::game::game::{Axis, SubsidyGame};
 use subcomp::game::nash::NashSolver;
-use subcomp::game::sensitivity::{FdWorkspace, Sensitivity, SensitivityWorkspace};
+use subcomp::game::sensitivity::{Sensitivity, SensitivityWorkspace};
 use subcomp::game::structure::marginal_utility_jacobian;
 use subcomp::num::linalg::lu::LuDecomposition;
 use subcomp::num::linalg::Matrix;
@@ -74,7 +74,7 @@ fn fd_jacobian(game: &SubsidyGame, s: &[f64], interior: &[usize]) -> Matrix {
 /// The FD directional derivative: the oracle Jacobian's interior block
 /// by LU against FD right-hand sides.
 fn fd_directional(
-    game: &mut SubsidyGame,
+    game: &SubsidyGame,
     s: &[f64],
     axis: Axis,
     jac: &Matrix,
@@ -93,9 +93,7 @@ fn fd_directional(
             interior.iter().map(|&k| upper.iter().map(|&j| jac[(k, j)]).sum::<f64>()).collect()
         }
         _ => {
-            let mut shift = Vec::new();
-            Sensitivity::axis_shift_into(game, s, axis, &mut FdWorkspace::new(), &mut shift)
-                .unwrap();
+            let shift = Sensitivity::axis_shift(game, s, axis).unwrap();
             interior.iter().map(|&k| shift[k]).collect()
         }
     };
@@ -111,7 +109,7 @@ fn fd_directional(
 /// cap, capacity and the profitability of one interior and one pinned
 /// provider. Skips (rejects) degenerate or fully pinned equilibria, and
 /// ones within a finite-difference step of the clamped `t = 0` kink.
-fn check_against_oracle(game: &mut SubsidyGame) -> Result<(), TestCaseError> {
+fn check_against_oracle(game: &SubsidyGame) -> Result<(), TestCaseError> {
     let s = NashSolver::default().with_tol(1e-10).solve(game).unwrap().subsidies;
     if game.clamps_effective_price() {
         prop_assume!(s.iter().all(|&si| (game.price() - si).abs() > 1e-4));
@@ -167,8 +165,7 @@ proptest! {
         seed in 0u64..1_000_000,
         index in 0u64..1_000_000,
     ) {
-        let mut game = farm_game(seed, index, 2, 64).unwrap();
-        check_against_oracle(&mut game)?;
+        check_against_oracle(&farm_game(seed, index, 2, 64).unwrap())?;
     }
 
     #[test]
@@ -181,8 +178,7 @@ proptest! {
         p in 0.4f64..1.2,
         q_frac in 0.3f64..0.95,
     ) {
-        let mut game = mixed_game((util, tput, dem), &cps, mu, p, q_frac);
-        check_against_oracle(&mut game)?;
+        check_against_oracle(&mixed_game((util, tput, dem), &cps, mu, p, q_frac))?;
     }
 
     #[test]
@@ -192,7 +188,6 @@ proptest! {
     ) {
         // farm_game draws p ∈ [0.3, 1.2] and q ∈ [0.2, 1.0], so caps above
         // the price — where clamping can bind — are common.
-        let mut game = farm_game(seed, index, 2, 12).unwrap().with_clamped_price(true);
-        check_against_oracle(&mut game)?;
+        check_against_oracle(&farm_game(seed, index, 2, 12).unwrap().with_clamped_price(true))?;
     }
 }

@@ -1,14 +1,12 @@
 //! Property tier for the workspace engine: on random games, solves through
 //! a reused [`SolveWorkspace`] must match fresh-workspace solves
 //! **bit-exactly** — same subsidies, state, utilities, sweep counts and
-//! residual bits — across the Nash engine, the damped-Jacobi cross-check
-//! and both VI methods, including a workspace hopping between games of
-//! different sizes.
+//! residual bits — for the Nash engine and the damped-Jacobi cross-check,
+//! including a workspace hopping between games of different sizes.
 //!
-//! This is the contract that lets `solve`, `projection_solve` and
-//! `extragradient_solve` remain thin shims over the engine (and what
-//! keeps the golden snapshots byte-identical across the allocation-free
-//! refactor).
+//! This is the contract that lets `NashSolver::solve` remain a thin shim
+//! over the engine (and what keeps the golden snapshots byte-identical
+//! across the allocation-free refactor).
 //!
 //! One more contract rides here: the congestion state an [`EqSnapshot`]
 //! holds is bit-identical to the state solved cold at its subsidies,
@@ -23,10 +21,6 @@ use subcomp::exp::server::{Reply, Request, Sabotage, ShardedConfig, ShardedServe
 use subcomp::game::game::{Axis, SubsidyGame};
 use subcomp::game::nash::{NashSolver, SolveStats, WarmStart};
 use subcomp::game::snapshot::EqSnapshot;
-use subcomp::game::vi::{
-    extragradient_solve, extragradient_solve_into, projection_solve, projection_solve_into,
-    ViConfig,
-};
 use subcomp::game::workspace::{SolveBudget, SolveWorkspace};
 use subcomp::model::aggregation::{build_system, ExpCpSpec};
 use subcomp::model::system::SystemState;
@@ -118,34 +112,6 @@ proptest! {
         prop_assert_eq!(bits(ws.subsidies()), bits(fresh_ws.subsidies()));
         prop_assert_eq!(stats.iterations, fresh.iterations);
         prop_assert_eq!(stats.residual.to_bits(), fresh.residual.to_bits());
-    }
-
-    #[test]
-    fn vi_workspace_reuse_is_bit_exact(
-        specs_a in market_strategy(),
-        specs_b in market_strategy(),
-        p in 0.3f64..1.0,
-        q in 0.2f64..0.9,
-    ) {
-        let game_a = SubsidyGame::new(build_system(&specs_a, 1.0).unwrap(), p, q).unwrap();
-        let game_b = SubsidyGame::new(build_system(&specs_b, 1.0).unwrap(), 1.2 - p, q).unwrap();
-        let cfg = ViConfig { tol: 1e-6, ..Default::default() };
-        let mut ws = SolveWorkspace::new();
-        for game in [&game_a, &game_b, &game_a] {
-            let s0 = vec![0.0; game.n()];
-            let fresh_pj = projection_solve(game, &s0, &cfg).unwrap();
-            let pj = projection_solve_into(game, &s0, &cfg, &mut ws).unwrap();
-            prop_assert_eq!(bits(ws.subsidies()), bits(&fresh_pj.subsidies));
-            prop_assert_eq!(ws.state().phi.to_bits(), fresh_pj.state.phi.to_bits());
-            prop_assert_eq!(pj.iterations, fresh_pj.iterations);
-            prop_assert_eq!(pj.natural_residual.to_bits(), fresh_pj.natural_residual.to_bits());
-
-            let fresh_eg = extragradient_solve(game, &s0, &cfg).unwrap();
-            let eg = extragradient_solve_into(game, &s0, &cfg, &mut ws).unwrap();
-            prop_assert_eq!(bits(ws.subsidies()), bits(&fresh_eg.subsidies));
-            prop_assert_eq!(eg.iterations, fresh_eg.iterations);
-            prop_assert_eq!(eg.natural_residual.to_bits(), fresh_eg.natural_residual.to_bits());
-        }
     }
 
     #[test]
