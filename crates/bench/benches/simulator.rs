@@ -13,7 +13,9 @@
 //! * `simulator/adoption/step_1m_mixing` — the same population and drive
 //!   under the adoption workload's hazards (adopt = churn = 0.5,
 //!   explore = decay = 0.02), where every class keeps flipping: the
-//!   step's steady cost.
+//!   step's steady cost, both event paths at once (explore and decay
+//!   read skip gaps off their rate's table, adopt and churn hash their
+//!   decoded members).
 //! * `simulator/adoption/build_1m` — one `Population::build` of the same
 //!   1,000,000 users: the hashes, the per-type sort by valuation and the
 //!   bitset allocation.

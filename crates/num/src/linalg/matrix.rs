@@ -180,13 +180,6 @@ impl Matrix {
         self.data.iter().fold(0.0f64, |m, v| m.max(v.abs()))
     }
 
-    /// Infinity norm (maximum absolute row sum).
-    pub fn norm_inf(&self) -> f64 {
-        (0..self.rows)
-            .map(|i| self.row(i).iter().map(|v| v.abs()).sum::<f64>())
-            .fold(0.0f64, f64::max)
-    }
-
     /// True when all entries are finite.
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite())
@@ -345,7 +338,6 @@ mod tests {
     fn norms() {
         let a = Matrix::from_rows(&[&[1.0, -2.0], &[-3.0, 0.5]]).unwrap();
         assert_eq!(a.norm_max(), 3.0);
-        assert_eq!(a.norm_inf(), 3.5);
     }
 
     #[test]

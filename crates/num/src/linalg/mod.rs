@@ -14,7 +14,7 @@
 //! * [`lu`] — LU factorization, linear solve, inverse, determinant;
 //! * [`structure`] — P-matrix / M-matrix / Z-matrix tests, used to
 //!   *verify* the paper's equilibrium conditions numerically;
-//! * [`vector`] — free functions on `&[f64]` (dot, norms, axpy).
+//! * [`vector`] — free functions on `&[f64]` (sup distance, clamped copy).
 
 pub mod lu;
 pub mod matrix;
@@ -24,4 +24,4 @@ pub mod vector;
 pub use lu::{LuDecomposition, LuError};
 pub use matrix::Matrix;
 pub use structure::{is_m_matrix, is_p_matrix, is_z_matrix, leading_principal_minors};
-pub use vector::{axpy, dot, norm_inf, norm_l1, norm_l2, sub_inf_norm};
+pub use vector::sub_inf_norm;

@@ -50,8 +50,15 @@
 //!   at `p = 1`; below a cutoff of 1/8, geometric skips over the
 //!   positions on the class's surplus side, where a selected position
 //!   flips only if its state before the tick is in the class; otherwise
-//!   one counter hash per class member, found by bit scan. Flips collect
-//!   in a per-range mask and apply after all four classes, so every class
+//!   one counter hash per class member. A skip gap is defined by
+//!   inversion, `⌊ln(u) / ln(1 − p)⌋` of the draw's uniform `u`, and
+//!   read exactly from a per-rate table that [`Population::build`]
+//!   tabulates from that formula, with the formula itself as the fallback
+//!   where the table's guide is too coarse (rates far below the cutoff):
+//!   the same keyed stream, the same gaps, no `ln` on the hot path.
+//!   Hashed members are decoded from the class's bits a word at a time,
+//!   with no branch per member, then hashed in batches. Flips collect in
+//!   a per-range mask and apply after all four classes, so every class
 //!   reads the state from before the tick.
 //! * **Keys.** Per-user hashes are keyed by `(tick, type, class, rank)`
 //!   and skip streams by `(tick, type, class, range)`, where a range is a
@@ -74,6 +81,8 @@
 //! (`exp::adoption::step_population`) fans them out over
 //! `sweep::parallel_map` without sharing or locking.
 
+use std::sync::Arc;
+
 use crate::rng::SimRng;
 use subcomp_num::{NumError, NumResult};
 
@@ -92,6 +101,16 @@ const RANGE_WORDS: usize = RANGE / 64;
 /// above it (and below 1) they draw one hash per member, so no tick
 /// costs more than one hash per user.
 const SKIP_CUTOFF: f64 = 0.125;
+/// Skip-draw keys `x = (h >> 11) + 1` take the values `1..=KEYS`.
+const KEYS: u64 = 1 << 53;
+/// Guide entry of a key bucket that holds more than one gap boundary.
+const MIXED: u16 = u16::MAX;
+/// Guide entries: one per key bucket, the bucket of `KEYS = 2⁵³`
+/// (`53 · 256`) last.
+const GUIDE_LEN: usize = (53 << 8) + 1;
+/// Member positions hashed per batch; the buffer holds one state word's
+/// worth more.
+const BATCH: usize = 192;
 
 /// Top 53 bits of an avalanched hash as a uniform in `[0, 1)`.
 #[inline]
@@ -107,13 +126,129 @@ fn threshold(p: f64) -> u64 {
     (p * (u64::MAX as f64 + 1.0)) as u64
 }
 
+/// The guide bucket of skip key `x ∈ 1..=KEYS`: its bit length and the 8
+/// bits after its leading one, read as the exponent and top mantissa bits
+/// of `x` as an `f64` (exact, since `x ≤ 2⁵³`). Buckets are key intervals
+/// in key order, each at most 2⁻⁸ of its smallest key wide; keys below
+/// 512 have one each, and some indices between them have none.
+#[inline]
+fn bucket(x: u64) -> usize {
+    (((x as i64 as f64).to_bits() >> 44) - (1023 << 8)) as usize
+}
+
+/// One skip rate's gap law, inverted exactly by table.
+///
+/// A skip draw turns its key `x ∈ 1..=KEYS` into the failures before the
+/// next selected position, `gap(x) = ⌊ln(x·2⁻⁵³) / ln(1 − p)⌋`
+/// ([`SkipTable::formula`], the definition). A span never exceeds one
+/// range, so a draw only ever observes `min(gap, RANGE)`, and `gap` never
+/// increases with `x`: `ln` is monotone on these arguments (see the
+/// valuation comment in [`Population::build`]), and so are the product
+/// with the negative constant and the saturating cast. The keys whose gap
+/// is at least `k` are therefore `1..=last[k]`, and the table stores those
+/// boundaries plus a guide that names, per key bucket, the gap at the
+/// bucket's largest key. A draw reads its gap with one guide load and one
+/// compare against the next boundary, or evaluates the formula where a
+/// bucket holds more than one boundary (rates far below the skip cutoff).
+#[derive(Debug, Clone, PartialEq)]
+struct SkipTable {
+    /// `1 / ln(1 − p)`.
+    inv_ln_keep: f64,
+    /// `last[k]`: the largest key whose gap is at least `k`, for `k` from 0
+    /// (every key) up to the gap of key 1 capped at `RANGE`, then a 0 (no
+    /// key).
+    last: Box<[u64]>,
+    /// Per bucket: the gap at its largest key, or [`MIXED`].
+    guide: Box<[u16]>,
+}
+
+impl SkipTable {
+    /// Tabulates rate `p ∈ (0, SKIP_CUTOFF)`: each boundary from the
+    /// estimate `2⁵³(1 − p)^k`, taken as the previous boundary times
+    /// `1 − p` and settled by the formula, then the guide in one merge of
+    /// the buckets against the boundaries.
+    fn new(p: f64) -> SkipTable {
+        let mut table = SkipTable {
+            inv_ln_keep: (-p).ln_1p().recip(),
+            last: Box::new([]),
+            guide: Box::new([]),
+        };
+        let top = table.formula(1).min(RANGE);
+        let mut last = Vec::with_capacity(top + 2);
+        last.push(KEYS);
+        for k in 1..=top {
+            let prev = last[k - 1];
+            // The estimate is off by a few keys at most. gap(1) ≥ k and
+            // gap(KEYS) = 0 < k bound both walks.
+            let mut x = ((prev as f64 * (1.0 - p)) as u64).clamp(1, prev);
+            while table.formula(x) < k {
+                x -= 1;
+            }
+            while table.formula(x + 1) >= k {
+                x += 1;
+            }
+            debug_assert!(x <= prev, "skip gaps must not increase with the key");
+            last.push(x);
+        }
+        last.push(0);
+        // Buckets in key order against boundaries in key order: `g` falls
+        // to the gap of each bucket's smallest, then its largest key.
+        let mut guide = vec![0; GUIDE_LEN];
+        let mut g = top;
+        for (i, entry) in guide.iter_mut().enumerate() {
+            // Index `i` holds the keys with bit length `(i >> 8) + 1` whose
+            // next 8 bits, left-aligned, are `i & 255`.
+            let (shift, lead) = (i >> 8, 256 + (i as u64 & 255));
+            let lo = (lead << shift) >> 8;
+            if bucket(lo) != i {
+                continue;
+            }
+            let hi = ((((lead + 1) << shift) - 1) >> 8).min(KEYS);
+            while last[g] < lo {
+                g -= 1;
+            }
+            let at_lo = g;
+            while last[g] < hi {
+                g -= 1;
+            }
+            *entry = if at_lo - g <= 1 { g as u16 } else { MIXED };
+        }
+        table.last = last.into_boxed_slice();
+        table.guide = guide.into_boxed_slice();
+        table
+    }
+
+    /// The gap of key `x` by definition: Geometric(p) by inversion of
+    /// `u = x·2⁻⁵³ ∈ (0, 1]`. The cast saturates, so a huge gap ends any
+    /// span.
+    #[inline]
+    fn formula(&self, x: u64) -> usize {
+        let u = x as f64 * (1.0 / KEYS as f64);
+        (u.ln() * self.inv_ln_keep) as usize
+    }
+
+    /// `min(formula(x), RANGE)`, exactly: the guide's gap at the bucket's
+    /// largest key, plus one if `x` lies at or below the next boundary.
+    #[inline]
+    fn gap(&self, x: u64) -> usize {
+        match self.guide[bucket(x)] {
+            MIXED => self.formula(x).min(RANGE),
+            g => {
+                let g = usize::from(g);
+                g + usize::from(x <= self.last[g + 1])
+            }
+        }
+    }
+}
+
 /// How one class draws its flips; chosen from its probability alone.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 enum Sampler {
     /// `p = 0`: the class never flips.
     Never,
-    /// `0 < p < SKIP_CUTOFF`: geometric skips; holds `1 / ln(1 − p)`.
-    Skip(f64),
+    /// `0 < p < SKIP_CUTOFF`: geometric skips, each gap read off the
+    /// rate's exact inversion table.
+    Skip(Arc<SkipTable>),
     /// `SKIP_CUTOFF ≤ p < 1`: one hash per member against this threshold.
     Hash(u64),
     /// `p = 1`: every member flips.
@@ -121,13 +256,27 @@ enum Sampler {
 }
 
 impl Sampler {
+    /// The four class samplers for `rates`; classes at equal rates share
+    /// one skip table.
+    fn for_rates(rates: [f64; 4]) -> [Sampler; 4] {
+        let mut built: Vec<Sampler> = Vec::with_capacity(4);
+        for (class, &p) in rates.iter().enumerate() {
+            let sampler = match rates[..class].iter().position(|&q| q == p) {
+                Some(twin) => built[twin].clone(),
+                None => Sampler::for_rate(p),
+            };
+            built.push(sampler);
+        }
+        built.try_into().expect("four classes")
+    }
+
     fn for_rate(p: f64) -> Sampler {
         if p <= 0.0 {
             Sampler::Never
         } else if p >= 1.0 {
             Sampler::Always
         } else if p < SKIP_CUTOFF {
-            Sampler::Skip((-p).ln_1p().recip())
+            Sampler::Skip(Arc::new(SkipTable::new(p)))
         } else {
             Sampler::Hash(threshold(p))
         }
@@ -260,9 +409,10 @@ impl TickCounts {
 }
 
 /// Precomputed per-tick constants handed to every block step: the tick's
-/// counter key and the four class samplers. `Copy`, so the parallel
-/// driver shares it by value.
-#[derive(Debug, Clone, Copy)]
+/// counter key and the four class samplers, whose skip tables it shares
+/// with the population (a clone bumps their reference counts). The
+/// parallel driver shares the context by reference.
+#[derive(Debug, Clone)]
 pub struct TickCtx {
     key: u64,
     samplers: [Sampler; 4],
@@ -304,6 +454,42 @@ fn span_mask(w: usize, a: usize, b: usize) -> u64 {
     ones << (lo - w * 64)
 }
 
+/// Writes the range-local positions of the set bits of `bits`, the member
+/// bits of range word `w`, to the front of `out` and returns how many
+/// there are. Eight trailing-zero extractions a round and no branch per
+/// bit: entries past the count are scratch.
+#[inline]
+fn decode(mut bits: u64, w: usize, out: &mut [u16; 64]) -> usize {
+    let count = bits.count_ones() as usize;
+    let base = (w * 64) as u16;
+    let mut i = 0;
+    loop {
+        for slot in &mut out[i..i + 8] {
+            *slot = base + bits.trailing_zeros() as u16;
+            bits &= bits.wrapping_sub(1);
+        }
+        i += 8;
+        if i >= count {
+            return count;
+        }
+    }
+}
+
+/// Fires each member at range-local position `p` whose hash under `key`
+/// at rank `first + p` is below `threshold`, setting its flip bit, and
+/// returns how many fired. One straight loop, no branch per member.
+#[inline]
+fn fire(key: u64, first: u64, threshold: u64, positions: &[u16], flips: &mut [u64]) -> u64 {
+    let mut fired = 0;
+    for &p in positions {
+        let p = usize::from(p);
+        let hit = SimRng::stream_seed(key, first + p as u64) < threshold;
+        flips[p / 64] |= u64::from(hit) << (p % 64);
+        fired += u64::from(hit);
+    }
+    fired
+}
+
 impl Block {
     /// Advances every user in the block by one tick and refreshes the
     /// block's adopter tally and work counters. Allocation-free; pure in
@@ -314,6 +500,7 @@ impl Block {
         let mut counts = TickCounts::default();
         let mut adopted = 0u64;
         let mut flips = [0u64; RANGE_WORDS];
+        let mut members = [0u16; BATCH + 64];
         for (r, words) in self.state.chunks_mut(RANGE_WORDS).enumerate() {
             let lo = r * RANGE;
             let len = RANGE.min(self.len - lo);
@@ -327,7 +514,7 @@ impl Block {
                 .sum();
             let (n_neg, n_pos) = (split as u64, (len - split) as u64);
             let sizes = [n_neg - below, n_pos - (held - below), below, held - below];
-            for (class, &sampler) in ctx.samplers.iter().enumerate() {
+            for (class, sampler) in ctx.samplers.iter().enumerate() {
                 let candidates = sizes[class];
                 counts.candidates[class] += candidates;
                 if candidates == 0 {
@@ -335,11 +522,16 @@ impl Block {
                 }
                 let adopters = class >> 1 == 1;
                 let (a, b) = if class & 1 == 1 { (split, len) } else { (0, split) };
-                let member = |w: usize| {
-                    let bits = if adopters { words[w] } else { !words[w] };
-                    bits & span_mask(w, a, b)
-                };
                 let span = a / 64..b.div_ceil(64);
+                // Only the span's end words need a mask.
+                let invert = if adopters { 0 } else { u64::MAX };
+                let (wa, wb) = (span.start, span.end - 1);
+                let (ma, mb) = (span_mask(wa, a, b), span_mask(wb, a, b));
+                let member = |w: usize| {
+                    let m =
+                        if w == wa { ma } else { u64::MAX } & if w == wb { mb } else { u64::MAX };
+                    (words[w] ^ invert) & m
+                };
                 let flipped = match sampler {
                     Sampler::Never => 0,
                     Sampler::Always => {
@@ -348,29 +540,25 @@ impl Block {
                         }
                         candidates
                     }
-                    Sampler::Hash(threshold) => {
+                    &Sampler::Hash(threshold) => {
                         let key = SimRng::stream_seed(type_key, class as u64);
                         let first = (self.start + lo) as u64;
                         counts.hashes += candidates;
-                        let mut flipped = 0;
+                        // Members decode a word at a time into positions
+                        // and hash in batches, so no branch depends on
+                        // how many members a word holds or which fire.
+                        let (mut n, mut flipped) = (0, 0);
                         for w in span {
-                            let mut bits = member(w);
-                            let mut fired = 0u64;
-                            while bits != 0 {
-                                let bit = bits.trailing_zeros();
-                                let rank = first + (w * 64) as u64 + u64::from(bit);
-                                // Branch-free: at p near 1/2 a branch here
-                                // mispredicts every other member.
-                                let fire = SimRng::stream_seed(key, rank) < threshold;
-                                fired |= u64::from(fire) << bit;
-                                bits &= bits - 1;
+                            let out = (&mut members[n..n + 64]).try_into().expect("64 slots");
+                            n += decode(member(w), w, out);
+                            if n >= BATCH {
+                                flipped += fire(key, first, threshold, &members[..n], flips);
+                                n = 0;
                             }
-                            flips[w] |= fired;
-                            flipped += u64::from(fired.count_ones());
                         }
-                        flipped
+                        flipped + fire(key, first, threshold, &members[..n], flips)
                     }
-                    Sampler::Skip(inv_ln_keep) => {
+                    Sampler::Skip(table) => {
                         let range = ((self.start + lo) / RANGE) as u64;
                         let key = SimRng::stream_seed(
                             SimRng::stream_seed(type_key, 4 + class as u64),
@@ -378,13 +566,12 @@ impl Block {
                         );
                         let (mut pos, mut draws, mut flipped) = (a, 0u64, 0);
                         loop {
-                            // Failures before the next selected position:
-                            // Geometric(p) by inversion of `u ∈ (0, 1]`.
-                            let h = SimRng::stream_seed(key, draws);
+                            // Failures before the next selected position;
+                            // a span is at most a range, so the table's
+                            // capped gap ends it exactly when the
+                            // formula's would.
+                            let gap = table.gap((SimRng::stream_seed(key, draws) >> 11) + 1);
                             draws += 1;
-                            let u = ((h >> 11) + 1) as f64 * (1.0 / (1u64 << 53) as f64);
-                            // The cast saturates, so a huge gap ends the span.
-                            let gap = (u.ln() * inv_ln_keep) as usize;
                             if gap >= b - pos {
                                 break;
                             }
@@ -570,7 +757,7 @@ impl Population {
         }
         Ok(Population {
             types: types.to_vec(),
-            samplers: params.rates().map(Sampler::for_rate),
+            samplers: Sampler::for_rates(params.rates()),
             tick_root: SimRng::stream_seed(params.seed, TICK_STREAM),
             params,
             n_users,
@@ -619,7 +806,10 @@ impl Population {
                 .partition_point(|&v| !(v * gain - t_eff > 0.0));
         }
         self.tick += 1;
-        Ok(TickCtx { key: SimRng::stream_seed(self.tick_root, self.tick), samplers: self.samplers })
+        Ok(TickCtx {
+            key: SimRng::stream_seed(self.tick_root, self.tick),
+            samplers: self.samplers.clone(),
+        })
     }
 
     /// The owned, disjoint blocks — the unit of parallel distribution.
@@ -853,9 +1043,79 @@ mod tests {
     fn samplers_depend_only_on_the_rate() {
         assert_eq!(Sampler::for_rate(0.0), Sampler::Never);
         assert_eq!(Sampler::for_rate(1.0), Sampler::Always);
-        assert!(matches!(Sampler::for_rate(0.02), Sampler::Skip(l) if l < 0.0));
+        assert!(matches!(Sampler::for_rate(0.02), Sampler::Skip(t) if t.inv_ln_keep < 0.0));
         assert!(matches!(Sampler::for_rate(SKIP_CUTOFF), Sampler::Hash(_)));
         assert!(matches!(Sampler::for_rate(0.5), Sampler::Hash(t) if t == threshold(0.5)));
+        match Sampler::for_rates([0.02, 0.5, 0.05, 0.02]) {
+            [Sampler::Skip(a), Sampler::Hash(_), Sampler::Skip(b), Sampler::Skip(c)] => {
+                assert!(Arc::ptr_eq(&a, &c) && !Arc::ptr_eq(&a, &b), "equal rates share a table");
+            }
+            _ => panic!("rates 0.02, 0.5, 0.05 and 0.02 must skip, hash, skip and skip"),
+        }
+    }
+
+    #[test]
+    fn skip_table_inverts_the_formula_exactly() {
+        // The formula is the definition and the oracle: on every key a
+        // draw can make, the table must return its gap capped at a range.
+        // Keys: 10⁶ uniform ones (the draws' own law) and 10⁶ log-uniform
+        // ones (every bit length, so the long gaps of small keys) per rate;
+        // every tabulated boundary and its neighbours; the key range's
+        // ends. The tiny rates crowd many boundaries into a bucket and run
+        // the formula fallback; at the rates a skip class sees in practice
+        // no bucket needs it.
+        assert_eq!(bucket(KEYS) + 1, GUIDE_LEN);
+        for p in [1e-9, 1e-6, 1e-3, 0.02, 0.05, 0.1, 0.1249] {
+            let table = SkipTable::new(p);
+            let check = |x: u64| {
+                assert_eq!(table.gap(x), table.formula(x).min(RANGE), "rate {p}, key {x}");
+            };
+            assert_eq!(table.guide.contains(&MIXED), p <= 1e-3, "rate {p}");
+            for x in [1, 2, 1 << 52, KEYS - 1, KEYS] {
+                check(x);
+            }
+            for &x in table.last.iter() {
+                for y in [x.saturating_sub(1), x, x + 1] {
+                    if (1..=KEYS).contains(&y) {
+                        check(y);
+                    }
+                }
+            }
+            for i in 0..1_000_000 {
+                let h = SimRng::stream_seed(p.to_bits(), i);
+                check((h >> 11) + 1);
+                check(((h >> 11) >> (h % 53)) + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn draws_are_pinned() {
+        // The flip samplers' exact draws, not only their law: a fold of
+        // every tick's counters and adopter count, under hazards that run
+        // each sampler path (hashes at and above the skip cutoff, skips
+        // through the table and through its formula fallback, fills) on
+        // drives that move the split. Any change to a draw moves it.
+        let fold = |h: u64, w: u64| (h ^ w).wrapping_mul(0x0100_0000_01B3);
+        let hazards = [
+            AdoptionParams { seed: 5, adopt: 0.6, churn: 0.3, explore: 0.02, decay: 0.05 },
+            AdoptionParams { seed: 6, adopt: 0.125, churn: 1.0, explore: 1e-3, decay: 0.1249 },
+        ];
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        for params in hazards {
+            let mut pop = Population::build(&two_types(), 60_000, 4_096, params).unwrap();
+            for tick in 0..6 {
+                pop.step(&TickDrive::uniform(2, 0.1 + 0.05 * f64::from(tick))).unwrap();
+                let c = pop.tick_counts();
+                for &w in c.candidates.iter().chain(&c.flips) {
+                    h = fold(h, w);
+                }
+                for w in [c.hashes, c.skip_draws, pop.adopted_users()] {
+                    h = fold(h, w);
+                }
+            }
+        }
+        assert_eq!(h, 0x731F_AF3B_3747_DA39);
     }
 
     #[test]
