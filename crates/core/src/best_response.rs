@@ -11,8 +11,10 @@
 //! marginal probes classify the corners, and an interior threshold is a
 //! Brent root of the *analytic* `u_i`, seeded at the current iterate
 //! `s[i]`. Each probe solves the congestion fixed point by Newton's
-//! iteration seeded at the previous probe's root (`phi_seed`), which
-//! moves little between probes.
+//! iteration seeded from the previous probe (a `PhiChain`): at its root,
+//! which moves little between probes, or — for a marginal probe after
+//! another of the same search — at the first-order prediction
+//! `φ + λ_i·Δm_i/g'`.
 //!
 //! The Nash solver runs the threshold search inside its Gauss–Seidel
 //! sweeps, the globalization of its Newton corrector ([`crate::nash`]):
@@ -34,7 +36,7 @@
 //! the cell, then a marginal-root refinement. The grid scan is also the
 //! independent oracle behind [`deviation_gap`] and the test suites.
 
-use crate::game::SubsidyGame;
+use crate::game::{PhiChain, SubsidyGame};
 use std::cell::{Cell, RefCell};
 use subcomp_model::system::StateScratch;
 use subcomp_num::optimize::maximize_scalar;
@@ -107,47 +109,54 @@ pub fn best_response(
     s: &[f64],
     _cfg: &BrConfig,
 ) -> NumResult<BestResponse> {
-    let (mut m, mut phi_seed) = (Vec::new(), f64::NAN);
+    let (mut m, mut chain) = (Vec::new(), PhiChain::COLD);
     let mut scratch = game.system().make_scratch();
     profile_populations(game, s, &mut m)?;
-    match threshold_search(game, i, s[i], EXACT_ROOT_TOL, &mut m, &mut phi_seed, &mut scratch)? {
+    match threshold_search(game, i, s[i], EXACT_ROOT_TOL, &mut m, &mut chain, &mut scratch)? {
         Some(found) => {
-            let utility = game.utility_probe(i, found.s, &mut m, &mut phi_seed, &mut scratch)?;
+            let utility = game.utility_probe(i, found.s, &mut m, &mut chain, &mut scratch)?;
             Ok(BestResponse { s: found.s, utility, evaluations: found.evaluations + 1 })
         }
-        None => grid_scan(game, i, &mut m, &mut phi_seed, &mut scratch),
+        None => grid_scan(game, i, &mut m, &mut chain, &mut scratch),
     }
 }
 
 /// The allocation-free best-response engine the Nash sweeps call: the
-/// dispatch of [`best_response`], interior roots solved to `root_tol`,
-/// without the utility probe. Every transient lives in the caller's
-/// buffers: `m` caches the populations of the frozen components `s_{-i}`
-/// (they do not depend on `s_i`), so each probe recomputes only `m[i]`
-/// and the congestion fixed point, seeded at `*phi_seed` (NaN starts
-/// cold) and left at the last probe's root for the caller's next best
-/// response.
+/// dispatch of [`best_response`] from the hint `s_i`, interior roots
+/// solved to `root_tol`, without the utility probe. Every transient lives
+/// in the caller's buffers: `m` holds the populations of the profile,
+/// which the caller fills once ([`profile_populations`]) and keeps
+/// current, since the components `s_{-i}` do not depend on `s_i`. Each
+/// probe overwrites only `m[i]` and solves the congestion fixed point,
+/// seeded by the caller's `chain` ([`PhiChain`]) and left at the last
+/// probe's root for the caller's next best response.
 pub(crate) fn best_response_into(
     game: &SubsidyGame,
     i: usize,
-    s: &[f64],
+    s_i: f64,
     root_tol: f64,
-    m: &mut Vec<f64>,
-    phi_seed: &mut f64,
+    m: &mut [f64],
+    chain: &mut PhiChain,
     scratch: &mut StateScratch,
 ) -> NumResult<Response> {
-    profile_populations(game, s, m)?;
-    if let Some(found) = threshold_search(game, i, s[i], root_tol, m, phi_seed, scratch)? {
+    chain.new_search();
+    if let Some(found) = threshold_search(game, i, s_i, root_tol, m, chain, scratch)? {
         return Ok(found);
     }
-    let br = grid_scan(game, i, m, phi_seed, scratch)?;
+    let br = grid_scan(game, i, m, chain, scratch)?;
     Ok(Response { s: br.s, origin: Origin::Grid, evaluations: br.evaluations })
 }
 
 /// Validates the profile and fills `m` with its populations. The
 /// components other than `i` never change during a search, so the
-/// profile is validated once rather than per probe.
-fn profile_populations(game: &SubsidyGame, s: &[f64], m: &mut Vec<f64>) -> NumResult<()> {
+/// profile is validated once rather than per probe (and a sweep,
+/// which moves one component per response, once rather than per
+/// response).
+pub(crate) fn profile_populations(
+    game: &SubsidyGame,
+    s: &[f64],
+    m: &mut Vec<f64>,
+) -> NumResult<()> {
     if game.validate(s).is_err() {
         return Err(NumError::NonFinite { what: "best_response profile", at: 0.0 });
     }
@@ -171,7 +180,7 @@ fn threshold_search(
     hint: f64,
     root_tol: f64,
     m: &mut [f64],
-    phi_seed: &mut f64,
+    chain: &mut PhiChain,
     scratch: &mut StateScratch,
 ) -> NumResult<Option<Response>> {
     let exact =
@@ -183,7 +192,7 @@ fn threshold_search(
     let mut evals = 0usize;
     let mut u_of = |si: f64| {
         evals += 1;
-        game.marginal_probe(i, si, m, phi_seed, scratch).unwrap_or(f64::NAN)
+        game.marginal_probe(i, si, m, chain, scratch).unwrap_or(f64::NAN)
     };
     let u0 = u_of(0.0);
     if !u0.is_finite() {
@@ -251,10 +260,10 @@ pub fn grid_best_response(game: &SubsidyGame, i: usize, s: &[f64]) -> NumResult<
     if game.validate(s).is_err() {
         return Err(NumError::NonFinite { what: "grid_scan objective", at: 0.0 });
     }
-    let (mut m, mut phi_seed) = (Vec::new(), f64::NAN);
+    let (mut m, mut chain) = (Vec::new(), PhiChain::COLD);
     let mut scratch = game.system().make_scratch();
     game.populations_for(s, &mut m);
-    grid_scan(game, i, &mut m, &mut phi_seed, &mut scratch)
+    grid_scan(game, i, &mut m, &mut chain, &mut scratch)
 }
 
 /// The grid scan over the populations `m` of the profile. `evaluations`
@@ -265,21 +274,21 @@ fn grid_scan(
     game: &SubsidyGame,
     i: usize,
     m: &mut [f64],
-    phi_seed: &mut f64,
+    chain: &mut PhiChain,
     scratch: &mut StateScratch,
 ) -> NumResult<BestResponse> {
     let hi = game.effective_cap(i);
-    let buffers = RefCell::new((m, phi_seed, scratch));
+    let buffers = RefCell::new((m, chain, scratch));
     let probes = Cell::new(0usize);
     let f = |si: f64| {
         probes.set(probes.get() + 1);
-        let (m, phi_seed, scratch) = &mut *buffers.borrow_mut();
-        game.utility_probe(i, si, m, phi_seed, scratch).unwrap_or(f64::NEG_INFINITY)
+        let (m, chain, scratch) = &mut *buffers.borrow_mut();
+        game.utility_probe(i, si, m, chain, scratch).unwrap_or(f64::NEG_INFINITY)
     };
     let u_of = |si: f64| {
         probes.set(probes.get() + 1);
-        let (m, phi_seed, scratch) = &mut *buffers.borrow_mut();
-        game.marginal_probe(i, si, m, phi_seed, scratch).unwrap_or(f64::NAN)
+        let (m, chain, scratch) = &mut *buffers.borrow_mut();
+        game.marginal_probe(i, si, m, chain, scratch).unwrap_or(f64::NAN)
     };
     let m = maximize_scalar(&f, 0.0, hi, GRID_POINTS, POLISH_TOL)?;
     let (mut s, mut utility) = (m.x, m.value);
@@ -425,20 +434,13 @@ mod tests {
             for hint in [0.0, 0.5 * grid.s, grid.s, g.effective_cap(0)] {
                 let br = best_response(&g, 0, &[hint], &BrConfig).unwrap();
                 // The search itself answers; the grid fallback never runs.
-                let (mut m, mut phi_seed) = (Vec::new(), f64::NAN);
+                let (mut m, mut chain) = (Vec::new(), PhiChain::COLD);
                 let mut scratch = g.system().make_scratch();
                 g.populations_for(&[hint], &mut m);
-                let thr = threshold_search(
-                    &g,
-                    0,
-                    hint,
-                    EXACT_ROOT_TOL,
-                    &mut m,
-                    &mut phi_seed,
-                    &mut scratch,
-                )
-                .unwrap()
-                .expect("exponential family satisfies the Theorem 3 structure");
+                let thr =
+                    threshold_search(&g, 0, hint, EXACT_ROOT_TOL, &mut m, &mut chain, &mut scratch)
+                        .unwrap()
+                        .expect("exponential family satisfies the Theorem 3 structure");
                 assert_eq!(thr.origin, Origin::Exact);
                 assert_eq!(br.s.to_bits(), thr.s.to_bits());
                 // The shim's one extra probe is the utility.
@@ -460,10 +462,10 @@ mod tests {
         // tolerance of the exact threshold, in fewer probes, and says so;
         // corners stay exact whatever the tolerance.
         let sweep = |g: &SubsidyGame, hint: f64, root_tol: f64| {
-            let (mut m, mut phi_seed) = (Vec::new(), f64::NAN);
+            let (mut m, mut chain) = (Vec::new(), PhiChain::COLD);
             let mut scratch = g.system().make_scratch();
-            best_response_into(g, 0, &[hint], root_tol, &mut m, &mut phi_seed, &mut scratch)
-                .unwrap()
+            profile_populations(g, &[hint], &mut m).unwrap();
+            best_response_into(g, 0, hint, root_tol, &mut m, &mut chain, &mut scratch).unwrap()
         };
         for (alpha, v, p, q) in [(8.0, 1.0, 1.0, 2.0), (5.0, 1.0, 0.8, 1.0)] {
             let g = single_cp_game(alpha, v, p, q);

@@ -94,6 +94,41 @@ impl Axis {
     }
 }
 
+/// Where the φ solves of one chain of best-response probes start. Each
+/// probe starts at the root the previous probe left. A search moves only
+/// its own provider's population, and `g(φ) = Θ − Σ m_k λ_k` gives
+/// `dφ/dm_i = λ_i / g'`, so a marginal probe after another of the same
+/// search starts at `φ_prev + λ_i·(m_i − m_i,prev)/g'` instead. A chain
+/// starts cold wherever a solve starts, so an answer stays a pure
+/// function of (game, start).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PhiChain {
+    /// The previous probe's root; NaN starts cold.
+    phi: f64,
+    /// The provider, population and `dφ/dm_i` of the previous probe, if
+    /// it was a marginal probe of the current search.
+    tangent: Option<(usize, f64, f64)>,
+}
+
+impl PhiChain {
+    /// A chain whose first probe starts cold.
+    pub(crate) const COLD: PhiChain = PhiChain { phi: f64::NAN, tangent: None };
+
+    /// Starts a new search: the other providers' populations may have
+    /// moved since the last probe, so only its root carries over.
+    pub(crate) fn new_search(&mut self) {
+        self.tangent = None;
+    }
+
+    /// The seed of a probe of provider `i` at population `m_i`.
+    fn seed(&self, i: usize, m_i: f64) -> f64 {
+        match self.tangent {
+            Some((j, m_prev, dphi_dm)) if j == i => self.phi + dphi_dm * (m_i - m_prev),
+            _ => self.phi,
+        }
+    }
+}
+
 /// The subsidization game: a system plus `(p, q)` and pricing conventions.
 #[derive(Debug, Clone)]
 pub struct SubsidyGame {
@@ -297,8 +332,15 @@ impl SubsidyGame {
     pub(crate) fn populations_for(&self, s: &[f64], out: &mut Vec<f64>) {
         out.resize(self.n(), 0.0);
         for (j, o) in out.iter_mut().enumerate() {
-            *o = self.system.cp(j).population(self.effective_price_of(s[j]));
+            *o = self.population_at(j, s[j]);
         }
+    }
+
+    /// Provider `i`'s population at subsidy `si`, through the kernel
+    /// ([`System::population_of`]).
+    #[inline]
+    pub(crate) fn population_at(&self, i: usize, si: f64) -> f64 {
+        self.system.population_of(i, self.effective_price_of(si))
     }
 
     /// Solves the congestion fixed point induced by the profile `s`.
@@ -347,7 +389,9 @@ impl SubsidyGame {
     /// The marginal-utility formula of the module docs on pre-extracted
     /// state components — shared by [`SubsidyGame::marginal_utility_at_state`]
     /// and the allocation-free best-response probes so the two paths cannot
-    /// drift apart numerically.
+    /// drift apart numerically. `m_i` and `lambda_i` must be the
+    /// population at `p − si` and the throughput at `phi`: the kernel
+    /// reads `m_i'` and `λ_i'` off them.
     // One scalar per state component the formula reads; bundling them into
     // a struct would just re-create SystemState by another name.
     #[allow(clippy::too_many_arguments)]
@@ -362,84 +406,86 @@ impl SubsidyGame {
         phi: f64,
         dg_dphi: f64,
     ) -> f64 {
-        let cp = self.system.cp(i);
         let t_i = self.price - si;
         if self.clamp_effective_price && t_i < 0.0 {
             // Clamped region: m_i no longer responds to s_i; only the
             // direct margin loss remains.
             return -theta_ii;
         }
-        let dm_dsi = -cp.demand().dm_dt(t_i); // >= 0
+        // The slopes are read off m_i = m_i(t_i) and λ_i = λ_i(φ).
+        let dm_dsi = -self.system.dm_dt_of(i, t_i, m_i); // >= 0
         let dphi_dsi = lambda_i * dm_dsi / dg_dphi;
-        let dlambda = cp.throughput().dlambda_dphi(phi);
+        let dlambda = self.system.dlambda_dphi_of(i, phi, lambda_i);
         let dtheta_dsi = dm_dsi * lambda_i + m_i * dlambda * dphi_dsi;
-        -theta_ii + (cp.profitability() - si) * dtheta_dsi
+        -theta_ii + (self.profitability(i) - si) * dtheta_dsi
     }
 
     /// Best-response utility probe: `U_i` at the profile whose `i`-th
     /// component is `si`, with every *other* population pre-computed in
     /// `m` (they do not depend on `s_i`). Overwrites `m[i]`, solves the
-    /// congestion fixed point through `scratch` seeded at `*phi_seed` and
-    /// leaves the root there for the next probe, and touches no other
-    /// memory — the allocation-free core of the solver hot loop. Its φ
-    /// agrees with the cold solve behind `utility(i, profile)` on the
-    /// matching profile within the solve tolerance (1e-13 absolute plus
-    /// 1e-13 relative), not bit for bit: the last Newton step depends on
-    /// where the iteration started.
+    /// congestion fixed point through `scratch` seeded at the chain's last
+    /// root and leaves its own root there, and touches no other memory —
+    /// the allocation-free core of the solver hot loop. Its φ agrees with
+    /// the cold solve behind `utility(i, profile)` on the matching profile
+    /// within the solve tolerance (1e-13 absolute plus 1e-13 relative),
+    /// not bit for bit: the last Newton step depends on where the
+    /// iteration started.
     pub(crate) fn utility_probe(
         &self,
         i: usize,
         si: f64,
         m: &mut [f64],
-        phi_seed: &mut f64,
+        chain: &mut PhiChain,
         scratch: &mut StateScratch,
     ) -> NumResult<f64> {
-        let cp = self.system.cp(i);
-        m[i] = cp.population(self.effective_price_of(si));
-        let phi = self.system.solve_phi_with(m, *phi_seed, scratch)?;
-        *phi_seed = phi;
+        m[i] = self.population_at(i, si);
+        let phi = self.system.solve_phi_with(m, chain.phi, scratch)?;
+        *chain = PhiChain { phi, tangent: None };
         // λ_i and θ_i exactly as the full state assembly computes them.
         let lambda_i = self.system.lambda_of(i, phi);
-        Ok((cp.profitability() - si) * (m[i] * lambda_i))
+        Ok((self.profitability(i) - si) * (m[i] * lambda_i))
     }
 
     /// Best-response marginal-utility probe, the `u_i` counterpart of
-    /// [`SubsidyGame::utility_probe`], seeded the same way: its φ agrees
-    /// with the cold solve behind `marginal_utility(i, profile)` within
-    /// the same tolerance.
+    /// [`SubsidyGame::utility_probe`]: its φ agrees with the cold solve
+    /// behind `marginal_utility(i, profile)` within the same tolerance. It
+    /// starts from the chain's first-order prediction when the chain's
+    /// last probe was a marginal probe of the same search, and leaves
+    /// `dφ/dm_i` at its own root for the next one.
     pub(crate) fn marginal_probe(
         &self,
         i: usize,
         si: f64,
         m: &mut [f64],
-        phi_seed: &mut f64,
+        chain: &mut PhiChain,
         scratch: &mut StateScratch,
     ) -> NumResult<f64> {
-        let cp = self.system.cp(i);
-        m[i] = cp.population(self.effective_price_of(si));
-        let phi = self.system.solve_phi_with(m, *phi_seed, scratch)?;
-        *phi_seed = phi;
-        let lambda_i = self.system.lambda_of(i, phi);
+        m[i] = self.population_at(i, si);
+        let phi = self.system.solve_phi_with(m, chain.seed(i, m[i]), scratch)?;
+        // λ_i comes from the exp table the slope fill builds.
+        let (lambda_i, dg_dphi) = self.system.lambda_and_gap_slope(i, phi, m, scratch);
+        // g(φ) = Θ − Σ m_k λ_k, so dφ/dm_i = λ_i / g' (Lemma 1).
+        *chain = PhiChain { phi, tangent: Some((i, m[i], lambda_i / dg_dphi)) };
         let theta_ii = m[i] * lambda_i;
-        let dg_dphi = self.system.dgap_dphi_with(phi, m, scratch);
         Ok(self.marginal_from_parts(i, si, m[i], lambda_i, theta_ii, phi, dg_dphi))
     }
 
     /// [`SubsidyGame::state`] into caller-owned buffers: validates `s`,
-    /// fills `prices`, and solves the fixed point into `out`.
+    /// fills `m` with its populations, and solves the fixed point into
+    /// `out`, starting φ's Newton iteration at `seed` (NaN starts cold,
+    /// as [`SubsidyGame::state`] does, bit for bit).
     pub(crate) fn state_into(
         &self,
         s: &[f64],
-        prices: &mut Vec<f64>,
+        seed: f64,
+        m: &mut Vec<f64>,
         scratch: &mut StateScratch,
         out: &mut SystemState,
     ) -> NumResult<()> {
         self.validate(s)?;
-        prices.resize(self.n(), 0.0);
-        for (o, &si) in prices.iter_mut().zip(s) {
-            *o = self.effective_price_of(si);
-        }
-        self.system.state_at_prices_into(prices, scratch, out)
+        self.populations_for(s, m);
+        let phi = self.system.solve_phi_with(m, seed, scratch)?;
+        self.system.state_at_phi_into(phi, m, scratch, out)
     }
 
     /// All marginal utilities `u(s)` at a profile (one fixed-point solve).
@@ -450,12 +496,15 @@ impl SubsidyGame {
 
     /// `∂θ_i/∂s_i` at a solved state (used by Theorem 3's corner test).
     pub fn dtheta_dsi_at_state(&self, i: usize, s: &[f64], state: &SystemState) -> f64 {
-        let cp = self.system.cp(i);
+        let sys = &self.system;
         let t_i = self.price - s[i];
-        let dm_dsi =
-            if self.clamp_effective_price && t_i < 0.0 { 0.0 } else { -cp.demand().dm_dt(t_i) };
+        let dm_dsi = if self.clamp_effective_price && t_i < 0.0 {
+            0.0
+        } else {
+            -sys.dm_dt_of(i, t_i, state.m[i])
+        };
         let dphi_dsi = state.lambda[i] * dm_dsi / state.dg_dphi;
-        let dlambda = cp.throughput().dlambda_dphi(state.phi);
+        let dlambda = sys.dlambda_dphi_of(i, state.phi, state.lambda[i]);
         dm_dsi * state.lambda[i] + state.m[i] * dlambda * dphi_dsi
     }
 

@@ -15,7 +15,10 @@
 //!
 //! * pinned providers sit on their corners; a step solves the state once,
 //!   reads every `u_i`, factors the Jacobian and solves
-//!   `J_ÑÑ δ = −u_Ñ`, and the next iterate is `s + δ`, clamped to the box;
+//!   `J_ÑÑ δ = −u_Ñ`, and the next iterate is `s + δ`, clamped to the box.
+//!   The next step's state solve starts at `φ + Σ_{j∈Ñ} (∂φ/∂s_j) δ_j`,
+//!   from the same factors (the first step of an attempt starts cold, and
+//!   so does the state every solve ends with at its answer);
 //! * the attempt is **accepted** when `max(‖δ‖∞, pinned violation) ≤ tol`.
 //!   A pinned provider's violation is its wrong-signed marginal (`u_i > 0`
 //!   at the lower pin, `u_i < 0` at the upper) over `|∂u_i/∂s_i|`, capped
@@ -75,9 +78,9 @@
 //! diagnostics, and [`crate::equilibrium::verify_equilibrium`] gives an
 //! independent KKT/deviation certificate.
 
-use crate::best_response::{best_response_into, Origin, EXACT_ROOT_TOL};
+use crate::best_response::{best_response_into, profile_populations, Origin, EXACT_ROOT_TOL};
 use crate::equilibrium::PIN_TOL;
-use crate::game::SubsidyGame;
+use crate::game::{PhiChain, SubsidyGame};
 use crate::sensitivity::Pin;
 use crate::workspace::{SolveBudget, SolveWorkspace};
 use subcomp_model::system::SystemState;
@@ -315,7 +318,7 @@ impl NashSolver {
         let n = game.n();
         ws.ensure(game);
         if n == 0 {
-            game.state_into(&[], &mut ws.prices, &mut ws.scratch, &mut ws.state)?;
+            game.state_into(&[], f64::NAN, &mut ws.m, &mut ws.scratch, &mut ws.state)?;
             return Ok(SolveStats {
                 iterations: 0,
                 newton_steps: 0,
@@ -341,10 +344,10 @@ impl NashSolver {
             Sweeps::Jacobi(omega) => Some(omega),
             Sweeps::Corrected | Sweeps::GaussSeidel => None,
         };
-        // Each probe's φ solve starts at the previous probe's root. The
+        // Each probe's φ solve starts from the previous probe's root. The
         // chain is local and starts cold, so the answer stays a pure
         // function of (game, start) whatever workspace runs it.
-        let mut phi_seed = f64::NAN;
+        let mut chain = PhiChain::COLD;
         let limit = budget.max_sweeps().min(self.max_sweeps);
         let mut stats = SolveStats {
             iterations: 0,
@@ -378,7 +381,7 @@ impl NashSolver {
             } else {
                 (FORCING * update).clamp(EXACT_ROOT_TOL, LOOSEST_ROOT_TOL)
             };
-            update = sweep(game, ws, jacobi, root_tol, &mut phi_seed, &mut stats)?;
+            update = sweep(game, ws, jacobi, root_tol, &mut chain, &mut stats)?;
             if stats.residual <= self.tol {
                 stats.converged = true;
                 break;
@@ -394,7 +397,9 @@ impl NashSolver {
                 residual: stats.residual,
             });
         }
-        game.state_into(&ws.s, &mut ws.prices, &mut ws.scratch, &mut ws.state)?;
+        // The answer's state is solved cold: a snapshot of it is exactly
+        // the state a Theorem 6 read would solve at the answer.
+        game.state_into(&ws.s, f64::NAN, &mut ws.m, &mut ws.scratch, &mut ws.state)?;
         for i in 0..n {
             ws.utilities[i] = game.utility_at_state(i, &ws.s, &ws.state);
         }
@@ -430,11 +435,15 @@ impl NashSolver {
             ws.s[i] = corner;
         }
         let (mut first, mut prev) = (None, f64::INFINITY);
+        // The first step's state solve starts cold; each later one at the
+        // first-order prediction of the step before it.
+        let mut seed = f64::NAN;
         for _ in 0..NEWTON_MAX_STEPS {
             if stats.iterations >= limit {
                 break;
             }
-            let Some((step, violation)) = ws.newton_step(game) else { break };
+            let Some((step, violation)) = ws.newton_step(game, seed) else { break };
+            seed = ws.predicted_phi();
             let step = step.max(std::mem::take(&mut snap));
             let residual = step.max(violation);
             stats.iterations += 1;
@@ -489,19 +498,20 @@ fn sweep(
     ws: &mut SolveWorkspace,
     jacobi: Option<f64>,
     root_tol: f64,
-    phi_seed: &mut f64,
+    chain: &mut PhiChain,
     stats: &mut SolveStats,
 ) -> NumResult<f64> {
     ws.next.copy_from_slice(&ws.s);
+    // Gauss–Seidel responds to the freshest profile, Jacobi to the
+    // previous iterate, which the sweep leaves untouched. A response moves
+    // one component, so the populations are filled once and `ws.m` is kept
+    // at the profile the next response sees.
+    profile_populations(game, &ws.s, &mut ws.m)?;
     let mut floor = 0.0f64;
     for i in 0..game.n() {
-        // Gauss–Seidel responds to the freshest profile, Jacobi to the
-        // previous iterate, which the sweep leaves untouched. Either way
-        // the search is seeded at `ws.s[i]`: provider `i` has not been
-        // updated yet.
-        let basis = if jacobi.is_some() { &ws.s } else { &ws.next };
-        let br =
-            best_response_into(game, i, basis, root_tol, &mut ws.m, phi_seed, &mut ws.scratch)?;
+        // Either way the search is seeded at `ws.s[i]`: provider `i` has
+        // not been updated yet.
+        let br = best_response_into(game, i, ws.s[i], root_tol, &mut ws.m, chain, &mut ws.scratch)?;
         match br.origin {
             Origin::Exact => {}
             Origin::Inexact => floor = root_tol,
@@ -512,6 +522,8 @@ fn sweep(
             Some(omega) => (1.0 - omega) * ws.s[i] + omega * br.s,
             None => br.s,
         };
+        let basis_i = if jacobi.is_some() { ws.s[i] } else { ws.next[i] };
+        ws.m[i] = game.population_at(i, basis_i);
     }
     let update = sub_inf_norm(&ws.s, &ws.next);
     std::mem::swap(&mut ws.s, &mut ws.next);
@@ -610,19 +622,19 @@ impl SolveWorkspace {
     }
 
     /// One Newton step at the current iterate on the frozen guess: solves
-    /// the state, every `u_i` and the Jacobian factors there, and
-    /// `J_ÑÑ δ = −u_Ñ` into `step`. Returns `(‖δ_Ñ‖∞, pinned violation)`,
-    /// or `None` when the step cannot be measured: an interior provider
-    /// on (within [`PIN_TOL`], like a corner) or past the clamped `t = 0`
-    /// kink, a failed state solve, a non-finite value or a singular
-    /// block.
-    fn newton_step(&mut self, game: &SubsidyGame) -> Option<(f64, f64)> {
+    /// the state (φ's iteration started at `seed`), every `u_i` and the
+    /// Jacobian factors there, and `J_ÑÑ δ = −u_Ñ` into `step`. Returns
+    /// `(‖δ_Ñ‖∞, pinned violation)`, or `None` when the step cannot be
+    /// measured: an interior provider on (within [`PIN_TOL`], like a
+    /// corner) or past the clamped `t = 0` kink, a failed state solve, a
+    /// non-finite value or a singular block.
+    fn newton_step(&mut self, game: &SubsidyGame, seed: f64) -> Option<(f64, f64)> {
         let p = game.price();
         if game.clamps_effective_price() && self.interior.iter().any(|&i| p - self.s[i] <= PIN_TOL)
         {
             return None;
         }
-        game.state_into(&self.s, &mut self.prices, &mut self.scratch, &mut self.state).ok()?;
+        game.state_into(&self.s, seed, &mut self.m, &mut self.scratch, &mut self.state).ok()?;
         self.jac.assemble(game, &self.s, &self.state);
         let (mut violation, mut slot) = (0.0f64, 0);
         for i in 0..game.n() {
@@ -656,6 +668,13 @@ impl SolveWorkspace {
             return None;
         }
         Some((step.iter().fold(0.0f64, |m, x| m.max(x.abs())), violation))
+    }
+
+    /// φ after the last step, to first order: `φ + Σ_{j∈Ñ} φ_j δ_j` with
+    /// the step's own `∂φ/∂s_j` column of the factors.
+    fn predicted_phi(&self) -> f64 {
+        let step = self.interior.iter().zip(&self.step);
+        step.fold(self.state.phi, |phi, (&j, &d)| phi + self.jac.dphi_ds(j) * d)
     }
 
     /// Moves the interior by the last step, `s_Ñ ← clamp(s_Ñ + δ_Ñ)`.

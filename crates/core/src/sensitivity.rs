@@ -34,7 +34,11 @@
 //! the interior system by the Woodbury identity with a 2×2 capacitance
 //! matrix, so a derivative costs one state solve plus O(n) arithmetic —
 //! O(n) alone when the caller already holds the solved state
-//! ([`SensitivityWorkspace::factor_at`]).
+//! ([`SensitivityWorkspace::factor_at`]). The assembly reads `m'`, `m''`,
+//! `λ'` and `λ''` off the state's own `m_j` and `λ_j` through the system's
+//! kernel (`subcomp_model::system`): for the paper's exponential family
+//! that is a multiply each, bit-identical to the curves' trait calls, and
+//! no `exp`.
 //! The right-hand sides `∂u/∂θ` are analytic too:
 //!
 //! * price: `∂u_i/∂p = −Σ_j ∂u_i/∂s_j − ∂θ_i/∂s_i`, since every
@@ -46,7 +50,8 @@
 //!
 //! The Nash solver's Newton corrector ([`crate::nash`]) solves one more
 //! right-hand side on the same factors: `−u_Ñ`, at each iterate of its
-//! interior conditions `u_Ñ(s) = 0`.
+//! interior conditions `u_Ñ(s) = 0`. The factors' `∂φ/∂s` column also
+//! seeds the next iterate's state solve.
 //!
 //! **Structural fallback.** Woodbury needs a usable diagonal and a
 //! regular capacitance. When some interior `d_k` is zero or not finite,
@@ -212,6 +217,8 @@ impl Factors {
     /// its solved state: one pass per provider for `a`, `a'`, `λ'`, `λ''`,
     /// `φ_j`, `c_j`, `∂θ_i/∂s_i` and `d_i`, then — once the curvature
     /// `g'' = Θ_φφ − Σ m_k λ_k''` is known — one for `A_i` and `B_i`.
+    /// The four derivatives come from the system's kernel, read off the
+    /// state's `m_k` and `λ_k` (so `st` must be the state at `s`).
     pub(crate) fn assemble(&mut self, game: &SubsidyGame, s: &[f64], st: &SystemState) {
         let sys = game.system();
         let n = game.n();
@@ -219,18 +226,18 @@ impl Factors {
         self.resize(n);
         let mut m_curv = 0.0;
         for k in 0..n {
-            let cp = sys.cp(k);
             let (m, lam) = (st.m[k], st.lambda[k]);
             let t = game.price() - s[k];
             // The clamped region (t < 0 under clamping) freezes m_k, as in
-            // the marginal utility itself.
+            // the marginal utility itself. Every slope is read off the
+            // state's own m_k and λ_k.
             let (a, a1) = if game.clamps_effective_price() && t < 0.0 {
                 (0.0, 0.0)
             } else {
-                (-cp.demand().dm_dt(t), cp.demand().d2m_dt2(t))
+                (-sys.dm_dt_of(k, t, m), sys.d2m_dt2_of(k, t, m))
             };
-            let (l1, l2) = (cp.throughput().dlambda_dphi(phi), cp.throughput().d2lambda_dphi2(phi));
-            let w = cp.profitability() - s[k];
+            let (l1, l2) = (sys.dlambda_dphi_of(k, phi, lam), sys.d2lambda_dphi2_of(k, phi, lam));
+            let w = game.profitability(k) - s[k];
             self.phi[k] = lam * a / g1;
             self.c[k] = l1 * a;
             self.dtheta[k] = a * lam + m * l1 * self.phi[k];
@@ -244,7 +251,7 @@ impl Factors {
         for i in 0..n {
             let (m, lam, l1, l2, a) =
                 (st.m[i], st.lambda[i], self.l1[i], self.l2[i], self.pop_slope[i]);
-            let w = sys.cp(i).profitability() - s[i];
+            let w = game.profitability(i) - s[i];
             self.b[i] = w * m * a * lam * l1 / (g1 * g1);
             self.a[i] = -m * l1
                 + w * a * (l1 + m * (l1 * l1 + lam * l2) / g1 - m * lam * l1 * g2 / (g1 * g1));
@@ -270,6 +277,11 @@ impl Factors {
     /// How many block solves took the dense fallback.
     pub(crate) fn dense_fallbacks(&self) -> u64 {
         self.fallbacks
+    }
+
+    /// `∂φ/∂s_j` at the assembled state.
+    pub(crate) fn dphi_ds(&self, j: usize) -> f64 {
+        self.phi[j]
     }
 
     /// `∂u_i/∂s_j`.
@@ -357,7 +369,7 @@ impl Factors {
 /// `tests/alloc_free.rs`.
 #[derive(Debug, Clone, Default)]
 pub struct SensitivityWorkspace {
-    prices: Vec<f64>,
+    m: Vec<f64>,
     scratch: StateScratch,
     state: SystemState,
     active: ActiveSet,
@@ -386,7 +398,7 @@ impl SensitivityWorkspace {
         // state (no allocation).
         let mut state = std::mem::take(&mut self.state);
         let result = game
-            .state_into(s, &mut self.prices, &mut self.scratch, &mut state)
+            .state_into(s, f64::NAN, &mut self.m, &mut self.scratch, &mut state)
             .and_then(|()| self.factor_at(game, s, &state));
         self.state = state;
         result

@@ -84,10 +84,9 @@ pub struct SolveWorkspace {
     pub(crate) next: Vec<f64>,
     /// Per-provider effective caps `min(q, v_i)` of the current game.
     pub(crate) caps: Vec<f64>,
-    /// Population scratch for best-response probes.
+    /// Populations: of the profile a sweep's next best response sees,
+    /// and of the profile a full state solve is at.
     pub(crate) m: Vec<f64>,
-    /// Effective-price scratch for full state assembly.
-    pub(crate) prices: Vec<f64>,
     /// Model-layer scratch (exp table, population buffer).
     pub(crate) scratch: StateScratch,
     /// Solved congestion state at the current iterate.
@@ -138,7 +137,6 @@ impl SolveWorkspace {
             self.caps[i] = game.effective_cap(i);
         }
         self.m.resize(n, 0.0);
-        self.prices.resize(n, 0.0);
         self.utilities.resize(n, 0.0);
         self.pins.resize(n, Pin::Lower);
         self.interior.clear();

@@ -35,10 +35,10 @@
 //!
 //! ## The million-game regime
 //!
-//! `--games 1000000` is the supported ensemble ceiling. At about 14,700
-//! games/s per thread (the median of five 20,000-game runs on a 2-vCPU
+//! `--games 1000000` is the supported ensemble ceiling. At about 21,700
+//! games/s per thread (the median of ten 20,000-game runs on a 2-vCPU
 //! Intel Xeon x86-64 host, whose speed drifts up to 2x between runs) it
-//! takes roughly a minute single-threaded, scaling near-linearly with
+//! takes under a minute single-threaded, scaling near-linearly with
 //! `--threads`. Memory stays flat in the game count — the farm streams
 //! blocks through per-worker workspaces and keeps one `Copy` stat per
 //! game — so 1M games is a time budget, not a memory one. The

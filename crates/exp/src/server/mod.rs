@@ -258,10 +258,23 @@ impl EquilibriumServer {
     /// A server over `game` with `pool_size` warm workspaces and a
     /// `cache_capacity`-entry fingerprint cache.
     pub fn new(game: SubsidyGame, pool_size: usize, cache_capacity: usize) -> EquilibriumServer {
+        let digest = fingerprint::curve_digest(&game);
+        EquilibriumServer::with_digest(game, digest, pool_size, cache_capacity)
+    }
+
+    /// [`EquilibriumServer::new`] given `game`'s curve digest, which the
+    /// sharded router keeps beside its mirror so a rebuild does not
+    /// recompute it.
+    pub(crate) fn with_digest(
+        game: SubsidyGame,
+        digest: NumResult<u64>,
+        pool_size: usize,
+        cache_capacity: usize,
+    ) -> EquilibriumServer {
         let pool_size = pool_size.max(1);
         let pool = (0..pool_size).map(|_| SolveWorkspace::for_game(&game)).collect();
         EquilibriumServer {
-            digest: fingerprint::curve_digest(&game),
+            digest,
             game,
             solver: NashSolver::default().with_tol(1e-10),
             pool,
@@ -401,7 +414,17 @@ impl EquilibriumServer {
     /// quarantine before solving, so a fresh (fixed) game always gets a
     /// chance to answer.
     pub fn submit(&mut self, game: SubsidyGame) -> NumResult<(Arc<EqSnapshot>, Source)> {
-        self.digest = fingerprint::curve_digest(&game);
+        let digest = fingerprint::curve_digest(&game);
+        self.submit_digested(game, digest)
+    }
+
+    /// [`EquilibriumServer::submit`] given `game`'s curve digest.
+    pub(crate) fn submit_digested(
+        &mut self,
+        game: SubsidyGame,
+        digest: NumResult<u64>,
+    ) -> NumResult<(Arc<EqSnapshot>, Source)> {
+        self.digest = digest;
         self.game = game;
         self.base = None;
         self.factored = None;

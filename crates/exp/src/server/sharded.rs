@@ -67,7 +67,7 @@ use subcomp_core::snapshot::EqSnapshot;
 use subcomp_core::workspace::SolveBudget;
 use subcomp_num::error::{NumError, NumResult};
 
-use super::fingerprint::{fnv_fold, FNV_OFFSET};
+use super::fingerprint::{self, fnv_fold, FNV_OFFSET};
 use super::{
     CacheStats, EquilibriumServer, Reply, Request, ServeError, ServeResult, ServerStats, Source,
 };
@@ -142,6 +142,9 @@ type Published = Option<(u64, Arc<EqSnapshot>)>;
 struct Market {
     shard: usize,
     game: SubsidyGame,
+    /// The mirror game's curve digest, computed on insert and on submit
+    /// (a kill changes no curve), so a rebuild does not recompute it.
+    digest: NumResult<u64>,
     budget: SolveBudget,
     /// `None` only after a rebuild itself panicked; a submit
     /// re-provisions it.
@@ -187,10 +190,14 @@ impl ShardedServer {
         }
         let mut resident = HashMap::with_capacity(markets.len());
         for (id, game) in markets {
+            let digest = fingerprint::curve_digest(&game);
+            let server =
+                EquilibriumServer::with_digest(game.clone(), digest.clone(), cfg.pool, cfg.cache);
             let market = Market {
                 shard: shard_of_market(id, cfg.shards),
-                server: Some(EquilibriumServer::new(game.clone(), cfg.pool, cfg.cache)),
+                server: Some(server),
                 game,
+                digest,
                 budget: SolveBudget::unlimited(),
                 published: None,
             };
@@ -303,12 +310,14 @@ impl ShardedServer {
     /// from the submitted game.
     pub fn submit(&mut self, market: u64, game: SubsidyGame) -> ServeResult<Reply> {
         let resident = self.market_mut(market)?;
+        let digest = fingerprint::curve_digest(&game);
         resident.game = game.clone();
+        resident.digest = digest.clone();
         if resident.server.is_none() {
             return self.rebuild(market, None);
         }
         self.guarded(market, |server| {
-            let (snap, source) = server.submit(game)?;
+            let (snap, source) = server.submit_digested(game, digest)?;
             Ok(Reply::Equilibrium { snap, source })
         })
     }
@@ -464,8 +473,13 @@ impl ShardedServer {
         let market = self.markets.get_mut(&id).expect("resident market");
         market.server = None;
         market.published = None;
-        let mut server = EquilibriumServer::new(market.game.clone(), self.pool, self.cache)
-            .with_budget(market.budget);
+        let mut server = EquilibriumServer::with_digest(
+            market.game.clone(),
+            market.digest.clone(),
+            self.pool,
+            self.cache,
+        )
+        .with_budget(market.budget);
         let result = match published {
             Some((fp, snap)) => {
                 server.preload(fp, Arc::clone(&snap));

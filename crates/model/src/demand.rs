@@ -49,6 +49,16 @@ pub trait DemandFn: Send + Sync {
     /// Returns a copy whose population scale is multiplied by `κ`
     /// (Lemma 2's population scaling).
     fn scaled(&self, kappa: f64) -> Box<dyn DemandFn>;
+
+    /// If this is the exponential family `m(t) = m₀ e^{-αt}`, its
+    /// `(m₀, α)` coefficients. The system's kernel uses them to read
+    /// `m'` and `m''` off a population it already holds (`−α·m` and
+    /// `α·α·m`, the expressions [`ExpDemand`] evaluates), with no `exp`.
+    /// Other families return `None` and are evaluated through the trait
+    /// object.
+    fn exp_coeffs(&self) -> Option<(f64, f64)> {
+        None
+    }
 }
 
 impl Clone for Box<dyn DemandFn> {
@@ -100,6 +110,9 @@ impl DemandFn for ExpDemand {
     }
     fn scaled(&self, kappa: f64) -> Box<dyn DemandFn> {
         Box::new(ExpDemand::new(self.m0 * kappa, self.alpha))
+    }
+    fn exp_coeffs(&self) -> Option<(f64, f64)> {
+        Some((self.m0, self.alpha))
     }
 }
 

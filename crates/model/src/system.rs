@@ -13,10 +13,23 @@
 //! runs Newton's iteration on `g`, which shares one `e^{−βφ}` table per
 //! iterate with its slope `dg/dφ` (Equation (2)), and bisects that bracket
 //! whenever a step would leave it. [`System::solve_phi_with`] starts from a
-//! caller's seed, the previous probe's root in the best-response loop;
-//! [`System::solve_state`] starts cold and returns a [`SystemState`] with
-//! every quantity downstream analysis needs (per-CP populations,
-//! throughputs, the gap slope).
+//! caller's seed, in the solvers the previous probe's root or a
+//! first-order prediction of the new one; [`System::solve_state`] starts
+//! cold and returns a [`SystemState`] with every quantity downstream
+//! analysis needs (per-CP populations, throughputs, the gap slope).
+//!
+//! The kernel behind these solves keeps each exponential provider's
+//! `(m⁰, α)` and `(λ₀, β)`. In that family every derivative the solvers
+//! need is a multiple of what a state already holds: `m' = −α·m`,
+//! `m'' = α·α·m`, `λ' = −β·λ` and `λ'' = β·β·λ`. So
+//! [`System::population_of`], [`System::dm_dt_of`],
+//! [`System::d2m_dt2_of`], [`System::dlambda_dphi_of`] and
+//! [`System::d2lambda_dphi2_of`] evaluate them with no virtual call and,
+//! given the state's `m` and `λ`, with no `exp`, bit-identical to the
+//! trait calls (`crates/model/tests/kernel_slopes.rs`). Theorem 6's
+//! Jacobian, the marginal utilities and every population fill of the
+//! solvers go through them. Other families fall through to their trait
+//! objects.
 
 use crate::cp::ContentProvider;
 use crate::utilization::UtilizationFn;
@@ -34,6 +47,11 @@ const PHI_TOL: Tolerance = Tolerance { abs: 1e-13, rel: 1e-13, max_iter: 300 };
 /// is a pure function, so providers sharing the same `β` bits receive the
 /// identical value they would have computed through
 /// [`crate::throughput::ThroughputFn::lambda`].
+///
+/// It also keeps each exponential demand's `(m⁰, α)`, so populations are
+/// evaluated without dispatch and the derivatives `m'`, `m''`, `λ'` and
+/// `λ''` are read off a population or throughput the caller already
+/// holds (module docs).
 #[derive(Debug, Clone, Default)]
 struct SystemKernel {
     /// Peak throughput `λ_k(0)` per provider.
@@ -45,6 +63,9 @@ struct SystemKernel {
     beta_idx: Vec<usize>,
     /// Distinct `β` values (bitwise comparison, first-appearance order).
     betas: Vec<f64>,
+    /// `(m⁰, α)` per provider with exponential demand; `None` marks a
+    /// demand evaluated through the trait object.
+    demand: Vec<Option<(f64, f64)>>,
     /// Whether the utilization family is the paper's linear `Θ = φµ`.
     linear: bool,
 }
@@ -70,6 +91,7 @@ impl SystemKernel {
         let mut lambda0 = Vec::with_capacity(n);
         let mut beta_idx = Vec::with_capacity(n);
         let mut betas: Vec<f64> = Vec::new();
+        let demand = cps.iter().map(|cp| cp.demand().exp_coeffs()).collect();
         for cp in cps {
             peaks.push(cp.throughput().peak());
             match cp.throughput().exp_coeffs() {
@@ -90,15 +112,15 @@ impl SystemKernel {
                 }
             }
         }
-        SystemKernel { peaks, lambda0, beta_idx, betas, linear: utilization.is_linear() }
+        SystemKernel { peaks, lambda0, beta_idx, betas, demand, linear: utilization.is_linear() }
     }
 
     /// Re-derives the kernel slot of provider `idx` after `cps[idx]` was
-    /// replaced: cached peak, `λ₀`, and the distinct-`β` assignment. A new
-    /// `β` is appended to the table (results do not depend on table order:
-    /// every provider's `λ_j = λ₀_j e^{-β_j φ}` is computed from its own
-    /// slot and accumulated in provider order, so any table holding the
-    /// right bits is bit-identical to a fresh
+    /// replaced: cached peak, `λ₀`, `(m⁰, α)` and the distinct-`β`
+    /// assignment. A new `β` is appended to the table (results do not
+    /// depend on table order: every provider's `λ_j = λ₀_j e^{-β_j φ}` is
+    /// computed from its own slot and accumulated in provider order, so
+    /// any table holding the right bits is bit-identical to a fresh
     /// [`SystemKernel::build`]). Returns `true` when the provider's *old*
     /// `β` slot became unreferenced — the caller should then rebuild the
     /// kernel so the distinct-`β` table does not accumulate dead entries
@@ -106,6 +128,7 @@ impl SystemKernel {
     fn patch_slot(&mut self, idx: usize, cp: &ContentProvider) -> bool {
         let old_slot = self.beta_idx[idx];
         self.peaks[idx] = cp.throughput().peak();
+        self.demand[idx] = cp.demand().exp_coeffs();
         match cp.throughput().exp_coeffs() {
             Some((l0, beta)) => {
                 let slot =
@@ -283,7 +306,7 @@ impl System {
         if t.len() != self.n() {
             return Err(NumError::DimensionMismatch { expected: self.n(), actual: t.len() });
         }
-        Ok(self.cps.iter().zip(t).map(|(cp, &ti)| cp.population(ti)).collect())
+        Ok(t.iter().enumerate().map(|(j, &tj)| self.population_of(j, tj)).collect())
     }
 
     /// The gap function `g(φ) = Θ(φ, µ) − Σ_k m_k λ_k(φ)` of Lemma 1.
@@ -341,8 +364,9 @@ impl System {
     /// Solves Definition 1 for the utilization `φ` alone — the innermost
     /// loop of every best-response probe — starting Newton's iteration at
     /// `seed`. Callers that solve a chain of nearby systems (the probes of
-    /// one Nash solve) pass the previous root; a NaN (or any non-finite)
-    /// seed starts cold at `φ = 0`, and a seed outside the bracket
+    /// one Nash solve, the steps of its Newton corrector) pass the previous
+    /// root or a first-order prediction of the new one; a NaN (or any
+    /// non-finite) seed starts cold at `φ = 0`, and a seed outside the bracket
     /// `[0, Φ(peak, µ)]` is clamped into it. The root agrees with the cold
     /// [`System::solve_state`] to the solver tolerance (1e-13), not bit for
     /// bit, and the same `seed` always returns the same bits.
@@ -422,14 +446,87 @@ impl System {
         }
     }
 
-    /// [`System::dgap_dphi`] through the kernel: for exponential-family
-    /// providers `dλ/dφ = −β · (λ₀ e^{-βφ})` — the identical association
-    /// [`crate::throughput::ExpThroughput`] computes — with one `exp` per
-    /// distinct `β`. Bit-identical values, no per-provider dispatch.
-    pub fn dgap_dphi_with(&self, phi: f64, m: &[f64], scratch: &mut StateScratch) -> f64 {
+    /// Provider `j`'s population `m_j(t)` through the kernel —
+    /// bit-identical to `cp(j).population(t)` (the expression
+    /// [`crate::demand::ExpDemand`] evaluates), without the virtual call
+    /// for exponential demand.
+    #[inline]
+    pub fn population_of(&self, j: usize, t: f64) -> f64 {
+        match self.kernel.demand[j] {
+            Some((m0, alpha)) => m0 * (-alpha * t).exp(),
+            None => self.cps[j].population(t),
+        }
+    }
+
+    /// `m_j'(t)` read off the provider's population there, `m = m_j(t)`:
+    /// `−α·m` for exponential demand, bit-identical to
+    /// `cp(j).demand().dm_dt(t)` and with no `exp`; other families call
+    /// the trait object (and ignore `m`).
+    #[inline]
+    pub fn dm_dt_of(&self, j: usize, t: f64, m: f64) -> f64 {
+        match self.kernel.demand[j] {
+            Some((_, alpha)) => -alpha * m,
+            None => self.cps[j].demand().dm_dt(t),
+        }
+    }
+
+    /// `m_j''(t)` read off `m = m_j(t)`: `α·α·m`, associated as
+    /// [`crate::demand::ExpDemand`] does, so bit-identical to
+    /// `cp(j).demand().d2m_dt2(t)`.
+    #[inline]
+    pub fn d2m_dt2_of(&self, j: usize, t: f64, m: f64) -> f64 {
+        match self.kernel.demand[j] {
+            Some((_, alpha)) => alpha * alpha * m,
+            None => self.cps[j].demand().d2m_dt2(t),
+        }
+    }
+
+    /// `λ_j'(φ)` read off the provider's throughput there,
+    /// `lambda = λ_j(φ)`: `−β·λ` for exponential throughput, bit-identical
+    /// to `cp(j).throughput().dlambda_dphi(phi)`.
+    #[inline]
+    pub fn dlambda_dphi_of(&self, j: usize, phi: f64, lambda: f64) -> f64 {
+        let k = &self.kernel;
+        if k.beta_idx[j] != GENERIC_CP {
+            -k.betas[k.beta_idx[j]] * lambda
+        } else {
+            self.cps[j].throughput().dlambda_dphi(phi)
+        }
+    }
+
+    /// `λ_j''(φ)` read off `lambda = λ_j(φ)`: `β·β·λ`, bit-identical to
+    /// `cp(j).throughput().d2lambda_dphi2(phi)`.
+    #[inline]
+    pub fn d2lambda_dphi2_of(&self, j: usize, phi: f64, lambda: f64) -> f64 {
+        let k = &self.kernel;
+        if k.beta_idx[j] != GENERIC_CP {
+            let beta = k.betas[k.beta_idx[j]];
+            beta * beta * lambda
+        } else {
+            self.cps[j].throughput().d2lambda_dphi2(phi)
+        }
+    }
+
+    /// Provider `i`'s throughput `λ_i(φ)` and the gap slope
+    /// [`System::dgap_dphi`] at `φ`, from one `e^{-βφ}` table: what a
+    /// marginal-utility probe reads after its φ solve. Bit-identical to
+    /// [`System::lambda_of`] and `dgap_dphi`.
+    pub fn lambda_and_gap_slope(
+        &self,
+        i: usize,
+        phi: f64,
+        m: &[f64],
+        scratch: &mut StateScratch,
+    ) -> (f64, f64) {
         self.prepare_scratch(scratch);
-        self.kernel.fill_exp(phi, &mut scratch.exp);
-        self.dgap_from_exp(phi, m, &scratch.exp)
+        let k = &self.kernel;
+        k.fill_exp(phi, &mut scratch.exp);
+        let lambda = if k.beta_idx[i] != GENERIC_CP {
+            k.lambda0[i] * scratch.exp[k.beta_idx[i]]
+        } else {
+            self.cps[i].lambda(phi)
+        };
+        (lambda, self.dgap_from_exp(phi, m, &scratch.exp))
     }
 
     /// The gap slope given an exp table already filled at this `phi`.
@@ -454,8 +551,8 @@ impl System {
             return Err(NumError::DimensionMismatch { expected: self.n(), actual: t.len() });
         }
         out.resize(self.n(), 0.0);
-        for ((o, cp), &ti) in out.iter_mut().zip(&self.cps).zip(t) {
-            *o = cp.population(ti);
+        for (j, (o, &tj)) in out.iter_mut().zip(t).enumerate() {
+            *o = self.population_of(j, tj);
         }
         Ok(())
     }

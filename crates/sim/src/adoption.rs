@@ -59,7 +59,10 @@
 //!   Hashed members are decoded from the class's bits a word at a time,
 //!   with no branch per member, then hashed in batches. Flips collect in
 //!   a per-range mask and apply after all four classes, so every class
-//!   reads the state from before the tick.
+//!   reads the state from before the tick. Each range carries its adopter
+//!   count across ticks (the tick's explore and adopt flips added, its
+//!   churn and decay flips taken away), so the class sizes cost a
+//!   popcount only in the range that holds the split.
 //! * **Keys.** Per-user hashes are keyed by `(tick, type, class, rank)`
 //!   and skip streams by `(tick, type, class, range)`, where a range is a
 //!   canonical run of 4,096 users (64 state words) of a type's rank
@@ -436,6 +439,10 @@ pub struct Block {
     split: usize,
     /// Adoption states, bit `i` of word `i / 64` for local user `i`.
     state: Vec<u64>,
+    /// Adopters per range of the block, carried across ticks: a tick
+    /// adds its explore and adopt flips and takes away its churn and
+    /// decay flips, so no word is recounted.
+    tallies: Vec<u64>,
     /// Adopters after the last step.
     adopted: u64,
     /// Work counters of the last step.
@@ -507,13 +514,21 @@ impl Block {
             let split = self.split.clamp(lo, lo + len) - lo;
             let flips = &mut flips[..words.len()];
             flips.fill(0);
-            // Class sizes before the tick, from the adopters on each side.
-            let held: u64 = words.iter().map(|w| u64::from(w.count_ones())).sum();
-            let below: u64 = (0..split.div_ceil(64))
-                .map(|w| u64::from((words[w] & span_mask(w, 0, split)).count_ones()))
-                .sum();
+            // Class sizes before the tick, from the adopters on each side:
+            // only the range holding the split counts the words below it.
+            let held = self.tallies[r];
+            let below: u64 = if split == 0 {
+                0
+            } else if split == len {
+                held
+            } else {
+                (0..split.div_ceil(64))
+                    .map(|w| u64::from((words[w] & span_mask(w, 0, split)).count_ones()))
+                    .sum()
+            };
             let (n_neg, n_pos) = (split as u64, (len - split) as u64);
             let sizes = [n_neg - below, n_pos - (held - below), below, held - below];
+            let mut range_flips = [0u64; 4];
             for (class, sampler) in ctx.samplers.iter().enumerate() {
                 let candidates = sizes[class];
                 counts.candidates[class] += candidates;
@@ -586,12 +601,21 @@ impl Block {
                         flipped
                     }
                 };
+                range_flips[class] = flipped;
                 counts.flips[class] += flipped;
             }
             for (word, &flip) in words.iter_mut().zip(flips.iter()) {
                 *word ^= flip;
-                adopted += u64::from(word.count_ones());
             }
+            let [explore, adopt, churn, decay] = range_flips;
+            let tally = held + explore + adopt - churn - decay;
+            debug_assert_eq!(
+                tally,
+                words.iter().map(|w| u64::from(w.count_ones())).sum::<u64>(),
+                "range {r}: the carried tally must count the range's adopters"
+            );
+            self.tallies[r] = tally;
+            adopted += tally;
         }
         self.adopted = adopted;
         self.counts = counts;
@@ -750,6 +774,7 @@ impl Population {
                     len,
                     split: 0,
                     state: vec![0u64; len.div_ceil(64)],
+                    tallies: vec![0; len.div_ceil(RANGE)],
                     adopted: 0,
                     counts: TickCounts::default(),
                 });
